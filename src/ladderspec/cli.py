@@ -258,6 +258,34 @@ def _fem_h(cfg, eps):
     return h
 
 
+def _fem_gap_window(cfg, L, eps, h, index):
+    """FEM gaps of the unperturbed eps-ladder and the lambda window of gap index.
+
+    index is 1-based; the window is the gap shrunk by 1e-6 of its lambda width
+    at both ends, so it never grazes a band edge.
+    """
+    from .fem import fem_bloch_bands
+    from .params import LadderParams
+
+    ref = fem_bloch_bands(
+        LadderParams(L, eps, 1.0),
+        cfg.sym_class,
+        max(cfg.nev, 3),
+        h,
+        n_theta=cfg.n_theta,
+        seed=cfg.seed,
+    )
+    if len(ref.gaps) < index:
+        raise RuntimeError(
+            f"requested FEM gap {index} at eps={eps} but only {len(ref.gaps)} "
+            "found; raise --nev or pass --window explicitly"
+        )
+    g = ref.gaps[index - 1]
+    lam_b, lam_t = g["omega_b"] ** 2, g["omega_t"] ** 2
+    pad = 1e-6 * (lam_t - lam_b)
+    return ref.gaps, (lam_b + pad, lam_t - pad)
+
+
 # -- graph commands ---------------------------------------------------------
 
 
@@ -374,7 +402,7 @@ def cmd_fem_bands(cfg):
 
 
 def cmd_fem_localized(cfg):
-    from .fem import fem_bloch_bands, localized_modes
+    from .fem import localized_modes
     from .params import LadderParams
 
     eps = cfg.eps[0]
@@ -385,24 +413,7 @@ def cmd_fem_localized(cfg):
         window = cfg.window
         fem_gaps = []
     else:
-        ref = fem_bloch_bands(
-            LadderParams(L, eps, 1.0),
-            cfg.sym_class,
-            max(cfg.nev, 3),
-            h,
-            n_theta=cfg.n_theta,
-            seed=cfg.seed,
-        )
-        fem_gaps = ref.gaps
-        if len(fem_gaps) < cfg.gap_index:
-            raise RuntimeError(
-                f"requested FEM gap {cfg.gap_index} but only {len(fem_gaps)} found; "
-                "raise --nev or pass --window explicitly"
-            )
-        g = fem_gaps[cfg.gap_index - 1]
-        lam_b, lam_t = g["omega_b"] ** 2, g["omega_t"] ** 2
-        pad = 1e-6 * (lam_t - lam_b)
-        window = (lam_b + pad, lam_t - pad)
+        fem_gaps, window = _fem_gap_window(cfg, L, eps, h, cfg.gap_index)
     params = LadderParams(L, eps, mu)
     report = localized_modes(
         params,
@@ -475,7 +486,7 @@ def _study_band_edges(cfg):
 
 def _study_eigenvalues(cfg):
     from .bands import gaps as graph_gaps
-    from .fem import fem_bloch_bands, localized_modes
+    from .fem import localized_modes
     from .modes import discrete_eigenvalues
     from .params import LadderParams
 
@@ -491,18 +502,10 @@ def _study_eigenvalues(cfg):
     rows, errs = [], []
     for eps in sorted(cfg.eps, reverse=True):
         h = _fem_h(cfg, eps)
-        rep = fem_bloch_bands(
-            LadderParams(L, eps, 1.0), cfg.sym_class, max(cfg.nev, 3), h,
-            n_theta=cfg.n_theta, seed=cfg.seed,
-        )
-        if not rep.gaps:
-            raise RuntimeError(f"no FEM gap found at eps={eps}")
-        g = rep.gaps[0]
-        lam_b, lam_t = g["omega_b"] ** 2, g["omega_t"] ** 2
-        pad = 1e-6 * (lam_t - lam_b)
+        _, window = _fem_gap_window(cfg, L, eps, h, 1)
         loc = localized_modes(
-            LadderParams(L, eps, mu), cfg.sym_class, (lam_b + pad, lam_t - pad),
-            cfg.cells, h, seed=cfg.seed,
+            LadderParams(L, eps, mu), cfg.sym_class, window, cfg.cells, h,
+            seed=cfg.seed,
         )
         lams = [row[1] for row in loc.tables["modes"]["rows"]]
         if not lams:

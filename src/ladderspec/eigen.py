@@ -8,6 +8,9 @@ Two routes with one result type:
   reorthogonalisation in the M-inner product, for large sparse pencils where
   only eigenvalues near a target are wanted.
 
+`count_below` is not a solver: it counts the eigenvalues below a shift from
+the inertia of K - sigma*M, which sizes a windowed solve exactly.
+
 The Lanczos path deliberately avoids ARPACK so that its behaviour (start
 vector, reorthogonalisation, stopping rule) is fully pinned down by this file;
 it factorises K - sigma*M once with SuperLU and works in the M-inner product,
@@ -64,6 +67,27 @@ def eig_dense(K, M, *, window=None, subset=None):
     return EigenResult(vals, vecs, res)
 
 
+def count_below(K, M, sigma):
+    """Number of eigenvalues of K x = lam M x below sigma, by Sylvester inertia.
+
+    Factors K - sigma*M with symmetric (diagonal) pivoting only, so the LU is
+    an LDL^T in disguise and diag(U) = D has the inertia of the pencil shift.
+    No eigenvalue is computed.  Raises if SuperLU had to leave the diagonal,
+    which voids the count (sigma on or within round-off of an eigenvalue).
+    """
+    lu = spla.splu(
+        sp.csc_matrix(K - sigma * M),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options=dict(SymmetricMode=True),
+    )
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise RuntimeError(
+            f"inertia count at sigma={sigma!r} needed off-diagonal pivots"
+        )
+    return int(np.count_nonzero(lu.U.diagonal().real < 0.0))
+
+
 def _pair_residuals(K, M, vals, vecs):
     if vals.size == 0:
         return np.zeros(0)
@@ -93,8 +117,8 @@ def eig_sparse_shift_invert(
 
     Restarts with a slightly moved shift if the factorisation hits a singular
     pencil.  With window=(lo, hi), converged eigenvalues outside the window
-    are dropped and counted in n_outside_window — callers use that count to
-    detect an under-sized k.
+    are dropped and counted in n_outside_window.  A caller that sets k from
+    `count_below` at both window ends expects that count to be zero.
     """
     if not sp.issparse(K):
         K = sp.csr_matrix(K)

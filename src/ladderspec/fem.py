@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import minimize_scalar
 
-from .eigen import eig_dense, eig_sparse_shift_invert
+from .eigen import EigenResult, count_below, eig_dense, eig_sparse_shift_invert
 from .mesh import Mesh, build_cell_mesh, build_supercell_mesh, rectangle_mesh
 from .modes import build_eigenfunction
 from .params import LadderParams, SymmetryClass
@@ -126,12 +126,27 @@ def assemble_bloch_pencil(mesh, theta):
     )
 
 
+def _supercell_pencil(mesh, sym_class):
+    """Real supercell (K, M) and the mesh node ids kept as dofs, in order.
+
+    The antisymmetric class eliminates the y = 0 axis nodes (Dirichlet); the
+    symmetric class keeps every node.
+    """
+    K, M = assemble_p1(mesh)
+    if sym_class is SymmetryClass.ANTISYMMETRIC:
+        T, keep = _reduction_matrix(mesh, 0.0, True, tie=False)
+        return _reduce_hermitian(K, T).real, _reduce_hermitian(M, T).real, keep
+    return K, M, np.arange(mesh.n_nodes)
+
+
 def _lowest_eigs(Kr, Mr, nev, *, seed=0):
     n = Kr.shape[0]
     nev = min(nev, n)
     if n <= DENSE_CUTOFF:
         return eig_dense(Kr, Mr, subset=(0, nev - 1)).values
     res = eig_sparse_shift_invert(Kr, Mr, -1e-2, min(nev, n - 2), seed=seed)
+    if not res.converged:
+        raise RuntimeError(f"lowest-eigenvalue Lanczos solve failed: {res.message}")
     return res.values
 
 
@@ -275,47 +290,39 @@ def localized_modes(
     n_cells,
     h,
     *,
-    max_nev=48,
     seed=0,
     tol=1e-9,
     dump_prefix=None,
 ):
     """Trapped modes of the perturbed supercell inside a lambda window.
 
-    window must lie inside a spectral gap of the same-eps periodic problem;
-    shift-invert Lanczos at the window centre doubles its subspace size until
-    converged eigenvalues bracket the window from both sides, so nothing
-    inside can be missed.  Each in-window eigenpair gets a per-cell mass
-    profile, a fitted geometric decay rate r_hat, and the share of mass in
-    the central three cells.
+    window must lie inside a spectral gap of the same-eps periodic problem.
+    Sylvester inertia at both window ends counts the supercell eigenvalues
+    inside it; one shift-invert Lanczos solve at the window centre then asks
+    for exactly that many pairs, which are the ones inside, so nothing inside
+    can be missed.  A solve that returns a different in-window count raises.
+    Each in-window eigenpair gets a per-cell mass profile, a fitted geometric
+    decay rate r_hat, and the share of mass in the central three cells.
     """
     sym_class = SymmetryClass.parse(sym_class)
     lam_lo, lam_hi = float(window[0]), float(window[1])
     if not lam_lo < lam_hi:
         raise ValueError("empty window")
     mesh = build_supercell_mesh(params, sym_class, n_cells, h)
-    K, M = assemble_p1(mesh)
-    if sym_class is SymmetryClass.ANTISYMMETRIC:
-        T, keep = _reduction_matrix(mesh, 0.0, True, tie=False)
-        K = _reduce_hermitian(K, T).real
-        M = _reduce_hermitian(M, T).real
-    else:
-        keep = np.arange(mesh.n_nodes)
+    K, M, keep = _supercell_pencil(mesh, sym_class)
     n = K.shape[0]
-    sigma = 0.5 * (lam_lo + lam_hi)
-    k = 6
-    while True:
-        k_eff = min(k, n - 2, max_nev)
-        res = eig_sparse_shift_invert(K, M, sigma, k_eff, seed=seed, tol=tol)
-        vals = res.values
-        if (
-            vals.size
-            and vals.min() < lam_lo
-            and vals.max() > lam_hi
-        ) or k_eff >= min(max_nev, n - 2):
-            break
-        k *= 2
-    inside = (vals > lam_lo) & (vals < lam_hi)
+    count = count_below(K, M, lam_hi) - count_below(K, M, lam_lo)
+    res = EigenResult(np.zeros(0), np.zeros((n, 0)), np.zeros(0))
+    if count:
+        res = eig_sparse_shift_invert(
+            K, M, 0.5 * (lam_lo + lam_hi), count,
+            window=(lam_lo, lam_hi), seed=seed, tol=tol,
+        )
+        if res.values.size != count:
+            raise RuntimeError(
+                f"inertia counts {count} eigenvalue(s) in the window but the "
+                f"Lanczos solve found {res.values.size} (converged={res.converged})"
+            )
     report = SpectralReport(
         kind="localized_modes",
         config={
@@ -329,18 +336,16 @@ def localized_modes(
         },
         diagnostics={
             "n_dofs": n,
-            "k_used": int(k_eff),
+            "inertia_count": int(count),
             "solver_converged": bool(res.converged),
-            "n_outside_window": int(np.count_nonzero(~inside)),
             "mesh_area": mesh.total_area(),
         },
     )
     mode_rows = []
     profile_rows = []
-    for rank, idx in enumerate(np.nonzero(inside)[0]):
-        lam = float(vals[idx])
+    for rank, lam in enumerate(res.values.tolist()):
         full = np.zeros(mesh.n_nodes, dtype=res.vectors.dtype)
-        full[keep] = res.vectors[:, idx]
+        full[keep] = res.vectors[:, rank]
         if dump_prefix is not None:
             mesh.save(f"{dump_prefix}{rank}.mesh", values=np.real(full))
         prof = per_cell_mass(mesh, full, n_cells)
@@ -355,7 +360,7 @@ def localized_modes(
                 lam,
                 r_hat,
                 float(centre),
-                float(res.residuals[idx]),
+                float(res.residuals[rank]),
                 n_fit,
             )
         )
@@ -443,14 +448,8 @@ def quasimode_detail(params: LadderParams, sym_class, graph_ev, h, *, n_cells=10
     ef = build_eigenfunction(graph_ev, params.L)
     mesh = build_supercell_mesh(params, sym_class, n_cells, h)
     values = _interpolate_pseudo_mode(mesh, ef, params)
-    K, M = assemble_p1(mesh)
-    if sym_class is SymmetryClass.ANTISYMMETRIC:
-        T, keep = _reduction_matrix(mesh, 0.0, True, tie=False)
-        K = _reduce_hermitian(K, T).real.tocsr()
-        M = _reduce_hermitian(M, T).real.tocsr()
-        vec = values[keep]
-    else:
-        vec = values
+    K, M, keep = _supercell_pencil(mesh, sym_class)
+    vec = values[keep]
     lam = graph_ev.omega**2
     resid = K @ vec - lam * (M @ vec)
     KM = (K + M).tocsc()

@@ -10,7 +10,9 @@ and the mass form.  Two geometries are provided:
 
 Nothing here reuses the transfer-matrix algebra, so agreement with
 `modes.discrete_eigenvalues` / `bands.essential_bands` is a genuine
-two-route consistency check.
+two-route consistency check.  The only import from the FEM side is
+`eigen.count_below`, an inertia count that computes no eigenvalue; the
+spectrum itself comes from ARPACK, not from the FEM route's Lanczos.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .eigen import count_below
 from .params import SymmetryClass
 
 DEFAULT_H = 1e-3
@@ -151,7 +154,11 @@ def _outer_mass_fraction(vec, vertex_ids, n_cells):
 
 @dataclass
 class OracleResult:
-    """Defect eigenvalues found by the truncated-graph solve."""
+    """Defect eigenvalues found by the truncated-graph solve.
+
+    inertia_count is the number of pencil eigenvalues in the search window of
+    the n_cells run, artifacts included, as counted by Sylvester inertia.
+    """
 
     omegas: np.ndarray
     lams: np.ndarray
@@ -159,32 +166,32 @@ class OracleResult:
     h: float
     n_dofs: int
     converged: bool
+    inertia_count: int
     history: list = field(default_factory=list)
 
 
-def _gap_eigs_once(L, mu, sym_class, lam_lo, lam_hi, n_cells, h, lo_open=False):
+def _gap_eigs_once(L, mu, sym_class, lam_lo, lam_hi, n_cells, h):
     K, M, vertex_ids = truncated_half_ladder(L, mu, sym_class, n_cells, h)
+    count = count_below(K, M, lam_hi) - count_below(K, M, lam_lo)
+    if count == 0:
+        return np.zeros(0), K.shape[0], 0
+    # the window is symmetric about sigma, so the count eigenvalues nearest
+    # sigma are exactly the ones inside it
     sigma = 0.5 * (lam_lo + lam_hi)
-    k = 8
-    while True:
-        k_eff = min(k, K.shape[0] - 2)
-        vals, vecs = spla.eigsh(K, k=k_eff, M=M, sigma=sigma, which="LM")
-        # lo_open marks a window reaching the bottom of the spectrum (the
-        # leading gap): nothing can exist below it, so only the top side
-        # needs to be covered by the shift-invert neighbourhood.
-        covered_lo = lo_open or vals.min() < lam_lo
-        covered_hi = vals.max() > lam_hi
-        if (covered_lo and covered_hi) or k_eff == K.shape[0] - 2:
-            break
-        k *= 2
-    kept = []
-    for lam, vec in zip(vals, vecs.T):
-        if not lam_lo < lam < lam_hi:
-            continue
-        if _outer_mass_fraction(vec, vertex_ids, n_cells) > 0.45:
-            continue  # truncation-boundary artifact, not a defect mode
-        kept.append(lam)
-    return np.array(sorted(kept)), K.shape[0]
+    vals, vecs = spla.eigsh(K, k=count, M=M, sigma=sigma, which="LM")
+    found = int(np.count_nonzero((vals > lam_lo) & (vals < lam_hi)))
+    if found != count:
+        raise RuntimeError(
+            f"inertia counts {count} eigenvalue(s) in the window but ARPACK "
+            f"found {found}"
+        )
+    # eigenvectors pinned to the truncation ends are artifacts, not defect modes
+    kept = [
+        lam
+        for lam, vec in zip(vals, vecs.T)
+        if _outer_mass_fraction(vec, vertex_ids, n_cells) <= 0.45
+    ]
+    return np.array(sorted(kept)), K.shape[0], count
 
 
 def oracle_gap_eigenvalues(
@@ -202,25 +209,23 @@ def oracle_gap_eigenvalues(
     """Eigenvalues of the truncated defect graph inside the given gap.
 
     The search window is the open gap shrunk by edge_margin (relative to the
-    gap width) to avoid grazing the band edges.  Shift-invert Lanczos around
-    the gap centre with the requested count doubling until the window is
-    covered on both sides; eigenvectors that concentrate near the truncation
-    ends are discarded as boundary artifacts.  With check_convergence the run
-    is repeated
-    with a wider truncation and flagged converged if every eigenvalue moved by
-    less than rel_tol relatively.
+    gap width) to avoid grazing the band edges.  Sylvester inertia at both
+    window ends counts the pencil eigenvalues inside it; one ARPACK
+    shift-invert solve at the gap centre then asks for exactly that many,
+    and raises if a different number lands inside.  Eigenvectors that
+    concentrate near the truncation ends are discarded as boundary
+    artifacts.  With check_convergence the run is repeated with a wider
+    truncation and flagged converged if every eigenvalue moved by less than
+    rel_tol relatively.
     """
     pad = edge_margin * gap.width
     lam_lo, lam_hi = (gap.omega_b + pad) ** 2, (gap.omega_t - pad) ** 2
-    lo_open = gap.omega_b == 0.0
-    lams, ndof = _gap_eigs_once(
-        L, mu, sym_class, lam_lo, lam_hi, n_cells, h, lo_open
-    )
+    lams, ndof, count = _gap_eigs_once(L, mu, sym_class, lam_lo, lam_hi, n_cells, h)
     history = [(n_cells, lams)]
     converged = not check_convergence
     if check_convergence:
-        lams2, _ = _gap_eigs_once(
-            L, mu, sym_class, lam_lo, lam_hi, n_cells + 8, h, lo_open
+        lams2, _, _ = _gap_eigs_once(
+            L, mu, sym_class, lam_lo, lam_hi, n_cells + 8, h
         )
         history.append((n_cells + 8, lams2))
         if lams.size == lams2.size:
@@ -230,7 +235,7 @@ def oracle_gap_eigenvalues(
                 converged = True
                 lams = lams2
     return OracleResult(
-        np.sqrt(lams), lams, n_cells, h, ndof, converged, history
+        np.sqrt(lams), lams, n_cells, h, ndof, converged, count, history
     )
 
 

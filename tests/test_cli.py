@@ -11,7 +11,9 @@ import math
 import numpy as np
 import pytest
 
+from ladderspec import fem
 from ladderspec.cli import main
+from ladderspec.eigen import EigenResult
 from ladderspec.mesh import Mesh
 from ladderspec.report import SpectralReport
 
@@ -106,6 +108,25 @@ def test_fem_bands_table_shape(tmp_path):
     cols, rows = _csv_rows(prefix)
     assert cols == ["theta", "band", "lambda", "omega"]
     assert len(rows) == 3 * 9
+
+
+def test_fem_bands_unconverged_sparse_solve_exits_3(tmp_path, monkeypatch, capsys):
+    # force the sparse path and make it report a failed solve: the band edge
+    # must not be used
+    def failed(K, M, sigma, k, **kw):
+        vals = np.arange(1.0, k + 1.0)
+        return EigenResult(vals, np.zeros((K.shape[0], k)), np.zeros(k),
+                           converged=False, message="no convergence in 0 steps")
+
+    monkeypatch.setattr(fem, "DENSE_CUTOFF", 0)
+    monkeypatch.setattr(fem, "eig_sparse_shift_invert", failed)
+    code, prefix = _run(
+        tmp_path,
+        "fem", "bands", "--L", "2", "--eps", "0.2", "--nev", "3", "--ntheta", "3",
+    )
+    assert code == 3
+    assert "no convergence" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_fem_localized_window_modes_and_dump(tmp_path):

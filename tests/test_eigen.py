@@ -3,7 +3,9 @@
 The independent oracle here is matrix inertia: for a Hermitian pencil with
 positive definite M, the number of eigenvalues below t equals the number of
 negative pivots of the LDL^T factorisation of K - t*M.  That count involves
-no eigensolver at all, so it checks both routes from the outside.
+no eigensolver at all, so it checks both routes from the outside.  The
+package's own sparse count, `count_below`, is checked against the dense
+Bunch-Kaufman count here.
 """
 
 import math
@@ -13,8 +15,10 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ladderspec.eigen import eig_dense, eig_sparse_shift_invert
+from ladderspec.eigen import count_below, eig_dense, eig_sparse_shift_invert
 from ladderspec.graph1d import quasiperiodic_cell
 from ladderspec.params import SymmetryClass
 
@@ -117,6 +121,35 @@ def test_shift_invert_counts_match_inertia():
     )
     # the 8 returned eigenvalues are exactly the pencil spectrum in [lo, hi]
     assert expected == 8
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 50),
+    n=st.integers(2, 40),
+    frac=st.floats(-0.2, 1.2, allow_nan=False),
+)
+def test_count_below_matches_dense_inertia_random(seed, n, frac):
+    K, M = _random_pencil(n, seed)
+    vals = eig_dense(K, M).values
+    t = vals[0] + frac * (vals[-1] - vals[0])
+    # at an eigenvalue the shifted pencil is singular and has no inertia
+    assume(np.abs(vals - t).min() > 1e-9 * np.abs(vals).max())
+    assert count_below(K, M, t) == _count_below(K, M, t)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(3, 120), t=st.floats(-50.0, 2.0e5, allow_nan=False))
+def test_count_below_matches_dense_inertia_string(n, t):
+    K, M = _string_pencil(n)
+    assert count_below(K, M, t) == _count_below(K.toarray(), M.toarray(), t)
+
+
+def test_count_below_refuses_off_diagonal_pivots():
+    # a zero diagonal forces SuperLU off the diagonal, which voids the count
+    K = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(RuntimeError, match="off-diagonal pivots"):
+        count_below(K, sp.identity(2, format="csr"), 0.0)
 
 
 def test_window_filter_counts_discards():

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from ladderspec import fem
 from ladderspec.bands import first_n_gaps
 from ladderspec.dispersion import reflection_root
 from ladderspec.eigen import eig_dense
@@ -116,6 +117,7 @@ def test_localized_modes_flagship_example():
     rows = rep.tables["modes"]["rows"]
     assert len(rows) >= 1
     assert rep.diagnostics["solver_converged"]
+    assert rep.diagnostics["inertia_count"] == len(rows)
     lam_lo, lam_hi = gap["omega_b"] ** 2, gap["omega_t"] ** 2
     for omega, lam, r_hat, centre, residual, n_fit in rows:
         assert lam_lo < lam < lam_hi  # strictly inside the same-eps FEM gap
@@ -137,6 +139,25 @@ def test_localized_modes_empty_without_defect():
     assert rep.eigenvalues == []
     assert rep.tables["modes"]["rows"] == []
     assert rep.diagnostics["solver_converged"]
+    assert rep.diagnostics["inertia_count"] == 0
+
+
+def test_localized_modes_raises_when_solve_misses_counted_modes(monkeypatch):
+    # a windowed solve that returns fewer in-window pairs than inertia counts
+    # must fail loudly instead of reporting a partial spectrum
+    real = fem.eig_sparse_shift_invert
+
+    def drops_one(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.values, res.vectors = res.values[:-1], res.vectors[:, :-1]
+        res.residuals = res.residuals[:-1]
+        return res
+
+    monkeypatch.setattr(fem, "eig_sparse_shift_invert", drops_one)
+    with pytest.raises(RuntimeError, match="inertia counts 2"):
+        localized_modes(
+            LadderParams(2.0, 0.2, mu=0.25), S, _shrunk_window(GAP_EPS02), 6, 0.05
+        )
 
 
 def test_localized_modes_rejects_empty_window():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from ladderspec import graph1d
 from ladderspec.bands import bloch_curves, essential_bands, first_n_gaps
 from ladderspec.dispersion import reflection_root
 from ladderspec.graph1d import (
@@ -78,13 +79,15 @@ def test_oracle_matches_closed_form_symmetric():
     res = oracle_gap_eigenvalues(2.0, 0.25, S, gap, h=4e-3, n_cells=25)
     assert res.converged
     assert res.omegas.size == 2
+    assert res.inertia_count == 2
     rel = np.abs(res.omegas - exact) / np.abs(exact)
     assert rel.max() <= 1e-4
 
 
 def test_oracle_matches_closed_form_antisymmetric_leading_gap():
     # the antisymmetric spectrum starts with a gap at omega = 0, so the
-    # search window reaches the bottom of the spectrum (lo_open path)
+    # search window reaches the bottom of the spectrum and the inertia count
+    # below its lower end is zero
     gap = first_n_gaps(2.0, A, 1)[0]
     assert gap.omega_b == 0.0
     exact = [e.omega for e in discrete_eigenvalues(2.0, 0.25, A, gap)]
@@ -102,6 +105,26 @@ def test_oracle_empty_without_defect():
             2.0, 1.0, cls, gap, h=4e-3, n_cells=25, check_convergence=False
         )
         assert res.lams.size == 0
+        assert res.inertia_count == 0
+
+
+def test_oracle_raises_when_solve_misses_counted_modes(monkeypatch):
+    # ARPACK answers with one of the counted eigenvalues pushed out of the
+    # window: the count mismatch must raise, not shrink the result
+    real = graph1d.spla.eigsh
+
+    def moves_one(*args, **kwargs):
+        vals, vecs = real(*args, **kwargs)
+        vals = vals.copy()
+        vals[-1] = 1e6
+        return vals, vecs
+
+    monkeypatch.setattr(graph1d.spla, "eigsh", moves_one)
+    gap = first_n_gaps(2.0, S, 1)[0]
+    with pytest.raises(RuntimeError, match="inertia counts 2"):
+        oracle_gap_eigenvalues(
+            2.0, 0.25, S, gap, h=8e-3, n_cells=12, check_convergence=False
+        )
 
 
 def test_truncation_shift_bounded_by_decay_rate():
