@@ -37,7 +37,6 @@ _EXPORTS = {
         "Gap",
         "BlochCurves",
         "CoverReport",
-        "GapClassificationError",
         "special_points",
         "in_essential_spectrum",
         "essential_bands",

@@ -1,32 +1,43 @@
 """Essential spectrum of the periodic ladder graph: bands, gaps, Bloch curves.
 
-Band edges are located by a sign-change scan of |g(omega)| - 1 refined by
-bisection; the always-in special frequencies (sin(omega) = 0 and the zeros of
-the class's own rung-impedance denominator) are handled by explicit rules so
-that flat points and band-touching points are never lost to floating-point
-jitter.
+At quasimomentum theta the dispersion relation reads phi_L(omega) =
+h_theta(omega), h_theta = sin w / (cos w - cos theta).  phi_L strictly
+decreases between its poles and h_theta increases between its own, so
+phi_L - h_theta (`dispersion.impedance_residual`) has at most one root on
+each branch between consecutive poles of either term.  Its sign just inside
+each branch end follows from the limits there, so every band edge and every
+Bloch root is bisected inside a bracket known in advance, all branches at
+once (`rootfind.bisect_falling`); no frequency grid is scanned.
+
+Band edges come from theta in {0, pi}: on each pi-interval h_0 and h_pi are
+the curves f_minus and f_plus, and omega lies in a gap exactly when
+f_minus < phi_L < f_plus.  Each branch between consecutive points of
+pi*Z ∪ poles(phi_L) therefore holds exactly one open gap (r+, r-), where
+phi_L crosses f_plus and then f_minus.  An end that is a lattice point but no
+pole carries the finite value phi_L there; if phi_L <= 0 at the left end the
+gap starts on it (type ii), if phi_L >= 0 at the right end the gap stops on
+it (type iii), otherwise both edges are interior crossings (type i).  Two
+gaps meeting at a lattice zero of phi_L leave a flat band between them.
+Breakpoints closer than the edge tolerance count as one point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import dispersion_residual, f_minus, f_plus, g_value, phi_L
+from .dispersion import g_value, impedance_residual, phi_L
 from .params import SymmetryClass
-from .rootfind import bisect_root, dist_to_multiple
+from .rootfind import bisect_falling, dist_to_multiple
 
-#: default number of scan steps per frequency window
-DEFAULT_SCAN = 20000
-#: default bisection tolerance for band edges (documented working range:
-#: omega_max <= 20*pi, L <= 16; enlarge n_scan beyond that)
+#: absolute bisection tolerance for band edges and Bloch roots; breakpoints
+#: closer than this (relative to max(1, omega)) are fused into one
 EDGE_TOL = 1e-10
 
-
-class GapClassificationError(ValueError):
-    """A computed gap fits none of the endpoint types (i)/(ii)/(iii)."""
+# breakpoint tags: a point of pi*Z, a pole of phi_L, a pole of h_theta
+_LATTICE, _POLE, _H_POLE = "lattice", "pole", "h_pole"
 
 
 @dataclass(frozen=True)
@@ -88,11 +99,10 @@ class Gap:
 
 @dataclass
 class BlochCurves:
-    """Dispersion roots per quasimomentum value, with scan diagnostics."""
+    """Dispersion roots per quasimomentum value."""
 
     theta_grid: list
     roots: list  # list of sorted root lists, aligned with theta_grid
-    unresolved: list = field(default_factory=list)  # (theta, detail) pairs
 
 
 @dataclass
@@ -106,61 +116,54 @@ class CoverReport:
     omega_max: float
 
 
+def _pi_multiples(first, stride, scale, omega_max):
+    """m*pi/scale for m = first, first + stride, ... up to omega_max (+1e-12)."""
+    out = []
+    m = first
+    while m * math.pi / scale <= omega_max + 1e-12:
+        out.append(m * math.pi / scale)
+        m += stride
+    return out
+
+
+def _phi_poles(L, sym_class, omega_max):
+    """Poles of phi_L on [0, omega_max]: 2k pi/L (symmetric), (2k+1) pi/L (antisymmetric)."""
+    first = 0 if sym_class is SymmetryClass.SYMMETRIC else 1
+    return _pi_multiples(first, 2, L, omega_max)
+
+
 def special_points(L, sym_class, omega_max):
     """(always_in, singular) frequency sets of the family on [0, omega_max].
 
     always_in: multiples of pi (from pi for the antisymmetric family, from 0
-    for the symmetric one) plus the zeros of the family's own impedance
-    denominator -- all provably in the essential spectrum.
+    for the symmetric one) plus the poles of phi_L (zeros of the family's own
+    impedance denominator) -- all provably in the essential spectrum.
     singular: the zeros of phi_L, where the transfer coefficient g blows up;
     such a point belongs to the spectrum only if sin(omega) = 0 there (flat
     point of infinite multiplicity).
     """
-    always = []
-    n0 = 0 if sym_class is SymmetryClass.SYMMETRIC else 1
-    n = n0
-    while n * math.pi <= omega_max + 1e-12:
-        always.append(n * math.pi)
-        n += 1
-    if sym_class is SymmetryClass.SYMMETRIC:
-        # sigma_L: zeros of sin(omega L/2); singular: zeros of cos(omega L/2)
-        k = 0
-        while 2 * k * math.pi / L <= omega_max + 1e-12:
-            always.append(2 * k * math.pi / L)
-            k += 1
-        singular = []
-        k = 0
-        while (2 * k + 1) * math.pi / L <= omega_max + 1e-12:
-            singular.append((2 * k + 1) * math.pi / L)
-            k += 1
-    else:
-        k = 0
-        while (2 * k + 1) * math.pi / L <= omega_max + 1e-12:
-            always.append((2 * k + 1) * math.pi / L)
-            k += 1
-        singular = []
-        k = 0
-        while 2 * k * math.pi / L <= omega_max + 1e-12:
-            singular.append(2 * k * math.pi / L)
-            k += 1
-    return sorted(set(always)), sorted(set(singular))
+    anti = sym_class is SymmetryClass.ANTISYMMETRIC
+    always = _pi_multiples(1 if anti else 0, 1, 1.0, omega_max)
+    always += _phi_poles(L, sym_class, omega_max)
+    singular = _pi_multiples(0 if anti else 1, 2, L, omega_max)
+    return sorted(set(always)), singular
 
 
-def _near(x, values, tol):
-    return any(abs(x - v) <= tol for v in values)
+def _breakpoints(tagged, tol):
+    """Sorted [omega, tags] from (omega, tag) pairs, fusing points within tol*max(1, omega).
 
-
-def _is_flat_point(omega, L, sym_class, tol=1e-9):
-    """Flat (infinite-multiplicity) point: a zero of phi_L with sin(omega) = 0."""
-    scale = max(1.0, abs(omega))
-    if dist_to_multiple(omega, math.pi) > tol * scale:
-        return False
-    half = 0.5 * omega * L
-    if sym_class is SymmetryClass.SYMMETRIC:
-        return dist_to_multiple(half - 0.5 * math.pi, math.pi) <= tol * scale
-    if omega <= tol:
-        return False  # omega = 0 excluded for the antisymmetric family
-    return dist_to_multiple(half, math.pi) <= tol * scale
+    A fused point carries the union of the tags and the value of its lattice
+    member, if it has one.
+    """
+    out = []
+    for x, tag in sorted(tagged):
+        if out and x - out[-1][0] <= tol * max(1.0, x):
+            out[-1][1].add(tag)
+            if tag == _LATTICE:
+                out[-1][0] = x
+        else:
+            out.append([x, {tag}])
+    return out
 
 
 def in_essential_spectrum(omega, L, sym_class, tol=1e-9):
@@ -187,258 +190,151 @@ def in_essential_spectrum(omega, L, sym_class, tol=1e-9):
     return abs(g) <= 1.0
 
 
-def _abs_g_minus_one(L, sym_class):
-    def h(omega):
-        g = g_value(omega, L, sym_class)
-        if math.isnan(g) or math.isinf(g):
-            return math.inf
-        return abs(g) - 1.0
+def _branch_gaps(L, sym_class, omega_hi, tol):
+    """The gap of every branch of pi*Z ∪ poles(phi_L) whose left end is below omega_hi.
 
-    return h
+    On the k-th pi-interval f_plus is h_pi for even k and h_0 for odd k, and
+    f_minus the other one.  phi_L - f_plus is positive just right of every
+    branch start except a bare lattice point with phi_L <= 0 (the gap starts
+    there), and phi_L - f_minus is negative just left of every branch end
+    except a bare lattice point with phi_L >= 0 (the gap stops there); the
+    remaining edges are bisected, all in one call.
+    """
+    top = omega_hi + math.pi  # completes the branch that holds omega_hi
+    pts = _breakpoints(
+        [(x, _LATTICE) for x in _pi_multiples(0, 1, 1.0, top)]
+        + [(x, _POLE) for x in _phi_poles(L, sym_class, top)],
+        tol,
+    )
+    rows = []  # (a, b, theta of f_plus, gap starts at a, gap stops at b)
+    k = -1
+    for (a, tags_a), (b, tags_b) in zip(pts, pts[1:]):
+        if a >= omega_hi:
+            break
+        if _LATTICE in tags_a:
+            k += 1
+        starts = tags_a == {_LATTICE} and phi_L(a, L, sym_class) <= 0.0
+        stops = tags_b == {_LATTICE} and phi_L(b, L, sym_class) >= 0.0
+        rows.append((a, b, math.pi if k % 2 == 0 else 0.0, starts, stops))
+    if not rows:
+        return []
+    a, b, th_plus, starts, stops = (np.array(col) for col in zip(*rows))
+    n_plus = np.count_nonzero(~starts)
+    roots = bisect_falling(
+        lambda w, th: impedance_residual(w, th, L, sym_class),
+        np.concatenate([a[~starts], a[~stops]]),
+        np.concatenate([b[~starts], b[~stops]]),
+        np.concatenate([th_plus[~starts], math.pi - th_plus[~stops]]),
+        xtol=tol,
+    )
+    r_plus, r_minus = a.copy(), b.copy()
+    r_plus[~starts] = roots[:n_plus]
+    r_minus[~stops] = roots[n_plus:]
+    # in a gap narrower than tol the two bisected edges may cross
+    r_minus = np.maximum(r_minus, r_plus)
+    return [
+        Gap(float(lo), float(hi), "ii" if s else "iii" if t else "i", sym_class)
+        for lo, hi, s, t in zip(r_plus, r_minus, starts, stops)
+    ]
 
 
-def essential_bands(L, sym_class, omega_max, *, n_scan=None, tol=EDGE_TOL):
+def essential_bands(L, sym_class, omega_max, *, tol=EDGE_TOL):
     """Maximal closed intervals of the essential spectrum on [0, omega_max].
 
-    Scans |g| - 1 on a uniform grid augmented with the special frequencies,
-    bisects every sign change to `tol`, snaps edges that land on special
-    frequencies, and attaches flat points as degenerate bands.
+    The bands are the complement of the branch gaps: from the top of one gap
+    to the bottom of the next (from 0 to the first gap for the symmetric
+    family; omega = 0 is excluded for the antisymmetric one).  Where two gaps
+    meet at a lattice point the band is flat (omega_lo == omega_hi); the last
+    band is cut at omega_max.
     """
     if omega_max <= 0:
         raise ValueError("omega_max must be positive")
-    if n_scan is None:
-        n_scan = DEFAULT_SCAN
-    always, singular = special_points(L, sym_class, omega_max)
-    specials = sorted(set(always) | set(singular))
-    pad = 1e-9 * max(1.0, omega_max)
-
-    # checkpoint grid: uniform points plus each special with a guard on either side
-    extra = []
-    for s in specials:
-        for x in (s - pad, s, s + pad):
-            if 0.0 <= x <= omega_max:
-                extra.append(x)
-    points = np.unique(np.concatenate([np.linspace(0.0, omega_max, n_scan + 1), extra]))
-
-    sp = np.asarray(specials)
-    if sp.size:
-        j = np.searchsorted(sp, points)
-        d_left = np.abs(points - sp[np.clip(j - 1, 0, sp.size - 1)])
-        d_right = np.abs(sp[np.clip(j, 0, sp.size - 1)] - points)
-        near_special = np.minimum(d_left, d_right) <= 0.5 * pad
-    else:
-        near_special = np.zeros(points.shape, dtype=bool)
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        half = (0.5 * L) * points
-        if sym_class is SymmetryClass.SYMMETRIC:
-            gv = -np.cos(points) + 0.5 * np.sin(points) * np.tan(half)
-        else:
-            gv = -np.cos(points) - 0.5 * np.sin(points) / np.tan(half)
-        habs = np.abs(gv) - 1.0
-    states = habs <= 0.0  # NaN compares False, i.e. "outside" until ruled otherwise
-    for i in np.nonzero(near_special)[0]:
-        states[i] = in_essential_spectrum(points[i], L, sym_class)
-    if sym_class is SymmetryClass.ANTISYMMETRIC:
-        states[(points <= pad) & ~near_special] = False
-
-    h = _abs_g_minus_one(L, sym_class)
-
-    def snap(x):
-        for s in specials:
-            if abs(x - s) <= 50 * tol * max(1.0, abs(s)):
-                return s
-        return x
-
-    intervals = []
-    cur_lo = None
-    for i in range(len(points)):
-        x, st = points[i], states[i]
-        if st and cur_lo is None:
-            if i == 0 or near_special[i]:
-                cur_lo = snap(x)
-            else:
-                cur_lo = snap(bisect_root(h, points[i - 1], x, xtol=tol, maxiter=200))
-        elif not st and cur_lo is not None:
-            if near_special[i - 1]:
-                hi = snap(points[i - 1])
-            else:
-                hi = snap(bisect_root(h, points[i - 1], x, xtol=tol, maxiter=200))
-            intervals.append((cur_lo, max(hi, cur_lo)))
-            cur_lo = None
-    if cur_lo is not None:
-        intervals.append((cur_lo, float(points[-1])))
-
-    # merge intervals separated by less than the refinement resolution
-    merged = []
-    for lo, hi in intervals:
-        if merged and lo - merged[-1][1] <= 10 * tol * max(1.0, lo):
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-        else:
-            merged.append((lo, hi))
-    return [Band(lo, hi) for lo, hi in merged]
+    bands = []
+    lo = 0.0 if sym_class is SymmetryClass.SYMMETRIC else None
+    for g in _branch_gaps(L, sym_class, omega_max, tol):
+        if lo is not None:
+            bands.append(Band(lo, min(g.omega_b, omega_max)))
+        lo = g.omega_t
+    if lo <= omega_max:
+        bands.append(Band(lo, omega_max))
+    return bands
 
 
-def _pi_index(x, tol=1e-7):
-    """Integer n with x ~ n*pi, or None."""
-    n = round(x / math.pi)
-    if abs(x - n * math.pi) <= tol * max(1.0, abs(x)):
-        return n
-    return None
+def gaps(L, sym_class, omega_max, *, tol=EDGE_TOL):
+    """Typed spectral gaps inside (0, omega_max], one per branch of pi*Z ∪ poles(phi_L).
 
-
-def _classify_gap(omega_b, omega_t, L, sym_class, always):
-    """Endpoint taxonomy of a gap; raises GapClassificationError when none fits."""
-    for s in always:
-        if omega_b + 1e-9 < s < omega_t - 1e-9:
-            raise GapClassificationError(
-                f"gap ({omega_b}, {omega_t}) contains the always-in frequency {s}"
-            )
-    nb, nt = _pi_index(omega_b), _pi_index(omega_t)
-    pl_b = phi_L(omega_b, L, sym_class)
-    pl_t = phi_L(omega_t, L, sym_class)
-
-    def close(a, b):
-        if math.isinf(a) or math.isinf(b):
-            return False
-        return abs(a - b) <= 1e-5 * (1.0 + abs(a) + abs(b))
-
-    if nb is None and nt is None:
-        if math.floor(omega_b / math.pi) != math.floor(omega_t / math.pi):
-            raise GapClassificationError(
-                f"interior gap ({omega_b}, {omega_t}) straddles a multiple of pi"
-            )
-        if close(pl_b, f_plus(omega_b)) and close(pl_t, f_minus(omega_t)):
-            return "i"
-        raise GapClassificationError(
-            f"gap ({omega_b}, {omega_t}): interior endpoints fail the boundary "
-            f"identities (phi_L(b)={pl_b} vs f+={f_plus(omega_b)}, "
-            f"phi_L(t)={pl_t} vs f-={f_minus(omega_t)})"
-        )
-    if nb is not None and nt is None:
-        if (math.isinf(pl_b) or pl_b <= 1e-6) and close(pl_t, f_minus(omega_t)):
-            return "ii"
-        raise GapClassificationError(
-            f"gap ({omega_b}, {omega_t}) with bottom on pi*Z fails type (ii) "
-            f"conditions (phi_L(b)={pl_b}, phi_L(t)={pl_t}, f-={f_minus(omega_t)})"
-        )
-    if nt is not None and nb is None:
-        if (math.isinf(pl_t) or pl_t >= -1e-6) and close(pl_b, f_plus(omega_b)):
-            return "iii"
-        raise GapClassificationError(
-            f"gap ({omega_b}, {omega_t}) with top on pi*Z fails type (iii) "
-            f"conditions (phi_L(b)={pl_b}, f+={f_plus(omega_b)}, phi_L(t)={pl_t})"
-        )
-    raise GapClassificationError(
-        f"gap ({omega_b}, {omega_t}) has both endpoints on pi*Z; no type applies"
-    )
-
-
-def gaps(L, sym_class, omega_max, *, n_scan=None, tol=EDGE_TOL):
-    """Classified spectral gaps strictly inside (0, omega_max).
-
-    The complement interval trailing the last band is dropped (its upper edge
-    is not determined by the scan window); use `first_n_gaps` to enumerate a
-    fixed number of gaps.
+    A gap whose top edge lies above omega_max is dropped; use `first_n_gaps`
+    to enumerate a fixed number of gaps.
     """
-    bands = essential_bands(L, sym_class, omega_max, n_scan=n_scan, tol=tol)
-    always, _ = special_points(L, sym_class, omega_max)
-    out = []
-    prev_hi = 0.0
-    for band in bands:
-        if band.omega_lo - prev_hi > 10 * tol * max(1.0, prev_hi):
-            gt = _classify_gap(prev_hi, band.omega_lo, L, sym_class, always)
-            out.append(Gap(prev_hi, band.omega_lo, gt, sym_class))
-        prev_hi = max(prev_hi, band.omega_hi)
-    return out
+    if omega_max <= 0:
+        raise ValueError("omega_max must be positive")
+    return [g for g in _branch_gaps(L, sym_class, omega_max, tol) if g.omega_t <= omega_max]
 
 
 def first_n_gaps(L, sym_class, n, *, tol=EDGE_TOL):
-    """First n gaps ordered by frequency, extending the scan window as needed."""
-    omega_max = (n + 3) * math.pi
-    for _ in range(8):
-        found = gaps(L, sym_class, omega_max, n_scan=max(DEFAULT_SCAN, int(800 * omega_max)), tol=tol)
-        if len(found) >= n:
-            return found[:n]
-        omega_max *= 1.6
-    raise RuntimeError(f"could not locate {n} gaps below omega={omega_max}")
+    """First n gaps ordered by frequency: the gaps of the first n branches.
+
+    Every pi-interval holds at least one branch, so the branches starting
+    below n*pi include the first n.
+    """
+    return _branch_gaps(L, sym_class, n * math.pi, tol)[:n]
 
 
-def bloch_curves(L, sym_class, omega_max, theta_grid, *, n_scan=None, tol=EDGE_TOL):
+def bloch_curves(L, sym_class, omega_max, theta_grid, *, tol=EDGE_TOL):
     """Roots in omega of the dispersion relation for each theta in theta_grid.
 
-    Sign-change scan plus bisection, with explicit injection of the fold roots
-    at multiples of pi (tangential at theta in {0, pi}, invisible to a sign
-    scan) and of coincidence roots at the zeros of the impedance denominators.
-    The root count is cross-checked at triple resolution; disagreements are
-    recorded in `unresolved`.
+    phi_L - h_theta falls from +inf to -inf on each branch between
+    consecutive poles of phi_L and of h_theta (cos w = cos theta), so each
+    branch holds one root, bisected for all branches and all theta at once.
+    Before the first pole the antisymmetric residual starts at 0 (omega = 0)
+    and only falls, so that stretch holds no root.  Roots on a breakpoint,
+    where both sides diverge, are added explicitly: the fold roots at
+    multiples of pi for theta in {0, pi} (a pole of h_theta where sin w = 0)
+    and the points where a pole of phi_L meets cos w = cos theta.  omega = 0
+    is dropped for the antisymmetric family.
     """
-    if n_scan is None:
-        n_scan = max(DEFAULT_SCAN // 4, int(200 * omega_max * (1.0 + L / 2.0) / math.pi))
-    always, _ = special_points(L, sym_class, omega_max)
     anti = sym_class is SymmetryClass.ANTISYMMETRIC
-    curves = BlochCurves(list(theta_grid), [])
-
-    half_factor = 0.5 * L
-
-    def residual_vec(theta, om):
-        half = half_factor * om
-        if sym_class is SymmetryClass.SYMMETRIC:
-            return 2.0 * np.cos(half) * (np.cos(om) - math.cos(theta)) - np.sin(
-                om
-            ) * np.sin(half)
-        return 2.0 * np.sin(half) * (np.cos(om) - math.cos(theta)) + np.sin(
-            om
-        ) * np.cos(half)
-
-    def scan_roots(theta, n):
-        om = np.linspace(0.0, omega_max, n + 1)
-        r = residual_vec(theta, om)
-        roots = []
-        sign = np.sign(r)
-        for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            roots.append(
-                bisect_root(
-                    lambda w: dispersion_residual(theta, w, L, sym_class),
-                    om[i],
-                    om[i + 1],
-                    xtol=tol,
-                    flo=r[i],
-                    fhi=r[i + 1],
-                )
-            )
-        for i in np.nonzero(sign == 0)[0]:
-            roots.append(om[i])
-        return roots
-
-    for theta in theta_grid:
-        roots = scan_roots(theta, n_scan)
-        fine = scan_roots(theta, 3 * n_scan)
-        if len(fine) != len(roots):
-            curves.unresolved.append(
-                (theta, f"root count {len(roots)} at base scan vs {len(fine)} at 3x")
-            )
-            roots = fine
-        # tangential / coincidence roots at the special frequencies
-        ct = math.cos(theta)
-        for s in always:
-            if anti and s <= tol:
-                continue
-            if abs(math.cos(s) - ct) <= 1e-9 and abs(
-                dispersion_residual(theta, s, L, sym_class)
-            ) <= 1e-9 * (1.0 + s):
-                if not any(abs(s - r) <= 1e-7 * max(1.0, s) for r in roots):
-                    roots.append(s)
-        if anti:
-            roots = [r for r in roots if r > 10 * tol]
-        curves.roots.append(sorted(roots))
-    return curves
+    top = omega_max + 2.0 * math.pi  # completes the branch that holds omega_max
+    poles = [(x, _POLE) for x in _phi_poles(L, sym_class, top)]
+    lo, hi, th, owner, roots = [], [], [], [], []
+    for i, theta in enumerate(theta_grid):
+        if not 0.0 <= theta <= math.pi:
+            raise ValueError(f"quasimomentum theta={theta} outside [0, pi]")
+        h_poles = [
+            x
+            for c in _pi_multiples(0, 2, 1.0, top + math.pi)
+            for x in (c - theta, c + theta)
+            if 0.0 <= x <= top
+        ]
+        pts = _breakpoints(poles + [(x, _H_POLE) for x in h_poles], tol)
+        for (a, _), (b, _) in zip(pts, pts[1:]):
+            if a < omega_max:
+                lo.append(a)
+                hi.append(b)
+                th.append(theta)
+                owner.append(i)
+        roots.append([  # roots on a breakpoint
+            x
+            for x, tags in pts
+            if x <= omega_max
+            and _H_POLE in tags
+            and (_POLE in tags or dist_to_multiple(x, math.pi) <= tol * max(1.0, x))
+        ])
+    found = bisect_falling(
+        lambda w, t: impedance_residual(w, t, L, sym_class), lo, hi, th, xtol=tol
+    )
+    for i, w in zip(owner, found):
+        if w <= omega_max:
+            roots[i].append(float(w))
+    if anti:
+        roots = [[w for w in rs if w > 10 * tol] for rs in roots]
+    return BlochCurves(list(theta_grid), [sorted(rs) for rs in roots])
 
 
-def spectrum_cover_check(L, omega_max, *, hole_tol=1e-8, n_scan=None, tol=EDGE_TOL):
+def spectrum_cover_check(L, omega_max, *, hole_tol=1e-8, tol=EDGE_TOL):
     """Verify that the two families' bands jointly cover [0, omega_max]."""
-    bs = essential_bands(L, SymmetryClass.SYMMETRIC, omega_max, n_scan=n_scan, tol=tol)
-    ba = essential_bands(L, SymmetryClass.ANTISYMMETRIC, omega_max, n_scan=n_scan, tol=tol)
+    bs = essential_bands(L, SymmetryClass.SYMMETRIC, omega_max, tol=tol)
+    ba = essential_bands(L, SymmetryClass.ANTISYMMETRIC, omega_max, tol=tol)
     ivs = sorted(
         [(b.omega_lo, b.omega_hi) for b in bs] + [(b.omega_lo, b.omega_hi) for b in ba]
     )

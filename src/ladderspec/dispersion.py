@@ -9,8 +9,12 @@ relation between omega and theta.  Everything in this module is a closed-form
 function of omega; the frequency variable is omega, the spectral parameter is
 lambda = omega^2.
 
-Pole convention: functions with trigonometric poles return +inf/-inf carrying
-the sign of the right-sided limit; at points where a pole of the rung
+The scalar functions work on Python floats with `math` and clamp their poles
+as described below; `impedance_residual` is the one numpy-array function, used
+by the branch bisections of `bands` (band edges and Bloch roots).
+
+Pole convention: scalar functions with trigonometric poles return +inf/-inf
+carrying the sign of the right-sided limit; at points where a pole of the rung
 impedance coincides with sin(omega) = 0 (compactly supported flat modes) the
 transfer coefficient is genuinely indeterminate and NaN is returned -- band
 membership at those points is decided by the special-point rules in
@@ -20,6 +24,8 @@ membership at those points is decided by the special-point rules in
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .params import SymmetryClass
 from .rootfind import bisect_root, dist_to_multiple
@@ -120,6 +126,29 @@ def dispersion_residual(theta, omega, L, sym_class):
     return 2.0 * math.sin(half) * (math.cos(omega) - math.cos(theta)) + math.sin(
         omega
     ) * math.cos(half)
+
+
+def impedance_residual(omega, theta, L, sym_class):
+    """phi_L(omega) - h_theta(omega) on numpy arrays, h_theta = sin w / (cos w - cos theta).
+
+    The dispersion relation at quasimomentum theta reads phi_L = h_theta; h_0
+    and h_pi are f_minus and f_plus (in either order) on each pi-interval.
+    phi_L strictly decreases between its poles and h_theta' = (1 - cos w cos
+    theta) / (cos w - cos theta)^2 >= 0, so the residual strictly decreases
+    between consecutive poles of either term and has at most one root there.
+    No pole clamps: evaluate it strictly inside those branches only.
+    cos w - cos theta is formed as -2 sin((w+theta)/2) sin((w-theta)/2), which
+    keeps h_theta accurate next to its poles.  omega and theta broadcast.
+    """
+    w = np.asarray(omega, dtype=float)
+    th = np.asarray(theta, dtype=float)
+    half = (0.5 * L) * w
+    if sym_class is SymmetryClass.SYMMETRIC:
+        phi = 2.0 / np.tan(half)
+    else:
+        phi = -2.0 * np.tan(half)
+    denom = -2.0 * np.sin(0.5 * (w + th)) * np.sin(0.5 * (w - th))
+    return phi - np.sin(w) / denom
 
 
 def theta_root(omega, L, sym_class, *, tol=1e-10):

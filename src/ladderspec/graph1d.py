@@ -156,8 +156,10 @@ def _outer_mass_fraction(vec, vertex_ids, n_cells):
 class OracleResult:
     """Defect eigenvalues found by the truncated-graph solve.
 
-    inertia_count is the number of pencil eigenvalues in the search window of
-    the n_cells run, artifacts included, as counted by Sylvester inertia.
+    n_cells, n_dofs and inertia_count describe the run that produced the
+    eigenvalues (the wider one once the convergence check adopts it);
+    inertia_count is the number of pencil eigenvalues in its search window,
+    artifacts included, as counted by Sylvester inertia.
     """
 
     omegas: np.ndarray
@@ -216,7 +218,8 @@ def oracle_gap_eigenvalues(
     concentrate near the truncation ends are discarded as boundary
     artifacts.  With check_convergence the run is repeated with a wider
     truncation and flagged converged if every eigenvalue moved by less than
-    rel_tol relatively.
+    rel_tol relatively; the wider run's eigenvalues and size are then
+    returned.
     """
     pad = edge_margin * gap.width
     lam_lo, lam_hi = (gap.omega_b + pad) ** 2, (gap.omega_t - pad) ** 2
@@ -224,16 +227,15 @@ def oracle_gap_eigenvalues(
     history = [(n_cells, lams)]
     converged = not check_convergence
     if check_convergence:
-        lams2, _, _ = _gap_eigs_once(
+        lams2, ndof2, count2 = _gap_eigs_once(
             L, mu, sym_class, lam_lo, lam_hi, n_cells + 8, h
         )
         history.append((n_cells + 8, lams2))
-        if lams.size == lams2.size:
-            if lams.size == 0 or np.all(
-                np.abs(lams2 - lams) <= rel_tol * np.abs(lams)
-            ):
-                converged = True
-                lams = lams2
+        if lams.size == lams2.size and np.all(
+            np.abs(lams2 - lams) <= rel_tol * np.abs(lams)
+        ):
+            converged = True
+            n_cells, lams, ndof, count = n_cells + 8, lams2, ndof2, count2
     return OracleResult(
         np.sqrt(lams), lams, n_cells, h, ndof, converged, count, history
     )

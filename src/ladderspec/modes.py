@@ -55,13 +55,16 @@ def _padded_endpoint(f, end, inward, width, target=0.0, sign=+1):
     raise RuntimeError("could not establish a bracket endpoint inside the gap")
 
 
-def discrete_eigenvalues(L, mu, sym_class, gap, *, xtol=1e-12):
+def discrete_eigenvalues(L, mu, sym_class, gap, *, xtol=0.0):
     """All solutions of F(omega) = mu inside the given gap, sorted.
 
     mu >= 1 yields no eigenvalues.  The roots are bracketed by first locating
     c (zero of phi_L, type (i) gaps only) and d (zero of phi_L + phi_2) by
     bisection; F is monotone between those markers and the gap ends, so each
-    root lives on a certified monotone branch.
+    root lives on a certified monotone branch.  The default xtol = 0 halves
+    each bracket until it cannot be split in floating point, so the roots do
+    not depend on the last digits of the gap edges that seed the brackets;
+    a positive xtol (the CLI passes --tol) stops at that bracket width.
     """
     if not 0 < mu:
         raise ValueError(f"mu must be positive, got {mu}")

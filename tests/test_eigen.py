@@ -123,7 +123,7 @@ def test_shift_invert_counts_match_inertia():
     assert expected == 8
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(
     seed=st.integers(0, 50),
     n=st.integers(2, 40),
@@ -138,7 +138,7 @@ def test_count_below_matches_dense_inertia_random(seed, n, frac):
     assert count_below(K, M, t) == _count_below(K, M, t)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(n=st.integers(3, 120), t=st.floats(-50.0, 2.0e5, allow_nan=False))
 def test_count_below_matches_dense_inertia_string(n, t):
     K, M = _string_pencil(n)

@@ -84,6 +84,18 @@ def test_oracle_matches_closed_form_symmetric():
     assert rel.max() <= 1e-4
 
 
+def test_oracle_reports_the_run_that_produced_its_eigenvalues():
+    # the convergence check adopts the wider truncation's eigenvalues, so the
+    # size fields must describe that run, not the n_cells one
+    gap = first_n_gaps(2.0, S, 1)[0]
+    res = oracle_gap_eigenvalues(2.0, 0.25, S, gap, h=4e-3, n_cells=25)
+    assert res.converged
+    assert res.n_cells == 33
+    K, _, _ = truncated_half_ladder(2.0, 0.25, S, 33, 4e-3)
+    assert res.n_dofs == K.shape[0]
+    assert np.array_equal(res.lams, res.history[-1][1])
+
+
 def test_oracle_matches_closed_form_antisymmetric_leading_gap():
     # the antisymmetric spectrum starts with a gap at omega = 0, so the
     # search window reaches the bottom of the spectrum and the inertia count
