@@ -25,7 +25,14 @@ from .modes import build_eigenfunction
 from .params import LadderParams, SymmetryClass
 from .report import SpectralReport
 
-DENSE_CUTOFF = 2200  # below this many dofs the dense eigensolver is used
+# Pencils with at most this many dofs go to dense LAPACK, larger ones to the
+# inertia-certified shift-invert Lanczos.  One Bloch pencil solve at
+# theta = 0.7 (L = 2 or 1/2 cells, h = eps/4), one OpenBLAS thread on a
+# 2-core host, dense vs Lanczos plus count:
+#   80 dofs, nev 2: 1.6 vs 5.8 ms      230 dofs, nev 12: 19 vs 51 ms
+#   380 dofs, nev 2: 54 vs 7.6 ms      480 dofs, nev 12: 104 vs 37 ms
+#   780 dofs, nev 2: 336 vs 12 ms      1580 dofs, nev 2: 2.2 s vs 12 ms
+DENSE_CUTOFF = 300
 
 
 def assemble_p1(mesh: Mesh):
@@ -68,27 +75,45 @@ class HermitianPencil:
     theta: float
 
 
-def _reduction_matrix(mesh, theta, dirichlet_axis, tie=True):
-    n = mesh.n_nodes
-    drop = np.zeros(n, dtype=bool)
-    if tie:
+class _BlochSplit:
+    """Theta-independent parts of the tied pencil on one periodicity cell.
+
+    The tying map is T(theta) = T0 + e^{-i theta} T1: T0 keeps every dof
+    that survives as a column, T1 holds only the right-boundary rows, tied
+    to their left-boundary masters.  For A = K and A = M the reduced matrix
+    T^H A T is therefore A0 + e^{-i theta} A1 + e^{i theta} A1^T with
+    A0 = T0^T A T0 + T1^T A T1 and A1 = T0^T A T1, formed once per mesh.
+    """
+
+    def __init__(self, mesh):
         if mesh.left.size != mesh.right.size:
             raise ValueError("left/right boundary node counts differ")
+        n = mesh.n_nodes
+        drop = np.zeros(n, dtype=bool)
         drop[mesh.right] = True
-    if dirichlet_axis:
-        drop[mesh.axis] = True
-    keep = np.nonzero(~drop)[0]
-    col_of = -np.ones(n, dtype=int)
-    col_of[keep] = np.arange(keep.size)
-    rows = [keep]
-    cols = [col_of[keep]]
-    vals = [np.ones(keep.size)]
-    if tie:
+        if mesh.meta.get("sym_class") == SymmetryClass.ANTISYMMETRIC.value:
+            drop[mesh.axis] = True
+        keep = np.nonzero(~drop)[0]
+        col_of = -np.ones(n, dtype=int)
+        col_of[keep] = np.arange(keep.size)
         masters = col_of[mesh.left]
         if np.any(masters < 0):
             raise ValueError("a tying master node was eliminated")
-        rows.append(mesh.right)
-        cols.append(masters)
+        shape = (n, keep.size)
+        self.T0 = sp.csr_matrix((np.ones(keep.size), (keep, col_of[keep])), shape=shape)
+        self.T1 = sp.csr_matrix((np.ones(masters.size), (mesh.right, masters)), shape=shape)
+        self.free = keep
+        K, M = assemble_p1(mesh)
+        self.K_parts = self._parts(K)
+        self.M_parts = self._parts(M)
+
+    def _parts(self, A):
+        T0, T1 = self.T0, self.T1
+        A1 = (T0.T @ A @ T1).tocsr()
+        return (T0.T @ A @ T0 + T1.T @ A @ T1).tocsr(), A1, A1.T.tocsr()
+
+    def pencil(self, theta):
+        """Reduced pencil at Bloch phase theta, exactly Hermitian."""
         # snap the endpoint phases so theta in {0, pi} yields an exactly
         # real symmetric reduced pencil
         if theta == 0.0:
@@ -97,17 +122,19 @@ def _reduction_matrix(mesh, theta, dirichlet_axis, tie=True):
             phase = -1.0
         else:
             phase = np.exp(-1j * theta)
-        vals.append(np.full(mesh.right.size, phase))
-    T = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, keep.size),
-    ).tocsr()
-    return T, keep
 
+        def at(A0, A1, A1T):
+            # A0 is symmetric and the bracket Hermitian entry by entry, so
+            # the sum is exactly Hermitian
+            return A0 + (phase * A1 + np.conj(phase) * A1T)
 
-def _reduce_hermitian(A, T):
-    B = (T.conj().T @ A @ T).tocsr()
-    return (B + B.conj().T) * 0.5
+        return HermitianPencil(
+            at(*self.K_parts),
+            at(*self.M_parts),
+            (self.T0 + phase * self.T1).tocsr(),
+            self.free,
+            float(theta),
+        )
 
 
 def assemble_bloch_pencil(mesh, theta):
@@ -118,12 +145,7 @@ def assemble_bloch_pencil(mesh, theta):
     """
     if not 0.0 <= theta <= math.pi + 1e-12:
         raise ValueError(f"theta={theta} outside [0, pi]")
-    K, M = assemble_p1(mesh)
-    dirichlet = mesh.meta.get("sym_class") == SymmetryClass.ANTISYMMETRIC.value
-    T, keep = _reduction_matrix(mesh, theta, dirichlet)
-    return HermitianPencil(
-        _reduce_hermitian(K, T), _reduce_hermitian(M, T), T, keep, float(theta)
-    )
+    return _BlochSplit(mesh).pencil(theta)
 
 
 def _supercell_pencil(mesh, sym_class):
@@ -134,12 +156,15 @@ def _supercell_pencil(mesh, sym_class):
     """
     K, M = assemble_p1(mesh)
     if sym_class is SymmetryClass.ANTISYMMETRIC:
-        T, keep = _reduction_matrix(mesh, 0.0, True, tie=False)
-        return _reduce_hermitian(K, T).real, _reduce_hermitian(M, T).real, keep
+        keep = np.setdiff1d(np.arange(mesh.n_nodes), mesh.axis)
+        E = sp.identity(mesh.n_nodes, format="csr")[:, keep]
+        return (E.T @ K @ E).tocsr(), (E.T @ M @ E).tocsr(), keep
     return K, M, np.arange(mesh.n_nodes)
 
 
 def _lowest_eigs(Kr, Mr, nev, *, seed=0):
+    """Lowest nev eigenvalues: dense LAPACK up to DENSE_CUTOFF dofs, else a
+    shift-invert Lanczos certified by one inertia count above its top value."""
     n = Kr.shape[0]
     nev = min(nev, n)
     if n <= DENSE_CUTOFF:
@@ -147,6 +172,15 @@ def _lowest_eigs(Kr, Mr, nev, *, seed=0):
     res = eig_sparse_shift_invert(Kr, Mr, -1e-2, min(nev, n - 2), seed=seed)
     if not res.converged:
         raise RuntimeError(f"lowest-eigenvalue Lanczos solve failed: {res.message}")
+    # the margin sits well above the Lanczos error and the round-off of the
+    # inertia count; a next eigenvalue closer than it also reads as a miss
+    top = float(res.values[-1])
+    count = count_below(Kr, Mr, top + 1e-8 * max(1.0, abs(top)))
+    if count != res.values.size:
+        raise RuntimeError(
+            f"inertia counts {count} eigenvalue(s) up to the Lanczos solve's "
+            f"largest value {top!r}, but it returned {res.values.size}"
+        )
     return res.values
 
 
@@ -164,24 +198,27 @@ def fem_bloch_bands(
 ):
     """First nev Bloch bands of the unperturbed thin ladder.
 
-    Sweeps theta over [0, pi] (the pencil spectrum is even in theta), then
-    optionally sharpens each band's extremes with a bounded 1-D minimisation
-    around the extremal grid point.  Bands and gaps are reported in omega =
-    sqrt(lambda); the per-theta eigenvalue grid is kept as a table.
+    Sweeps theta over [0, pi] (the pencil spectrum is even in theta), one
+    eigensolve per grid point.  Each band extreme found strictly inside the
+    grid is then sharpened by a bounded 1-D minimisation between its two
+    neighbours.  An extreme at either grid end is kept as it is: every
+    lambda_n(theta) is even about both 0 and pi, so those two points are
+    always critical points, and a bounded search, which never evaluates its
+    bracket ends, could only walk back toward the grid value.  theta_grid,
+    when given, should therefore run from 0 to pi.  Bands and gaps are
+    reported in omega = sqrt(lambda); the per-theta eigenvalue grid is kept
+    as a table.
     """
     sym_class = SymmetryClass.parse(sym_class)
     mesh = build_cell_mesh(params, sym_class, h)
-    K, M = assemble_p1(mesh)
-    dirichlet = sym_class is SymmetryClass.ANTISYMMETRIC
+    split = _BlochSplit(mesh)
     cache = {}
 
     def lam_at(theta):
         key = round(float(theta), 12)
         if key not in cache:
-            T, _ = _reduction_matrix(mesh, theta, dirichlet)
-            cache[key] = _lowest_eigs(
-                _reduce_hermitian(K, T), _reduce_hermitian(M, T), nev, seed=seed
-            )
+            p = split.pencil(theta)
+            cache[key] = _lowest_eigs(p.K, p.M, nev, seed=seed)
         return cache[key]
 
     if theta_grid is None:
@@ -194,17 +231,14 @@ def fem_bloch_bands(
         vals = sign * grid[:, band]
         i0 = int(np.argmin(vals))
         best = vals[i0]
-        if refine_edges and thetas.size > 2:
-            lo_t = thetas[max(i0 - 1, 0)]
-            hi_t = thetas[min(i0 + 1, thetas.size - 1)]
-            if hi_t > lo_t:
-                r = minimize_scalar(
-                    lambda t: sign * lam_at(t)[band],
-                    bounds=(lo_t, hi_t),
-                    method="bounded",
-                    options={"xatol": theta_xatol},
-                )
-                best = min(best, r.fun)
+        if refine_edges and 0 < i0 < thetas.size - 1:
+            r = minimize_scalar(
+                lambda t: sign * lam_at(t)[band],
+                bounds=(thetas[i0 - 1], thetas[i0 + 1]),
+                method="bounded",
+                options={"xatol": theta_xatol},
+            )
+            best = min(best, r.fun)
         return sign * best
 
     bands = []
@@ -233,7 +267,9 @@ def fem_bloch_bands(
         gaps=gaps,
         diagnostics={
             "n_nodes": mesh.n_nodes,
-            "n_dofs": int(K.shape[0] - mesh.right.size - (mesh.axis.size if dirichlet else 0)),
+            "n_dofs": int(split.free.size),
+            "n_solves": len(cache),
+            "solver": "dense" if split.free.size <= DENSE_CUTOFF else "lanczos",
             "mesh_area": mesh.total_area(),
         },
     )

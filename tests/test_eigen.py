@@ -19,8 +19,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ladderspec.eigen import count_below, eig_dense, eig_sparse_shift_invert
+from ladderspec.fem import assemble_bloch_pencil
 from ladderspec.graph1d import quasiperiodic_cell
-from ladderspec.params import SymmetryClass
+from ladderspec.mesh import build_cell_mesh
+from ladderspec.params import LadderParams, SymmetryClass
 
 
 def _random_pencil(n, seed):
@@ -143,6 +145,18 @@ def test_count_below_matches_dense_inertia_random(seed, n, frac):
 def test_count_below_matches_dense_inertia_string(n, t):
     K, M = _string_pencil(n)
     assert count_below(K, M, t) == _count_below(K.toarray(), M.toarray(), t)
+
+
+def test_count_below_matches_dense_count_on_complex_bloch_pencil():
+    # complex Hermitian Bloch pencil of the thin-ladder cell: SuperLU's
+    # diag(U) must still carry the inertia, between every pair of eigenvalues
+    for cls in (SymmetryClass.SYMMETRIC, SymmetryClass.ANTISYMMETRIC):
+        mesh = build_cell_mesh(LadderParams(2.0, 0.2), cls, 0.05)
+        p = assemble_bloch_pencil(mesh, 0.7)
+        assert np.iscomplexobj(p.K.toarray())
+        vals = eig_dense(p.K, p.M).values
+        for t in np.concatenate([[vals[0] - 1.0], 0.5 * (vals[:20] + vals[1:21])]):
+            assert count_below(p.K, p.M, t) == int(np.count_nonzero(vals < t))
 
 
 def test_count_below_refuses_off_diagonal_pivots():

@@ -71,6 +71,26 @@ def test_bloch_pencil_real_at_endpoints_complex_inside():
         assemble_bloch_pencil(mesh, 4.0)
 
 
+def test_bloch_split_matches_direct_reduction():
+    # the once-per-mesh split A0 + e^{-i theta} A1 + e^{i theta} A1^T must
+    # equal T^H A T, with T tying the right trace to e^{-i theta} times the left
+    for cls in (S, A):
+        mesh = build_cell_mesh(LadderParams(2.0, 0.2), cls, 0.05)
+        K, M = assemble_p1(mesh)
+        x = np.random.default_rng(3).standard_normal(mesh.n_nodes - mesh.right.size)
+        for theta in (0.0, 0.7, math.pi):
+            p = assemble_bloch_pencil(mesh, theta)
+            u = p.T @ x[: p.T.shape[1]]
+            assert np.abs(u[mesh.right] - np.exp(-1j * theta) * u[mesh.left]).max() < 1e-15
+            for got, full in ((p.K, K), (p.M, M)):
+                ref = (p.T.conj().T @ full @ p.T).toarray()
+                assert np.abs(got.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+                assert abs(got - got.conj().T).max() == 0.0
+            if theta != 0.7:
+                assert not np.iscomplexobj(p.K.toarray())
+                assert not np.iscomplexobj(p.M.toarray())
+
+
 def test_bloch_theta0_kernel_is_constant():
     mesh = build_cell_mesh(LadderParams(2.0, 0.2), S, 0.05)
     p = assemble_bloch_pencil(mesh, 0.0)
@@ -94,6 +114,11 @@ def test_bloch_bands_frozen_gap_and_table_shape():
     table = rep.tables["theta_eigenvalues"]
     assert table["columns"] == ["theta", "band", "lambda", "omega"]
     assert len(table["rows"]) == 4 * 17
+    # every extreme sits at theta in {0, pi}: one dense solve per grid theta
+    mesh = build_cell_mesh(LadderParams(2.0, 0.2), S, 0.05)
+    assert rep.diagnostics["n_dofs"] == assemble_bloch_pencil(mesh, 0.3).K.shape[0]
+    assert rep.diagnostics["solver"] == "dense"
+    assert rep.diagnostics["n_solves"] == 17
     lams = np.array([r[2] for r in table["rows"]])
     assert lams.min() > -1e-10
     # band intervals never invert, and every reported gap is a real opening
@@ -105,6 +130,73 @@ def test_bloch_bands_frozen_gap_and_table_shape():
     graph_gap = first_n_gaps(2.0, S, 1)[0]
     assert abs(rep.gaps[0]["omega_b"] - graph_gap.omega_b) < 2.0 * 0.2
     assert abs(rep.gaps[0]["omega_t"] - graph_gap.omega_t) < 2.0 * 0.2
+
+
+def _synthetic_bands(monkeypatch, lam):
+    """Run fem_bloch_bands on the synthetic lambda(theta) -> lam(theta) array.
+
+    The pencil at theta is replaced by theta itself, so the patched solver
+    sees which theta it is asked for; returns the report and solved thetas.
+    """
+    solved = []
+
+    def pencil(self, theta):
+        return fem.HermitianPencil(theta, None, None, self.free, theta)
+
+    def lowest(theta, _, nev, *, seed=0):
+        solved.append(float(theta))
+        return np.asarray(lam(theta), dtype=float)
+
+    monkeypatch.setattr(fem._BlochSplit, "pencil", pencil)
+    monkeypatch.setattr(fem, "_lowest_eigs", lowest)
+    rep = fem_bloch_bands(LadderParams(2.0, 0.4), S, 2, 0.1)
+    return rep, solved
+
+
+def test_bloch_refinement_finds_interior_extreme(monkeypatch):
+    # band 0 has its minimum at theta = 0.9, between two grid points: the
+    # grid alone reads lambda(0.98) = 1.0067, refinement must find 1
+    rep, solved = _synthetic_bands(
+        monkeypatch, lambda t: (1.0 + (t - 0.9) ** 2, 10.0 + math.cos(t))
+    )
+    assert rep.bands[0][0] ** 2 == pytest.approx(1.0, abs=1e-9)
+    best = min(solved, key=lambda t: (t - 0.9) ** 2)
+    assert abs(best - 0.9) <= 1e-5  # the default theta_xatol
+    assert rep.diagnostics["n_solves"] == len(set(solved)) > 17
+    # the other three extremes sit at theta in {0, pi} and stay grid values
+    assert rep.bands[0][1] ** 2 == pytest.approx(1.0 + (math.pi - 0.9) ** 2, rel=1e-14)
+    assert rep.bands[1] == pytest.approx([math.sqrt(9.0), math.sqrt(11.0)], rel=1e-14)
+
+
+def test_bloch_endpoint_extremes_cost_one_solve_per_grid_point(monkeypatch):
+    rep, solved = _synthetic_bands(
+        monkeypatch, lambda t: (2.0 - math.cos(t), 5.0 + math.cos(t))
+    )
+    assert len(solved) == 17
+    assert rep.diagnostics["n_solves"] == 17
+    assert rep.bands[0] == pytest.approx([1.0, math.sqrt(3.0)], rel=1e-14)
+    assert rep.bands[1] == pytest.approx([2.0, math.sqrt(6.0)], rel=1e-14)
+
+
+def test_sparse_lowest_eigs_match_dense_and_are_certified(monkeypatch):
+    mesh = build_cell_mesh(LadderParams(2.0, 0.1), S, 0.025)
+    p = assemble_bloch_pencil(mesh, 0.7)
+    assert p.K.shape[0] > fem.DENSE_CUTOFF
+    dense = eig_dense(p.K, p.M, subset=(0, 3)).values
+    assert np.allclose(fem._lowest_eigs(p.K, p.M, 4), dense, rtol=1e-9, atol=1e-12)
+    # a Lanczos solve that skips the lowest pair leaves an eigenvalue below
+    # its largest value uncounted; the inertia count must catch it
+    real = fem.eig_sparse_shift_invert
+
+    def skips_lowest(K, M, sigma, k, **kw):
+        res = real(K, M, sigma, k + 1, **kw)
+        res.values, res.vectors = res.values[1:], res.vectors[:, 1:]
+        res.residuals = res.residuals[1:]
+        return res
+
+    monkeypatch.setattr(fem, "eig_sparse_shift_invert", skips_lowest)
+    with pytest.raises(RuntimeError, match="inertia counts 5"):
+        fem._lowest_eigs(p.K, p.M, 4)
 
 
 def test_localized_modes_flagship_example():

@@ -133,25 +133,29 @@ def test_eigenfunction_trace_endpoint_consistency():
 
 
 def test_eigenfunction_solves_edge_ode():
-    # -u'' = w^2 u on every edge, checked by central differences on the traces
+    # -u'' = w^2 u on every edge.  Each trace is written as the sin/cos
+    # solution c cos(w x) + d sin(w x) through its value and slope at x = 0
+    # (both from the package), whose second derivative is analytic; no
+    # finite difference, so no round-off decides the comparison
     ef = _eigenfunction()
-    w2 = ef.ev.omega**2
-    h = 1e-5
+    w = ef.ev.omega
+    w2 = w**2
+
+    def upp(trace, deriv, x):
+        c, d = trace(0.0), deriv(0.0) / w
+        return -w2 * (c * math.cos(w * x) + d * math.sin(w * x))
+
     for j in (-2, 0, 1):
         for s in (0.2, 0.5, 0.8):
-            upp = (
-                ef.horizontal_trace(j, s + h)
-                - 2.0 * ef.horizontal_trace(j, s)
-                + ef.horizontal_trace(j, s - h)
-            ) / h**2
-            assert -upp == pytest.approx(w2 * ef.horizontal_trace(j, s), rel=1e-4)
+            u2 = upp(
+                lambda x: ef.horizontal_trace(j, x), lambda x: ef.horizontal_deriv(j, x), s
+            )
+            assert -u2 == pytest.approx(w2 * ef.horizontal_trace(j, s), rel=1e-4)
         for y in (-0.3, 0.1, 0.6):
-            upp = (
-                ef.vertical_trace(j, y + h)
-                - 2.0 * ef.vertical_trace(j, y)
-                + ef.vertical_trace(j, y - h)
-            ) / h**2
-            assert -upp == pytest.approx(w2 * ef.vertical_trace(j, y), rel=1e-4)
+            u2 = upp(
+                lambda x: ef.vertical_trace(j, x), lambda x: ef.vertical_deriv(j, x), y
+            )
+            assert -u2 == pytest.approx(w2 * ef.vertical_trace(j, y), rel=1e-4)
 
 
 def test_eigenfunction_kirchhoff_at_all_vertices():
