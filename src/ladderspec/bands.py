@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import g_value, impedance_residual, phi_L
+from .dispersion import g_value, impedance_residual, phi_L, phi_L_pole_or_zero
 from .params import SymmetryClass
 from .rootfind import bisect_falling, dist_to_multiple
 
@@ -175,17 +175,11 @@ def in_essential_spectrum(omega, L, sym_class, tol=1e-9):
         return False
     if dist_to_multiple(omega, math.pi) <= tol * scale:
         return True  # sin(omega) = 0: always in the spectrum (omega=0 handled above)
-    half = 0.5 * omega * L
-    if sym_class is SymmetryClass.SYMMETRIC:
-        if dist_to_multiple(half, math.pi) <= tol * scale:
-            return True  # sigma_L point
-        if dist_to_multiple(half - 0.5 * math.pi, math.pi) <= tol * scale:
-            return False  # singular, not flat (sin omega != 0 here)
-    else:
-        if dist_to_multiple(half - 0.5 * math.pi, math.pi) <= tol * scale:
-            return True
-        if dist_to_multiple(half, math.pi) <= tol * scale:
-            return False
+    marker = phi_L_pole_or_zero(0.5 * omega * L, sym_class, tol * scale)
+    if marker == "pole":
+        return True  # sigma_L point
+    if marker == "zero":
+        return False  # singular, not flat (sin omega != 0 here)
     g = g_value(omega, L, sym_class)
     return abs(g) <= 1.0
 

@@ -354,17 +354,16 @@ def cmd_graph_eigs(cfg):
 
     L = cfg.L_exact()
     found = gaps(L.value, cfg.sym_class, cfg.omega_max, tol=cfg.tol)
+    index = {g: gi for gi, g in enumerate(found, 1)}
     rows = []
     eigen_info = []
-    for mu in cfg.mu:
-        for gi, g in enumerate(found, 1):
-            for ev in discrete_eigenvalues(L.value, mu, cfg.sym_class, g, xtol=cfg.tol):
-                rows.append(
-                    (ev.omega, ev.lam, "eig", g.gap_type, str(cfg.sym_class), mu)
-                )
-                eigen_info.append(
-                    {"omega": ev.omega, "lambda": ev.lam, "mu": mu, "gap": gi}
-                )
+    for ev in discrete_eigenvalues(L.value, cfg.mu, cfg.sym_class, found, xtol=cfg.tol):
+        rows.append(
+            (ev.omega, ev.lam, "eig", ev.gap.gap_type, str(cfg.sym_class), ev.mu)
+        )
+        eigen_info.append(
+            {"omega": ev.omega, "lambda": ev.lam, "mu": ev.mu, "gap": index[ev.gap]}
+        )
     report = SpectralReport(
         kind="graph_eigs",
         config=cfg.resolved(),

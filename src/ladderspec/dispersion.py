@@ -10,8 +10,10 @@ function of omega; the frequency variable is omega, the spectral parameter is
 lambda = omega^2.
 
 The scalar functions work on Python floats with `math` and clamp their poles
-as described below; `impedance_residual` is the one numpy-array function, used
-by the branch bisections of `bands` (band edges and Bloch roots).
+as described below.  Two residuals work on numpy arrays and have no pole
+clamps: `impedance_residual`, whose branch bisections in `bands` give the band
+edges and Bloch roots, and `defect_residual`, whose gap bisections in `modes`
+give the defect eigenvalues.
 
 Pole convention: scalar functions with trigonometric poles return +inf/-inf
 carrying the sign of the right-sided limit; at points where a pole of the rung
@@ -44,26 +46,52 @@ def _is_pole_of_tan(x):
     return dist_to_multiple(x - 0.5 * math.pi, math.pi) <= POLE_RTOL * max(1.0, abs(x))
 
 
+def phi_L_pole_or_zero(half, sym_class, atol):
+    """"pole" or "zero" when half = omega*L/2 lies within atol of a pole or a zero of phi_L.
+
+    phi_L has its poles where half is a multiple of pi (symmetric family) or
+    an odd multiple of pi/2 (antisymmetric family), and its zeros at the
+    other set; returns None away from both.  Each caller passes its own
+    absolute tolerance.
+    """
+    on_pi = dist_to_multiple(half, math.pi) <= atol
+    on_half_pi = dist_to_multiple(half - 0.5 * math.pi, math.pi) <= atol
+    if sym_class is SymmetryClass.SYMMETRIC:
+        on_pole, on_zero = on_pi, on_half_pi
+    else:
+        on_pole, on_zero = on_half_pi, on_pi
+    if on_pole:
+        return "pole"
+    if on_zero:
+        return "zero"
+    return None
+
+
 def phi_L(omega, L, sym_class):
     """Impedance of a half-rung of length L/2 seen from the rail.
 
     2/tan(omega*L/2) for the symmetric family (Neumann midpoint), and
     -2*tan(omega*L/2) for the antisymmetric family (Dirichlet midpoint).
     Strictly decreasing between consecutive poles; poles return +inf
-    (right-sided limit).
+    (right-sided limit) and zeros exactly 0.
     """
     half = 0.5 * omega * L
-    if sym_class is SymmetryClass.SYMMETRIC:
-        if _is_pole_of_cot(half):
-            return math.inf
-        if _is_pole_of_tan(half):
-            return 0.0  # exact zero of cot, clamped like the poles
-        return 2.0 / math.tan(half)
-    if _is_pole_of_tan(half):
+    marker = phi_L_pole_or_zero(half, sym_class, POLE_RTOL * max(1.0, abs(half)))
+    if marker == "pole":
         return math.inf
-    if _is_pole_of_cot(half):
+    if marker == "zero":
         return 0.0
+    if sym_class is SymmetryClass.SYMMETRIC:
+        return 2.0 / math.tan(half)
     return -2.0 * math.tan(half)
+
+
+def _phi_L_array(w, L, sym_class):
+    """phi_L on a numpy array, without pole clamps."""
+    half = (0.5 * L) * w
+    if sym_class is SymmetryClass.SYMMETRIC:
+        return 2.0 / np.tan(half)
+    return -2.0 * np.tan(half)
 
 
 def phi_2(omega):
@@ -86,17 +114,13 @@ def g_mu_value(omega, L, mu, sym_class):
     s = math.sin(omega)
     c = math.cos(omega)
     half = 0.5 * omega * L
-    if sym_class is SymmetryClass.SYMMETRIC:
-        # poles of tan(omega*L/2), i.e. zeros of phi_L
-        if _is_pole_of_tan(half):
-            if abs(s) <= FLAT_RTOL * max(1.0, abs(omega)):
-                return math.nan
-            return math.copysign(math.inf, -s)  # tan -> -inf from the right
-        return -c + 0.5 * mu * s * math.tan(half)
-    if _is_pole_of_cot(half):
+    if phi_L_pole_or_zero(half, sym_class, POLE_RTOL * max(1.0, abs(half))) == "zero":
         if abs(s) <= FLAT_RTOL * max(1.0, abs(omega)):
             return math.nan
-        return math.copysign(math.inf, -s)  # cot -> +inf from the right
+        # phi_L -> 0 from below on the right, so mu sin/phi_L -> -inf * sin
+        return math.copysign(math.inf, -s)
+    if sym_class is SymmetryClass.SYMMETRIC:
+        return -c + 0.5 * mu * s * math.tan(half)
     return -c - 0.5 * mu * s / math.tan(half)
 
 
@@ -142,13 +166,30 @@ def impedance_residual(omega, theta, L, sym_class):
     """
     w = np.asarray(omega, dtype=float)
     th = np.asarray(theta, dtype=float)
-    half = (0.5 * L) * w
-    if sym_class is SymmetryClass.SYMMETRIC:
-        phi = 2.0 / np.tan(half)
-    else:
-        phi = -2.0 * np.tan(half)
     denom = -2.0 * np.sin(0.5 * (w + th)) * np.sin(0.5 * (w - th))
-    return phi - np.sin(w) / denom
+    return _phi_L_array(w, L, sym_class) - np.sin(w) / denom
+
+
+def defect_residual(omega, kappa, sign, L, sym_class):
+    """phi_L(omega) - r_sign(phi_2(omega)) on numpy arrays; its zeros solve F = mu.
+
+    F(omega) = mu in (0, 1) reads phi_L (phi_L + phi_2) = kappa with kappa =
+    mu (2 - mu) in (0, 1): a quadratic in phi_L whose roots at q = phi_2 are
+    r_+ > 0 > r_-, r_sign = (-q + sign sqrt(q^2 + 4 kappa)) / 2.  The root of
+    larger modulus is formed directly and the other one from r_+ r_- =
+    -kappa, so neither cancels.  Both r_sign decrease in q and phi_2
+    decreases in omega, so r_sign(phi_2) rises while phi_L falls: between
+    consecutive poles of phi_L and of phi_2 the residual strictly decreases
+    and has at most one root.  No pole clamps: evaluate it strictly inside
+    those branches only.  omega, kappa and sign (+1 or -1) broadcast.
+    """
+    w = np.asarray(omega, dtype=float)
+    q = 2.0 / np.tan(w)
+    big = 0.5 * (np.abs(q) + np.hypot(q, 2.0 * np.sqrt(kappa)))
+    # r_-(q) = -r_+(-q), and r_+(t) is kappa/big for t > 0, big otherwise
+    t = sign * q
+    r = sign * np.where(t > 0.0, kappa / big, big)
+    return _phi_L_array(w, L, sym_class) - r
 
 
 def theta_root(omega, L, sym_class, *, tol=1e-10):

@@ -5,6 +5,12 @@ inside the gaps of the periodic ladder graph.  The eigenvalue condition is
 F(omega) = mu with the defect response F of `dispersion.capital_F`; the
 corresponding eigenfunction decays geometrically along the rails with the
 reflection factor r and has explicit sine/cosine traces on every edge.
+
+The roots are found as zeros of `dispersion.defect_residual`, phi_L -
+r_sign(phi_2), which strictly falls across a gap.  A type (i) gap holds one
+root of each sign (+ below the zero of phi_L, - above it), a type (ii) gap
+one of sign -, a type (iii) gap one of sign +; the gap edges are the
+brackets, so every root of a call is bisected at once.
 """
 
 from __future__ import annotations
@@ -12,17 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+
+import numpy as np
 
 from .bands import Gap
-from .dispersion import (
-    capital_F,
-    g_mu_value,
-    phi_2,
-    phi_L,
-    reflection_root,
-)
+from .dispersion import defect_residual, g_mu_value, reflection_root
 from .params import ExactLength, SymmetryClass
-from .rootfind import bisect_root
+from .rootfind import bisect_falling
 
 
 @dataclass(frozen=True)
@@ -40,71 +43,66 @@ class GraphEigenvalue:
         return self.omega**2
 
 
-def _padded_endpoint(f, end, inward, width, target=0.0, sign=+1):
-    """First point end + inward*delta at which sign*(f - target) > 0."""
-    delta = width * 1e-3
-    for _ in range(80):
-        x = end + inward * delta
-        try:
-            val = f(x)
-        except ValueError:
-            val = math.nan
-        if not math.isnan(val) and sign * (val - target) > 0.0:
-            return x, val
-        delta *= 0.25
-    raise RuntimeError("could not establish a bracket endpoint inside the gap")
+#: the sign of r in `dispersion.defect_residual` for each root of a gap type
+_ROOT_SIGNS = {"i": (1.0, -1.0), "ii": (-1.0,), "iii": (1.0,)}
 
 
 def discrete_eigenvalues(L, mu, sym_class, gap, *, xtol=0.0):
-    """All solutions of F(omega) = mu inside the given gap, sorted.
+    """All solutions of F(omega) = mu inside the given gaps, for every given mu.
 
-    mu >= 1 yields no eigenvalues.  The roots are bracketed by first locating
-    c (zero of phi_L, type (i) gaps only) and d (zero of phi_L + phi_2) by
-    bisection; F is monotone between those markers and the gap ends, so each
-    root lives on a certified monotone branch.  The default xtol = 0 halves
-    each bracket until it cannot be split in floating point, so the roots do
-    not depend on the last digits of the gap edges that seed the brackets;
-    a positive xtol (the CLI passes --tol) stops at that bracket width.
+    mu is one weight or a sequence of them, gap one `Gap` or a sequence of
+    them; the result is one flat list ordered by mu, then gap, then omega.
+    Weights mu >= 1 yield no eigenvalues.  F = mu is phi_L = r_sign(phi_2)
+    (`dispersion.defect_residual`), whose residual strictly falls across a
+    gap, which holds no pole of phi_L or phi_2: a type (i) gap holds one root
+    with phi_L > 0 (sign +) below the zero of phi_L and one with phi_L < 0
+    (sign -) above it, a type (ii) gap one with sign -, a type (iii) gap one
+    with sign +.  So the brackets are the gap edges themselves, and all
+    roots of the call are bisected at once (`rootfind.bisect_falling`, which
+    evaluates only midpoints, so edges on lattice points are fine).
+
+    The default xtol = 0 halves each bracket until it cannot be split in
+    floating point, so the roots do not depend on the last digits of the gap
+    edges; a positive xtol (the CLI passes --tol) stops at that bracket
+    width.  Every root lies in [omega_b, omega_t], and in a very narrow gap
+    it may sit on an edge to the last bit.  In the gap (2 pi - 3.8e-6, 2 pi)
+    at L = 7.500005804330669 (antisymmetric), phi_L (phi_L + phi_2) falls
+    by about 0.3 per ulp of omega, so for mu = 0.3953 the root lies within
+    about one ulp of the true bottom edge, closer than the edge tolerance:
+    F is already about -3e3 at the computed bottom edge, which is returned.
     """
-    if not 0 < mu:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if mu >= 1.0:
+    mus = [mu] if np.ndim(mu) == 0 else list(mu)
+    for m in mus:
+        if not 0 < m:
+            raise ValueError(f"mu must be positive, got {m}")
+    mus = [m for m in mus if m < 1.0]
+    if not mus:
         return []
-    if gap.sym_class is not sym_class:
-        raise ValueError("gap was computed for the other symmetry class")
-    w_b, w_t, width = gap.omega_b, gap.omega_t, gap.width
-
-    pl = lambda w: phi_L(w, L, sym_class)
-    varphi = lambda w: pl(w) + phi_2(w)
-    F = lambda w: capital_F(w, L, sym_class)
-
-    def zero_of(f):
-        lo, flo = _padded_endpoint(f, w_b, +1.0, width, sign=+1)
-        hi, fhi = _padded_endpoint(f, w_t, -1.0, width, sign=-1)
-        return bisect_root(f, lo, hi, xtol=xtol, flo=flo, fhi=fhi)
-
-    roots = []
-    if gap.gap_type == "i":
-        c = zero_of(pl)
-        d = zero_of(varphi)
-        lo_end, hi_end = min(c, d), max(c, d)
-        # descending branch 1 -> 0 on [w_b, lo_end]
-        a, fa = _padded_endpoint(F, w_b, +1.0, width, target=mu, sign=+1)
-        roots.append(bisect_root(lambda w: F(w) - mu, a, lo_end, xtol=xtol))
-        # ascending branch 0 -> 1 on [hi_end, w_t]
-        b, fb = _padded_endpoint(F, w_t, -1.0, width, target=mu, sign=+1)
-        roots.append(bisect_root(lambda w: F(w) - mu, hi_end, b, xtol=xtol))
-    elif gap.gap_type == "ii":
-        d = zero_of(varphi)
-        b, fb = _padded_endpoint(F, w_t, -1.0, width, target=mu, sign=+1)
-        roots.append(bisect_root(lambda w: F(w) - mu, d, b, xtol=xtol))
-    elif gap.gap_type == "iii":
-        d = zero_of(varphi)
-        a, fa = _padded_endpoint(F, w_b, +1.0, width, target=mu, sign=+1)
-        roots.append(bisect_root(lambda w: F(w) - mu, a, d, xtol=xtol))
-    else:
-        raise ValueError(f"unknown gap type {gap.gap_type!r}")
-    return [GraphEigenvalue(w, mu, sym_class, gap) for w in sorted(roots)]
+    gaps = [gap] if isinstance(gap, Gap) else list(gap)
+    for g in gaps:
+        if g.sym_class is not sym_class:
+            raise ValueError("gap was computed for the other symmetry class")
+        if g.gap_type not in _ROOT_SIGNS:
+            raise ValueError(f"unknown gap type {g.gap_type!r}")
+    brackets = [  # (index of the (mu, gap) pair, mu, gap, sign)
+        (k, m, g, sign)
+        for k, (m, g) in enumerate(product(mus, gaps))
+        for sign in _ROOT_SIGNS[g.gap_type]
+    ]
+    if not brackets:
+        return []
+    pair, m, g, sign = zip(*brackets)
+    mf = np.array(m, dtype=float)
+    roots = bisect_falling(
+        lambda w, kappa, sg: defect_residual(w, kappa, sg, L, sym_class),
+        [gi.omega_b for gi in g],
+        [gi.omega_t for gi in g],
+        mf * (2.0 - mf),
+        np.array(sign),
+        xtol=xtol,
+    )
+    found = sorted(zip(pair, roots.tolist(), m, g), key=lambda row: row[:2])
+    return [GraphEigenvalue(w, mi, sym_class, gi) for _, w, mi, gi in found]
 
 
 @dataclass

@@ -9,7 +9,7 @@ tables can also be written as CSV with full float precision.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -49,7 +49,9 @@ class SpectralReport:
         }
 
     def to_json(self):
-        return json.dumps(_plain(asdict(self)), indent=2, sort_keys=True)
+        # a shallow field dict: _plain builds the plain copy in one pass
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        return json.dumps(_plain(data), indent=2, sort_keys=True)
 
     def save(self, path):
         with open(path, "w") as fh:

@@ -77,6 +77,29 @@ def test_graph_eigs_rows_and_empty_mu1(tmp_path):
     assert rows == []
 
 
+@pytest.mark.parametrize(
+    "L,mu,narrowest",
+    [
+        ("7.500005804330669", "0.3953", 4e-6),  # a gap of width 3.8e-6 below 2 pi
+        ("0.37498392717242895", "0.7454", 2e-4),  # width 1.7e-4 above 8 pi
+    ],
+)
+def test_graph_eigs_narrow_antisymmetric_gaps(tmp_path, L, mu, narrowest):
+    # the roots of such a gap sit on one of its edges; every gap still gets
+    # its gate-3 count, one root per branch of its type
+    code, prefix = _run(
+        tmp_path, "graph", "eigs", "--L", L, "--class", "antisym",
+        "--omega-max", "30", "--mu", mu,
+    )
+    assert code == 0
+    rep = SpectralReport.load(tmp_path / "out.json")
+    assert min(g["omega_t"] - g["omega_b"] for g in rep.gaps) < narrowest
+    for gi, g in enumerate(rep.gaps, 1):
+        inside = [e["omega"] for e in rep.diagnostics["eigenvalues"] if e["gap"] == gi]
+        assert len(inside) == (2 if g["type"] == "i" else 1), (gi, g)
+        assert all(g["omega_b"] <= w <= g["omega_t"] for w in inside)
+
+
 def test_graph_bands_flat_rows_and_determinism(tmp_path):
     argv = ["graph", "bands", "--L", "2", "--class", "antisym", "--omega-max", "7"]
     code1, p1 = _run(tmp_path, *argv, name="a")

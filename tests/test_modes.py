@@ -8,8 +8,11 @@ at the root-finder's own precision.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ladderspec import (
@@ -17,6 +20,7 @@ from ladderspec import (
     discrete_eigenvalues,
     first_n_gaps,
     flat_bands,
+    gaps,
 )
 from ladderspec import dispersion as dsp
 from ladderspec.params import ExactLength, SymmetryClass
@@ -97,6 +101,95 @@ def test_roots_respect_monotone_branch_markers():
     lo, hi = discrete_eigenvalues(L, 0.3, S, g_i)
     assert g_i.omega_b < lo.omega < min(c, d)
     assert max(c, d) < hi.omega < g_i.omega_t
+
+
+# (L, class, gap index, mu, roots to 7 digits): both roots of the first
+# type (i) gap at L=2 and at L=5/2 (symmetric), the roots of the type (iii)
+# and (ii) gaps at L=2 (antisymmetric)
+MP_ROOTS = [
+    (2.0, S, 0, 0.25, (1.3410711, 1.8005216)),
+    (2.5, S, 0, 0.4, (1.0866502, 1.5635493)),
+    (2.0, A, 1, 0.25, (2.3302569,)),
+    (2.0, A, 2, 0.25, (3.9529284,)),
+]
+
+
+def _mp_capital_F(w, L, cls):
+    """F(omega) = 1 - sqrt((g^2 - 1)/(g + cos w)^2) in mpmath, at its working precision."""
+    w, L = mpmath.mpf(w), mpmath.mpf(L)
+    half = 0.5 * w * L
+    phi = 2 / mpmath.tan(half) if cls is S else -2 * mpmath.tan(half)
+    g = -mpmath.cos(w) + mpmath.sin(w) / phi
+    return 1 - mpmath.sqrt((g * g - 1) / (g + mpmath.cos(w)) ** 2)
+
+
+def _mp_root(L, cls, mu, approx):
+    """Root of F(omega) = mu at 50 digits, F in its g-form, within 1e-6 of approx."""
+    with mpmath.workdps(50):
+        residual = lambda w: _mp_capital_F(w, L, cls) - mpmath.mpf(mu)
+        half_width = mpmath.mpf("1e-6")
+        lo, hi = mpmath.mpf(approx) - half_width, mpmath.mpf(approx) + half_width
+        assert residual(lo) * residual(hi) < 0  # one crossing in the bracket
+        return float(mpmath.findroot(residual, (lo, hi), solver="anderson"))
+
+
+@pytest.mark.parametrize("L,cls,index,mu,approx", MP_ROOTS)
+def test_defect_roots_match_50_digit_reference(L, cls, index, mu, approx):
+    gap = first_n_gaps(L, cls, index + 1)[index]
+    got = [ev.omega for ev in discrete_eigenvalues(L, mu, cls, gap)]
+    want = [_mp_root(L, cls, mu, a) for a in approx]
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def _F_miss(w, L, cls, mu):
+    """|F(w) - mu| and how far F moves when w moves by 4 ulp, both at 30 digits.
+
+    F is evaluated in mpmath because the float g-form loses up to about 1e-8
+    to cancellation in g^2 - 1 next to a band edge (L=1.0078125 symmetric,
+    mu=0.5: `capital_F` gives 0.49999998620 at the root 6.266864803419471,
+    50 digits 0.50000000064).  No float root checks F = mu closer than the
+    4-ulp move: at L=11.6875 antisymmetric, mu=0.5, the root
+    9.410432707963167 is right to 2e-16 but F has slope -9e6 there.
+    """
+    h = 4 * math.ulp(w)
+    with mpmath.workdps(30):
+        miss = abs(_mp_capital_F(w, L, cls) - mpmath.mpf(mu))
+        spread = abs(_mp_capital_F(w + h, L, cls) - _mp_capital_F(w - h, L, cls))
+    return float(miss), float(spread)
+
+
+@settings(max_examples=60)
+@given(
+    L=st.floats(0.3, 12.0),
+    cls=st.sampled_from([S, A]),
+    omega_max=st.floats(1.0, 30.0),
+    mus=st.lists(st.floats(0.05, 0.95), min_size=1, max_size=2, unique=True),
+)
+def test_defect_roots_properties(L, cls, omega_max, mus):
+    found = gaps(L, cls, omega_max)
+    evs = discrete_eigenvalues(L, mus, cls, found)
+    # one flat list ordered by mu, then gap, then omega: the one-gap calls
+    # in that order
+    singles = [ev for mu in mus for g in found for ev in discrete_eigenvalues(L, mu, cls, g)]
+    assert [(ev.mu, ev.gap) for ev in evs] == [(ev.mu, ev.gap) for ev in singles]
+    assert [ev.omega for ev in evs] == pytest.approx(
+        [ev.omega for ev in singles], rel=1e-13
+    )
+    for mu in mus:
+        for g in found:
+            roots = [ev for ev in evs if ev.mu == mu and ev.gap == g]
+            # gate-3 count: one root per branch of the gap type
+            assert len(roots) == (2 if g.gap_type == "i" else 1)
+            omegas = [ev.omega for ev in roots]
+            assert omegas == sorted(omegas)
+            assert all(g.omega_b <= w <= g.omega_t for w in omegas)
+            if g.width > 1e-3:
+                # the independent g-form of F, and the eigenfunction's own
+                # consistency check r = -g_mu
+                for ev in roots:
+                    miss, spread = _F_miss(ev.omega, L, cls, mu)
+                    assert miss <= 1e-8 + spread, (ev, miss, spread)
+                    build_eigenfunction(ev, L)
 
 
 def _eigenfunction(L=2.0, mu=0.25, cls=S, which=0, gap_index=0):
