@@ -29,7 +29,6 @@ _EXPORTS = {
         "f_plus",
         "f_minus",
         "capital_F",
-        "capital_F_phi",
         "reflection_root",
     ],
     "bands": [

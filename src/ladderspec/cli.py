@@ -72,10 +72,10 @@ def _build_parser():
                         help="root-finding tolerance")
         if eps:
             sp.add_argument("--eps", required=True,
-                            help="rung thickness (comma list for sweeps)")
+                            help="rung thickness (a comma list for study convergence)")
         if mu:
             sp.add_argument("--mu", default="1.0",
-                            help="defect width factor (comma list)")
+                            help="defect width factor (a comma list for graph eigs)")
         if fem:
             sp.add_argument("--h", type=float, default=None,
                             help="mesh step (default eps/4)")
@@ -164,13 +164,15 @@ class StudyConfig:
         }
 
 
-def _float_list(raw, flag):
+def _float_list(raw, flag, *, single=False):
     try:
         vals = [float(tok) for tok in str(raw).split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"{flag}: expected comma-separated numbers, got {raw!r}")
     if not vals:
         raise ConfigError(f"{flag}: empty list")
+    if single and len(vals) > 1:
+        raise ConfigError(f"{flag}: this command takes one value, got {raw!r}")
     return vals
 
 
@@ -200,12 +202,13 @@ def _resolve(args):
         tol=args.tol,
     )
     if hasattr(args, "eps"):
-        cfg.eps = _float_list(args.eps, "--eps")
+        # only the convergence study sweeps eps, and only graph eigs sweeps mu
+        cfg.eps = _float_list(args.eps, "--eps", single=command != "study.convergence")
         for e in cfg.eps:
             if not 0 < e < min(1.0, cfg.L_exact().value / 2):
                 raise ConfigError(f"--eps: {e} outside (0, min(1, L/2))")
     if hasattr(args, "mu"):
-        cfg.mu = _float_list(args.mu, "--mu")
+        cfg.mu = _float_list(args.mu, "--mu", single=command != "graph.eigs")
         for m in cfg.mu:
             if m <= 0:
                 raise ConfigError(f"--mu: must be positive, got {m}")

@@ -15,6 +15,11 @@ clamps: `impedance_residual`, whose branch bisections in `bands` give the band
 edges and Bloch roots, and `defect_residual`, whose gap bisections in `modes`
 give the defect eigenvalues.
 
+The defect response `capital_F` and the decay root `reflection_root` share
+one radicand, a product of the two factors that vanish at the band edges, and
+subtract no nearly equal numbers, so both stay accurate where the forms in g
+cancel: next to band edges, poles of phi_2 and zeros of phi_L.
+
 Pole convention: scalar functions with trigonometric poles return +inf/-inf
 carrying the sign of the right-sided limit; at points where a pole of the rung
 impedance coincides with sin(omega) = 0 (compactly supported flat modes) the
@@ -235,61 +240,53 @@ def f_minus(omega):
     return -1.0 / math.tan(0.5 * t)
 
 
-def capital_F(omega, L, sym_class):
-    """Defect response F(omega) = 1 - sqrt((g^2-1)/(g+cos omega)^2).
+def _gap_radicand(omega, L, sym_class):
+    """(g, phi_L, radicand) at omega, where radicand = 1 - phi_L (phi_L + phi_2).
 
-    Defined inside spectral gaps (|g| > 1); a rung-weight defect mu in (0, 1)
-    produces an eigenvalue exactly where F(omega) = mu.  At the zeros of
-    phi_L inside a gap (g infinite) the limit value 0 is returned.  Raises
-    ValueError when omega lies in the essential spectrum of the family.
+    With t = tan(omega/2) the rail impedance is phi_2 = 1/t - t, so the
+    radicand is the product (t - phi_L)(phi_L + 1/t) of the two factors that
+    vanish on the band-edge curves phi_L = f_plus and phi_L = f_minus; it
+    equals (g^2 - 1) phi_L^2 / sin^2(omega) and is positive exactly inside a
+    gap.  Raises ValueError at a flat point and where the radicand is not
+    positive (the essential spectrum of the family).
     """
+    if not omega > 0.0:
+        raise ValueError(f"omega={omega} is not a positive frequency")
     g = g_mu_value(omega, L, 1.0, sym_class)
     if math.isnan(g):
-        raise ValueError(f"omega={omega} is a flat spectral point; F undefined")
+        raise ValueError(f"omega={omega} is a flat spectral point")
+    t = math.tan(0.5 * omega)
+    p = float(_phi_L_array(omega, L, sym_class))
+    rad = (t - p) * (p + 1.0 / t)
+    if not rad > 0.0:
+        raise ValueError(
+            f"omega={omega} lies in the essential spectrum (radicand {rad} <= 0)"
+        )
+    return g, p, rad
+
+
+def capital_F(omega, L, sym_class):
+    """Defect response F(omega) = 1 - sqrt(1 - phi_L (phi_L + phi_2)) inside a gap.
+
+    A rung-weight defect mu in (0, 1) produces an eigenvalue exactly where
+    F(omega) = mu.  Evaluated as phi_L (phi_L + phi_2) / (1 + sqrt(radicand))
+    (see `_gap_radicand`), which keeps small values of F accurate too.
+    Exactly 0 at the zeros of phi_L.  Raises ValueError at a flat point and
+    inside the essential spectrum of the family.
+    """
+    g, p, rad = _gap_radicand(omega, L, sym_class)
     if math.isinf(g):
         return 0.0
-    if abs(g) <= 1.0:
-        raise ValueError(
-            f"omega={omega} lies in the essential spectrum (|g|={abs(g)} <= 1); F undefined"
-        )
-    denom = g + math.cos(omega)
-    return 1.0 - math.sqrt((g * g - 1.0) / (denom * denom))
-
-
-def capital_F_phi(omega, L, sym_class):
-    """F(omega) through the impedance identity 1 - sqrt(1 - phi_L*(phi_L + phi_2)).
-
-    Algebraically identical to `capital_F`; kept as an independent evaluation
-    route for cross-checking.
-    """
-    p = phi_L(omega, L, sym_class)
-    q = phi_2(omega)
-    if math.isinf(p) or math.isinf(q):
-        raise ValueError(
-            f"omega={omega} is a pole of the impedances; use capital_F or move off the pole"
-        )
-    rad = 1.0 - p * (p + q)
-    if rad < 0.0:
-        raise ValueError(
-            f"omega={omega} lies in the essential spectrum (radicand {rad} < 0); F undefined"
-        )
-    return 1.0 - math.sqrt(rad)
+    return p * (p + 2.0 / math.tan(omega)) / (1.0 + math.sqrt(rad))
 
 
 def reflection_root(omega, L, sym_class):
     """Decay factor r in (-1, 1) of the defect mode, the stable root of r^2 + 2 g r + 1 = 0.
 
-    r = -g + sign(g) sqrt(g^2 - 1); the companion root is 1/r (Vieta).  Raises
-    ValueError inside the essential spectrum.  At zeros of phi_L (g infinite)
-    the limit 0 is returned.
+    r = -1/(g + sign(g) sqrt(g^2 - 1)) (Vieta), with sqrt(g^2 - 1) =
+    sqrt(radicand) |sin(omega) / phi_L| (see `_gap_radicand`), so nothing
+    cancels; the limit 0 at zeros of phi_L (g infinite).  Raises ValueError
+    at a flat point and inside the essential spectrum.
     """
-    g = g_mu_value(omega, L, 1.0, sym_class)
-    if math.isnan(g):
-        raise ValueError(f"omega={omega} is a flat spectral point; no decay root")
-    if math.isinf(g):
-        return 0.0
-    if abs(g) <= 1.0:
-        raise ValueError(
-            f"omega={omega} lies in the essential spectrum (|g| <= 1); no decaying root"
-        )
-    return -g + math.copysign(math.sqrt(g * g - 1.0), g)
+    g, p, rad = _gap_radicand(omega, L, sym_class)
+    return -1.0 / (g + math.copysign(math.sqrt(rad) * abs(math.sin(omega) / p), g))

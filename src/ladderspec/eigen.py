@@ -3,7 +3,7 @@
 Two routes with one result type:
 
 * `eig_dense` — LAPACK via scipy for moderate sizes (all eigenvalues, or an
-  index/value window);
+  index range);
 * `eig_sparse_shift_invert` — a self-contained shift-invert Lanczos with full
   reorthogonalisation in the M-inner product, for large sparse pencils where
   only eigenvalues near a target are wanted.
@@ -41,19 +41,17 @@ class EigenResult:
     message: str = ""
 
 
-def eig_dense(K, M, *, window=None, subset=None):
+def eig_dense(K, M, *, subset=None):
     """All (or a subset of) eigenpairs of the dense Hermitian pencil.
 
-    window=(lo, hi) keeps eigenvalues in [lo, hi]; subset=(i0, i1) keeps the
-    inclusive index range.  M must be positive definite.
+    subset=(i0, i1) keeps the inclusive index range.  M must be positive
+    definite.
     """
     Kd = K.toarray() if sp.issparse(K) else np.asarray(K)
     Md = M.toarray() if sp.issparse(M) else np.asarray(M)
     try:
         if subset is not None:
             vals, vecs = scipy.linalg.eigh(Kd, Md, subset_by_index=subset)
-        elif window is not None:
-            vals, vecs = scipy.linalg.eigh(Kd, Md, subset_by_value=window)
         else:
             vals, vecs = scipy.linalg.eigh(Kd, Md)
     except scipy.linalg.LinAlgError as exc:

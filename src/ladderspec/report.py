@@ -49,9 +49,9 @@ class SpectralReport:
         }
 
     def to_json(self):
-        # a shallow field dict: _plain builds the plain copy in one pass
+        # a shallow field dict for one _plain pass; no indent keeps json's C encoder
         data = {f.name: getattr(self, f.name) for f in fields(self)}
-        return json.dumps(_plain(data), indent=2, sort_keys=True)
+        return json.dumps(_plain(data), sort_keys=True)
 
     def save(self, path):
         with open(path, "w") as fh:

@@ -229,6 +229,24 @@ def test_config_errors_name_the_flag(tmp_path, capsys):
     assert "--window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["fem", "bands", "--eps", "0.2,0.1"], "--eps"),
+        (["fem", "localized", "--eps", "0.2,0.1", "--mu", "0.25"], "--eps"),
+        (["fem", "localized", "--eps", "0.2", "--mu", "0.25,0.5"], "--mu"),
+        (["study", "convergence", "--eps", "0.2,0.1,0.05", "--mu", "0.25,0.5"], "--mu"),
+    ],
+)
+def test_single_valued_flags_reject_lists(tmp_path, capsys, argv, flag):
+    # these commands read one value; a list must not run on its first entry
+    code, _ = _run(tmp_path, *argv, "--L", "2")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and flag in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_thread_env_validation(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LADDERSPEC_THREADS", "zero")
     code, _ = _run(tmp_path, "graph", "gaps", "--L", "2")

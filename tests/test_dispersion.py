@@ -1,17 +1,24 @@
 """Closed-form dispersion quantities: identities, poles, and cross-checks.
 
 Randomized checks use a fixed seed and stay away from trigonometric poles;
-pole behaviour itself is tested separately at exact special points.
+pole behaviour itself is tested separately at exact special points.  The
+defect response F and the decay root r are also checked against 50-digit
+`mpmath` references right next to gap edges and zeros of phi_L.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladderspec import dispersion as dsp
+from ladderspec.bands import gaps
 from ladderspec.params import SymmetryClass
 from ladderspec.rootfind import bisect_root, dist_to_multiple
+from mp_reference import mp_capital_F, mp_radicand, mp_reflection_root, ulp_ratio
 
 S = SymmetryClass.SYMMETRIC
 A = SymmetryClass.ANTISYMMETRIC
@@ -130,16 +137,14 @@ def test_pole_conventions():
 
 
 def test_capital_F_two_routes_agree_inside_gap():
-    # first symmetric gap of L=2 is (1.2310, 1.9106); compare both F routes
+    # first symmetric gap of L=2 is (1.2310, 1.9106); compare the float
+    # impedance form with the 50-digit g-form
     wb, wt = 1.230959417331, 1.910633236259
     rng = np.random.default_rng(14)
     for w in rng.uniform(wb + 1e-3, wt - 1e-3, 200):
-        if abs(w - 0.5 * math.pi) < 1e-6:
-            continue  # zero of phi_L: the phi route divides by zero there
-        f1 = dsp.capital_F(w, 2.0, S)
-        f2 = dsp.capital_F_phi(w, 2.0, S)
-        assert f1 == pytest.approx(f2, rel=1e-9, abs=1e-9)
-        assert f1 < 1.0
+        f = dsp.capital_F(w, 2.0, S)
+        assert ulp_ratio(f, mp_capital_F, w, 2.0, S) <= 4.0, w
+        assert f < 1.0
 
 
 def test_capital_F_limits_and_zeros():
@@ -171,8 +176,6 @@ def test_capital_F_rejects_essential_spectrum():
     with pytest.raises(ValueError):
         dsp.capital_F(1.0, 2.0, S)  # inside band 1
     with pytest.raises(ValueError):
-        dsp.capital_F_phi(1.0, 2.0, S)
-    with pytest.raises(ValueError):
         dsp.capital_F(math.pi, 2.0, A)  # flat point
 
 
@@ -192,7 +195,7 @@ def test_reflection_root_solves_transfer_quadratic():
 
 
 def test_reflection_root_sign_tracks_g():
-    # r = -g + sign(g) sqrt(g^2-1): opposite sign to g, product of roots = 1
+    # r = -1/(g + sign(g) sqrt(g^2-1)): opposite sign to g, product of roots = 1
     for w, cls in [(1.5, S), (0.5, A)]:
         g = dsp.g_value(w, 2.0, cls)
         if abs(g) <= 1.0:
@@ -200,3 +203,71 @@ def test_reflection_root_sign_tracks_g():
         r = dsp.reflection_root(w, 2.0, cls)
         assert r * g < 0.0
         assert (1.0 / r) * r == pytest.approx(1.0)
+
+
+# points where the float g-form cancels: next to the band edge pi of
+# L=1.0078125 antisymmetric (g + cos w = sin w / phi_L), at a root of F = 0.5
+# next to a band edge of L=1.0078125 symmetric (g^2 - 1), and next to the zero
+# pi/2 of phi_L at L=2 symmetric (-g + sign(g) sqrt(g^2 - 1) for large |g|)
+PINNED = [
+    (dsp.capital_F, mp_capital_F, math.pi - 1e-6, 1.0078125, A),
+    (dsp.capital_F, mp_capital_F, math.pi - 1e-9, 1.0078125, A),
+    (dsp.capital_F, mp_capital_F, math.pi - 1e-12, 1.0078125, A),
+    (dsp.capital_F, mp_capital_F, 6.266864803419471, 1.0078125, S),
+    (dsp.reflection_root, mp_reflection_root, 0.5 * math.pi + 1e-4, 2.0, S),
+    (dsp.reflection_root, mp_reflection_root, 0.5 * math.pi + 1e-6, 2.0, S),
+    (dsp.reflection_root, mp_reflection_root, 0.5 * math.pi + 1e-8, 2.0, S),
+]
+
+
+@pytest.mark.parametrize("f,mp_f,w,L,cls", PINNED)
+def test_F_and_r_free_of_cancellation_at_pinned_points(f, mp_f, w, L, cls):
+    assert ulp_ratio(f(w, L, cls), mp_f, w, L, cls) <= 4.0
+
+
+def _phi_L_zeros(L, cls, lo, hi):
+    """Zeros of phi_L in (lo, hi): omega L / 2 on pi/2 + pi Z (symmetric) or pi Z."""
+    start = 0.5 if cls is S else 1.0
+    step = 2.0 * math.pi / L
+    m = max(0, math.ceil(lo / step - start))
+    out = []
+    while (m + start) * step < hi:
+        if (m + start) * step > lo:
+            out.append((m + start) * step)
+        m += 1
+    return out
+
+
+@settings(max_examples=50)
+@given(
+    L=st.floats(0.3, 12.0),
+    cls=st.sampled_from([S, A]),
+    index=st.integers(0, 7),
+    shift=st.floats(0.0, 0.99),
+)
+def test_F_and_r_match_50_digits_near_edges_and_zeros(L, cls, index, shift):
+    # relative distances 10^-(3+shift) down to 10^-(11+shift) >= 1.02e-12 on
+    # both sides of each gap edge and each zero of phi_L in the gap; the
+    # smallest stays outside POLE_RTOL, inside which F and r return their
+    # limits at a zero of phi_L by definition
+    found = gaps(L, cls, 25.0, tol=0.0)
+    gap = found[index % len(found)]
+    targets = [gap.omega_b, gap.omega_t] + _phi_L_zeros(L, cls, gap.omega_b, gap.omega_t)
+    for c in targets:
+        if c == 0.0:
+            continue  # the antisymmetric family's first gap starts at 0
+        for k in range(3, 12):
+            d = 10.0 ** -(k + shift)
+            for w in (c * (1.0 - d), c * (1.0 + d)):
+                with mpmath.workdps(50):
+                    inside = mp_radicand(w, L, cls) > 0
+                if not inside:
+                    with pytest.raises(ValueError):
+                        dsp.capital_F(w, L, cls)
+                    with pytest.raises(ValueError):
+                        dsp.reflection_root(w, L, cls)
+                    continue
+                F = dsp.capital_F(w, L, cls)
+                r = dsp.reflection_root(w, L, cls)
+                assert ulp_ratio(F, mp_capital_F, w, L, cls) <= 16.0, (w, L, cls)
+                assert ulp_ratio(r, mp_reflection_root, w, L, cls) <= 16.0, (w, L, cls)

@@ -25,6 +25,7 @@ from ladderspec import (
 from ladderspec import dispersion as dsp
 from ladderspec.params import ExactLength, SymmetryClass
 from ladderspec.rootfind import bisect_root
+from mp_reference import mp_capital_F
 
 S = SymmetryClass.SYMMETRIC
 A = SymmetryClass.ANTISYMMETRIC
@@ -114,19 +115,10 @@ MP_ROOTS = [
 ]
 
 
-def _mp_capital_F(w, L, cls):
-    """F(omega) = 1 - sqrt((g^2 - 1)/(g + cos w)^2) in mpmath, at its working precision."""
-    w, L = mpmath.mpf(w), mpmath.mpf(L)
-    half = 0.5 * w * L
-    phi = 2 / mpmath.tan(half) if cls is S else -2 * mpmath.tan(half)
-    g = -mpmath.cos(w) + mpmath.sin(w) / phi
-    return 1 - mpmath.sqrt((g * g - 1) / (g + mpmath.cos(w)) ** 2)
-
-
 def _mp_root(L, cls, mu, approx):
     """Root of F(omega) = mu at 50 digits, F in its g-form, within 1e-6 of approx."""
     with mpmath.workdps(50):
-        residual = lambda w: _mp_capital_F(w, L, cls) - mpmath.mpf(mu)
+        residual = lambda w: mp_capital_F(w, L, cls) - mpmath.mpf(mu)
         half_width = mpmath.mpf("1e-6")
         lo, hi = mpmath.mpf(approx) - half_width, mpmath.mpf(approx) + half_width
         assert residual(lo) * residual(hi) < 0  # one crossing in the bracket
@@ -144,17 +136,15 @@ def test_defect_roots_match_50_digit_reference(L, cls, index, mu, approx):
 def _F_miss(w, L, cls, mu):
     """|F(w) - mu| and how far F moves when w moves by 4 ulp, both at 30 digits.
 
-    F is evaluated in mpmath because the float g-form loses up to about 1e-8
-    to cancellation in g^2 - 1 next to a band edge (L=1.0078125 symmetric,
-    mu=0.5: `capital_F` gives 0.49999998620 at the root 6.266864803419471,
-    50 digits 0.50000000064).  No float root checks F = mu closer than the
-    4-ulp move: at L=11.6875 antisymmetric, mu=0.5, the root
-    9.410432707963167 is right to 2e-16 but F has slope -9e6 there.
+    F is evaluated in mpmath, in its g-form, so the check does not rest on
+    the float impedance form that `capital_F` uses.  No float root checks
+    F = mu closer than the 4-ulp move: at L=11.6875 antisymmetric, mu=0.5,
+    the root 9.410432707963167 is right to 2e-16 but F has slope -9e6 there.
     """
     h = 4 * math.ulp(w)
     with mpmath.workdps(30):
-        miss = abs(_mp_capital_F(w, L, cls) - mpmath.mpf(mu))
-        spread = abs(_mp_capital_F(w + h, L, cls) - _mp_capital_F(w - h, L, cls))
+        miss = abs(mp_capital_F(w, L, cls) - mpmath.mpf(mu))
+        spread = abs(mp_capital_F(w + h, L, cls) - mp_capital_F(w - h, L, cls))
     return float(miss), float(spread)
 
 
