@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import g_value, impedance_residual, phi_L, phi_L_pole_or_zero
+from .dispersion import impedance_residual, phi_L, phi_L_pole_or_zero, radicand
 from .params import SymmetryClass
 from .rootfind import bisect_falling, dist_to_multiple
 
@@ -167,7 +167,12 @@ def _breakpoints(tagged, tol):
 
 
 def in_essential_spectrum(omega, L, sym_class, tol=1e-9):
-    """Membership test |g| <= 1 augmented with the special-point rules."""
+    """Membership test |g| <= 1 augmented with the special-point rules.
+
+    Off the special points |g| <= 1 is decided by the sign of the factored
+    radicand (`dispersion.radicand`), which is (g^2 - 1) phi_L^2 / sin^2(omega)
+    but does not lose its sign to cancellation next to a band edge.
+    """
     scale = max(1.0, abs(omega))
     if omega < -tol:
         return False
@@ -180,8 +185,7 @@ def in_essential_spectrum(omega, L, sym_class, tol=1e-9):
         return True  # sigma_L point
     if marker == "zero":
         return False  # singular, not flat (sin omega != 0 here)
-    g = g_value(omega, L, sym_class)
-    return abs(g) <= 1.0
+    return not radicand(omega, L, sym_class)[1] > 0.0
 
 
 def _branch_gaps(L, sym_class, omega_hi, tol):

@@ -1,17 +1,25 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands, each accepting only the flags it reads:
 
-* ``graph bands|gaps|eigs``  — closed-form spectra of the limit quantum graph;
-* ``fem bands|localized``    — 2-D finite-element Bloch bands / trapped modes;
-* ``study convergence``      — epsilon-sweeps with log-log slope fits against
-  the graph references (band edges, defect eigenvalues, or the pseudo-mode
-  residual).
+* ``graph bands|gaps|eigs`` — closed-form spectra of the limit quantum graph
+  below ``--omega-max``; ``eigs`` takes a comma list ``--mu``;
+* ``fem bands``            — 2-D finite-element Bloch bands of one eps-ladder;
+* ``fem localized``        — trapped modes of a defective supercell inside
+  ``--window``, or inside the FEM gap ``--gap`` found by a Bloch sweep that
+  ``--nev`` and ``--ntheta`` size;
+* ``study band-edges|eigenvalues|quasimode`` — sweeps over a comma list of at
+  least three ``--eps`` with a log-log slope fit against the graph reference
+  in the first gap: its edges, its defect eigenvalue, or the residual of the
+  fattened graph eigenfunction.
 
-Every run writes ``<out>.csv`` and ``<out>.json``; the JSON embeds the schema
-version and the fully resolved configuration.  Numeric CSV cells use 17
-significant digits so doubles round-trip exactly.  Exit codes: 0 success,
-2 configuration error, 3 numerical failure.
+Every flag is declared once, with one rule that validates its value, and
+each command lists the flags it reads.  Every run writes ``<out>.csv`` and
+``<out>.json``; the JSON embeds the schema version and a ``config`` of the
+values the run used: ``command``, ``L`` as given, ``L_value``, then one key
+per flag read (``--out`` aside), named after the flag.  Numeric CSV cells use
+17 significant digits so doubles round-trip exactly.  Exit codes: 0 success,
+2 configuration error (the message names the flag), 3 numerical failure.
 
 The environment variable ``LADDERSPEC_THREADS`` caps BLAS/OpenMP thread
 counts; it must be read before the numeric stack is imported, which is why
@@ -21,10 +29,12 @@ solver imports live inside the command functions.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+
+from .params import ExactLength, LadderParams, SymmetryClass
 
 
 class ConfigError(ValueError):
@@ -50,266 +60,238 @@ def _apply_thread_env():
         os.environ[var] = str(n)
 
 
-# -- argument plumbing ------------------------------------------------------
+# -- flags ------------------------------------------------------------------
+
+_UNUSED = object()  # a rule's verdict: this run does not read the flag
 
 
-def _build_parser():
-    p = argparse.ArgumentParser(
-        prog="ladderspec",
-        description="Spectra of the periodic ladder waveguide and its limit graph.",
-    )
-    groups = p.add_subparsers(dest="group", required=True)
+class Flag:
+    """One command-line flag: its argparse keywords and its validation rule.
 
-    def common(sp, *, eps=False, mu=False, fem=False):
-        sp.add_argument("--L", default="2", help="rail distance: 2, 1/2, 10pi/7, ...")
-        sp.add_argument("--class", dest="sym_class", default="sym",
-                        choices=["sym", "antisym"], help="symmetry family")
-        sp.add_argument("--omega-max", type=float, default=10 * math.pi,
-                        help="frequency cutoff (omega units)")
-        sp.add_argument("--out", default=None, help="output path prefix")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=1e-10,
-                        help="root-finding tolerance")
-        if eps:
-            sp.add_argument("--eps", required=True,
-                            help="rung thickness (a comma list for study convergence)")
-        if mu:
-            sp.add_argument("--mu", default="1.0",
-                            help="defect width factor (a comma list for graph eigs)")
-        if fem:
-            sp.add_argument("--h", type=float, default=None,
-                            help="mesh step (default eps/4)")
-            sp.add_argument("--ntheta", type=int, default=17)
-            sp.add_argument("--nev", type=int, default=5)
-            sp.add_argument("--cells", type=int, default=10)
+    rule(flag, value, resolved) sees the values of the flags resolved before
+    it and returns the value the command uses, or _UNUSED when this run does
+    not read the flag; it raises ConfigError naming the flag.  The value's
+    key, in the resolved values and in the report config, is the flag name
+    without its leading dashes and with "_" for "-".  Flags marked exclusive
+    share one mutually exclusive group.
+    """
 
-    graph = groups.add_parser("graph", help="limit quantum graph")
-    gsub = graph.add_subparsers(dest="action", required=True)
-    for name in ("bands", "gaps", "eigs"):
-        sp = gsub.add_parser(name)
-        common(sp, mu=(name == "eigs"))
-
-    fem = groups.add_parser("fem", help="2-D finite elements")
-    fsub = fem.add_subparsers(dest="action", required=True)
-    sp = fsub.add_parser("bands")
-    common(sp, eps=True, fem=True)
-    sp = fsub.add_parser("localized")
-    common(sp, eps=True, mu=True, fem=True)
-    sp.add_argument("--window", default=None,
-                    help="lambda window 'lo,hi' (default: first same-eps FEM gap)")
-    sp.add_argument("--gap", type=int, default=1,
-                    help="1-based FEM gap index when no --window is given")
-    sp.add_argument("--dump-modes", action="store_true",
-                    help="write eigenvectors in the mesh text format")
-
-    study = groups.add_parser("study", help="parameter sweeps with slope fits")
-    ssub = study.add_subparsers(dest="action", required=True)
-    sp = ssub.add_parser("convergence")
-    common(sp, eps=True, mu=True, fem=True)
-    sp.add_argument("--what", default="band-edges",
-                    choices=["band-edges", "eigenvalues", "quasimode"])
-    sp.add_argument("--slope-min", type=float, default=None)
-    sp.add_argument("--slope-max", type=float, default=None)
-    return p
+    def __init__(self, name, rule=None, *, exclusive=False, **kwargs):
+        self.name, self.rule, self.exclusive, self.kwargs = name, rule, exclusive, kwargs
+        self.key = name[2:].replace("-", "_")
 
 
-@dataclass
-class StudyConfig:
-    command: str
-    L_text: str
-    sym_class: object
-    omega_max: float
-    out: str
-    seed: int
-    tol: float
-    eps: list = field(default_factory=list)
-    mu: list = field(default_factory=lambda: [1.0])
-    h: float | None = None
-    n_theta: int = 17
-    nev: int = 5
-    cells: int = 10
-    window: tuple | None = None
-    gap_index: int = 1
-    dump_modes: bool = False
-    what: str = ""
-    slope_min: float | None = None
-    slope_max: float | None = None
-
-    def L_exact(self):
-        from .params import ExactLength
-
-        return ExactLength.parse(self.L_text)
-
-    def resolved(self):
-        """Full configuration dict embedded in every output."""
-        return {
-            "command": self.command,
-            "L": self.L_text,
-            "L_value": self.L_exact().value,
-            "sym_class": str(self.sym_class),
-            "omega_max": self.omega_max,
-            "eps": self.eps,
-            "mu": self.mu,
-            "h": self.h,
-            "n_theta": self.n_theta,
-            "nev": self.nev,
-            "cells": self.cells,
-            "window": list(self.window) if self.window else None,
-            "gap_index": self.gap_index,
-            "what": self.what,
-            "seed": self.seed,
-            "tol": self.tol,
-            "slope_min": self.slope_min,
-            "slope_max": self.slope_max,
-        }
+def _need(ok, flag, message):
+    if not ok:
+        raise ConfigError(f"{flag}: {message}")
 
 
-def _float_list(raw, flag, *, single=False):
+def _positive(flag, x, _):
+    _need(x > 0, flag, f"must be positive, got {x}")
+    return x
+
+
+def _at_least(n):
+    def rule(flag, x, _):
+        _need(x >= n, flag, f"need at least {n}, got {x}")
+        return x
+
+    return rule
+
+
+def _float_list(flag, raw):
     try:
         vals = [float(tok) for tok in str(raw).split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(f"{flag}: expected comma-separated numbers, got {raw!r}")
-    if not vals:
-        raise ConfigError(f"{flag}: empty list")
-    if single and len(vals) > 1:
-        raise ConfigError(f"{flag}: this command takes one value, got {raw!r}")
+    _need(vals, flag, "empty list")
     return vals
 
 
-def _resolve(args):
-    from .params import ExactLength, SymmetryClass
+def _numbers(ok, what, *, at_least=None):
+    """Rule for one number, or for a comma list of at least at_least, each passing ok."""
 
-    command = f"{args.group}.{args.action}"
+    def rule(flag, raw, resolved):
+        vals = _float_list(flag, raw)
+        if at_least is None:
+            _need(len(vals) == 1, flag, f"this command takes one value, got {raw!r}")
+        else:
+            _need(len(vals) >= at_least, flag,
+                  f"need at least {at_least} values, got {raw!r}")
+        for x in vals:
+            _need(ok(x, resolved), flag, f"{x} {what}")
+        return vals if at_least else vals[0]
+
+    return rule
+
+
+def _mesh_step(flag, h, resolved):
+    """The mesh step of each eps (a list when --eps is one), eps/4 by default."""
+    _need(h is None or h > 0, flag, f"must be positive, got {h}")
+    eps = resolved["eps"]
+    many = isinstance(eps, list)
+    steps = []
+    for e in eps if many else [eps]:
+        s = e / 4 if h is None else h
+        _need(s <= e / 3 + 1e-12, flag, f"{s} too coarse for eps={e}; need h <= eps/3")
+        steps.append(s)
+    return steps if many else steps[0]
+
+
+def _window(flag, raw, _):
+    if raw is None:
+        return _UNUSED
+    vals = _float_list(flag, raw)
+    _need(len(vals) == 2 and vals[0] < vals[1], flag,
+          f"expected 'lo,hi' with lo < hi, got {raw!r}")
+    return vals
+
+
+def _gap_search(n, default):
+    """Rule for a flag of fem localized read only to find the --gap window."""
+
+    def rule(flag, x, resolved):
+        if resolved["window"] is not None:
+            _need(x is None, flag, "sizes the FEM gap search, which --window skips")
+            return _UNUSED
+        return _at_least(n)(flag, default if x is None else x, resolved)
+
+    return rule
+
+
+def _in_eps_range(e, resolved):
+    return 0 < e < min(1.0, resolved["L"].value / 2)
+
+
+def _is_positive(m, _):
+    return m > 0
+
+
+_OMEGA_MAX = Flag("--omega-max", _positive, type=float, default=10 * math.pi,
+                  help="frequency cutoff (omega units)")
+_TOL = Flag("--tol", _positive, type=float, default=1e-10,
+            help="root-finding tolerance of the closed-form graph values")
+# read by no graph command; accepted because perfbench/workloads.py passes it
+_GRAPH_SEED = Flag("--seed", lambda *_: _UNUSED, type=int, help=argparse.SUPPRESS)
+_EPS = Flag("--eps", _numbers(_in_eps_range, "outside (0, min(1, L/2))"),
+            required=True, help="rung thickness")
+_EPS_LIST = Flag("--eps", _numbers(_in_eps_range, "outside (0, min(1, L/2))", at_least=3),
+                 required=True, help="comma list of at least 3 rung thicknesses")
+_MU = Flag("--mu", _numbers(_is_positive, "is not positive"), default="1.0",
+           help="defect width factor")
+_MU_LIST = Flag("--mu", _numbers(_is_positive, "is not positive", at_least=1), default="1.0",
+                help="comma list of defect width factors")
+_H = Flag("--h", _mesh_step, type=float, help="mesh step (default eps/4, at most eps/3)")
+_NEV = Flag("--nev", _at_least(1), type=int, default=5, help="Bloch bands per quasimomentum")
+_NTHETA = Flag("--ntheta", _at_least(3), type=int, default=17,
+               help="quasimomenta on [0, pi] of the Bloch sweep")
+_SEED = Flag("--seed", type=int, default=0, help="start vector of the sparse eigensolver")
+_CELLS = Flag("--cells", _at_least(4), type=int, default=10,
+              help="supercell cells on each side of the defect")
+_SLOPE_MAX = Flag("--slope-max", type=float, default=1.2, help="largest slope that passes")
+
+
+def _slope_min(default):
+    return Flag("--slope-min", type=float, default=default, help="least slope that passes")
+
+
+_LOCALIZED = [
+    _EPS, _MU, _H, _CELLS, _SEED,
+    Flag("--dump-modes", action="store_true",
+         help="write eigenvectors in the mesh text format"),
+    Flag("--window", _window, exclusive=True, help="lambda window 'lo,hi'"),
+    Flag("--gap", _gap_search(1, 1), exclusive=True, type=int,
+         help="1-based FEM gap of the unperturbed ladder, searched when no "
+              "--window is given (default 1)"),
+    Flag("--nev", _gap_search(1, 5), type=int,
+         help="Bloch bands of the gap search (default 5)"),
+    Flag("--ntheta", _gap_search(3, 17), type=int,
+         help="quasimomenta of the gap search (default 17)"),
+]
+
+
+def _resolve(args):
+    """The values of the command's flags, and the config of those it reads."""
     try:
-        ExactLength.parse(args.L)
+        L = ExactLength.parse(args.L)
     except ValueError as exc:
         raise ConfigError(f"--L: {exc}")
-    try:
-        sym_class = SymmetryClass.parse(args.sym_class)
-    except ValueError as exc:
-        raise ConfigError(f"--class: {exc}")
-    if not args.omega_max > 0:
-        raise ConfigError(f"--omega-max: must be positive, got {args.omega_max}")
-    if args.tol <= 0:
-        raise ConfigError(f"--tol: must be positive, got {args.tol}")
-    cfg = StudyConfig(
-        command=command,
-        L_text=str(args.L),
-        sym_class=sym_class,
-        omega_max=args.omega_max,
-        out=args.out or f"ladderspec_{args.group}_{args.action}",
-        seed=args.seed,
-        tol=args.tol,
-    )
-    if hasattr(args, "eps"):
-        # only the convergence study sweeps eps, and only graph eigs sweeps mu
-        cfg.eps = _float_list(args.eps, "--eps", single=command != "study.convergence")
-        for e in cfg.eps:
-            if not 0 < e < min(1.0, cfg.L_exact().value / 2):
-                raise ConfigError(f"--eps: {e} outside (0, min(1, L/2))")
-    if hasattr(args, "mu"):
-        cfg.mu = _float_list(args.mu, "--mu", single=command != "graph.eigs")
-        for m in cfg.mu:
-            if m <= 0:
-                raise ConfigError(f"--mu: must be positive, got {m}")
-    if hasattr(args, "h"):
-        cfg.h, cfg.n_theta, cfg.nev, cfg.cells = args.h, args.ntheta, args.nev, args.cells
-        if cfg.h is not None and cfg.h <= 0:
-            raise ConfigError(f"--h: must be positive, got {cfg.h}")
-        if cfg.n_theta < 3:
-            raise ConfigError(f"--ntheta: need at least 3, got {cfg.n_theta}")
-        if cfg.nev < 1:
-            raise ConfigError(f"--nev: need at least 1, got {cfg.nev}")
-        if cfg.cells < 4:
-            raise ConfigError(f"--cells: need at least 4, got {cfg.cells}")
-    if getattr(args, "window", None):
-        vals = _float_list(args.window, "--window")
-        if len(vals) != 2 or not vals[0] < vals[1]:
-            raise ConfigError(f"--window: expected 'lo,hi' with lo < hi, got {args.window!r}")
-        cfg.window = (vals[0], vals[1])
-    if hasattr(args, "gap"):
-        if args.gap < 1:
-            raise ConfigError(f"--gap: 1-based index, got {args.gap}")
-        cfg.gap_index = args.gap
-    cfg.dump_modes = bool(getattr(args, "dump_modes", False))
-    if hasattr(args, "what"):
-        cfg.what = args.what
-        cfg.slope_min = args.slope_min
-        cfg.slope_max = args.slope_max
-        if len(cfg.eps) < 3:
-            raise ConfigError("--eps: convergence studies need at least 3 values")
-    return cfg
+    cls = SymmetryClass.parse(getattr(args, "class"))
+    values = {"L": L, "class": cls,
+              "out": args.out or f"ladderspec_{args.group}_{args.action}"}
+    config = {"command": f"{args.group}.{args.action}", "L": args.L,
+              "L_value": L.value, "class": str(cls)}
+    for f in COMMANDS[args.group][args.action][1]:
+        raw = getattr(args, f.key)
+        val = f.rule(f.name, raw, values) if f.rule else raw
+        if val is _UNUSED:
+            values[f.key] = None
+        else:
+            values[f.key] = config[f.key] = val
+    return values, config
 
 
-def _write(report, cfg, table):
-    prefix = cfg.out
-    parent = os.path.dirname(prefix)
+def _write(report, out, table):
+    parent = os.path.dirname(out)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    report.save(prefix + ".json")
-    report.write_table_csv(table, prefix + ".csv")
-    print(f"wrote {prefix}.json and {prefix}.csv")
+    report.save(out + ".json")
+    report.write_table_csv(table, out + ".csv")
+    print(f"wrote {out}.json and {out}.csv")
 
 
 GRAPH_COLUMNS = ["omega", "lambda", "kind", "gap_type", "class", "mu"]
 
 
-def _fem_h(cfg, eps):
-    h = cfg.h if cfg.h is not None else eps / 4
-    if h > eps / 3 + 1e-12:
-        raise ConfigError(f"--h: {h} too coarse for eps={eps}; need h <= eps/3")
-    return h
+def _fem_gaps(v, eps, h):
+    """FEM gaps of the unperturbed eps-ladder, from the Bloch sweep of --nev and --ntheta."""
+    from .fem import fem_bloch_bands
+
+    return fem_bloch_bands(
+        LadderParams(v["L"].value, eps, 1.0), v["class"], max(v["nev"], 3), h,
+        n_theta=v["ntheta"], seed=v["seed"],
+    ).gaps
 
 
-def _fem_gap_window(cfg, L, eps, h, index):
+def _fem_gap_window(v, eps, h, index):
     """FEM gaps of the unperturbed eps-ladder and the lambda window of gap index.
 
     index is 1-based; the window is the gap shrunk by 1e-6 of its lambda width
     at both ends, so it never grazes a band edge.
     """
-    from .fem import fem_bloch_bands
-    from .params import LadderParams
-
-    ref = fem_bloch_bands(
-        LadderParams(L, eps, 1.0),
-        cfg.sym_class,
-        max(cfg.nev, 3),
-        h,
-        n_theta=cfg.n_theta,
-        seed=cfg.seed,
-    )
-    if len(ref.gaps) < index:
+    gaps = _fem_gaps(v, eps, h)
+    if len(gaps) < index:
         raise RuntimeError(
-            f"requested FEM gap {index} at eps={eps} but only {len(ref.gaps)} "
+            f"requested FEM gap {index} at eps={eps} but only {len(gaps)} "
             "found; raise --nev or pass --window explicitly"
         )
-    g = ref.gaps[index - 1]
-    lam_b, lam_t = g["omega_b"] ** 2, g["omega_t"] ** 2
+    lam_b, lam_t = gaps[index - 1]["omega_b"] ** 2, gaps[index - 1]["omega_t"] ** 2
     pad = 1e-6 * (lam_t - lam_b)
-    return ref.gaps, (lam_b + pad, lam_t - pad)
+    return gaps, (lam_b + pad, lam_t - pad)
 
 
 # -- graph commands ---------------------------------------------------------
 
 
-def cmd_graph_bands(cfg):
+def cmd_graph_bands(v, config):
+    """Bands and flat bands of the limit graph."""
     from .bands import essential_bands
     from .modes import flat_bands
     from .report import SpectralReport
 
-    L = cfg.L_exact()
-    bands = essential_bands(L.value, cfg.sym_class, cfg.omega_max, tol=cfg.tol)
+    cls = v["class"]
+    bands = essential_bands(v["L"].value, cls, v["omega_max"], tol=v["tol"])
     rows = []
     for b in bands:
         if b.is_flat:
-            rows.append((b.omega_lo, b.lambda_lo, "flat", "", str(cfg.sym_class), ""))
+            rows.append((b.omega_lo, b.lambda_lo, "flat", "", str(cls), ""))
         else:
-            rows.append((b.omega_lo, b.lambda_lo, "band_edge", "", str(cfg.sym_class), ""))
-            rows.append((b.omega_hi, b.lambda_hi, "band_edge", "", str(cfg.sym_class), ""))
-    fb = flat_bands(L, cfg.sym_class, cfg.omega_max)
+            rows.append((b.omega_lo, b.lambda_lo, "band_edge", "", str(cls), ""))
+            rows.append((b.omega_hi, b.lambda_hi, "band_edge", "", str(cls), ""))
+    fb = flat_bands(v["L"], cls, v["omega_max"])
     report = SpectralReport(
         kind="graph_bands",
-        config=cfg.resolved(),
+        config=config,
         bands=[[b.omega_lo, b.omega_hi] for b in bands],
         diagnostics={
             "n_bands": len(bands),
@@ -319,24 +301,25 @@ def cmd_graph_bands(cfg):
         },
     )
     report.add_table("spectrum", GRAPH_COLUMNS, rows)
-    _write(report, cfg, "spectrum")
-    print(f"{len(bands)} bands below omega_max={cfg.omega_max:g}")
+    _write(report, v["out"], "spectrum")
+    print(f"{len(bands)} bands below omega_max={v['omega_max']:g}")
     return 0
 
 
-def cmd_graph_gaps(cfg):
+def cmd_graph_gaps(v, config):
+    """Typed gaps of the limit graph."""
     from .bands import gaps
     from .report import SpectralReport
 
-    L = cfg.L_exact()
-    found = gaps(L.value, cfg.sym_class, cfg.omega_max, tol=cfg.tol)
+    cls = v["class"]
+    found = gaps(v["L"].value, cls, v["omega_max"], tol=v["tol"])
     rows = []
     for g in found:
-        rows.append((g.omega_b, g.lambda_b, "gap_b", g.gap_type, str(cfg.sym_class), ""))
-        rows.append((g.omega_t, g.lambda_t, "gap_t", g.gap_type, str(cfg.sym_class), ""))
+        rows.append((g.omega_b, g.lambda_b, "gap_b", g.gap_type, str(cls), ""))
+        rows.append((g.omega_t, g.lambda_t, "gap_t", g.gap_type, str(cls), ""))
     report = SpectralReport(
         kind="graph_gaps",
-        config=cfg.resolved(),
+        config=config,
         gaps=[
             {"omega_b": g.omega_b, "omega_t": g.omega_t, "type": g.gap_type}
             for g in found
@@ -344,32 +327,31 @@ def cmd_graph_gaps(cfg):
         diagnostics={"n_gaps": len(found)},
     )
     report.add_table("spectrum", GRAPH_COLUMNS, rows)
-    _write(report, cfg, "spectrum")
+    _write(report, v["out"], "spectrum")
     for i, g in enumerate(found, 1):
         print(f"gap {i}: ({g.omega_b:.4f}, {g.omega_t:.4f}) type {g.gap_type}")
     return 0
 
 
-def cmd_graph_eigs(cfg):
+def cmd_graph_eigs(v, config):
+    """Defect eigenvalues of the limit graph in every gap."""
     from .bands import gaps
     from .modes import discrete_eigenvalues
     from .report import SpectralReport
 
-    L = cfg.L_exact()
-    found = gaps(L.value, cfg.sym_class, cfg.omega_max, tol=cfg.tol)
+    cls, L = v["class"], v["L"].value
+    found = gaps(L, cls, v["omega_max"], tol=v["tol"])
     index = {g: gi for gi, g in enumerate(found, 1)}
     rows = []
     eigen_info = []
-    for ev in discrete_eigenvalues(L.value, cfg.mu, cfg.sym_class, found, xtol=cfg.tol):
-        rows.append(
-            (ev.omega, ev.lam, "eig", ev.gap.gap_type, str(cfg.sym_class), ev.mu)
-        )
+    for ev in discrete_eigenvalues(L, v["mu"], cls, found, xtol=v["tol"]):
+        rows.append((ev.omega, ev.lam, "eig", ev.gap.gap_type, str(cls), ev.mu))
         eigen_info.append(
             {"omega": ev.omega, "lambda": ev.lam, "mu": ev.mu, "gap": index[ev.gap]}
         )
     report = SpectralReport(
         kind="graph_eigs",
-        config=cfg.resolved(),
+        config=config,
         gaps=[
             {"omega_b": g.omega_b, "omega_t": g.omega_t, "type": g.gap_type}
             for g in found
@@ -378,7 +360,7 @@ def cmd_graph_eigs(cfg):
         diagnostics={"eigenvalues": eigen_info},
     )
     report.add_table("spectrum", GRAPH_COLUMNS, rows)
-    _write(report, cfg, "spectrum")
+    _write(report, v["out"], "spectrum")
     print(f"{len(rows)} defect eigenvalue(s) across {len(found)} gap(s)")
     return 0
 
@@ -386,49 +368,40 @@ def cmd_graph_eigs(cfg):
 # -- fem commands -----------------------------------------------------------
 
 
-def cmd_fem_bands(cfg):
+def cmd_fem_bands(v, config):
+    """Bloch bands of the periodic eps-ladder."""
     from .fem import fem_bloch_bands
-    from .params import LadderParams
 
-    eps = cfg.eps[0]
-    h = _fem_h(cfg, eps)
-    params = LadderParams(cfg.L_exact().value, eps, 1.0)
     report = fem_bloch_bands(
-        params, cfg.sym_class, cfg.nev, h, n_theta=cfg.n_theta, seed=cfg.seed
+        LadderParams(v["L"].value, v["eps"], 1.0), v["class"], v["nev"], v["h"],
+        n_theta=v["ntheta"], seed=v["seed"],
     )
-    report.config.update(cfg.resolved())
-    _write(report, cfg, "theta_eigenvalues")
+    report.config = config
+    _write(report, v["out"], "theta_eigenvalues")
     for i, (lo, hi) in enumerate(report.bands, 1):
         print(f"band {i}: omega in ({lo:.4f}, {hi:.4f})")
     return 0
 
 
-def cmd_fem_localized(cfg):
+def cmd_fem_localized(v, config):
+    """Trapped modes of a defective supercell in a lambda window."""
     from .fem import localized_modes
-    from .params import LadderParams
 
-    eps = cfg.eps[0]
-    mu = cfg.mu[0]
-    h = _fem_h(cfg, eps)
-    L = cfg.L_exact().value
-    if cfg.window is not None:
-        window = cfg.window
-        fem_gaps = []
-    else:
-        fem_gaps, window = _fem_gap_window(cfg, L, eps, h, cfg.gap_index)
-    params = LadderParams(L, eps, mu)
+    window, fem_gaps = v["window"], []
+    if window is None:
+        fem_gaps, window = _fem_gap_window(v, v["eps"], v["h"], v["gap"])
     report = localized_modes(
-        params,
-        cfg.sym_class,
+        LadderParams(v["L"].value, v["eps"], v["mu"]),
+        v["class"],
         window,
-        cfg.cells,
-        h,
-        seed=cfg.seed,
-        dump_prefix=(cfg.out + "_mode") if cfg.dump_modes else None,
+        v["cells"],
+        v["h"],
+        seed=v["seed"],
+        dump_prefix=(v["out"] + "_mode") if v["dump_modes"] else None,
     )
-    report.config.update(cfg.resolved())
+    report.config = config
     report.diagnostics["fem_gaps"] = fem_gaps
-    _write(report, cfg, "modes")
+    _write(report, v["out"], "modes")
     n = len(report.eigenvalues)
     print(f"{n} localized mode(s) in lambda window ({window[0]:.6g}, {window[1]:.6g})")
     for row in report.tables["modes"]["rows"]:
@@ -450,155 +423,171 @@ def _loglog_slope(xs, ys):
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def _study_band_edges(cfg):
-    from .bands import gaps as graph_gaps
-    from .fem import fem_bloch_bands
-    from .params import LadderParams
+def _first_gap(v):
+    """The first gap of the limit graph, the reference of every study."""
+    from .bands import first_n_gaps
 
-    L = cfg.L_exact().value
-    ref = graph_gaps(L, cfg.sym_class, cfg.omega_max, tol=cfg.tol)
-    if not ref:
-        raise RuntimeError("the limit graph has no gap below omega_max")
-    gb, gt = ref[0].omega_b, ref[0].omega_t
+    return first_n_gaps(v["L"].value, v["class"], 1, tol=v["tol"])[0]
+
+
+def _graph_eigenvalue(v, what):
+    from .modes import discrete_eigenvalues
+
+    evs = discrete_eigenvalues(v["L"].value, v["mu"], v["class"], _first_gap(v), xtol=v["tol"])
+    if not evs:
+        raise RuntimeError(f"no graph eigenvalue {what} for mu={v['mu']}")
+    return evs[0]
+
+
+def _eps_descending(v):
+    return sorted(zip(v["eps"], v["h"]), reverse=True)
+
+
+def _study(v, config, what, columns, rows, verdict):
+    from .report import SpectralReport
+
+    report = SpectralReport(kind=f"study_{what}", config=config, diagnostics=verdict)
+    report.add_table("study", columns, rows)
+    _write(report, v["out"], "study")
+    print(f"{what}: " + ", ".join(f"{k}={val}" for k, val in verdict.items()))
+    return 0
+
+
+def cmd_study_band_edges(v, config):
+    """First-gap FEM edges against the graph edges over eps."""
+    ref = _first_gap(v)
+    gb, gt = ref.omega_b, ref.omega_t
     rows, errs = [], []
-    for eps in sorted(cfg.eps, reverse=True):
-        h = _fem_h(cfg, eps)
-        rep = fem_bloch_bands(
-            LadderParams(L, eps, 1.0),
-            cfg.sym_class,
-            max(cfg.nev, 3),
-            h,
-            n_theta=cfg.n_theta,
-            seed=cfg.seed,
-        )
-        if not rep.gaps:
+    for eps, h in _eps_descending(v):
+        fem_gaps = _fem_gaps(v, eps, h)
+        if not fem_gaps:
             raise RuntimeError(f"no FEM gap found at eps={eps}")
-        fb, ft = rep.gaps[0]["omega_b"], rep.gaps[0]["omega_t"]
+        fb, ft = fem_gaps[0]["omega_b"], fem_gaps[0]["omega_t"]
         err = max(abs(fb - gb), abs(ft - gt))
         rows.append((eps, h, fb, ft, gb, gt, err))
         errs.append((eps, err))
     slope = _loglog_slope([e for e, _ in errs], [r for _, r in errs])
-    lo = cfg.slope_min if cfg.slope_min is not None else 0.8
-    hi = cfg.slope_max if cfg.slope_max is not None else 1.2
-    ok = lo <= slope <= hi
+    lo, hi = v["slope_min"], v["slope_max"]
     columns = ["eps", "h", "omega_b_fem", "omega_t_fem", "omega_b_graph",
                "omega_t_graph", "max_edge_error"]
-    return columns, rows, {"slope": slope, "slope_window": [lo, hi], "pass": ok}
+    verdict = {"slope": slope, "slope_window": [lo, hi], "pass": lo <= slope <= hi}
+    return _study(v, config, "band-edges", columns, rows, verdict)
 
 
-def _study_eigenvalues(cfg):
-    from .bands import gaps as graph_gaps
+def cmd_study_eigenvalues(v, config):
+    """Supercell trapped-mode eigenvalue against the graph eigenvalue over eps."""
     from .fem import localized_modes
-    from .modes import discrete_eigenvalues
-    from .params import LadderParams
 
-    L = cfg.L_exact().value
-    mu = cfg.mu[0]
-    ref = graph_gaps(L, cfg.sym_class, cfg.omega_max, tol=cfg.tol)
-    if not ref:
-        raise RuntimeError("the limit graph has no gap below omega_max")
-    evs = discrete_eigenvalues(L, mu, cfg.sym_class, ref[0], xtol=cfg.tol)
-    if not evs:
-        raise RuntimeError(f"no graph eigenvalue in the first gap for mu={mu}")
-    lam_ref = evs[0].lam
+    lam_ref = _graph_eigenvalue(v, "in the first gap").lam
     rows, errs = [], []
-    for eps in sorted(cfg.eps, reverse=True):
-        h = _fem_h(cfg, eps)
-        _, window = _fem_gap_window(cfg, L, eps, h, 1)
+    for eps, h in _eps_descending(v):
+        _, window = _fem_gap_window(v, eps, h, 1)
         loc = localized_modes(
-            LadderParams(L, eps, mu), cfg.sym_class, window, cfg.cells, h,
-            seed=cfg.seed,
+            LadderParams(v["L"].value, eps, v["mu"]), v["class"], window, v["cells"], h,
+            seed=v["seed"],
         )
         lams = [row[1] for row in loc.tables["modes"]["rows"]]
         if not lams:
             raise RuntimeError(f"no localized mode found at eps={eps}")
-        lam_eps = min(lams, key=lambda v: abs(v - lam_ref))
+        lam_eps = min(lams, key=lambda x: abs(x - lam_ref))
         err = abs(lam_eps - lam_ref)
         rows.append((eps, h, lam_eps, lam_ref, err))
         errs.append((eps, err))
     monotone = all(e1 > e2 for (_, e1), (_, e2) in zip(errs[:-1], errs[1:]))
     slope = _loglog_slope([e for e, _ in errs], [r for _, r in errs])
-    lo = cfg.slope_min if cfg.slope_min is not None else 0.8
-    ok = monotone and slope >= lo
+    lo = v["slope_min"]
     columns = ["eps", "h", "lambda_fem", "lambda_graph", "error"]
-    return columns, rows, {
-        "slope": slope, "monotone": monotone, "slope_min": lo, "pass": ok,
-    }
+    verdict = {"slope": slope, "monotone": monotone, "slope_min": lo,
+               "pass": monotone and slope >= lo}
+    return _study(v, config, "eigenvalues", columns, rows, verdict)
 
 
-def _study_quasimode(cfg):
-    from .bands import gaps as graph_gaps
+def cmd_study_quasimode(v, config):
+    """Residual ratio of the fattened graph eigenfunction over eps."""
     from .fem import quasimode_detail
-    from .modes import discrete_eigenvalues
-    from .params import LadderParams
 
-    L = cfg.L_exact().value
-    mu = cfg.mu[0]
-    ref = graph_gaps(L, cfg.sym_class, cfg.omega_max, tol=cfg.tol)
-    evs = discrete_eigenvalues(L, mu, cfg.sym_class, ref[0], xtol=cfg.tol) if ref else []
-    if not evs:
-        raise RuntimeError(f"no graph eigenvalue to fatten for mu={mu}")
-    ev = evs[0]
+    ev = _graph_eigenvalue(v, "to fatten")
     rows = []
-    for eps in sorted(cfg.eps, reverse=True):
-        h = _fem_h(cfg, eps)
+    for eps, h in _eps_descending(v):
         det = quasimode_detail(
-            LadderParams(L, eps, mu), cfg.sym_class, ev, h, n_cells=cfg.cells
+            LadderParams(v["L"].value, eps, v["mu"]), v["class"], ev, h, n_cells=v["cells"]
         )
         rows.append((eps, h, det["ratio_dual"], det["ratio_mass"]))
     eps_list = [r[0] for r in rows]
     expo_dual = _loglog_slope(eps_list, [r[2] for r in rows])
     expo_mass = _loglog_slope(eps_list, [r[3] for r in rows])
-    lo = cfg.slope_min if cfg.slope_min is not None else 0.5
-    ok = expo_dual >= lo
+    lo = v["slope_min"]
     columns = ["eps", "h", "ratio_dual", "ratio_mass"]
-    return columns, rows, {
-        "exponent_dual": expo_dual, "exponent_mass": expo_mass,
-        "exponent_min": lo, "pass": ok,
-    }
+    verdict = {"exponent_dual": expo_dual, "exponent_mass": expo_mass,
+               "exponent_min": lo, "pass": expo_dual >= lo}
+    return _study(v, config, "quasimode", columns, rows, verdict)
 
 
-def cmd_study_convergence(cfg):
-    from .report import SpectralReport
+_GRAPH = [_OMEGA_MAX, _TOL, _GRAPH_SEED]
 
-    runner = {
-        "band-edges": _study_band_edges,
-        "eigenvalues": _study_eigenvalues,
-        "quasimode": _study_quasimode,
-    }[cfg.what]
-    columns, rows, verdict = runner(cfg)
-    report = SpectralReport(
-        kind=f"study_{cfg.what}", config=cfg.resolved(), diagnostics=verdict
-    )
-    report.add_table("study", columns, rows)
-    _write(report, cfg, "study")
-    print(f"{cfg.what}: " + ", ".join(f"{k}={v}" for k, v in verdict.items()))
-    return 0
-
-
+#: group -> action -> (command, its flags besides --L, --class and --out)
 COMMANDS = {
-    "graph.bands": cmd_graph_bands,
-    "graph.gaps": cmd_graph_gaps,
-    "graph.eigs": cmd_graph_eigs,
-    "fem.bands": cmd_fem_bands,
-    "fem.localized": cmd_fem_localized,
-    "study.convergence": cmd_study_convergence,
+    "graph": {
+        "bands": (cmd_graph_bands, _GRAPH),
+        "gaps": (cmd_graph_gaps, _GRAPH),
+        "eigs": (cmd_graph_eigs, _GRAPH + [_MU_LIST]),
+    },
+    "fem": {
+        "bands": (cmd_fem_bands, [_EPS, _H, _NEV, _NTHETA, _SEED]),
+        "localized": (cmd_fem_localized, _LOCALIZED),
+    },
+    "study": {
+        "band-edges": (cmd_study_band_edges, [_TOL, _EPS_LIST, _H, _NEV, _NTHETA, _SEED,
+                                              _slope_min(0.8), _SLOPE_MAX]),
+        "eigenvalues": (cmd_study_eigenvalues, [_TOL, _EPS_LIST, _MU, _H, _NEV, _NTHETA,
+                                                _SEED, _CELLS, _slope_min(0.8)]),
+        "quasimode": (cmd_study_quasimode,
+                      [_TOL, _EPS_LIST, _MU, _H, _CELLS, _slope_min(0.5)]),
+    },
 }
+GROUP_HELP = {"graph": "limit quantum graph", "fem": "2-D finite elements",
+              "study": "eps sweeps with log-log slope fits"}
+
+
+@functools.cache
+def _build_parser():
+    """The parser of every command, built once per process.
+
+    Parsing leaves it unchanged, and in-process callers such as the perfbench
+    workloads run main() many times.
+    """
+    p = argparse.ArgumentParser(
+        prog="ladderspec",
+        description="Spectra of the periodic ladder waveguide and its limit graph.",
+        allow_abbrev=False,
+    )
+    groups = p.add_subparsers(dest="group", required=True)
+    for group, actions in COMMANDS.items():
+        sub = groups.add_parser(group, help=GROUP_HELP[group], allow_abbrev=False)
+        sub = sub.add_subparsers(dest="action", required=True)
+        for action, (cmd, flags) in actions.items():
+            sp = sub.add_parser(action, help=cmd.__doc__, allow_abbrev=False)
+            sp.add_argument("--L", default="2", help="rail distance: 2, 1/2, 10pi/7, ...")
+            sp.add_argument("--class", default="sym", choices=["sym", "antisym"],
+                            help="symmetry family")
+            exclusive = any(f.exclusive for f in flags) and sp.add_mutually_exclusive_group()
+            for f in flags:
+                (exclusive if f.exclusive else sp).add_argument(f.name, dest=f.key, **f.kwargs)
+            sp.add_argument("--out", help="output path prefix "
+                            f"(default ladderspec_{group}_{action})")
+    return p
 
 
 def main(argv=None):
     try:
         _apply_thread_env()
         args = _build_parser().parse_args(argv)
-        cfg = _resolve(args)
+        values, config = _resolve(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        return COMMANDS[cfg.command](cfg)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        return COMMANDS[args.group][args.action][0](values, config)
     except Exception as exc:  # numerical failure path: report and signal 3
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -18,7 +18,9 @@ give the defect eigenvalues.
 The defect response `capital_F` and the decay root `reflection_root` share
 one radicand, a product of the two factors that vanish at the band edges, and
 subtract no nearly equal numbers, so both stay accurate where the forms in g
-cancel: next to band edges, poles of phi_2 and zeros of phi_L.
+cancel: next to band edges, poles of phi_2 and zeros of phi_L.  The sign of
+that radicand (`radicand`) also decides band membership in
+`bands.in_essential_spectrum`.
 
 Pole convention: scalar functions with trigonometric poles return +inf/-inf
 carrying the sign of the right-sided limit; at points where a pole of the rung
@@ -240,24 +242,34 @@ def f_minus(omega):
     return -1.0 / math.tan(0.5 * t)
 
 
-def _gap_radicand(omega, L, sym_class):
-    """(g, phi_L, radicand) at omega, where radicand = 1 - phi_L (phi_L + phi_2).
+def radicand(omega, L, sym_class):
+    """(phi_L, radicand) at omega, where radicand = 1 - phi_L (phi_L + phi_2).
 
     With t = tan(omega/2) the rail impedance is phi_2 = 1/t - t, so the
     radicand is the product (t - phi_L)(phi_L + 1/t) of the two factors that
     vanish on the band-edge curves phi_L = f_plus and phi_L = f_minus; it
-    equals (g^2 - 1) phi_L^2 / sin^2(omega) and is positive exactly inside a
-    gap.  Raises ValueError at a flat point and where the radicand is not
-    positive (the essential spectrum of the family).
+    equals (g^2 - 1) phi_L^2 / sin^2(omega), so it is positive exactly inside
+    a gap, and its sign stays right next to the band edges, where g^2 - 1
+    cancels.  No pole clamps: evaluate it off pi*Z and off the poles of
+    phi_L.
+    """
+    t = math.tan(0.5 * omega)
+    p = float(_phi_L_array(omega, L, sym_class))
+    return p, (t - p) * (p + 1.0 / t)
+
+
+def _gap_radicand(omega, L, sym_class):
+    """(g, phi_L, radicand) at omega (see `radicand`), for a point inside a gap.
+
+    Raises ValueError at a flat point and where the radicand is not positive
+    (the essential spectrum of the family).
     """
     if not omega > 0.0:
         raise ValueError(f"omega={omega} is not a positive frequency")
     g = g_mu_value(omega, L, 1.0, sym_class)
     if math.isnan(g):
         raise ValueError(f"omega={omega} is a flat spectral point")
-    t = math.tan(0.5 * omega)
-    p = float(_phi_L_array(omega, L, sym_class))
-    rad = (t - p) * (p + 1.0 / t)
+    p, rad = radicand(omega, L, sym_class)
     if not rad > 0.0:
         raise ValueError(
             f"omega={omega} lies in the essential spectrum (radicand {rad} <= 0)"

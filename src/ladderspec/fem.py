@@ -34,6 +34,11 @@ from .report import SpectralReport
 #   780 dofs, nev 2: 336 vs 12 ms      1580 dofs, nev 2: 2.2 s vs 12 ms
 DENSE_CUTOFF = 300
 
+#: theta tolerance of the bounded search that sharpens an interior band extreme
+THETA_XATOL = 1e-5
+#: relative Ritz-bound tolerance of the supercell Lanczos in `localized_modes`
+LOCALIZED_TOL = 1e-9
+
 
 def assemble_p1(mesh: Mesh):
     """Real stiffness/mass pair for continuous P1 on the triangulation."""
@@ -193,7 +198,6 @@ def fem_bloch_bands(
     theta_grid=None,
     n_theta=17,
     refine_edges=True,
-    theta_xatol=1e-5,
     seed=0,
 ):
     """First nev Bloch bands of the unperturbed thin ladder.
@@ -236,7 +240,7 @@ def fem_bloch_bands(
                 lambda t: sign * lam_at(t)[band],
                 bounds=(thetas[i0 - 1], thetas[i0 + 1]),
                 method="bounded",
-                options={"xatol": theta_xatol},
+                options={"xatol": THETA_XATOL},
             )
             best = min(best, r.fun)
         return sign * best
@@ -327,7 +331,6 @@ def localized_modes(
     h,
     *,
     seed=0,
-    tol=1e-9,
     dump_prefix=None,
 ):
     """Trapped modes of the perturbed supercell inside a lambda window.
@@ -352,7 +355,7 @@ def localized_modes(
     if count:
         res = eig_sparse_shift_invert(
             K, M, 0.5 * (lam_lo + lam_hi), count,
-            window=(lam_lo, lam_hi), seed=seed, tol=tol,
+            window=(lam_lo, lam_hi), seed=seed, tol=LOCALIZED_TOL,
         )
         if res.values.size != count:
             raise RuntimeError(

@@ -29,6 +29,10 @@ from .eigen import count_below
 from .params import SymmetryClass
 
 DEFAULT_H = 1e-3
+#: relative change under which the oracle counts as converged in the truncation
+ORACLE_REL_TOL = 1e-6
+#: margin, relative to the gap width, by which the oracle shrinks its gap window
+EDGE_MARGIN = 1e-6
 
 
 def _edge_matrices(n_sub, length, weight):
@@ -204,13 +208,11 @@ def oracle_gap_eigenvalues(
     *,
     h=DEFAULT_H,
     n_cells=40,
-    rel_tol=1e-6,
     check_convergence=True,
-    edge_margin=1e-6,
 ):
     """Eigenvalues of the truncated defect graph inside the given gap.
 
-    The search window is the open gap shrunk by edge_margin (relative to the
+    The search window is the open gap shrunk by EDGE_MARGIN (relative to the
     gap width) to avoid grazing the band edges.  Sylvester inertia at both
     window ends counts the pencil eigenvalues inside it; one ARPACK
     shift-invert solve at the gap centre then asks for exactly that many,
@@ -218,10 +220,10 @@ def oracle_gap_eigenvalues(
     concentrate near the truncation ends are discarded as boundary
     artifacts.  With check_convergence the run is repeated with a wider
     truncation and flagged converged if every eigenvalue moved by less than
-    rel_tol relatively; the wider run's eigenvalues and size are then
+    ORACLE_REL_TOL relatively; the wider run's eigenvalues and size are then
     returned.
     """
-    pad = edge_margin * gap.width
+    pad = EDGE_MARGIN * gap.width
     lam_lo, lam_hi = (gap.omega_b + pad) ** 2, (gap.omega_t - pad) ** 2
     lams, ndof, count = _gap_eigs_once(L, mu, sym_class, lam_lo, lam_hi, n_cells, h)
     history = [(n_cells, lams)]
@@ -232,7 +234,7 @@ def oracle_gap_eigenvalues(
         )
         history.append((n_cells + 8, lams2))
         if lams.size == lams2.size and np.all(
-            np.abs(lams2 - lams) <= rel_tol * np.abs(lams)
+            np.abs(lams2 - lams) <= ORACLE_REL_TOL * np.abs(lams)
         ):
             converged = True
             n_cells, lams, ndof, count = n_cells + 8, lams2, ndof2, count2

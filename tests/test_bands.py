@@ -27,6 +27,8 @@ from ladderspec import (
 from ladderspec import dispersion as dsp
 from ladderspec.modes import discrete_eigenvalues
 from ladderspec.params import SymmetryClass
+from ladderspec.rootfind import dist_to_multiple
+from mp_reference import mp_g
 
 S = SymmetryClass.SYMMETRIC
 A = SymmetryClass.ANTISYMMETRIC
@@ -152,6 +154,39 @@ def test_band_membership_matches_transfer_bound():
         for w in rng.uniform(0.01, 6 * math.pi - 0.01, 500):
             inside = bool(np.any((w >= lo - 1e-12) & (w <= hi + 1e-12)))
             assert in_essential_spectrum(w, L, cls) == inside
+
+
+def test_membership_at_a_pinned_point_next_to_a_gap_edge():
+    # the 50-digit |g| - 1 is +2.5e-17 here, so the point lies in a gap; the
+    # float g = -cos w + sin w / phi_L reads |g| <= 1
+    w, L = 3.1416031255969763, 0.99999
+    with mpmath.workdps(50):
+        assert abs(mp_g(w, L, A)) - 1 > 0
+    assert not in_essential_spectrum(w, L, A)
+
+
+@pytest.mark.parametrize("L", [0.99999, 2.00001, 10 * math.pi / 7])
+@pytest.mark.parametrize("cls", [S, A])
+def test_membership_next_to_band_edges_matches_50_digit_g(L, cls):
+    # |g| - 1 cancels next to a band edge; the sign of the factored radicand
+    # does not.  Both sides of every gap edge below 12, at relative distances
+    # 1e-5 to 1e-16, against the 50-digit |g| <= 1
+    checked = 0
+    with mpmath.workdps(50):
+        for g in gaps(L, cls, 12.0):
+            for edge in (g.omega_b, g.omega_t):
+                for k in range(5, 17):
+                    for side in (-1.0, 1.0):
+                        w = edge * (1.0 + side * 3.0 * 10.0**-k)
+                        tol = 1e-9 * max(1.0, w)
+                        if w <= tol or dist_to_multiple(w, math.pi) <= tol:
+                            continue
+                        if dsp.phi_L_pole_or_zero(0.5 * w * L, cls, tol):
+                            continue  # special points: decided by rule
+                        want = abs(mp_g(w, L, cls)) <= 1
+                        assert in_essential_spectrum(w, L, cls) == want, (w, k)
+                        checked += 1
+    assert checked > 100
 
 
 def test_special_points_always_in_spectrum():

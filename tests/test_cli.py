@@ -7,11 +7,14 @@ the same frozen references used by the module tests.
 
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ladderspec import fem
+from ladderspec import cli, fem
 from ladderspec.cli import main
 from ladderspec.eigen import EigenResult
 from ladderspec.mesh import Mesh
@@ -125,8 +128,8 @@ def test_fem_bands_table_shape(tmp_path):
     assert code == 0
     rep = SpectralReport.load(tmp_path / "out.json")
     assert rep.kind == "fem_bloch_bands"
-    assert rep.config["eps"] == [0.2]
-    assert rep.config["h"] is None  # default h = eps/4 applied downstream
+    assert rep.config["eps"] == 0.2
+    assert rep.config["h"] == 0.05  # the default h = eps/4, as used
     assert len(rep.bands) == 3
     cols, rows = _csv_rows(prefix)
     assert cols == ["theta", "band", "lambda", "omega"]
@@ -183,7 +186,7 @@ def test_fem_localized_window_modes_and_dump(tmp_path):
 def test_study_quasimode_exponent(tmp_path):
     code, prefix = _run(
         tmp_path,
-        "study", "convergence", "--what", "quasimode",
+        "study", "quasimode",
         "--L", "2", "--eps", "0.2,0.1,0.05", "--mu", "0.25",
     )
     assert code == 0
@@ -201,7 +204,7 @@ def test_study_quasimode_exponent(tmp_path):
 def test_study_needs_three_eps(tmp_path, capsys):
     code, _ = _run(
         tmp_path,
-        "study", "convergence", "--what", "quasimode",
+        "study", "quasimode",
         "--L", "2", "--eps", "0.2,0.1", "--mu", "0.25",
     )
     assert code == 2
@@ -235,7 +238,7 @@ def test_config_errors_name_the_flag(tmp_path, capsys):
         (["fem", "bands", "--eps", "0.2,0.1"], "--eps"),
         (["fem", "localized", "--eps", "0.2,0.1", "--mu", "0.25"], "--eps"),
         (["fem", "localized", "--eps", "0.2", "--mu", "0.25,0.5"], "--mu"),
-        (["study", "convergence", "--eps", "0.2,0.1,0.05", "--mu", "0.25,0.5"], "--mu"),
+        (["study", "quasimode", "--eps", "0.2,0.1,0.05", "--mu", "0.25,0.5"], "--mu"),
     ],
 )
 def test_single_valued_flags_reject_lists(tmp_path, capsys, argv, flag):
@@ -255,3 +258,89 @@ def test_thread_env_validation(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LADDERSPEC_THREADS", "1")
     code, _ = _run(tmp_path, "graph", "gaps", "--L", "2", "--omega-max", "5")
     assert code == 0
+
+
+_GRAPH = ["--omega-max", "--tol"]
+_STUDY = ["--tol", "--eps", "--h"]
+_LOCALIZED = ["--eps", "--mu", "--h", "--cells", "--seed", "--dump-modes",
+              "--window", "--gap", "--nev", "--ntheta"]
+#: id -> (argv, flags --help lists besides --L, --class and --out, config keys
+#: besides command, L, L_value and class)
+COMMAND_FLAGS = {
+    "graph-bands": (["graph", "bands", "--seed", "3"], _GRAPH, {"omega_max", "tol"}),
+    "graph-gaps": (["graph", "gaps", "--seed", "3"], _GRAPH, {"omega_max", "tol"}),
+    "graph-eigs": (["graph", "eigs", "--seed", "3"], _GRAPH + ["--mu"],
+                   {"omega_max", "tol", "mu"}),
+    "fem-bands": (["fem", "bands", "--eps", "0.2"],
+                  ["--eps", "--h", "--nev", "--ntheta", "--seed"],
+                  {"eps", "h", "nev", "ntheta", "seed"}),
+    "fem-localized-gap": (["fem", "localized", "--eps", "0.2"], _LOCALIZED,
+                          {"eps", "mu", "h", "cells", "seed", "dump_modes",
+                           "gap", "nev", "ntheta"}),
+    "fem-localized-window": (["fem", "localized", "--eps", "0.2", "--window", "2,5"],
+                             _LOCALIZED,
+                             {"eps", "mu", "h", "cells", "seed", "dump_modes", "window"}),
+    "study-band-edges": (["study", "band-edges", "--eps", "0.2,0.1,0.05"],
+                         _STUDY + ["--nev", "--ntheta", "--seed", "--slope-min", "--slope-max"],
+                         {"tol", "eps", "h", "nev", "ntheta", "seed", "slope_min", "slope_max"}),
+    "study-eigenvalues": (["study", "eigenvalues", "--eps", "0.2,0.1,0.05"],
+                          _STUDY + ["--mu", "--nev", "--ntheta", "--seed", "--cells",
+                                    "--slope-min"],
+                          {"tol", "eps", "mu", "h", "nev", "ntheta", "seed", "cells",
+                           "slope_min"}),
+    "study-quasimode": (["study", "quasimode", "--eps", "0.2,0.1,0.05"],
+                        _STUDY + ["--mu", "--cells", "--slope-min"],
+                        {"tol", "eps", "mu", "h", "cells", "slope_min"}),
+}
+_ALL_FLAGS = {f for _, flags, _ in COMMAND_FLAGS.values() for f in flags} | {"--what"}
+
+
+@pytest.mark.parametrize("case", sorted(COMMAND_FLAGS))
+def test_each_command_takes_and_records_only_the_flags_it_reads(case, capsys):
+    argv, flags, keys = COMMAND_FLAGS[case]
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:2] + ["--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out)) - {"--help"}
+    assert listed == {"--L", "--class", "--out", *flags}
+    # graph commands accept a hidden --seed that they never read
+    hidden = {"--seed"} if argv[0] == "graph" else set()
+    for flag in sorted(_ALL_FLAGS - listed - hidden):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "1"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+    args = cli._build_parser().parse_args(argv)
+    _, config = cli._resolve(args)
+    assert set(config) == {"command", "L", "L_value", "class"} | keys
+
+
+@pytest.mark.parametrize("flag", ["--nev", "--ntheta"])
+def test_fem_localized_window_rejects_gap_search_flags(tmp_path, capsys, flag):
+    # --nev and --ntheta size the Bloch sweep that finds --gap; --window skips it
+    code, _ = _run(tmp_path, "fem", "localized", "--eps", "0.2", "--window", "2,5",
+                   flag, "9")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and flag in err
+    with pytest.raises(SystemExit) as exc:
+        main(["fem", "localized", "--eps", "0.2", "--window", "2,5", "--gap", "2"])
+    assert exc.value.code == 2
+    assert "--gap" in capsys.readouterr().err
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(ln)[1:] for ln in lines if ln.startswith("ladderspec ")]
+
+
+def test_readme_command_examples_parse():
+    commands = _readme_commands()
+    assert {(a[0], a[1]) for a in commands} == {
+        (group, action) for group, actions in cli.COMMANDS.items() for action in actions
+    }
+    for argv in commands:
+        args = cli._build_parser().parse_args(argv)  # exits 2 on an unknown flag
+        cli._resolve(args)

@@ -161,7 +161,7 @@ def test_bloch_refinement_finds_interior_extreme(monkeypatch):
     )
     assert rep.bands[0][0] ** 2 == pytest.approx(1.0, abs=1e-9)
     best = min(solved, key=lambda t: (t - 0.9) ** 2)
-    assert abs(best - 0.9) <= 1e-5  # the default theta_xatol
+    assert abs(best - 0.9) <= fem.THETA_XATOL
     assert rep.diagnostics["n_solves"] == len(set(solved)) > 17
     # the other three extremes sit at theta in {0, pi} and stay grid values
     assert rep.bands[0][1] ** 2 == pytest.approx(1.0 + (math.pi - 0.9) ** 2, rel=1e-14)
