@@ -35,6 +35,9 @@ from .rootfind import bisect_falling, dist_to_multiple
 #: absolute bisection tolerance for band edges and Bloch roots; breakpoints
 #: closer than this (relative to max(1, omega)) are fused into one
 EDGE_TOL = 1e-10
+#: distance (relative to max(1, omega)) within which `in_essential_spectrum`
+#: treats omega as a special point: 0, a multiple of pi, a pole or zero of phi_L
+MEMBERSHIP_TOL = 1e-9
 
 # breakpoint tags: a point of pi*Z, a pole of phi_L, a pole of h_theta
 _LATTICE, _POLE, _H_POLE = "lattice", "pole", "h_pole"
@@ -63,8 +66,8 @@ class Band:
     def is_flat(self):
         return self.omega_lo == self.omega_hi
 
-    def contains(self, omega, tol=0.0):
-        return self.omega_lo - tol <= omega <= self.omega_hi + tol
+    def contains(self, omega):
+        return self.omega_lo <= omega <= self.omega_hi
 
 
 @dataclass(frozen=True)
@@ -93,8 +96,8 @@ class Gap:
     def width(self):
         return self.omega_t - self.omega_b
 
-    def contains(self, omega, tol=0.0):
-        return self.omega_b + tol < omega < self.omega_t - tol
+    def contains(self, omega):
+        return self.omega_b < omega < self.omega_t
 
 
 @dataclass
@@ -166,21 +169,21 @@ def _breakpoints(tagged, tol):
     return out
 
 
-def in_essential_spectrum(omega, L, sym_class, tol=1e-9):
+def in_essential_spectrum(omega, L, sym_class):
     """Membership test |g| <= 1 augmented with the special-point rules.
 
     Off the special points |g| <= 1 is decided by the sign of the factored
     radicand (`dispersion.radicand`), which is (g^2 - 1) phi_L^2 / sin^2(omega)
     but does not lose its sign to cancellation next to a band edge.
     """
-    scale = max(1.0, abs(omega))
+    tol = MEMBERSHIP_TOL * max(1.0, abs(omega))
     if omega < -tol:
         return False
     if sym_class is SymmetryClass.ANTISYMMETRIC and abs(omega) <= tol:
         return False
-    if dist_to_multiple(omega, math.pi) <= tol * scale:
+    if dist_to_multiple(omega, math.pi) <= tol:
         return True  # sin(omega) = 0: always in the spectrum (omega=0 handled above)
-    marker = phi_L_pole_or_zero(0.5 * omega * L, sym_class, tol * scale)
+    marker = phi_L_pole_or_zero(0.5 * omega * L, sym_class, tol)
     if marker == "pole":
         return True  # sigma_L point
     if marker == "zero":

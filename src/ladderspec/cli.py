@@ -401,6 +401,8 @@ def cmd_fem_localized(v, config):
     )
     report.config = config
     report.diagnostics["fem_gaps"] = fem_gaps
+    if v["window"] is None:
+        report.diagnostics["window"] = list(window)
     _write(report, v["out"], "modes")
     n = len(report.eigenvalues)
     print(f"{n} localized mode(s) in lambda window ({window[0]:.6g}, {window[1]:.6g})")

@@ -13,8 +13,10 @@ the inertia of K - sigma*M, which sizes a windowed solve exactly.
 
 The Lanczos path deliberately avoids ARPACK so that its behaviour (start
 vector, reorthogonalisation, stopping rule) is fully pinned down by this file;
-it factorises K - sigma*M once with SuperLU and works in the M-inner product,
-so M only needs to be positive definite, K only Hermitian.
+it factorises K - sigma*M once with SuperLU, runs once, and works in the
+M-inner product, so M only needs to be positive definite, K only Hermitian.
+A singular K - sigma*M raises; a run that stops short of k converged pairs
+says so in `EigenResult.converged` and `message`, and the callers raise.
 """
 
 from __future__ import annotations
@@ -99,24 +101,16 @@ def _m_inner(M, x, y, keep_complex):
     return v if keep_complex else v.real
 
 
-def eig_sparse_shift_invert(
-    K,
-    M,
-    sigma,
-    k,
-    *,
-    window=None,
-    tol=1e-10,
-    max_steps=None,
-    seed=0,
-    jitter_retries=5,
-):
+def eig_sparse_shift_invert(K, M, sigma, k, *, window=None, tol=1e-10, seed=0):
     """k eigenpairs of K x = lam M x nearest sigma, by Lanczos on (K-sigma*M)^-1 M.
 
-    Restarts with a slightly moved shift if the factorisation hits a singular
-    pencil.  With window=(lo, hi), converged eigenvalues outside the window
-    are dropped and counted in n_outside_window.  A caller that sets k from
-    `count_below` at both window ends expects that count to be zero.
+    Factors K - sigma*M once with SuperLU, whose RuntimeError a singular
+    pencil raises, and runs Lanczos once.  A run that ends, at an invariant
+    subspace or after its step limit, before k Ritz pairs converge returns
+    the pairs it has with converged=False and a message.  With
+    window=(lo, hi), converged eigenvalues outside the window are dropped and
+    counted in n_outside_window.  A caller that sets k from `count_below` at
+    both window ends expects that count to be zero.
     """
     if not sp.issparse(K):
         K = sp.csr_matrix(K)
@@ -125,26 +119,8 @@ def eig_sparse_shift_invert(
     n = K.shape[0]
     if k < 1 or k > n - 1:
         raise ValueError(f"k={k} out of range for n={n}")
-    shift = sigma
-    last_exc = None
-    for attempt in range(jitter_retries + 1):
-        try:
-            lu = spla.splu((K - shift * M).tocsc())
-        except RuntimeError as exc:
-            last_exc = exc
-            shift = sigma + (1e-8 + attempt * 1e-6) * max(1.0, abs(sigma))
-            continue
-        result = _lanczos_si(K, M, lu, shift, k, tol, max_steps, seed)
-        if result is not None:
-            vals, vecs, iters, ok, msg = result
-            break
-        # near-breakdown before anything converged: nudge the shift
-        last_exc = RuntimeError("Lanczos breakdown before convergence")
-        shift = sigma + (1e-8 + attempt * 1e-6) * max(1.0, abs(sigma))
-    else:
-        raise RuntimeError(
-            f"shift-invert failed after {jitter_retries + 1} attempts: {last_exc}"
-        )
+    lu = spla.splu((K - sigma * M).tocsc())
+    vals, vecs, iters, ok, msg = _lanczos_si(K, M, lu, sigma, k, tol, seed)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     n_out = 0
@@ -157,12 +133,11 @@ def eig_sparse_shift_invert(
     return EigenResult(vals, vecs, res, iters, ok, n_out, msg)
 
 
-def _lanczos_si(K, M, lu, sigma, k, tol, max_steps, seed):
-    """Core Lanczos loop; returns None on unproductive breakdown."""
+def _lanczos_si(K, M, lu, sigma, k, tol, seed):
+    """Core Lanczos loop; returns the (at most k) Ritz pairs nearest sigma."""
     n = K.shape[0]
     dtype = np.result_type(K.dtype, M.dtype, np.float64)
-    if max_steps is None:
-        max_steps = min(n - 1, max(6 * k, 100))
+    max_steps = min(n - 1, max(6 * k, 100))
     cplx = dtype.kind == "c"
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n).astype(dtype)
@@ -195,12 +170,13 @@ def _lanczos_si(K, M, lu, sigma, k, tol, max_steps, seed):
         if idx.size == k and np.all(bounds <= tol * np.maximum(np.abs(theta[idx]), 1e-300)):
             return _ritz_to_pairs(V, theta, s, idx, sigma, step, True, "")
         if b <= 1e-14 * max(1.0, abs(a)):
-            # invariant subspace; accept what we have if it is usable
-            if idx.size == k:
-                return _ritz_to_pairs(
-                    V, theta, s, idx, sigma, step, True, "breakdown after convergence"
-                )
-            return None
+            # invariant subspace: its Ritz pairs are exact, but may be fewer than k
+            ok = idx.size == k
+            msg = (
+                "breakdown after convergence" if ok
+                else f"breakdown after {step} steps with {idx.size} of {k} pairs"
+            )
+            return _ritz_to_pairs(V, theta, s, idx, sigma, step, ok, msg)
         betas.append(b)
         V.append(w / b)
     idx = np.argsort(-np.abs(theta))[: min(k, theta.size)]

@@ -189,17 +189,7 @@ def _lowest_eigs(Kr, Mr, nev, *, seed=0):
     return res.values
 
 
-def fem_bloch_bands(
-    params: LadderParams,
-    sym_class,
-    nev,
-    h,
-    *,
-    theta_grid=None,
-    n_theta=17,
-    refine_edges=True,
-    seed=0,
-):
+def fem_bloch_bands(params: LadderParams, sym_class, nev, h, *, n_theta=17, seed=0):
     """First nev Bloch bands of the unperturbed thin ladder.
 
     Sweeps theta over [0, pi] (the pencil spectrum is even in theta), one
@@ -208,10 +198,9 @@ def fem_bloch_bands(
     neighbours.  An extreme at either grid end is kept as it is: every
     lambda_n(theta) is even about both 0 and pi, so those two points are
     always critical points, and a bounded search, which never evaluates its
-    bracket ends, could only walk back toward the grid value.  theta_grid,
-    when given, should therefore run from 0 to pi.  Bands and gaps are
-    reported in omega = sqrt(lambda); the per-theta eigenvalue grid is kept
-    as a table.
+    bracket ends, could only walk back toward the grid value.  Bands and gaps
+    are reported in omega = sqrt(lambda); the per-theta eigenvalue grid is
+    kept as a table.
     """
     sym_class = SymmetryClass.parse(sym_class)
     mesh = build_cell_mesh(params, sym_class, h)
@@ -225,9 +214,7 @@ def fem_bloch_bands(
             cache[key] = _lowest_eigs(p.K, p.M, nev, seed=seed)
         return cache[key]
 
-    if theta_grid is None:
-        theta_grid = np.linspace(0.0, math.pi, n_theta)
-    thetas = np.asarray(theta_grid, dtype=float)
+    thetas = np.linspace(0.0, math.pi, n_theta)
     grid = np.array([lam_at(t) for t in thetas])
 
     def _refined_extreme(band, sign):
@@ -235,7 +222,7 @@ def fem_bloch_bands(
         vals = sign * grid[:, band]
         i0 = int(np.argmin(vals))
         best = vals[i0]
-        if refine_edges and 0 < i0 < thetas.size - 1:
+        if 0 < i0 < thetas.size - 1:
             r = minimize_scalar(
                 lambda t: sign * lam_at(t)[band],
                 bounds=(thetas[i0 - 1], thetas[i0 + 1]),
@@ -509,15 +496,9 @@ def quasimode_detail(params: LadderParams, sym_class, graph_ev, h, *, n_cells=10
     }
 
 
-def quasimode_residual(
-    params: LadderParams, sym_class, graph_ev, h, *, n_cells=10, metric="dual"
-):
-    """Scalar residual ratio of the fattened pseudo-mode (see quasimode_detail)."""
-    detail = quasimode_detail(params, sym_class, graph_ev, h, n_cells=n_cells)
-    try:
-        return detail[f"ratio_{metric}"]
-    except KeyError:
-        raise ValueError(f"unknown metric {metric!r}; use 'dual' or 'mass'") from None
+def quasimode_residual(params: LadderParams, sym_class, graph_ev, h, *, n_cells=10):
+    """H^1-dual residual ratio of the fattened pseudo-mode (see quasimode_detail)."""
+    return quasimode_detail(params, sym_class, graph_ev, h, n_cells=n_cells)["ratio_dual"]
 
 
 def neumann_rectangle_eigs(a, b, nx, ny, nev):

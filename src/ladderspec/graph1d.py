@@ -243,7 +243,7 @@ def oracle_gap_eigenvalues(
     )
 
 
-def quasiperiodic_cell(L, sym_class, theta, h=0.01, mu=1.0):
+def quasiperiodic_cell(L, sym_class, theta, h=0.01):
     """Dense Hermitian (K, M) for one ladder period with Bloch phase theta.
 
     One rail edge of length 1 plus the rung at its left vertex; the right
@@ -255,7 +255,7 @@ def quasiperiodic_cell(L, sym_class, theta, h=0.01, mu=1.0):
     n_rung = _subdivisions(0.5 * L, h)
     asm.add_edge(v0, v1, n_rail, 1.0, 1.0)
     rung_end = None if sym_class is SymmetryClass.SYMMETRIC else -1
-    asm.add_edge(v0, rung_end, n_rung, 0.5 * L, mu)
+    asm.add_edge(v0, rung_end, n_rung, 0.5 * L, 1.0)
     K, M = asm.build()
     n = asm.n_nodes
     keep = np.setdiff1d(np.arange(n), [v1])

@@ -29,8 +29,6 @@ def _refine_spans(breaks, h, min_sub):
     layers across structurally thin spans (rung widths) without refining the
     whole grid.
     """
-    if np.isscalar(min_sub):
-        min_sub = [min_sub] * (len(breaks) - 1)
     coords = [np.array([breaks[0]])]
     for a, b, ms in zip(breaks[:-1], breaks[1:], min_sub):
         if not b > a:

@@ -43,6 +43,9 @@ class GraphEigenvalue:
         return self.omega**2
 
 
+#: relative tolerance of the r = -g_mu check in `build_eigenfunction`
+DECAY_CONSISTENCY_TOL = 1e-8
+
 #: the sign of r in `dispersion.defect_residual` for each root of a gap type
 _ROOT_SIGNS = {"i": (1.0, -1.0), "ii": (-1.0,), "iii": (1.0,)}
 
@@ -179,7 +182,7 @@ def _norm_constants(omega, L, r, mu, sym_class):
     return vertical + horizontal
 
 
-def build_eigenfunction(ev, L, *, consistency_tol=1e-8):
+def build_eigenfunction(ev, L):
     """Assemble the closed-form eigenfunction for a computed gap eigenvalue.
 
     Verifies r = -g^mu(omega) (the Kirchhoff condition at the defect vertex in
@@ -188,7 +191,7 @@ def build_eigenfunction(ev, L, *, consistency_tol=1e-8):
     w = ev.omega
     r = reflection_root(w, L, ev.sym_class)
     gmu = g_mu_value(w, L, ev.mu, ev.sym_class)
-    if not math.isfinite(gmu) or abs(r + gmu) > consistency_tol * (1.0 + abs(gmu)):
+    if not math.isfinite(gmu) or abs(r + gmu) > DECAY_CONSISTENCY_TOL * (1.0 + abs(gmu)):
         raise ValueError(
             f"decay factor r={r} does not satisfy r = -g_mu = {-gmu}; "
             "the frequency is not an eigenvalue of the defect graph"

@@ -7,12 +7,14 @@ import math
 import numpy as np
 
 
-def bisect_root(f, lo, hi, *, xtol=1e-12, flo=None, fhi=None, maxiter=200):
+def bisect_root(f, lo, hi, *, xtol=1e-12, flo=None, fhi=None):
     """Locate the sign change of f on [lo, hi] by bisection.
 
     Endpoint values may be passed to avoid re-evaluation.  Infinite endpoint
-    values are legal; they only contribute their sign.  Returns the midpoint of
-    the final bracket.
+    values are legal; they only contribute their sign.  The bracket is halved
+    until it is narrower than xtol or cannot be split in floating point, so
+    the result is never an unconverged midpoint; returns the midpoint of the
+    final bracket.
     """
     if flo is None:
         flo = f(lo)
@@ -24,9 +26,9 @@ def bisect_root(f, lo, hi, *, xtol=1e-12, flo=None, fhi=None, maxiter=200):
         return hi
     if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
         raise ValueError(f"no sign change on [{lo}, {hi}] (f: {flo} .. {fhi})")
-    for _ in range(maxiter):
+    while True:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol or mid == lo or mid == hi:
+        if hi - lo <= xtol or not lo < mid < hi:
             return mid
         fm = f(mid)
         if fm == 0.0:
@@ -34,8 +36,7 @@ def bisect_root(f, lo, hi, *, xtol=1e-12, flo=None, fhi=None, maxiter=200):
         if math.copysign(1.0, fm) == math.copysign(1.0, flo):
             lo, flo = mid, fm
         else:
-            hi, fhi = mid, fm
-    return 0.5 * (lo + hi)
+            hi = mid
 
 
 def bisect_falling(f, lo, hi, *params, xtol):

@@ -63,18 +63,20 @@ def _off_pole_samples(rng, L, n, margin=1e-6):
 
 
 def test_01_membership_equivalence():
-    # |g(omega)| <= 1 must agree with an actual theta-root of the dispersion
-    # relation, certified by bisection, on random off-pole frequencies.
+    # The package's membership test and |g(omega)| <= 1 must both agree with
+    # an actual theta-root of the dispersion relation, certified by
+    # bisection, on random off-pole frequencies.
     t0 = time.perf_counter()
     rng = np.random.default_rng(62831853)
     n_total = n_agree = 0
     for L in (2.0, 8.0, 0.5):
         for w in _off_pole_samples(rng, L, 10_000):
             for cls in (S, A):
-                member = abs(g_value(w, L, cls)) <= 1.0
+                member = in_essential_spectrum(w, L, cls)
+                g_member = abs(g_value(w, L, cls)) <= 1.0
                 exists = theta_root(w, L, cls, tol=1e-10) is not None
                 n_total += 1
-                n_agree += member == exists
+                n_agree += member == g_member == exists
     _verdict(
         "01 membership equivalence",
         n_agree == n_total,

@@ -183,6 +183,23 @@ def test_fem_localized_window_modes_and_dump(tmp_path):
     assert rows == []
 
 
+def test_fem_localized_gap_stores_its_window(tmp_path):
+    argv = ["fem", "localized", "--L", "2", "--eps", "0.2", "--mu", "0.25", "--cells", "6"]
+    code, _ = _run(tmp_path, *argv)
+    assert code == 0
+    rep = SpectralReport.load(tmp_path / "out.json")
+    v, _ = cli._resolve(cli._build_parser().parse_args(argv))
+    gaps, window = cli._fem_gap_window(v, v["eps"], v["h"], v["gap"])
+    assert rep.diagnostics["window"] == list(window)
+    assert rep.diagnostics["fem_gaps"] == gaps
+    # with --window the window is stored once, in config
+    code, _ = _run(tmp_path, *argv, "--window", "2.1,5.0", name="win")
+    assert code == 0
+    rep = SpectralReport.load(tmp_path / "win.json")
+    assert rep.config["window"] == [2.1, 5.0]
+    assert "window" not in rep.diagnostics
+
+
 def test_study_quasimode_exponent(tmp_path):
     code, prefix = _run(
         tmp_path,

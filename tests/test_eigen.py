@@ -180,3 +180,20 @@ def test_shift_invert_k_out_of_range():
         eig_sparse_shift_invert(K, M, 5.0, 0)
     with pytest.raises(ValueError):
         eig_sparse_shift_invert(K, M, 5.0, 10)
+
+
+def test_shift_invert_breakdown_returns_the_pairs_it_has():
+    # (I - 0.5 I)^-1 I = 2 I has a one-dimensional Krylov space: Lanczos
+    # breaks down after one step with one of the three pairs asked for
+    eye = sp.identity(10, format="csr")
+    res = eig_sparse_shift_invert(eye, eye, 0.5, 3)
+    assert not res.converged
+    assert "breakdown" in res.message
+    assert np.allclose(res.values, [1.0])
+
+
+def test_shift_invert_singular_pencil_raises():
+    # sigma = 2 is an eigenvalue: K - sigma*M is exactly singular
+    K = sp.diags(np.arange(10.0), format="csr")
+    with pytest.raises(RuntimeError):
+        eig_sparse_shift_invert(K, sp.identity(10, format="csr"), 2.0, 3)
