@@ -45,14 +45,6 @@ POLE_RTOL = 1e-12
 FLAT_RTOL = 1e-9
 
 
-def _is_pole_of_cot(x):
-    return dist_to_multiple(x, math.pi) <= POLE_RTOL * max(1.0, abs(x))
-
-
-def _is_pole_of_tan(x):
-    return dist_to_multiple(x - 0.5 * math.pi, math.pi) <= POLE_RTOL * max(1.0, abs(x))
-
-
 def phi_L_pole_or_zero(half, sym_class, atol):
     """"pole" or "zero" when half = omega*L/2 lies within atol of a pole or a zero of phi_L.
 
@@ -102,12 +94,11 @@ def _phi_L_array(w, L, sym_class):
 
 
 def phi_2(omega):
-    """Impedance 2/tan(omega) of a rail segment of unit length; poles return +inf."""
-    if _is_pole_of_cot(omega):
-        return math.inf
-    if _is_pole_of_tan(omega):
-        return 0.0
-    return 2.0 / math.tan(omega)
+    """Impedance 2/tan(omega) of a rail segment of unit length; poles return +inf.
+
+    It is the symmetric phi_L at L = 2, where omega*L/2 = omega exactly.
+    """
+    return phi_L(omega, 2.0, SymmetryClass.SYMMETRIC)
 
 
 def g_mu_value(omega, L, mu, sym_class):
@@ -191,7 +182,7 @@ def defect_residual(omega, kappa, sign, L, sym_class):
     those branches only.  omega, kappa and sign (+1 or -1) broadcast.
     """
     w = np.asarray(omega, dtype=float)
-    q = 2.0 / np.tan(w)
+    q = _phi_L_array(w, 2.0, SymmetryClass.SYMMETRIC)  # phi_2
     big = 0.5 * (np.abs(q) + np.hypot(q, 2.0 * np.sqrt(kappa)))
     # r_-(q) = -r_+(-q), and r_+(t) is kappa/big for t > 0, big otherwise
     t = sign * q

@@ -153,14 +153,15 @@ def assemble_bloch_pencil(mesh, theta):
     return _BlochSplit(mesh).pencil(theta)
 
 
-def _supercell_pencil(mesh, sym_class):
+def _supercell_pencil(mesh):
     """Real supercell (K, M) and the mesh node ids kept as dofs, in order.
 
-    The antisymmetric class eliminates the y = 0 axis nodes (Dirichlet); the
-    symmetric class keeps every node.
+    The class stored in the mesh metadata decides the y = 0 condition: the
+    antisymmetric class eliminates the axis nodes (Dirichlet), the symmetric
+    class keeps every node.
     """
     K, M = assemble_p1(mesh)
-    if sym_class is SymmetryClass.ANTISYMMETRIC:
+    if mesh.meta.get("sym_class") == SymmetryClass.ANTISYMMETRIC.value:
         keep = np.setdiff1d(np.arange(mesh.n_nodes), mesh.axis)
         E = sp.identity(mesh.n_nodes, format="csr")[:, keep]
         return (E.T @ K @ E).tocsr(), (E.T @ M @ E).tocsr(), keep
@@ -335,7 +336,7 @@ def localized_modes(
     if not lam_lo < lam_hi:
         raise ValueError("empty window")
     mesh = build_supercell_mesh(params, sym_class, n_cells, h)
-    K, M, keep = _supercell_pencil(mesh, sym_class)
+    K, M, keep = _supercell_pencil(mesh)
     n = K.shape[0]
     count = count_below(K, M, lam_hi) - count_below(K, M, lam_lo)
     res = EigenResult(np.zeros(0), np.zeros((n, 0)), np.zeros(0))
@@ -411,35 +412,26 @@ def _interpolate_pseudo_mode(mesh, ef, params):
     trace, strip spans the rescaled horizontal trace, exactly in the lower
     half-domain convention (for the antisymmetric class this flips the sign
     of strip and junction values relative to the upper rail; the rung trace
-    produces that sign automatically at y = -L/2).
+    produces that sign automatically at y = -L/2).  The values come from the
+    traces of `ef`; only the geometry is decided here.
     """
     L, eps, mu = params.L, params.eps, params.mu
     n_cells = mesh.meta["n_cells"]
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    w, r, A = ef.ev.omega, ef.r, ef.amplitude
-    sym = ef.ev.sym_class is SymmetryClass.SYMMETRIC
-    half = 0.5 * w * L
     out = np.empty(mesh.n_nodes)
     in_col = np.zeros(mesh.n_nodes, dtype=bool)
     y_top = -0.5 * L + eps
     t_scale = 1.0 - 2.0 * eps / L
     tol = 1e-12
-    sign = 1.0 if sym else -1.0  # lower-rail vertex value relative to u_j
-
-    def vertex(j):
-        return A * r ** abs(j)
-
+    # lower-rail vertex value relative to u_j
+    sign = 1.0 if ef.ev.sym_class is SymmetryClass.SYMMETRIC else -1.0
     for j in range(-n_cells, n_cells + 1):
         wj = mu if j == 0 else 1.0
         col = np.abs(x - j) <= 0.5 * wj * eps + tol
         junc = col & (y <= y_top + tol)
         rung = col & ~junc
-        out[junc] = sign * vertex(j)
-        t = y[rung] / t_scale
-        if sym:
-            out[rung] = vertex(j) * np.cos(w * t) / math.cos(half)
-        else:
-            out[rung] = vertex(j) * np.sin(w * t) / math.sin(half)
+        out[junc] = sign * ef.vertex_value(j)
+        out[rung] = ef.vertical_trace(j, y[rung] / t_scale)
         in_col |= col
     strip = ~in_col
     xs = x[strip]
@@ -447,13 +439,7 @@ def _interpolate_pseudo_mode(mesh, ef, params):
     wl = np.where(jf == 0, mu, 1.0)
     wr = np.where(jf + 1 == 0, mu, 1.0)
     s = (xs - jf - wl * eps / 2.0) / (1.0 - (wl + wr) * eps / 2.0)
-    uj = A * r ** np.abs(jf)
-    uj1 = A * r ** np.abs(jf + 1)
-    out[strip] = (
-        sign
-        * (uj * np.sin(w * (1.0 - s)) + uj1 * np.sin(w * s))
-        / math.sin(w)
-    )
+    out[strip] = sign * ef.horizontal_trace(jf, s)
     return out
 
 
@@ -474,7 +460,7 @@ def quasimode_detail(params: LadderParams, sym_class, graph_ev, h, *, n_cells=10
     ef = build_eigenfunction(graph_ev, params.L)
     mesh = build_supercell_mesh(params, sym_class, n_cells, h)
     values = _interpolate_pseudo_mode(mesh, ef, params)
-    K, M, keep = _supercell_pencil(mesh, sym_class)
+    K, M, keep = _supercell_pencil(mesh)
     vec = values[keep]
     lam = graph_ev.omega**2
     resid = K @ vec - lam * (M @ vec)

@@ -259,11 +259,11 @@ def quasiperiodic_cell(L, sym_class, theta, h=0.01):
     K, M = asm.build()
     n = asm.n_nodes
     keep = np.setdiff1d(np.arange(n), [v1])
-    T = sp.lil_matrix((n, n - 1), dtype=complex)
-    for new, old in enumerate(keep):
-        T[old, new] = 1.0
-    T[v1, 0] = np.exp(1j * theta)  # v0 is column 0 after elimination
-    T = T.tocsr()
+    # v0 is column 0 after elimination; v1 is tied to it with the phase
+    rows = np.append(keep, v1)
+    cols = np.append(np.arange(n - 1), 0)
+    data = np.append(np.ones(n - 1, dtype=complex), np.exp(1j * theta))
+    T = sp.csr_matrix((data, (rows, cols)), shape=(n, n - 1))
     Kr = (T.conj().T @ K @ T).toarray()
     Mr = (T.conj().T @ M @ T).toarray()
     Kr = 0.5 * (Kr + Kr.conj().T)

@@ -7,6 +7,9 @@ inside or fully outside, occupancy is decided by the cell centre, and each
 occupied cell is split into two positively oriented triangles.  This keeps
 the left/right boundary node layouts in exact translation correspondence,
 which the quasi-periodic tying relies on.
+
+The periodicity cell and the supercell come from one half-ladder builder:
+the cell is the ladder with no side cells and unit weight on its rung.
 """
 
 from __future__ import annotations
@@ -188,6 +191,34 @@ def _structured_mesh(xs, ys, rects, meta):
     return Mesh(nodes, tris, left, right, axis, meta)
 
 
+def _half_ladder_mesh(L, eps, mu, n_cells, h, meta):
+    """Lower half (y <= 0) of the ladder |x| <= n_cells + 1/2, rung at x = 0 of width mu*eps.
+
+    The rail strip and every half rung get at least three element layers
+    across their thickness, so h <= eps/3 suffices; the interior
+    half-integer lines make per-cell mass bookkeeping exact.
+    """
+    if h > eps / 3 + 1e-12:
+        raise ValueError(f"h={h} too coarse: need h <= eps/3 = {eps / 3}")
+    half_w = n_cells + 0.5
+    rungs = []
+    for j in range(-n_cells, n_cells + 1):
+        w = mu * eps if j == 0 else eps
+        rungs.append((j - 0.5 * w, j + 0.5 * w))
+    x_breaks = sorted(
+        [-half_w, half_w]
+        + [x for rung in rungs for x in rung]
+        + [j + 0.5 for j in range(-n_cells, n_cells)]
+    )
+    rung_lo = {lo for lo, _ in rungs}
+    min_sub = [3 if a in rung_lo else 1 for a in x_breaks[:-1]]
+    xs = _refine_spans(x_breaks, h, min_sub)
+    ys = _refine_spans([-0.5 * L, -0.5 * L + eps, 0.0], h, [3, 1])
+    rects = [(-half_w, half_w, -0.5 * L, -0.5 * L + eps)]
+    rects += [(lo, hi, -0.5 * L, 0.0) for lo, hi in rungs]
+    return _structured_mesh(xs, ys, rects, meta)
+
+
 def build_cell_mesh(params: LadderParams, sym_class, h):
     """Half periodicity cell (y <= 0) of the unperturbed ladder.
 
@@ -197,23 +228,14 @@ def build_cell_mesh(params: LadderParams, sym_class, h):
     here.  Requires h <= eps/3 so the strip and the rung carry at least three
     element layers across their thickness.
     """
-    L, eps = params.L, params.eps
-    if h > eps / 3 + 1e-12:
-        raise ValueError(f"h={h} too coarse: need h <= eps/3 = {eps / 3}")
-    xs = _refine_spans([-0.5, -0.5 * eps, 0.5 * eps, 0.5], h, [1, 3, 1])
-    ys = _refine_spans([-0.5 * L, -0.5 * L + eps, 0.0], h, [3, 1])
-    rects = [
-        (-0.5, 0.5, -0.5 * L, -0.5 * L + eps),
-        (-0.5 * eps, 0.5 * eps, -0.5 * L, 0.0),
-    ]
     meta = {
         "kind": "cell",
-        "L": L,
-        "eps": eps,
+        "L": params.L,
+        "eps": params.eps,
         "h": h,
         "sym_class": SymmetryClass.parse(sym_class).value,
     }
-    return _structured_mesh(xs, ys, rects, meta)
+    return _half_ladder_mesh(params.L, params.eps, 1.0, 0, h, meta)
 
 
 def build_supercell_mesh(params: LadderParams, sym_class, n_cells, h):
@@ -228,30 +250,8 @@ def build_supercell_mesh(params: LadderParams, sym_class, n_cells, h):
     L, eps, mu = params.L, params.eps, params.mu
     if n_cells < 4:
         raise ValueError(f"n_cells={n_cells} too small, need >= 4")
-    if h > eps / 3 + 1e-12:
-        raise ValueError(f"h={h} too coarse: need h <= eps/3 = {eps / 3}")
     if mu * eps >= 1.0:
         raise ValueError("central rung width mu*eps must stay below the period")
-    half_w = n_cells + 0.5
-    x_breaks = [-half_w]
-    min_sub = []
-    for j in range(-n_cells, n_cells + 1):
-        w = mu * eps if j == 0 else eps
-        x_breaks.extend([j - 0.5 * w, j + 0.5 * w])
-    # interior half-integer lines make per-cell mass bookkeeping exact
-    x_breaks.extend(j + 0.5 for j in range(-n_cells, n_cells))
-    x_breaks.append(half_w)
-    x_breaks = sorted(x_breaks)
-    # three layers across every rung span (they are the thin ones)
-    rung_lo = {j - 0.5 * (mu * eps if j == 0 else eps) for j in range(-n_cells, n_cells + 1)}
-    for a, b in zip(x_breaks[:-1], x_breaks[1:]):
-        min_sub.append(3 if a in rung_lo else 1)
-    xs = _refine_spans(x_breaks, h, min_sub)
-    ys = _refine_spans([-0.5 * L, -0.5 * L + eps, 0.0], h, [3, 1])
-    rects = [(-half_w, half_w, -0.5 * L, -0.5 * L + eps)]
-    for j in range(-n_cells, n_cells + 1):
-        w = mu * eps if j == 0 else eps
-        rects.append((j - 0.5 * w, j + 0.5 * w, -0.5 * L, 0.0))
     meta = {
         "kind": "supercell",
         "L": L,
@@ -261,7 +261,7 @@ def build_supercell_mesh(params: LadderParams, sym_class, n_cells, h):
         "h": h,
         "sym_class": SymmetryClass.parse(sym_class).value,
     }
-    return _structured_mesh(xs, ys, rects, meta)
+    return _half_ladder_mesh(L, eps, mu, n_cells, h, meta)
 
 
 def rectangle_mesh(a, b, nx, ny):

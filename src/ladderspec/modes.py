@@ -115,7 +115,9 @@ class GraphEigenfunction:
     Rail-vertex values are u_j = A r^|j| on the upper rail (the lower rail
     carries +u_j for the symmetric family and -u_j for the antisymmetric one);
     every edge trace solves -u'' = omega^2 u with those endpoint values.  A is
-    fixed by unit weighted L^2 norm over the whole graph, A > 0.
+    fixed by unit weighted L^2 norm over the whole graph, A > 0.  The vertex
+    index j and the edge coordinates s and y of the traces may be numpy
+    arrays; they broadcast.
     """
 
     ev: GraphEigenvalue
@@ -125,35 +127,38 @@ class GraphEigenfunction:
 
     # -- pointwise traces ---------------------------------------------------
     def vertex_value(self, j):
-        return self.amplitude * self.r ** abs(j)
+        # numpy's 0-d power can differ from its array loop in the last bit,
+        # so a scalar j takes the array loop too and matches an array call
+        k = np.abs(np.atleast_1d(j))
+        return self.amplitude * (self.r ** k).reshape(np.shape(j))[()]
 
     def horizontal_trace(self, j, s):
         """Value on the upper-rail edge from vertex j to j+1 at s in [0, 1]."""
         w = self.ev.omega
         return (
-            self.vertex_value(j) * math.sin(w * (1.0 - s))
-            + self.vertex_value(j + 1) * math.sin(w * s)
+            self.vertex_value(j) * np.sin(w * (1.0 - s))
+            + self.vertex_value(j + 1) * np.sin(w * s)
         ) / math.sin(w)
 
     def horizontal_deriv(self, j, s):
         w = self.ev.omega
         return (
-            -self.vertex_value(j) * w * math.cos(w * (1.0 - s))
-            + self.vertex_value(j + 1) * w * math.cos(w * s)
+            -self.vertex_value(j) * w * np.cos(w * (1.0 - s))
+            + self.vertex_value(j + 1) * w * np.cos(w * s)
         ) / math.sin(w)
 
     def vertical_trace(self, j, y):
         """Value on rung j at height y in [-L/2, L/2]."""
         w, half = self.ev.omega, 0.5 * self.ev.omega * self.L
         if self.ev.sym_class is SymmetryClass.SYMMETRIC:
-            return self.vertex_value(j) * math.cos(w * y) / math.cos(half)
-        return self.vertex_value(j) * math.sin(w * y) / math.sin(half)
+            return self.vertex_value(j) * np.cos(w * y) / math.cos(half)
+        return self.vertex_value(j) * np.sin(w * y) / math.sin(half)
 
     def vertical_deriv(self, j, y):
         w, half = self.ev.omega, 0.5 * self.ev.omega * self.L
         if self.ev.sym_class is SymmetryClass.SYMMETRIC:
-            return -self.vertex_value(j) * w * math.sin(w * y) / math.cos(half)
-        return self.vertex_value(j) * w * math.cos(w * y) / math.sin(half)
+            return -self.vertex_value(j) * w * np.sin(w * y) / math.cos(half)
+        return self.vertex_value(j) * w * np.cos(w * y) / math.sin(half)
 
     def kirchhoff_residual(self, j):
         """Weighted outgoing-derivative sum at upper-rail vertex j (should vanish)."""

@@ -301,6 +301,17 @@ def test_quasimode_ratios_frozen_and_monotone():
     ) == pytest.approx(d02["ratio_dual"], abs=0.0)
 
 
+def test_quasimode_ratios_frozen_antisymmetric():
+    # the lower-half sign -1 on junctions and strip, and the sin rung trace;
+    # pinned from this solver at eps = 0.2, h = eps/4, ten cells per side
+    gap = first_n_gaps(2.0, A, 1)[0]
+    ev = discrete_eigenvalues(2.0, 0.25, A, gap)[0]
+    d = quasimode_detail(LadderParams(2.0, 0.2, mu=0.25), A, ev, 0.05)
+    assert d["n_dofs"] == 3680
+    assert abs(d["ratio_dual"] - 1.7406450611e-01) < 1e-8
+    assert abs(d["ratio_mass"] - 4.0123412633e00) < 1e-8
+
+
 def test_quasimode_validates_inputs():
     gap = first_n_gaps(2.0, S, 1)[0]
     ev = discrete_eigenvalues(2.0, 0.25, S, gap)[0]

@@ -91,6 +91,17 @@ def test_supercell_contains_half_integer_lines():
         assert np.isclose(xs, j + 0.5, atol=1e-12).any()
 
 
+def test_supercell_centre_cell_is_the_cell_mesh():
+    # one geometry: with mu = 1 the nodes of the supercell with |x| <= 1/2
+    # are exactly those of the periodicity cell, in the same order
+    for L, eps, h in [(2.0, 0.2, 0.05), (0.5, 0.1, 0.025), (2.0, 0.3, 0.1)]:
+        p = LadderParams(L, eps)
+        cell = build_cell_mesh(p, S, h)
+        sup = build_supercell_mesh(p, S, 4, h)
+        centre = sup.nodes[np.abs(sup.nodes[:, 0]) <= 0.5]
+        assert np.array_equal(centre, cell.nodes)
+
+
 def test_rectangle_mesh_counts_and_area():
     mesh = rectangle_mesh(1.5, 0.7, 6, 4)
     assert mesh.n_nodes == 7 * 5

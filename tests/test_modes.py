@@ -215,6 +215,34 @@ def test_eigenfunction_trace_endpoint_consistency():
             )
 
 
+def test_eigenfunction_traces_on_arrays_match_scalar_calls():
+    # the array form is the scalar form elementwise, to the last bit, over
+    # every eigenfunction of nine weights in the first two gaps of each class
+    rng = np.random.default_rng(3)
+    j = np.arange(-12, 13)
+    mus = [0.1 * k for k in range(1, 10)]
+    for L in (2.0, ExactLength.parse("10pi/7").value):
+        for cls in (S, A):
+            for ev in discrete_eigenvalues(L, mus, cls, first_n_gaps(L, cls, 2)):
+                ef = build_eigenfunction(ev, L)
+                s = rng.uniform(0.0, 1.0, j.size)
+                y = rng.uniform(-0.5 * L, 0.5 * L, j.size)
+                pairs = [
+                    (ef.vertex_value(j), [ef.vertex_value(int(k)) for k in j]),
+                    (
+                        ef.horizontal_trace(j, s),
+                        [ef.horizontal_trace(int(k), float(t)) for k, t in zip(j, s)],
+                    ),
+                    (
+                        ef.vertical_trace(j, y),
+                        [ef.vertical_trace(int(k), float(t)) for k, t in zip(j, y)],
+                    ),
+                ]
+                for arr, scalars in pairs:
+                    assert arr.shape == j.shape
+                    assert arr.tobytes() == np.array(scalars).tobytes(), (ev, L)
+
+
 def test_eigenfunction_solves_edge_ode():
     # -u'' = w^2 u on every edge.  Each trace is written as the sin/cos
     # solution c cos(w x) + d sin(w x) through its value and slope at x = 0
