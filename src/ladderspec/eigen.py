@@ -15,6 +15,9 @@ The Lanczos path deliberately avoids ARPACK so that its behaviour (start
 vector, reorthogonalisation, stopping rule) is fully pinned down by this file;
 it factorises K - sigma*M once with SuperLU, runs once, and works in the
 M-inner product, so M only needs to be positive definite, K only Hermitian.
+It keeps its basis in one array and reorthogonalises each new vector by
+classical Gram-Schmidt done twice (CGS2), so one step costs one LU solve,
+three sparse products with M and four matrix-vector products with the basis.
 A singular K - sigma*M raises; a run that stops short of k converged pairs
 says so in `EigenResult.converged` and `message`, and the callers raise.
 """
@@ -95,12 +98,6 @@ def _pair_residuals(K, M, vals, vecs):
     return np.linalg.norm(R, axis=0)
 
 
-def _m_inner(M, x, y, keep_complex):
-    """M-inner product <x, y>_M, as a scalar of the working dtype."""
-    v = np.vdot(x, M @ y)
-    return v if keep_complex else v.real
-
-
 def eig_sparse_shift_invert(K, M, sigma, k, *, window=None, tol=1e-10, seed=0):
     """k eigenpairs of K x = lam M x nearest sigma, by Lanczos on (K-sigma*M)^-1 M.
 
@@ -134,35 +131,44 @@ def eig_sparse_shift_invert(K, M, sigma, k, *, window=None, tol=1e-10, seed=0):
 
 
 def _lanczos_si(K, M, lu, sigma, k, tol, seed):
-    """Core Lanczos loop; returns the (at most k) Ritz pairs nearest sigma."""
+    """Core Lanczos loop; returns the (at most k) Ritz pairs nearest sigma.
+
+    The M-orthonormal basis is the columns of one preallocated array V.  A
+    step costs one LU solve and three sparse products with M: one in each of
+    the two classical Gram-Schmidt passes against V ("twice is enough"), and
+    one for the M-norm of the new vector, which is kept as the next step's
+    right-hand side and alpha product.
+    """
     n = K.shape[0]
     dtype = np.result_type(K.dtype, M.dtype, np.float64)
     max_steps = min(n - 1, max(6 * k, 100))
-    cplx = dtype.kind == "c"
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n).astype(dtype)
-    if cplx:
+    if dtype.kind == "c":
         v = (v + 1j * rng.standard_normal(n)).astype(dtype)
-    nrm = math.sqrt(abs(_m_inner(M, v, v, cplx)))
-    v /= nrm
-    V = [v]
+    V = np.empty((n, max_steps + 1), dtype=dtype, order="F")
+    Mv = M @ v
+    nrm = math.sqrt(abs(np.vdot(v, Mv)))
+    V[:, 0] = v / nrm
+    Mv /= nrm
     alphas, betas = [], []
     theta = s = None
     for step in range(1, max_steps + 1):
-        w = lu.solve(M @ V[-1])
-        a = _m_inner(M, V[-1], w, cplx)
-        w = w - a * V[-1]
-        if len(V) > 1:
-            w = w - betas[-1] * V[-2]
-        # full reorthogonalisation, twice, against every kept basis vector
+        w = lu.solve(Mv)
+        a = np.vdot(Mv, w)
+        w -= a * V[:, step - 1]
+        if step > 1:
+            w -= betas[-1] * V[:, step - 2]
+        # full reorthogonalisation: classical Gram-Schmidt, twice; the
+        # coefficients Vj^H M w are formed as conj(Vj^T conj(M w)), so a
+        # complex Vj is never copied
+        Vj = V[:, :step]
         for _ in range(2):
-            for u in V:
-                w = w - _m_inner(M, u, w, cplx) * u
-        alphas.append(a if not cplx else a.real)
-        b = math.sqrt(abs(_m_inner(M, w, w, cplx)))
-        T_alph = np.array(alphas)
-        T_beta = np.array(betas)
-        theta, s = scipy.linalg.eigh_tridiagonal(T_alph, T_beta)
+            w -= Vj @ (Vj.T @ (M @ w).conj()).conj()
+        alphas.append(a.real)
+        Mw = M @ w
+        b = math.sqrt(abs(np.vdot(w, Mw)))
+        theta, s = scipy.linalg.eigh_tridiagonal(np.array(alphas), np.array(betas))
         # Ritz values of the inverted operator; largest |theta| sit nearest
         # sigma in the original pencil.
         idx = np.argsort(-np.abs(theta))[: min(k, theta.size)]
@@ -178,7 +184,8 @@ def _lanczos_si(K, M, lu, sigma, k, tol, seed):
             )
             return _ritz_to_pairs(V, theta, s, idx, sigma, step, ok, msg)
         betas.append(b)
-        V.append(w / b)
+        V[:, step] = w / b
+        Mv = Mw / b
     idx = np.argsort(-np.abs(theta))[: min(k, theta.size)]
     return _ritz_to_pairs(
         V,
@@ -193,8 +200,7 @@ def _lanczos_si(K, M, lu, sigma, k, tol, seed):
 
 
 def _ritz_to_pairs(V, theta, s, idx, sigma, iters, ok, msg):
-    basis = np.column_stack(V[: s.shape[0]])
-    vecs = basis @ s[:, idx]
+    vecs = V[:, : s.shape[0]] @ s[:, idx]
     with np.errstate(divide="ignore"):
         lams = sigma + 1.0 / theta[idx]
     return lams, vecs, iters, ok, msg

@@ -110,6 +110,70 @@ def test_shift_invert_matches_dense_complex_hermitian():
     assert np.abs(G - np.eye(4)).max() < 1e-8
 
 
+class _CountingCSR(sp.csr_matrix):
+    """CSR matrix that counts its `@` products."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
+
+
+def test_shift_invert_sparse_products_per_step():
+    # one Lanczos step forms three products with M (two Gram-Schmidt passes
+    # and the new vector's norm); a per-basis-vector M @ w grows with the step
+    K, M = _string_pencil(400)
+    M = _CountingCSR(M)
+    res = eig_sparse_shift_invert(K, M, 230.0, 6)
+    assert res.converged
+    assert res.iterations > 10
+    assert M.products <= 3 * res.iterations + 4
+
+
+def _string_eigenvalues(n):
+    """Exact spectrum of `_string_pencil(n)`: the discrete sine modes."""
+    h = 1.0 / (n + 1)
+    c = np.cos(np.arange(1, n + 1) * math.pi * h)
+    return 6.0 / h**2 * (1.0 - c) / (2.0 + c)
+
+
+def test_string_eigenvalues_match_dense():
+    K, M = _string_pencil(300)
+    exact = _string_eigenvalues(300)
+    assert np.allclose(eig_dense(K, M).values, exact, rtol=1e-11, atol=0)
+
+
+def test_shift_invert_long_run_stays_orthonormal():
+    # k = 20 at an interior shift keeps a basis of about 60 vectors; against
+    # the exact sine spectrum, since a dense solve at 3000 dofs takes seconds
+    K, M = _string_pencil(3000)
+    exact = _string_eigenvalues(3000)
+    sigma = 0.5 * (exact[999] + exact[1000])
+    res = eig_sparse_shift_invert(K, M, sigma, 20)
+    assert res.converged
+    assert res.iterations >= 40
+    nearest = np.sort(exact[np.argsort(np.abs(exact - sigma))[:20]])
+    assert np.allclose(res.values, nearest, rtol=1e-9, atol=0)
+    G = res.vectors.T @ (M @ res.vectors)
+    assert np.abs(G - np.eye(20)).max() < 1e-10
+
+
+def test_shift_invert_long_run_stays_orthonormal_complex_hermitian():
+    # a complex Bloch pencil above the dense cutoff, as `fem._lowest_eigs`
+    # sends down this path
+    Kd, Md = quasiperiodic_cell(2.0, SymmetryClass.SYMMETRIC, 0.7, h=0.004)
+    dense = eig_dense(Kd, Md).values
+    sigma = 0.5 * (dense[99] + dense[100])
+    res = eig_sparse_shift_invert(sp.csr_matrix(Kd), sp.csr_matrix(Md), sigma, 20)
+    assert res.converged
+    assert res.iterations >= 40
+    nearest = np.sort(dense[np.argsort(np.abs(dense - sigma))[:20]])
+    assert np.allclose(res.values, nearest, rtol=1e-9, atol=0)
+    G = res.vectors.conj().T @ (Md @ res.vectors)
+    assert np.abs(G - np.eye(20)).max() < 1e-10
+
+
 def test_shift_invert_counts_match_inertia():
     K, M = _string_pencil(200)
     sigma = 500.0

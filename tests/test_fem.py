@@ -224,6 +224,18 @@ def test_localized_modes_flagship_example():
         assert abs(sum(fr) - 1.0) < 1e-9
 
 
+def test_localized_modes_frozen_lambdas():
+    # supercell eigenvalues in the eps = 0.1 window of the defect benchmark
+    # (first FEM gap at 17 thetas, shrunk by 1e-3), pinned from a converged
+    # run; a change to the Lanczos loop may move them by round-off only
+    p = LadderParams(2.0, 0.1, mu=0.25)
+    window = _shrunk_window((1.3282277039514456, 2.061524473894085))
+    rep = localized_modes(p, S, window, 10, 0.1 / 4)
+    lams = [row[1] for row in rep.tables["modes"]["rows"]]
+    assert rep.diagnostics["inertia_count"] == 2
+    assert np.allclose(lams, [2.0818039195518208, 3.7660323138951033], rtol=1e-12, atol=0)
+
+
 def test_localized_modes_empty_without_defect():
     rep = localized_modes(
         LadderParams(2.0, 0.2, mu=1.0), S, _shrunk_window(GAP_EPS02), 6, 0.05
