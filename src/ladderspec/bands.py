@@ -170,25 +170,22 @@ def _breakpoints(tagged, tol):
 
 
 def in_essential_spectrum(omega, L, sym_class):
-    """Membership test |g| <= 1 augmented with the special-point rules.
+    """Membership test |g| <= 1 augmented with the special-point rules, as masks.
 
-    Off the special points |g| <= 1 is decided by the sign of the factored
-    radicand (`dispersion.radicand`), which is (g^2 - 1) phi_L^2 / sin^2(omega)
-    but does not lose its sign to cancellation next to a band edge.
+    Multiples of pi and poles of phi_L belong; omega < 0, omega = 0
+    (antisymmetric) and the other zeros of phi_L do not.  Elsewhere the sign
+    of the factored radicand (`dispersion.radicand`), (g^2 - 1) phi_L^2 /
+    sin^2(omega), decides without cancelling next to a band edge.
     """
-    tol = MEMBERSHIP_TOL * max(1.0, abs(omega))
-    if omega < -tol:
-        return False
-    if sym_class is SymmetryClass.ANTISYMMETRIC and abs(omega) <= tol:
-        return False
-    if dist_to_multiple(omega, math.pi) <= tol:
-        return True  # sin(omega) = 0: always in the spectrum (omega=0 handled above)
-    marker = phi_L_pole_or_zero(0.5 * omega * L, sym_class, tol)
-    if marker == "pole":
-        return True  # sigma_L point
-    if marker == "zero":
-        return False  # singular, not flat (sin omega != 0 here)
-    return not radicand(omega, L, sym_class)[1] > 0.0
+    w = np.asarray(omega, dtype=float)
+    tol = MEMBERSHIP_TOL * np.maximum(1.0, np.abs(w))
+    excluded = ~(w >= -tol)  # NaN is excluded too
+    if sym_class is SymmetryClass.ANTISYMMETRIC:
+        excluded = excluded | (np.abs(w) <= tol)
+    pole, zero = phi_L_pole_or_zero(0.5 * w * L, sym_class, tol)
+    gap = radicand(w, L, sym_class)[1] > 0.0
+    member = (dist_to_multiple(w, math.pi) <= tol) | pole | ~(zero | gap)
+    return (~excluded & member)[()]
 
 
 def _branch_gaps(L, sym_class, omega_hi, tol):
@@ -207,19 +204,20 @@ def _branch_gaps(L, sym_class, omega_hi, tol):
         + [(x, _POLE) for x in _phi_poles(L, sym_class, top)],
         tol,
     )
-    rows = []  # (a, b, theta of f_plus, gap starts at a, gap stops at b)
+    rows = []  # (a, b, theta of f_plus, a is a bare lattice point, b is one)
     k = -1
     for (a, tags_a), (b, tags_b) in zip(pts, pts[1:]):
         if a >= omega_hi:
             break
         if _LATTICE in tags_a:
             k += 1
-        starts = tags_a == {_LATTICE} and phi_L(a, L, sym_class) <= 0.0
-        stops = tags_b == {_LATTICE} and phi_L(b, L, sym_class) >= 0.0
-        rows.append((a, b, math.pi if k % 2 == 0 else 0.0, starts, stops))
+        rows.append((a, b, math.pi if k % 2 == 0 else 0.0,
+                     tags_a == {_LATTICE}, tags_b == {_LATTICE}))
     if not rows:
         return []
-    a, b, th_plus, starts, stops = (np.array(col) for col in zip(*rows))
+    a, b, th_plus, bare_a, bare_b = (np.array(col) for col in zip(*rows))
+    starts = bare_a & (phi_L(a, L, sym_class) <= 0.0)
+    stops = bare_b & (phi_L(b, L, sym_class) >= 0.0)
     n_plus = np.count_nonzero(~starts)
     roots = bisect_falling(
         lambda w, th: impedance_residual(w, th, L, sym_class),

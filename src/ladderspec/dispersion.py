@@ -7,13 +7,8 @@ with weight mu.  After the symmetric/antisymmetric reduction about y = 0,
 each Floquet fiber at quasimomentum theta in [0, pi] is governed by a scalar
 relation between omega and theta.  Everything in this module is a closed-form
 function of omega; the frequency variable is omega, the spectral parameter is
-lambda = omega^2.
-
-The scalar functions work on Python floats with `math` and clamp their poles
-as described below.  Two residuals work on numpy arrays and have no pole
-clamps: `impedance_residual`, whose branch bisections in `bands` give the band
-edges and Bloch roots, and `defect_residual`, whose gap bisections in `modes`
-give the defect eigenvalues.
+lambda = omega^2.  Every function takes a float or a numpy array and returns
+a numpy scalar for a float.
 
 The defect response `capital_F` and the decay root `reflection_root` share
 one radicand, a product of the two factors that vanish at the band edges, and
@@ -22,50 +17,58 @@ cancel: next to band edges, poles of phi_2 and zeros of phi_L.  The sign of
 that radicand (`radicand`) also decides band membership in
 `bands.in_essential_spectrum`.
 
-Pole convention: scalar functions with trigonometric poles return +inf/-inf
-carrying the sign of the right-sided limit; at points where a pole of the rung
-impedance coincides with sin(omega) = 0 (compactly supported flat modes) the
-transfer coefficient is genuinely indeterminate and NaN is returned -- band
-membership at those points is decided by the special-point rules in
+Pole convention: `phi_L_pole_or_zero` gives the masks of the points within a
+relative POLE_RTOL of a pole and of a zero of phi_L.  On the pole mask phi_L
+is +inf (the right-sided limit), on the zero mask exactly 0 and the transfer
+coefficient +-inf (the sign of its right-sided limit).  Where the zero mask
+meets sin(omega) = 0 (compactly supported flat modes) the transfer
+coefficient is genuinely indeterminate and NaN is returned -- band membership
+at those points is decided by the special-point rules in
 `bands.in_essential_spectrum`, never by the NaN.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .params import SymmetryClass
-from .rootfind import bisect_root, dist_to_multiple
+from .rootfind import bisect_falling, dist_to_multiple
 
 #: relative tolerance for detecting an exact trigonometric pole
 POLE_RTOL = 1e-12
 #: tolerance under which sin(omega) counts as zero when classifying a pole
 FLAT_RTOL = 1e-9
+#: bisection tolerance of `theta_root`
+THETA_TOL = 1e-10
+
+_quiet = np.errstate(divide="ignore", invalid="ignore")
 
 
 def phi_L_pole_or_zero(half, sym_class, atol):
-    """"pole" or "zero" when half = omega*L/2 lies within atol of a pole or a zero of phi_L.
+    """(pole, zero) masks: half = omega*L/2 lies within atol of a pole / a zero of phi_L.
 
     phi_L has its poles where half is a multiple of pi (symmetric family) or
     an odd multiple of pi/2 (antisymmetric family), and its zeros at the
-    other set; returns None away from both.  Each caller passes its own
-    absolute tolerance.
+    other set.  half and atol broadcast; each caller passes its own absolute
+    tolerance.
     """
-    on_pi = dist_to_multiple(half, math.pi) <= atol
-    on_half_pi = dist_to_multiple(half - 0.5 * math.pi, math.pi) <= atol
+    on_pi = dist_to_multiple(half, np.pi) <= atol
+    on_half_pi = dist_to_multiple(half - 0.5 * np.pi, np.pi) <= atol
     if sym_class is SymmetryClass.SYMMETRIC:
-        on_pole, on_zero = on_pi, on_half_pi
-    else:
-        on_pole, on_zero = on_half_pi, on_pi
-    if on_pole:
-        return "pole"
-    if on_zero:
-        return "zero"
-    return None
+        return on_pi, on_half_pi
+    return on_half_pi, on_pi
 
 
+def _half_and_masks(omega, L, sym_class):
+    """(omega as an array, half = omega*L/2, pole mask, zero mask) at POLE_RTOL."""
+    w = np.asarray(omega, dtype=float)
+    half = 0.5 * L * w
+    return (w, half) + phi_L_pole_or_zero(
+        half, sym_class, POLE_RTOL * np.maximum(1.0, np.abs(half))
+    )
+
+
+@_quiet
 def phi_L(omega, L, sym_class):
     """Impedance of a half-rung of length L/2 seen from the rail.
 
@@ -74,23 +77,12 @@ def phi_L(omega, L, sym_class):
     Strictly decreasing between consecutive poles; poles return +inf
     (right-sided limit) and zeros exactly 0.
     """
-    half = 0.5 * omega * L
-    marker = phi_L_pole_or_zero(half, sym_class, POLE_RTOL * max(1.0, abs(half)))
-    if marker == "pole":
-        return math.inf
-    if marker == "zero":
-        return 0.0
+    _, half, pole, zero = _half_and_masks(omega, L, sym_class)
     if sym_class is SymmetryClass.SYMMETRIC:
-        return 2.0 / math.tan(half)
-    return -2.0 * math.tan(half)
-
-
-def _phi_L_array(w, L, sym_class):
-    """phi_L on a numpy array, without pole clamps."""
-    half = (0.5 * L) * w
-    if sym_class is SymmetryClass.SYMMETRIC:
-        return 2.0 / np.tan(half)
-    return -2.0 * np.tan(half)
+        p = 2.0 / np.tan(half)
+    else:
+        p = -2.0 * np.tan(half)
+    return np.where(pole, np.inf, np.where(zero, 0.0, p))[()]
 
 
 def phi_2(omega):
@@ -101,6 +93,7 @@ def phi_2(omega):
     return phi_L(omega, 2.0, SymmetryClass.SYMMETRIC)
 
 
+@_quiet
 def g_mu_value(omega, L, mu, sym_class):
     """Transfer coefficient -cos(omega) + mu*sin(omega)/phi_L(omega).
 
@@ -109,17 +102,16 @@ def g_mu_value(omega, L, mu, sym_class):
     the zeros of phi_L when sin(omega) != 0 (right-sided limit sign), NaN when
     the zero coincides with sin(omega) = 0 (flat point).
     """
-    s = math.sin(omega)
-    c = math.cos(omega)
-    half = 0.5 * omega * L
-    if phi_L_pole_or_zero(half, sym_class, POLE_RTOL * max(1.0, abs(half))) == "zero":
-        if abs(s) <= FLAT_RTOL * max(1.0, abs(omega)):
-            return math.nan
-        # phi_L -> 0 from below on the right, so mu sin/phi_L -> -inf * sin
-        return math.copysign(math.inf, -s)
+    w, half, _, zero = _half_and_masks(omega, L, sym_class)
+    s = np.sin(w)
+    c = np.cos(w)
     if sym_class is SymmetryClass.SYMMETRIC:
-        return -c + 0.5 * mu * s * math.tan(half)
-    return -c - 0.5 * mu * s / math.tan(half)
+        g = -c + 0.5 * mu * s * np.tan(half)
+    else:
+        g = -c - 0.5 * mu * s / np.tan(half)
+    # phi_L -> 0 from below on the right, so mu sin/phi_L -> -inf * sin
+    flat = np.abs(s) <= FLAT_RTOL * np.maximum(1.0, np.abs(w))
+    return np.where(zero, np.where(flat, np.nan, np.copysign(np.inf, -s)), g)[()]
 
 
 def g_value(omega, L, sym_class):
@@ -136,40 +128,38 @@ def dispersion_residual(theta, omega, L, sym_class):
     Entire in omega (no poles).  theta must lie in the reduced Brillouin zone
     [0, pi]; values of omega solving the relation for some theta make up the
     essential spectrum of the corresponding family (for the antisymmetric one,
-    omega = 0 is excluded by definition).
+    omega = 0 is excluded by definition).  theta and omega broadcast.
     """
-    if not 0.0 <= theta <= math.pi:
+    th = np.asarray(theta, dtype=float)
+    if not np.all((0.0 <= th) & (th <= np.pi)):
         raise ValueError(f"quasimomentum theta={theta} outside [0, pi]")
-    half = 0.5 * omega * L
+    w = np.asarray(omega, dtype=float)
+    half = 0.5 * w * L
     if sym_class is SymmetryClass.SYMMETRIC:
-        return 2.0 * math.cos(half) * (math.cos(omega) - math.cos(theta)) - math.sin(
-            omega
-        ) * math.sin(half)
-    return 2.0 * math.sin(half) * (math.cos(omega) - math.cos(theta)) + math.sin(
-        omega
-    ) * math.cos(half)
+        return 2.0 * np.cos(half) * (np.cos(w) - np.cos(th)) - np.sin(w) * np.sin(half)
+    return 2.0 * np.sin(half) * (np.cos(w) - np.cos(th)) + np.sin(w) * np.cos(half)
 
 
 def impedance_residual(omega, theta, L, sym_class):
-    """phi_L(omega) - h_theta(omega) on numpy arrays, h_theta = sin w / (cos w - cos theta).
+    """phi_L(omega) - h_theta(omega), h_theta = sin w / (cos w - cos theta).
 
     The dispersion relation at quasimomentum theta reads phi_L = h_theta; h_0
     and h_pi are f_minus and f_plus (in either order) on each pi-interval.
     phi_L strictly decreases between its poles and h_theta' = (1 - cos w cos
     theta) / (cos w - cos theta)^2 >= 0, so the residual strictly decreases
-    between consecutive poles of either term and has at most one root there.
-    No pole clamps: evaluate it strictly inside those branches only.
-    cos w - cos theta is formed as -2 sin((w+theta)/2) sin((w-theta)/2), which
-    keeps h_theta accurate next to its poles.  omega and theta broadcast.
+    between consecutive poles of either term and has at most one root there;
+    evaluate it strictly inside those branches only.  cos w - cos theta is
+    formed as -2 sin((w+theta)/2) sin((w-theta)/2), which keeps h_theta
+    accurate next to its poles.  omega and theta broadcast.
     """
     w = np.asarray(omega, dtype=float)
     th = np.asarray(theta, dtype=float)
     denom = -2.0 * np.sin(0.5 * (w + th)) * np.sin(0.5 * (w - th))
-    return _phi_L_array(w, L, sym_class) - np.sin(w) / denom
+    return phi_L(w, L, sym_class) - np.sin(w) / denom
 
 
 def defect_residual(omega, kappa, sign, L, sym_class):
-    """phi_L(omega) - r_sign(phi_2(omega)) on numpy arrays; its zeros solve F = mu.
+    """phi_L(omega) - r_sign(phi_2(omega)); its zeros solve F = mu.
 
     F(omega) = mu in (0, 1) reads phi_L (phi_L + phi_2) = kappa with kappa =
     mu (2 - mu) in (0, 1): a quadratic in phi_L whose roots at q = phi_2 are
@@ -178,34 +168,40 @@ def defect_residual(omega, kappa, sign, L, sym_class):
     -kappa, so neither cancels.  Both r_sign decrease in q and phi_2
     decreases in omega, so r_sign(phi_2) rises while phi_L falls: between
     consecutive poles of phi_L and of phi_2 the residual strictly decreases
-    and has at most one root.  No pole clamps: evaluate it strictly inside
-    those branches only.  omega, kappa and sign (+1 or -1) broadcast.
+    and has at most one root; evaluate it strictly inside those branches
+    only.  omega, kappa and sign (+1 or -1) broadcast.
     """
     w = np.asarray(omega, dtype=float)
-    q = _phi_L_array(w, 2.0, SymmetryClass.SYMMETRIC)  # phi_2
+    q = phi_2(w)
     big = 0.5 * (np.abs(q) + np.hypot(q, 2.0 * np.sqrt(kappa)))
     # r_-(q) = -r_+(-q), and r_+(t) is kappa/big for t > 0, big otherwise
     t = sign * q
     r = sign * np.where(t > 0.0, kappa / big, big)
-    return _phi_L_array(w, L, sym_class) - r
+    return phi_L(w, L, sym_class) - r
 
 
-def theta_root(omega, L, sym_class, *, tol=1e-10):
+def theta_root(omega, L, sym_class):
     """Quasimomentum theta in [0, pi] solving the dispersion relation at omega.
 
-    The residual is monotone in cos(theta), so the bracket [0, pi] certifies
+    The residual is linear in cos(theta), so the bracket [0, pi] certifies
     existence: a root exists iff the endpoint residuals do not share a strict
-    sign.  Returns the bisected root, or None when no root exists.
+    sign.  Every bracket is oriented by the sign of its residual at 0 and all
+    are bisected at once to THETA_TOL.  NaN where no root exists.
     """
-    f = lambda th: dispersion_residual(th, omega, L, sym_class)
-    r0, rpi = f(0.0), f(math.pi)
-    if r0 == 0.0:
-        return 0.0
-    if rpi == 0.0:
-        return math.pi
-    if math.copysign(1.0, r0) == math.copysign(1.0, rpi):
-        return None
-    return bisect_root(f, 0.0, math.pi, xtol=tol, flo=r0, fhi=rpi)
+    w = np.asarray(omega, dtype=float)
+    r0 = np.ravel(dispersion_residual(0.0, w, L, sym_class))
+    rpi = np.ravel(dispersion_residual(np.pi, w, L, sym_class))
+    theta = np.where(r0 == 0.0, 0.0, np.where(rpi == 0.0, np.pi, np.nan))
+    i = np.flatnonzero((r0 != 0.0) & (rpi != 0.0) & (np.signbit(r0) != np.signbit(rpi)))
+    theta[i] = bisect_falling(
+        lambda th, wi, sg: sg * dispersion_residual(th, wi, L, sym_class),
+        np.zeros(i.size),
+        np.full(i.size, np.pi),
+        np.ravel(w)[i],
+        np.where(r0[i] > 0.0, 1.0, -1.0),
+        xtol=THETA_TOL,
+    )
+    return theta.reshape(w.shape)[()]
 
 
 def f_plus(omega):
@@ -214,25 +210,21 @@ def f_plus(omega):
     omega belongs to a band exactly when phi_L(omega) leaves the open strip
     (f_minus, f_plus); gap bottoms of type (i)/(iii) sit on phi_L = f_plus.
     """
-    t = math.fmod(omega, math.pi)
-    if t < 0:
-        t += math.pi
-    return math.tan(0.5 * t)
+    t = np.fmod(omega, np.pi)
+    return np.tan(0.5 * np.where(t < 0.0, t + np.pi, t))[()]
 
 
+@_quiet
 def f_minus(omega):
-    """Band-edge curve -cot(omega/2), pi-periodized; companion of f_plus.
+    """Band-edge curve -cot(omega/2) = -1/f_plus, pi-periodized; companion of f_plus.
 
     Gap tops of type (i)/(ii) sit on phi_L = f_minus.
     """
-    t = math.fmod(omega, math.pi)
-    if t < 0:
-        t += math.pi
-    if t == 0.0:
-        return -math.inf
-    return -1.0 / math.tan(0.5 * t)
+    t = f_plus(omega)
+    return np.where(t == 0.0, -np.inf, -1.0 / t)[()]
 
 
+@_quiet
 def radicand(omega, L, sym_class):
     """(phi_L, radicand) at omega, where radicand = 1 - phi_L (phi_L + phi_2).
 
@@ -241,31 +233,35 @@ def radicand(omega, L, sym_class):
     vanish on the band-edge curves phi_L = f_plus and phi_L = f_minus; it
     equals (g^2 - 1) phi_L^2 / sin^2(omega), so it is positive exactly inside
     a gap, and its sign stays right next to the band edges, where g^2 - 1
-    cancels.  No pole clamps: evaluate it off pi*Z and off the poles of
-    phi_L.
+    cancels.  Evaluate it off pi*Z; at the poles and zeros of phi_L it
+    takes its limits there, -inf and 1.
     """
-    t = math.tan(0.5 * omega)
-    p = float(_phi_L_array(omega, L, sym_class))
+    w = np.asarray(omega, dtype=float)
+    t = np.tan(0.5 * w)
+    p = phi_L(w, L, sym_class)
     return p, (t - p) * (p + 1.0 / t)
 
 
-def _gap_radicand(omega, L, sym_class):
-    """(g, phi_L, radicand) at omega (see `radicand`), for a point inside a gap.
+def _require(ok, w, what):
+    """Raise ValueError naming the first entry of w where ok fails."""
+    if not np.all(ok):
+        raise ValueError(f"omega={np.extract(np.logical_not(ok), w)[0]} {what}")
 
-    Raises ValueError at a flat point and where the radicand is not positive
-    (the essential spectrum of the family).
+
+def _gap_radicand(omega, L, sym_class):
+    """(omega, g, phi_L, radicand) (see `radicand`), for points inside a gap.
+
+    Raises ValueError if any entry is not a positive frequency, is a flat
+    point, or has a radicand that is not positive (the essential spectrum of
+    the family).
     """
-    if not omega > 0.0:
-        raise ValueError(f"omega={omega} is not a positive frequency")
-    g = g_mu_value(omega, L, 1.0, sym_class)
-    if math.isnan(g):
-        raise ValueError(f"omega={omega} is a flat spectral point")
-    p, rad = radicand(omega, L, sym_class)
-    if not rad > 0.0:
-        raise ValueError(
-            f"omega={omega} lies in the essential spectrum (radicand {rad} <= 0)"
-        )
-    return g, p, rad
+    w = np.asarray(omega, dtype=float)
+    _require(w > 0.0, w, "is not a positive frequency")
+    g = g_value(w, L, sym_class)
+    _require(~np.isnan(g), w, "is a flat spectral point")
+    p, rad = radicand(w, L, sym_class)
+    _require(rad > 0.0, w, "lies in the essential spectrum (radicand <= 0)")
+    return w, g, p, rad
 
 
 def capital_F(omega, L, sym_class):
@@ -277,12 +273,12 @@ def capital_F(omega, L, sym_class):
     Exactly 0 at the zeros of phi_L.  Raises ValueError at a flat point and
     inside the essential spectrum of the family.
     """
-    g, p, rad = _gap_radicand(omega, L, sym_class)
-    if math.isinf(g):
-        return 0.0
-    return p * (p + 2.0 / math.tan(omega)) / (1.0 + math.sqrt(rad))
+    w, g, p, rad = _gap_radicand(omega, L, sym_class)
+    F = p * (p + 2.0 / np.tan(w)) / (1.0 + np.sqrt(rad))
+    return np.where(np.isinf(g), 0.0, F)[()]
 
 
+@_quiet
 def reflection_root(omega, L, sym_class):
     """Decay factor r in (-1, 1) of the defect mode, the stable root of r^2 + 2 g r + 1 = 0.
 
@@ -291,5 +287,5 @@ def reflection_root(omega, L, sym_class):
     cancels; the limit 0 at zeros of phi_L (g infinite).  Raises ValueError
     at a flat point and inside the essential spectrum.
     """
-    g, p, rad = _gap_radicand(omega, L, sym_class)
-    return -1.0 / (g + math.copysign(math.sqrt(rad) * abs(math.sin(omega) / p), g))
+    w, g, p, rad = _gap_radicand(omega, L, sym_class)
+    return -1.0 / (g + np.copysign(np.sqrt(rad) * np.abs(np.sin(w) / p), g))

@@ -67,5 +67,5 @@ def bisect_falling(f, lo, hi, *params, xtol):
 
 
 def dist_to_multiple(x, step):
-    """Distance from x to the nearest integer multiple of step."""
-    return abs(x - step * round(x / step))
+    """Distance from x to the nearest integer multiple of step; x may be an array."""
+    return np.abs(x - step * np.rint(x / step))

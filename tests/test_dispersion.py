@@ -3,7 +3,8 @@
 Randomized checks use a fixed seed and stay away from trigonometric poles;
 pole behaviour itself is tested separately at exact special points.  The
 defect response F and the decay root r are also checked against 50-digit
-`mpmath` references right next to gap edges and zeros of phi_L.
+`mpmath` references right next to gap edges and zeros of phi_L.  A property
+test checks that an array call returns its scalar calls to the last bit.
 """
 
 import math
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ladderspec import dispersion as dsp
-from ladderspec.bands import gaps
+from ladderspec.bands import gaps, in_essential_spectrum
 from ladderspec.params import SymmetryClass
 from ladderspec.rootfind import bisect_root, dist_to_multiple
 from mp_reference import mp_capital_F, mp_radicand, mp_reflection_root, ulp_ratio
@@ -102,15 +103,13 @@ def test_theta_root_certificate_matches_transfer_bound():
     rng = np.random.default_rng(12)
     for L in LENGTHS:
         for cls in (S, A):
-            for w in _generic_omegas(rng, L, 400):
-                g = dsp.g_value(w, L, cls)
-                th = dsp.theta_root(w, L, cls)
-                if abs(g) <= 1.0:
-                    assert th is not None
-                    assert abs(dsp.dispersion_residual(th, w, L, cls)) < 1e-8
-                    assert math.cos(th) == pytest.approx(-g, abs=1e-8)
-                else:
-                    assert th is None
+            w = np.array(_generic_omegas(rng, L, 400))
+            g = dsp.g_value(w, L, cls)
+            th = dsp.theta_root(w, L, cls)
+            band = np.abs(g) <= 1.0
+            assert np.array_equal(np.isnan(th), ~band)
+            assert np.all(np.abs(dsp.dispersion_residual(th[band], w[band], L, cls)) < 1e-8)
+            assert np.cos(th[band]) == pytest.approx(-g[band], abs=1e-8)
 
 
 def test_membership_through_band_edge_curves():
@@ -271,3 +270,83 @@ def test_F_and_r_match_50_digits_near_edges_and_zeros(L, cls, index, shift):
                 r = dsp.reflection_root(w, L, cls)
                 assert ulp_ratio(F, mp_capital_F, w, L, cls) <= 16.0, (w, L, cls)
                 assert ulp_ratio(r, mp_reflection_root, w, L, cls) <= 16.0, (w, L, cls)
+
+
+@st.composite
+def _length_and_omegas(draw):
+    """L and a list of omegas seeded with the special points of both families.
+
+    The special points are the poles and zeros of phi_L (omega L / 2 on
+    pi/2 Z), multiples of pi, their coincidences (flat points, frequent at
+    the sampled rational L) and the non-finite and zero inputs.
+    """
+    L = draw(st.one_of(st.sampled_from([0.5, 1.0, 2.0, 8.0]), st.floats(0.3, 12.0)))
+    special = [m * math.pi / L for m in range(12)] + [m * math.pi for m in range(12)]
+    special += [math.inf, -math.inf, math.nan, 0.0, -0.0]
+    point = st.one_of(st.floats(-1.0, 60.0), st.sampled_from(special))
+    return L, draw(st.lists(point, min_size=1, max_size=12))
+
+
+def _outputs(value):
+    return value if isinstance(value, tuple) else (value,)
+
+
+def _bits(values):
+    """Bytes of a float or bool array, with every NaN made the same NaN.
+
+    The sum of two NaNs of opposite sign keeps the second one's sign in
+    numpy's scalar arithmetic and the first one's in its array loop; every
+    other bit must agree.
+    """
+    if values.dtype.kind == "f":
+        values = np.where(np.isnan(values), np.nan, values)
+    return values.tobytes()
+
+
+@settings(max_examples=80)
+@given(
+    case=_length_and_omegas(),
+    cls=st.sampled_from([S, A]),
+    mu=st.floats(0.05, 0.95),
+    theta=st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_array_call_equals_its_scalar_calls(case, cls, mu, theta, sign):
+    L, omegas = case
+    calls = {
+        "phi_L_pole_or_zero": lambda w: dsp.phi_L_pole_or_zero(0.5 * w * L, cls, 1e-9),
+        "phi_L": lambda w: dsp.phi_L(w, L, cls),
+        "phi_2": dsp.phi_2,
+        "g_mu_value": lambda w: dsp.g_mu_value(w, L, mu, cls),
+        "g_value": lambda w: dsp.g_value(w, L, cls),
+        "dispersion_residual": lambda w: dsp.dispersion_residual(theta, w, L, cls),
+        "impedance_residual": lambda w: dsp.impedance_residual(w, theta, L, cls),
+        "defect_residual": lambda w: dsp.defect_residual(w, mu * (2.0 - mu), sign, L, cls),
+        "theta_root": lambda w: dsp.theta_root(w, L, cls),
+        "f_plus": dsp.f_plus,
+        "f_minus": dsp.f_minus,
+        "radicand": lambda w: dsp.radicand(w, L, cls),
+        "capital_F": lambda w: dsp.capital_F(w, L, cls),
+        "reflection_root": lambda w: dsp.reflection_root(w, L, cls),
+        "in_essential_spectrum": lambda w: in_essential_spectrum(w, L, cls),
+    }
+    with np.errstate(all="ignore"):  # poles and non-finite omegas are drawn on purpose
+        for name, f in calls.items():
+            valid, scalars = [], []
+            for w in omegas:
+                try:
+                    scalars.append(_outputs(f(w)))
+                    valid.append(w)
+                except ValueError:  # capital_F and reflection_root outside gaps
+                    pass
+            if len(valid) < len(omegas):
+                with pytest.raises(ValueError):
+                    f(np.array(omegas))
+            if not valid:
+                continue
+            arrays = _outputs(f(np.array(valid)))
+            for k, got in enumerate(arrays):
+                want = [out[k] for out in scalars]
+                assert not any(isinstance(x, np.ndarray) for x in want), name
+                want = np.array(want, dtype=got.dtype)
+                assert got.shape == want.shape and _bits(got) == _bits(want), (name, k)
