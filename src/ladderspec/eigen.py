@@ -3,7 +3,7 @@
 Two routes with one result type:
 
 * `eig_dense` — LAPACK via scipy for moderate sizes (all eigenvalues, or an
-  index range);
+  index range; with or without eigenvectors);
 * `eig_sparse_shift_invert` — a self-contained shift-invert Lanczos with full
   reorthogonalisation in the M-inner product, for large sparse pencils where
   only eigenvalues near a target are wanted.
@@ -38,27 +38,28 @@ class EigenResult:
     """Solved eigenpairs, ascending by eigenvalue."""
 
     values: np.ndarray
-    vectors: np.ndarray  # column i pairs with values[i]; M-orthonormal
-    residuals: np.ndarray  # ||K x - lam M x||_2 per pair
+    vectors: np.ndarray | None  # column i pairs with values[i]; M-orthonormal
+    residuals: np.ndarray | None  # ||K x - lam M x||_2 per pair
     iterations: int = 0
     converged: bool = True
     n_outside_window: int = 0  # converged pairs discarded by the window filter
     message: str = ""
 
 
-def eig_dense(K, M, *, subset=None):
+def eig_dense(K, M, *, subset=None, vectors=True):
     """All (or a subset of) eigenpairs of the dense Hermitian pencil.
 
     subset=(i0, i1) keeps the inclusive index range.  M must be positive
-    definite.
+    definite.  vectors=False asks LAPACK for eigenvalues only and leaves
+    `vectors` and `residuals` None; over an index subset LAPACK bisects for
+    the same values whether or not it also computes vectors.
     """
     Kd = K.toarray() if sp.issparse(K) else np.asarray(K)
     Md = M.toarray() if sp.issparse(M) else np.asarray(M)
     try:
-        if subset is not None:
-            vals, vecs = scipy.linalg.eigh(Kd, Md, subset_by_index=subset)
-        else:
-            vals, vecs = scipy.linalg.eigh(Kd, Md)
+        out = scipy.linalg.eigh(
+            Kd, Md, subset_by_index=subset, eigvals_only=not vectors
+        )
     except scipy.linalg.LinAlgError as exc:
         if "positive definite" in str(exc):
             raise ValueError(
@@ -66,8 +67,10 @@ def eig_dense(K, M, *, subset=None):
                 "assembly"
             ) from exc
         raise
-    res = _pair_residuals(Kd, Md, vals, vecs)
-    return EigenResult(vals, vecs, res)
+    if not vectors:
+        return EigenResult(out, None, None)
+    vals, vecs = out
+    return EigenResult(vals, vecs, _pair_residuals(Kd, Md, vals, vecs))
 
 
 def count_below(K, M, sigma):

@@ -27,11 +27,16 @@ from .report import SpectralReport
 
 # Pencils with at most this many dofs go to dense LAPACK, larger ones to the
 # inertia-certified shift-invert Lanczos.  One Bloch pencil solve at
-# theta = 0.7 (L = 2 or 1/2 cells, h = eps/4), one OpenBLAS thread on a
-# 2-core host, dense vs Lanczos plus count:
-#   80 dofs, nev 2: 1.6 vs 5.8 ms      230 dofs, nev 12: 19 vs 51 ms
-#   380 dofs, nev 2: 54 vs 7.6 ms      480 dofs, nev 12: 104 vs 37 ms
-#   780 dofs, nev 2: 336 vs 12 ms      1580 dofs, nev 2: 2.2 s vs 12 ms
+# theta = 0.7 (symmetric L = 2 or 1/2 cells, h = eps/4): values-only dense
+# `eigh` on the sweep's ndarray pencil vs Lanczos plus inertia count on the
+# CSR pencil, one OpenBLAS thread on a 2-core host, median over three runs
+# of the medians of 41 interleaved solves (5 at 1580 dofs):
+#     80 dofs, nev  2: 1.4 vs 4.4 ms     180 dofs, nev  2: 8.4 vs 6.1 ms
+#    230 dofs, nev 12:  15 vs  18 ms     380 dofs, nev  2:  50 vs 7.0 ms
+#    380 dofs, nev 12:  49 vs  13 ms     480 dofs, nev 12:  98 vs  17 ms
+#    780 dofs, nev  2: 337 vs 9.3 ms    1580 dofs, nev  2: 2.6 s vs 15 ms
+# Every `fem bands` pencil up to 230 dofs stays dense; a lower or nev-aware
+# cutoff would move band edges by round-off.
 DENSE_CUTOFF = 300
 
 #: theta tolerance of the bounded search that sharpens an interior band extreme
@@ -69,15 +74,34 @@ def assemble_p1(mesh: Mesh):
 class HermitianPencil:
     """Reduced (K, M) after quasi-periodic tying / Dirichlet elimination.
 
-    T maps reduced dofs to full mesh nodes (u_full = T u_red); free lists the
-    full-mesh node ids that survived as their own dofs, in column order.
+    In the Bloch sweep K and M are dense ndarrays when the pencil goes to
+    dense LAPACK (`_solved_dense`) and CSR matrices when it goes to Lanczos;
+    `assemble_bloch_pencil` always returns CSR.  T maps reduced dofs to full
+    mesh nodes (u_full = T u_red); only `assemble_bloch_pencil` builds it,
+    the sweep leaves it None.  free lists the full-mesh node ids that
+    survived as their own dofs, in column order.
     """
 
-    K: sp.csr_matrix
-    M: sp.csr_matrix
-    T: sp.csr_matrix
+    K: np.ndarray | sp.csr_matrix
+    M: np.ndarray | sp.csr_matrix
+    T: sp.csr_matrix | None
     free: np.ndarray
     theta: float
+
+
+def _solved_dense(n):
+    """True when an n-dof pencil goes to dense LAPACK, False for Lanczos."""
+    return n <= DENSE_CUTOFF
+
+
+def _bloch_phase(theta):
+    """e^{-i theta}, snapped to the real 1 and -1 at theta = 0 and pi so
+    that those pencils come out exactly real symmetric."""
+    if theta == 0.0:
+        return 1.0
+    if theta == math.pi:
+        return -1.0
+    return np.exp(-1j * theta)
 
 
 class _BlochSplit:
@@ -88,9 +112,15 @@ class _BlochSplit:
     to their left-boundary masters.  For A = K and A = M the reduced matrix
     T^H A T is therefore A0 + e^{-i theta} A1 + e^{i theta} A1^T with
     A0 = T0^T A T0 + T1^T A T1 and A1 = T0^T A T1, formed once per mesh.
+
+    On the dense side of the cutoff (`dense`, from `_solved_dense` unless
+    given) A0 is kept as one real ndarray and A1 as COO triplets, and each
+    pencil is a copy of A0 with e^{-i theta} A1 and e^{i theta} A1^T
+    scattered in; A1 and A1^T share no entry, so every entry is the same
+    float sum as in the CSR pencil.  Otherwise the pencil is that CSR sum.
     """
 
-    def __init__(self, mesh):
+    def __init__(self, mesh, *, dense=None):
         if mesh.left.size != mesh.right.size:
             raise ValueError("left/right boundary node counts differ")
         n = mesh.n_nodes
@@ -108,49 +138,58 @@ class _BlochSplit:
         self.T0 = sp.csr_matrix((np.ones(keep.size), (keep, col_of[keep])), shape=shape)
         self.T1 = sp.csr_matrix((np.ones(masters.size), (mesh.right, masters)), shape=shape)
         self.free = keep
+        self.dense = _solved_dense(keep.size) if dense is None else dense
         K, M = assemble_p1(mesh)
         self.K_parts = self._parts(K)
         self.M_parts = self._parts(M)
 
     def _parts(self, A):
         T0, T1 = self.T0, self.T1
+        A0 = (T0.T @ A @ T0 + T1.T @ A @ T1).tocsr()
         A1 = (T0.T @ A @ T1).tocsr()
-        return (T0.T @ A @ T0 + T1.T @ A @ T1).tocsr(), A1, A1.T.tocsr()
+        if self.dense:
+            return A0.toarray(), A1.tocoo()
+        return A0, A1, A1.T.tocsr()
 
     def pencil(self, theta):
         """Reduced pencil at Bloch phase theta, exactly Hermitian."""
-        # snap the endpoint phases so theta in {0, pi} yields an exactly
-        # real symmetric reduced pencil
-        if theta == 0.0:
-            phase = 1.0
-        elif theta == math.pi:
-            phase = -1.0
-        else:
-            phase = np.exp(-1j * theta)
-
-        def at(A0, A1, A1T):
-            # A0 is symmetric and the bracket Hermitian entry by entry, so
-            # the sum is exactly Hermitian
-            return A0 + (phase * A1 + np.conj(phase) * A1T)
-
+        phase = _bloch_phase(theta)
+        at = _dense_at if self.dense else _sparse_at
         return HermitianPencil(
-            at(*self.K_parts),
-            at(*self.M_parts),
-            (self.T0 + phase * self.T1).tocsr(),
+            at(phase, *self.K_parts),
+            at(phase, *self.M_parts),
+            None,
             self.free,
             float(theta),
         )
 
 
+def _sparse_at(phase, A0, A1, A1T):
+    # A0 is symmetric and the bracket Hermitian entry by entry, so the sum
+    # is exactly Hermitian
+    return A0 + (phase * A1 + np.conj(phase) * A1T)
+
+
+def _dense_at(phase, A0, A1):
+    out = A0.astype(np.result_type(A0.dtype, phase))
+    out[A1.row, A1.col] += phase * A1.data
+    out[A1.col, A1.row] += np.conj(phase) * A1.data
+    return out
+
+
 def assemble_bloch_pencil(mesh, theta):
-    """Quasi-periodic pencil on a periodicity-cell mesh at Bloch phase theta.
+    """Quasi-periodic CSR pencil, with its tying map T, on a
+    periodicity-cell mesh at Bloch phase theta.
 
     The right boundary trace is e^{-i theta} times the left one; the class
     stored in the mesh metadata decides the y = 0 condition.
     """
     if not 0.0 <= theta <= math.pi + 1e-12:
         raise ValueError(f"theta={theta} outside [0, pi]")
-    return _BlochSplit(mesh).pencil(theta)
+    split = _BlochSplit(mesh, dense=False)
+    p = split.pencil(theta)
+    p.T = (split.T0 + _bloch_phase(theta) * split.T1).tocsr()
+    return p
 
 
 def _supercell_pencil(mesh):
@@ -173,8 +212,8 @@ def _lowest_eigs(Kr, Mr, nev, *, seed=0):
     shift-invert Lanczos certified by one inertia count above its top value."""
     n = Kr.shape[0]
     nev = min(nev, n)
-    if n <= DENSE_CUTOFF:
-        return eig_dense(Kr, Mr, subset=(0, nev - 1)).values
+    if _solved_dense(n):
+        return eig_dense(Kr, Mr, subset=(0, nev - 1), vectors=False).values
     res = eig_sparse_shift_invert(Kr, Mr, -1e-2, min(nev, n - 2), seed=seed)
     if not res.converged:
         raise RuntimeError(f"lowest-eigenvalue Lanczos solve failed: {res.message}")
@@ -261,7 +300,7 @@ def fem_bloch_bands(params: LadderParams, sym_class, nev, h, *, n_theta=17, seed
             "n_nodes": mesh.n_nodes,
             "n_dofs": int(split.free.size),
             "n_solves": len(cache),
-            "solver": "dense" if split.free.size <= DENSE_CUTOFF else "lanczos",
+            "solver": "dense" if split.dense else "lanczos",
             "mesh_area": mesh.total_area(),
         },
     )

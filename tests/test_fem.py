@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ladderspec import fem
 from ladderspec.bands import first_n_gaps
@@ -176,6 +177,95 @@ def test_bloch_endpoint_extremes_cost_one_solve_per_grid_point(monkeypatch):
     assert rep.diagnostics["n_solves"] == 17
     assert rep.bands[0] == pytest.approx([1.0, math.sqrt(3.0)], rel=1e-14)
     assert rep.bands[1] == pytest.approx([2.0, math.sqrt(6.0)], rel=1e-14)
+
+
+# (L, class, eps, h) of dense-side Bloch cells: 180, 175 and 230 dofs
+DENSE_CELLS = ((2.0, S, 0.2, 0.05), (2.0, A, 0.2, 0.05), (0.5, S, 0.1, 0.025))
+
+
+def test_dense_sweep_pencil_is_the_csr_pencil_bit_for_bit():
+    for L, cls, eps, h in DENSE_CELLS[:2]:
+        mesh = build_cell_mesh(LadderParams(L, eps), cls, h)
+        split = fem._BlochSplit(mesh)
+        assert split.dense
+        for theta in (0.0, 0.7, math.pi):
+            p = split.pencil(theta)
+            ref = assemble_bloch_pencil(mesh, theta)
+            assert p.T is None
+            for got, want in ((p.K, ref.K), (p.M, ref.M)):
+                assert isinstance(got, np.ndarray)
+                assert np.array_equal(got, want.toarray())
+                assert np.iscomplexobj(got) == (theta == 0.7)
+
+
+def test_values_only_dense_subset_equals_vector_subset_bit_for_bit():
+    for L, cls, eps, h in DENSE_CELLS:
+        split = fem._BlochSplit(build_cell_mesh(LadderParams(L, eps), cls, h))
+        for theta in (0.0, 0.7, math.pi):
+            p = split.pencil(theta)
+            for subset in ((0, 1), (0, 11)):
+                only = eig_dense(p.K, p.M, subset=subset, vectors=False)
+                full = eig_dense(p.K, p.M, subset=subset)
+                assert only.vectors is None and only.residuals is None
+                assert np.array_equal(only.values, full.values)
+
+
+def _count_toarray(monkeypatch):
+    calls = [0]
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+
+        def toarray(self, *args, _orig=cls.toarray, **kw):
+            calls[0] += 1
+            return _orig(self, *args, **kw)
+
+        monkeypatch.setattr(cls, "toarray", toarray)
+    return calls
+
+
+def test_dense_bloch_sweep_solves_values_only_from_arrays(monkeypatch):
+    # one cell on the dense side: one values-only LAPACK call per grid theta
+    # on ndarrays, and the sparse parts are densified once per mesh (the A0
+    # of K and of M), not once per theta
+    solves = []
+    real = fem.eig_dense
+
+    def recording(K, M, **kw):
+        solves.append((K, M, kw))
+        return real(K, M, **kw)
+
+    monkeypatch.setattr(fem, "eig_dense", recording)
+    densified = _count_toarray(monkeypatch)
+    rep = fem_bloch_bands(LadderParams(2.0, 0.2), S, 2, 0.05)
+    assert rep.diagnostics["solver"] == "dense"
+    assert rep.diagnostics["n_solves"] == len(solves) == 17
+    for K, M, kw in solves:
+        assert isinstance(K, np.ndarray) and isinstance(M, np.ndarray)
+        assert kw["vectors"] is False
+    assert densified[0] <= 2
+
+
+def test_sweep_form_solver_and_diagnostics_follow_one_predicate(monkeypatch):
+    # the cutoff decides the pencil form, the solver and the reported solver
+    # together: forced to the Lanczos side, the sweep hands CSR pencils to
+    # the certified Lanczos path and reports it
+    params = LadderParams(2.0, 0.4)
+    dense = fem_bloch_bands(params, S, 2, 0.1)
+    monkeypatch.setattr(fem, "DENSE_CUTOFF", 0)
+    monkeypatch.setattr(fem, "eig_dense", None)
+    forms = []
+    real = fem._lowest_eigs
+
+    def recording(K, M, nev, **kw):
+        forms.append(sp.issparse(K) and sp.issparse(M))
+        return real(K, M, nev, **kw)
+
+    monkeypatch.setattr(fem, "_lowest_eigs", recording)
+    sparse = fem_bloch_bands(params, S, 2, 0.1)
+    assert dense.diagnostics["solver"] == "dense"
+    assert sparse.diagnostics["solver"] == "lanczos"
+    assert len(forms) == 17 and all(forms)
+    # compared in lambda: omega = sqrt(lambda) magnifies round-off at zero
+    assert np.allclose(np.square(sparse.bands), np.square(dense.bands), rtol=1e-10, atol=1e-10)
 
 
 def test_sparse_lowest_eigs_match_dense_and_are_certified(monkeypatch):
