@@ -184,7 +184,9 @@ def _gap_eigs_once(L, mu, sym_class, lam_lo, lam_hi, n_cells, h):
     # the window is symmetric about sigma, so the count eigenvalues nearest
     # sigma are exactly the ones inside it
     sigma = 0.5 * (lam_lo + lam_hi)
-    vals, vecs = spla.eigsh(K, k=count, M=M, sigma=sigma, which="LM")
+    # a fixed start vector: without v0 ARPACK draws one from process-global state
+    v0 = np.random.default_rng(0).standard_normal(K.shape[0])
+    vals, vecs = spla.eigsh(K, k=count, M=M, sigma=sigma, which="LM", v0=v0)
     found = int(np.count_nonzero((vals > lam_lo) & (vals < lam_hi)))
     if found != count:
         raise RuntimeError(

@@ -4,31 +4,31 @@ A SpectralReport is a plain data bundle: resolved configuration, band/gap
 intervals (in omega), discrete eigenvalues, free-form numeric tables (e.g.
 per-theta eigenvalue grids) and diagnostics.  JSON round-trips exactly;
 tables can also be written as CSV with full float precision.
+
+JSON comes from json's C encoder, which writes `np.float64` by
+`float.__repr__`; its `default` hook maps an ndarray to `.tolist()`, any other
+numpy scalar (np.int64, np.bool_, ...) to `.item()` and a complex value to
+{"re": real, "im": imag}, and raises TypeError for anything else.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 SCHEMA = "ladderspec/report-v1"
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays so json can take them."""
-    if isinstance(obj, np.ndarray):
-        return [_plain(x) for x in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+def _json_default(obj):
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(x) for x in obj]
-    return obj
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic) and not isinstance(item := obj.item(), np.generic):
+        return item  # np.longdouble has no Python scalar and stays unserializable
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -45,15 +45,14 @@ class SpectralReport:
     def add_table(self, name, columns, rows):
         self.tables[name] = {
             "columns": list(columns),
-            "rows": [_plain(list(r)) for r in rows],
+            "rows": [[x.item() if isinstance(x, np.generic) else x for x in r] for r in rows],
         }
 
     def to_json(self):
-        # a shallow field dict for one _plain pass; no indent keeps json's C encoder
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
-        return json.dumps(_plain(data), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True, default=_json_default)
 
     def save(self, path):
+        # json.dumps, not json.dump(fh), which streams through the pure-Python encoder
         with open(path, "w") as fh:
             fh.write(self.to_json())
             fh.write("\n")
@@ -67,14 +66,12 @@ class SpectralReport:
         return cls(**data)
 
     def write_table_csv(self, name, path):
+        # floats in full precision (17 significant digits), anything else by str
         tab = self.tables[name]
+        lines = [",".join(tab["columns"])]
+        lines += [
+            ",".join([f"{x:.16e}" if isinstance(x, float) else str(x) for x in row])
+            for row in tab["rows"]
+        ]
         with open(path, "w") as fh:
-            fh.write(",".join(tab["columns"]) + "\n")
-            for row in tab["rows"]:
-                fh.write(",".join(_csv_cell(x) for x in row) + "\n")
-
-
-def _csv_cell(x):
-    if isinstance(x, float):
-        return f"{x:.16e}"
-    return str(x)
+            fh.write("\n".join(lines) + "\n")

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from report_reference import reference_json
 
 from ladderspec import cli, fem
 from ladderspec.cli import main
@@ -134,6 +135,36 @@ def test_fem_bands_table_shape(tmp_path):
     cols, rows = _csv_rows(prefix)
     assert cols == ["theta", "band", "lambda", "omega"]
     assert len(rows) == 3 * 9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "bands", "--L", "2", "--class", "sym"],
+        ["graph", "bands", "--L", "2", "--class", "antisym"],
+        ["graph", "gaps", "--L", "2", "--class", "sym"],
+        ["graph", "gaps", "--L", "2", "--class", "antisym"],
+        ["graph", "eigs", "--L", "2", "--class", "sym", "--mu", "0.4"],
+        ["graph", "eigs", "--L", "2", "--class", "antisym", "--mu", "0.4"],
+        ["fem", "bands", "--L", "2", "--eps", "0.4", "--nev", "2"],
+    ],
+    ids=lambda argv: "-".join(a.strip("-") for a in argv),
+)
+def test_written_json_is_the_reference_encoding(tmp_path, monkeypatch, argv):
+    # the report the command writes, kept so its file can be checked
+    written = []
+    write = cli._write
+
+    def keep(report, out, table):
+        written.append(report)
+        write(report, out, table)
+
+    monkeypatch.setattr(cli, "_write", keep)
+    code, prefix = _run(tmp_path, *argv)
+    assert code == 0
+    text = (tmp_path / "out.json").read_text()
+    assert text == reference_json(written[0]) + "\n"
+    assert text.count("\n") == 1
 
 
 def test_fem_bands_unconverged_sparse_solve_exits_3(tmp_path, monkeypatch, capsys):

@@ -11,6 +11,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ladderspec import graph1d
 from ladderspec.bands import bloch_curves, essential_bands, first_n_gaps
@@ -108,6 +110,23 @@ def test_oracle_matches_closed_form_antisymmetric_leading_gap():
     assert res.converged
     assert res.omegas.size == 1
     assert abs(res.omegas[0] - exact[0]) / exact[0] <= 1e-4
+
+
+def test_oracle_repeats_bit_for_bit():
+    # ARPACK's own start vector comes from process-global state that every
+    # eigsh call advances; the oracle passes a fixed one instead
+    gap = first_n_gaps(2.0, S, 1)[0]
+
+    def once():
+        return oracle_gap_eigenvalues(
+            2.0, 0.4, S, gap, h=1e-2, n_cells=10, check_convergence=False
+        ).lams
+
+    first = once()
+    spla.eigsh(sp.diags(np.arange(1.0, 51.0)), k=2, which="LM")
+    again = once()
+    assert first.size == 2
+    assert first.tobytes() == again.tobytes()
 
 
 def test_oracle_empty_without_defect():

@@ -1,9 +1,11 @@
 """Tests for report serialization: JSON round-trip, schema, CSV format."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from report_reference import reference_json
 
 from ladderspec.report import SpectralReport
 
@@ -41,6 +43,68 @@ def test_json_round_trip(tmp_path):
     # the JSON itself is pure-python typed and sorted
     data = json.loads(path.read_text())
     assert sorted(data) == list(data)
+
+
+def test_sample_report_json_bytes(tmp_path):
+    expected = (
+        '{"bands": [[0.0, 1.2], [1.9, 4.3]], '
+        '"config": {"L": 2.0, "eps": 0.1, "sym_class": "sym"}, '
+        '"diagnostics": {"n_dofs": 123}, "eigenvalues": [1.34, 1.8], '
+        '"gaps": [{"omega_b": 1.2, "omega_t": 1.9, "type": "i"}], '
+        '"kind": "unit_test", "schema": "ladderspec/report-v1", '
+        '"tables": {"values": {"columns": ["omega", "lambda", "label"], '
+        '"rows": [[1.0, 1.0, "a"], [2.0, 4.0, "b"]]}}}'
+    )
+    rep = _sample_report()
+    assert rep.to_json() == expected
+    path = tmp_path / "rep.json"
+    rep.save(path)
+    assert path.read_text() == expected + "\n"  # one line, newline-terminated
+
+
+def test_json_matches_reference_walk():
+    grid = np.arange(6.0).reshape(2, 3) / 7.0
+    rep = SpectralReport(
+        kind="encoder",
+        config={
+            "f64": np.float64(0.1),
+            "f32": np.float32(0.1),
+            "i64": np.int64(-7),
+            "tuple": (1, np.float64(2.5), "x"),
+            "nested": {"a": {"b": [np.int64(3), (np.float32(1.5),)]}},
+        },
+        bands=[np.array([0.25, 1.0 / 3.0]), (np.float64(2.0), 3.0)],
+        gaps=[{"omega_b": np.float64(1.2), "omega_t": 1.9, "type": "ii"}],
+        eigenvalues=[np.float64(np.pi), math.nan, math.inf, -math.inf, np.float64("nan")],
+        diagnostics={
+            "grid": grid,
+            "modes": np.array([1.0 + 2.0j, -0.5j]),
+            "py_complex": 1.5 - 2.25j,
+            "np_complex": np.complex128(0.1 + 0.2j),
+            "counts": np.array([1, 2, 3], dtype=np.int64),
+            "inf": np.float64(-np.inf),
+        },
+    )
+    rep.add_table("t", ["a", "b", "c"], [(np.float64(1.0) / 3.0, np.int64(4), "s"), (np.nan, 2, "")])
+    assert rep.to_json() == reference_json(rep)
+    back = json.loads(rep.to_json())
+    assert back["diagnostics"]["modes"] == [{"re": 1.0, "im": 2.0}, {"re": -0.0, "im": -0.5}]
+    assert back["diagnostics"]["grid"] == grid.tolist()
+
+
+def test_json_numpy_scalars_beyond_the_walk():
+    # np.bool_ and np.complex64 encode through .item(); the reference walk
+    # leaves both to json, which raises TypeError
+    rep = SpectralReport(
+        kind="flags",
+        diagnostics={"ok": np.bool_(True), "bad": np.bool_(False), "z": np.complex64(0.5 + 1j)},
+    )
+    assert '"diagnostics": {"bad": false, "ok": true, "z": {"im": 1.0, "re": 0.5}}' in rep.to_json()
+    with pytest.raises(TypeError):
+        reference_json(rep)
+    for value in (object(), {1, 2}, np.longdouble(1.0)):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            SpectralReport(kind="bad", config={"x": value}).to_json()
 
 
 def test_load_rejects_other_schema(tmp_path):
