@@ -69,7 +69,6 @@ _EXPORTS = {
         "localized_modes",
         "per_cell_mass",
         "quasimode_detail",
-        "quasimode_residual",
         "neumann_rectangle_eigs",
     ],
     "report": ["SpectralReport"],

@@ -243,23 +243,23 @@ def _write(report, out, table):
 GRAPH_COLUMNS = ["omega", "lambda", "kind", "gap_type", "class", "mu"]
 
 
-def _fem_gaps(v, eps, h):
-    """FEM gaps of the unperturbed eps-ladder, from the Bloch sweep of --nev and --ntheta."""
-    from .fem import fem_bloch_bands
-
-    return fem_bloch_bands(
-        LadderParams(v["L"].value, eps, 1.0), v["class"], max(v["nev"], 3), h,
-        n_theta=v["ntheta"], seed=v["seed"],
-    ).gaps
-
-
 def _fem_gap_window(v, eps, h, index):
     """FEM gaps of the unperturbed eps-ladder and the lambda window of gap index.
 
-    index is 1-based; the window is the gap shrunk by 1e-6 of its lambda width
-    at both ends, so it never grazes a band edge.
+    The gaps come from the Bloch sweep of --nev and --ntheta and are numbered as
+    `bands.gaps` numbers the graph gaps: the antisymmetric gap 1 is (0, bottom
+    of band 1).  index is 1-based; the window is the gap shrunk by 1e-6 of its
+    lambda width at both ends, so it never grazes a band edge.
     """
-    gaps = _fem_gaps(v, eps, h)
+    from .fem import fem_bloch_bands
+
+    bloch = fem_bloch_bands(
+        LadderParams(v["L"].value, eps, 1.0), v["class"], v["nev"], h,
+        n_theta=v["ntheta"], seed=v["seed"],
+    )
+    gaps = bloch.gaps
+    if v["class"] is SymmetryClass.ANTISYMMETRIC:
+        gaps = [{"omega_b": 0.0, "omega_t": bloch.bands[0][0]}] + gaps
     if len(gaps) < index:
         raise RuntimeError(
             f"requested FEM gap {index} at eps={eps} but only {len(gaps)} "
@@ -417,11 +417,12 @@ def cmd_fem_localized(v, config):
 # -- convergence studies ----------------------------------------------------
 
 
-def _loglog_slope(xs, ys):
+def _loglog_slope(rows, col):
+    """Least-squares slope of log row[col] against log eps = row[0] over a study's rows."""
     import numpy as np
 
-    xs = np.log(np.asarray(xs, dtype=float))
-    ys = np.log(np.maximum(np.asarray(ys, dtype=float), 1e-300))
+    xs = np.log([r[0] for r in rows])
+    ys = np.log(np.maximum([r[col] for r in rows], 1e-300))
     return float(np.polyfit(xs, ys, 1)[0])
 
 
@@ -459,16 +460,12 @@ def cmd_study_band_edges(v, config):
     """First-gap FEM edges against the graph edges over eps."""
     ref = _first_gap(v)
     gb, gt = ref.omega_b, ref.omega_t
-    rows, errs = [], []
+    rows = []
     for eps, h in _eps_descending(v):
-        fem_gaps = _fem_gaps(v, eps, h)
-        if not fem_gaps:
-            raise RuntimeError(f"no FEM gap found at eps={eps}")
+        fem_gaps, _ = _fem_gap_window(v, eps, h, 1)
         fb, ft = fem_gaps[0]["omega_b"], fem_gaps[0]["omega_t"]
-        err = max(abs(fb - gb), abs(ft - gt))
-        rows.append((eps, h, fb, ft, gb, gt, err))
-        errs.append((eps, err))
-    slope = _loglog_slope([e for e, _ in errs], [r for _, r in errs])
+        rows.append((eps, h, fb, ft, gb, gt, max(abs(fb - gb), abs(ft - gt))))
+    slope = _loglog_slope(rows, -1)
     lo, hi = v["slope_min"], v["slope_max"]
     columns = ["eps", "h", "omega_b_fem", "omega_t_fem", "omega_b_graph",
                "omega_t_graph", "max_edge_error"]
@@ -481,7 +478,7 @@ def cmd_study_eigenvalues(v, config):
     from .fem import localized_modes
 
     lam_ref = _graph_eigenvalue(v, "in the first gap").lam
-    rows, errs = [], []
+    rows = []
     for eps, h in _eps_descending(v):
         _, window = _fem_gap_window(v, eps, h, 1)
         loc = localized_modes(
@@ -492,11 +489,10 @@ def cmd_study_eigenvalues(v, config):
         if not lams:
             raise RuntimeError(f"no localized mode found at eps={eps}")
         lam_eps = min(lams, key=lambda x: abs(x - lam_ref))
-        err = abs(lam_eps - lam_ref)
-        rows.append((eps, h, lam_eps, lam_ref, err))
-        errs.append((eps, err))
-    monotone = all(e1 > e2 for (_, e1), (_, e2) in zip(errs[:-1], errs[1:]))
-    slope = _loglog_slope([e for e, _ in errs], [r for _, r in errs])
+        rows.append((eps, h, lam_eps, lam_ref, abs(lam_eps - lam_ref)))
+    errs = [r[-1] for r in rows]
+    monotone = all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
+    slope = _loglog_slope(rows, -1)
     lo = v["slope_min"]
     columns = ["eps", "h", "lambda_fem", "lambda_graph", "error"]
     verdict = {"slope": slope, "monotone": monotone, "slope_min": lo,
@@ -515,9 +511,8 @@ def cmd_study_quasimode(v, config):
             LadderParams(v["L"].value, eps, v["mu"]), v["class"], ev, h, n_cells=v["cells"]
         )
         rows.append((eps, h, det["ratio_dual"], det["ratio_mass"]))
-    eps_list = [r[0] for r in rows]
-    expo_dual = _loglog_slope(eps_list, [r[2] for r in rows])
-    expo_mass = _loglog_slope(eps_list, [r[3] for r in rows])
+    expo_dual = _loglog_slope(rows, 2)
+    expo_mass = _loglog_slope(rows, 3)
     lo = v["slope_min"]
     columns = ["eps", "h", "ratio_dual", "ratio_mass"]
     verdict = {"exponent_dual": expo_dual, "exponent_mass": expo_mass,

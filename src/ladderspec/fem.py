@@ -521,11 +521,6 @@ def quasimode_detail(params: LadderParams, sym_class, graph_ev, h, *, n_cells=10
     }
 
 
-def quasimode_residual(params: LadderParams, sym_class, graph_ev, h, *, n_cells=10):
-    """H^1-dual residual ratio of the fattened pseudo-mode (see quasimode_detail)."""
-    return quasimode_detail(params, sym_class, graph_ev, h, n_cells=n_cells)["ratio_dual"]
-
-
 def neumann_rectangle_eigs(a, b, nx, ny, nev):
     """Lowest Neumann eigenvalues of (0,a)x(0,b): computed vs exact.
 

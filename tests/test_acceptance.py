@@ -8,12 +8,15 @@ closed-form dispersion analysis, the exact special-point arithmetic, the
 defect-eigenvalue root counting, the 1-D truncated-graph oracle, the 2-D
 Floquet-Bloch solver, the supercell trapped-mode search, the pseudo-mode
 residual estimate, the flat-band splitting, and the raw FEM assembly chain.
+Gates 6-8 run the ``ladderspec study`` commands in-process, with every flag
+that shapes their claim given explicitly, and assert the command's verdict.
 """
 
 import math
 import time
 
 import numpy as np
+from cli_run import run_cli
 
 from ladderspec.bands import (
     first_n_gaps,
@@ -22,15 +25,11 @@ from ladderspec.bands import (
     spectrum_cover_check,
 )
 from ladderspec.dispersion import THETA_TOL, g_value, theta_root
-from ladderspec.fem import (
-    fem_bloch_bands,
-    localized_modes,
-    neumann_rectangle_eigs,
-    quasimode_residual,
-)
+from ladderspec.fem import fem_bloch_bands, neumann_rectangle_eigs
 from ladderspec.graph1d import oracle_gap_eigenvalues
 from ladderspec.modes import discrete_eigenvalues
 from ladderspec.params import LadderParams, SymmetryClass
+from ladderspec.report import SpectralReport
 
 S = SymmetryClass.SYMMETRIC
 A = SymmetryClass.ANTISYMMETRIC
@@ -205,83 +204,58 @@ def test_05_full_operator_cover():
     )
 
 
-def test_06_band_edge_convergence():
+def _study(tmp_path, argv):
+    """Run ``ladderspec study <argv>``; its table's columns by name, and its verdict."""
+    code, prefix = run_cli(tmp_path, "study", *argv.split())
+    assert code == 0, "study %s exited with %d" % (argv, code)
+    rep = SpectralReport.load("%s.json" % prefix)
+    table = rep.tables["study"]
+    return dict(zip(table["columns"], zip(*table["rows"]))), rep.diagnostics
+
+
+def test_06_band_edge_convergence(tmp_path):
     # First-gap edges of the 2-D waveguide must converge to the graph edges
     # linearly in the strip width.
     t0 = time.perf_counter()
-    graph = first_n_gaps(2.0, S, 1)[0]
-    eps_list = (0.2, 0.1, 0.05, 0.025)
-    errs = []
-    for eps in eps_list:
-        rep = fem_bloch_bands(LadderParams(2.0, eps), S, 2, eps / 4.0)
-        errs.append(
-            max(
-                abs(rep.gaps[0]["omega_b"] - graph.omega_b),
-                abs(rep.gaps[0]["omega_t"] - graph.omega_t),
-            )
-        )
-    slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
+    table, verdict = _study(tmp_path, "band-edges --L 2 --class sym --eps 0.2,0.1,0.05,0.025 "
+                            "--nev 2 --ntheta 17 --slope-min 0.8 --slope-max 1.2")
     _verdict(
         "06 band-edge convergence",
-        0.8 <= slope <= 1.2,
+        verdict["pass"],
         "edge errors %s, log-log slope %.3f"
-        % (["%.2e" % e for e in errs], slope),
+        % (["%.2e" % e for e in table["max_edge_error"]], verdict["slope"]),
         t0,
         900.0,
     )
 
 
-def test_07_trapped_mode_convergence():
+def test_07_trapped_mode_convergence(tmp_path):
     # Every supercell must carry a trapped mode inside its own spectral gap,
     # and the eigenvalue must approach the graph limit at linear rate.
     t0 = time.perf_counter()
-    gap = first_n_gaps(2.0, S, 1)[0]
-    lam_graph = discrete_eigenvalues(2.0, 0.25, S, gap)[0].omega ** 2
-    eps_list = (0.2, 0.1, 0.05)
-    errs = []
-    found = True
-    for eps in eps_list:
-        bands = fem_bloch_bands(LadderParams(2.0, eps), S, 2, eps / 4.0)
-        gb, gt = bands.gaps[0]["omega_b"], bands.gaps[0]["omega_t"]
-        window = ((gb * (1 + 1e-3)) ** 2, (gt * (1 - 1e-3)) ** 2)
-        loc = localized_modes(
-            LadderParams(2.0, eps, mu=0.25), S, window, 10, eps / 4.0
-        )
-        lams = sorted(row[1] for row in loc.tables["modes"]["rows"])
-        found = found and len(lams) >= 1
-        if lams:
-            errs.append(abs(lams[0] - lam_graph))
-    mono = len(errs) == 3 and errs[0] > errs[1] > errs[2]
-    slope = (
-        np.polyfit(np.log(eps_list), np.log(errs), 1)[0] if len(errs) == 3 else 0.0
-    )
+    table, verdict = _study(tmp_path, "eigenvalues --L 2 --class sym --eps 0.2,0.1,0.05 "
+                            "--mu 0.25 --nev 2 --ntheta 17 --cells 10 --slope-min 0.8")
     _verdict(
         "07 trapped-mode convergence",
-        found and mono and slope >= 0.8,
+        verdict["pass"],
         "gap eigenvalue errors %s, monotone %s, slope %.3f"
-        % (["%.2e" % e for e in errs], mono, slope),
+        % (["%.2e" % e for e in table["error"]], verdict["monotone"], verdict["slope"]),
         t0,
         1200.0,
     )
 
 
-def test_08_quasimode_residual_rate():
+def test_08_quasimode_residual_rate(tmp_path):
     # The fattened graph eigenfunction must be a quasi-mode: its residual
     # ratio has to vanish at least like sqrt(eps).
     t0 = time.perf_counter()
-    gap = first_n_gaps(2.0, S, 1)[0]
-    ev = discrete_eigenvalues(2.0, 0.25, S, gap)[0]
-    eps_list = (0.2, 0.1, 0.05)
-    ratios = [
-        quasimode_residual(LadderParams(2.0, eps, mu=0.25), S, ev, eps / 4.0)
-        for eps in eps_list
-    ]
-    expo = np.polyfit(np.log(eps_list), np.log(ratios), 1)[0]
+    table, verdict = _study(tmp_path, "quasimode --L 2 --class sym --eps 0.2,0.1,0.05 "
+                            "--mu 0.25 --cells 10 --slope-min 0.5")
     _verdict(
         "08 quasi-mode residual rate",
-        expo >= 0.5,
+        verdict["pass"],
         "ratios %s, exponent %.3f (>= 0.5)"
-        % (["%.2e" % r for r in ratios], expo),
+        % (["%.2e" % r for r in table["ratio_dual"]], verdict["exponent_dual"]),
         t0,
         600.0,
     )

@@ -5,7 +5,6 @@ prefix, then inspects the written JSON/CSV pair.  Numbers asserted here are
 the same frozen references used by the module tests.
 """
 
-import json
 import math
 import re
 import shlex
@@ -13,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from cli_run import csv_rows, run_cli
 from report_reference import reference_json
 
 from ladderspec import cli, fem
@@ -22,19 +22,8 @@ from ladderspec.mesh import Mesh
 from ladderspec.report import SpectralReport
 
 
-def _run(tmp_path, *argv, name="out"):
-    prefix = tmp_path / name
-    code = main([*argv, "--out", str(prefix)])
-    return code, prefix
-
-
-def _csv_rows(prefix):
-    lines = (prefix.parent / (prefix.name + ".csv")).read_text().splitlines()
-    return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
-
-
 def test_graph_gaps_first_gap(tmp_path, capsys):
-    code, prefix = _run(
+    code, prefix = run_cli(
         tmp_path, "graph", "gaps", "--L", "2", "--class", "sym", "--omega-max", "7"
     )
     assert code == 0
@@ -46,7 +35,7 @@ def test_graph_gaps_first_gap(tmp_path, capsys):
     assert abs(g1["omega_b"] - math.acos(1.0 / 3.0)) < 1e-9
     assert abs(g1["omega_t"] - 1.9106332362490186) < 1e-9
     assert g1["type"] == "i"
-    cols, rows = _csv_rows(prefix)
+    cols, rows = csv_rows(prefix)
     assert cols == ["omega", "lambda", "kind", "gap_type", "class", "mu"]
     assert rows[0][2] == "gap_b" and rows[1][2] == "gap_t"
     # lambda column is omega squared; mu is empty off eigenvalue rows
@@ -56,11 +45,11 @@ def test_graph_gaps_first_gap(tmp_path, capsys):
 
 
 def test_graph_eigs_rows_and_empty_mu1(tmp_path):
-    code, prefix = _run(
+    code, prefix = run_cli(
         tmp_path, "graph", "eigs", "--L", "2", "--mu", "0.25", "--omega-max", "7"
     )
     assert code == 0
-    cols, rows = _csv_rows(prefix)
+    cols, rows = csv_rows(prefix)
     assert len(rows) == 4  # two eigenvalues in each of the two gaps below 7
     omegas = sorted(float(r[0]) for r in rows)
     for got, want in zip(
@@ -73,11 +62,11 @@ def test_graph_eigs_rows_and_empty_mu1(tmp_path):
     rep = SpectralReport.load(prefix.parent / "out.json")
     assert len(rep.eigenvalues) == 4
 
-    code, prefix = _run(
+    code, prefix = run_cli(
         tmp_path, "graph", "eigs", "--L", "2", "--omega-max", "7", name="mu1"
     )
     assert code == 0  # mu defaults to 1.0: no defect, empty table, success
-    _, rows = _csv_rows(prefix)
+    _, rows = csv_rows(prefix)
     assert rows == []
 
 
@@ -91,7 +80,7 @@ def test_graph_eigs_rows_and_empty_mu1(tmp_path):
 def test_graph_eigs_narrow_antisymmetric_gaps(tmp_path, L, mu, narrowest):
     # the roots of such a gap sit on one of its edges; every gap still gets
     # its gate-3 count, one root per branch of its type
-    code, prefix = _run(
+    code, prefix = run_cli(
         tmp_path, "graph", "eigs", "--L", L, "--class", "antisym",
         "--omega-max", "30", "--mu", mu,
     )
@@ -106,8 +95,8 @@ def test_graph_eigs_narrow_antisymmetric_gaps(tmp_path, L, mu, narrowest):
 
 def test_graph_bands_flat_rows_and_determinism(tmp_path):
     argv = ["graph", "bands", "--L", "2", "--class", "antisym", "--omega-max", "7"]
-    code1, p1 = _run(tmp_path, *argv, name="a")
-    code2, p2 = _run(tmp_path, *argv, name="b")
+    code1, p1 = run_cli(tmp_path, *argv, name="a")
+    code2, p2 = run_cli(tmp_path, *argv, name="b")
     assert code1 == code2 == 0
     b1 = (tmp_path / "a.csv").read_bytes()
     b2 = (tmp_path / "b.csv").read_bytes()
@@ -116,13 +105,13 @@ def test_graph_bands_flat_rows_and_determinism(tmp_path):
     flats = rep.diagnostics["flat_omegas"]
     assert len(flats) == 2
     assert abs(flats[0] - math.pi) < 1e-12 and abs(flats[1] - 2 * math.pi) < 1e-12
-    _, rows = _csv_rows(p1)
+    _, rows = csv_rows(p1)
     assert sum(r[2] == "flat" for r in rows) == 2
     assert sum(r[2] == "band_edge" for r in rows) == 4  # two open bands
 
 
 def test_fem_bands_table_shape(tmp_path):
-    code, prefix = _run(
+    code, prefix = run_cli(
         tmp_path,
         "fem", "bands", "--L", "2", "--eps", "0.2", "--nev", "3", "--ntheta", "9",
     )
@@ -132,7 +121,7 @@ def test_fem_bands_table_shape(tmp_path):
     assert rep.config["eps"] == 0.2
     assert rep.config["h"] == 0.05  # the default h = eps/4, as used
     assert len(rep.bands) == 3
-    cols, rows = _csv_rows(prefix)
+    cols, rows = csv_rows(prefix)
     assert cols == ["theta", "band", "lambda", "omega"]
     assert len(rows) == 3 * 9
 
@@ -160,7 +149,7 @@ def test_written_json_is_the_reference_encoding(tmp_path, monkeypatch, argv):
         write(report, out, table)
 
     monkeypatch.setattr(cli, "_write", keep)
-    code, prefix = _run(tmp_path, *argv)
+    code, prefix = run_cli(tmp_path, *argv)
     assert code == 0
     text = (tmp_path / "out.json").read_text()
     assert text == reference_json(written[0]) + "\n"
@@ -177,7 +166,7 @@ def test_fem_bands_unconverged_sparse_solve_exits_3(tmp_path, monkeypatch, capsy
 
     monkeypatch.setattr(fem, "DENSE_CUTOFF", 0)
     monkeypatch.setattr(fem, "eig_sparse_shift_invert", failed)
-    code, prefix = _run(
+    code, prefix = run_cli(
         tmp_path,
         "fem", "bands", "--L", "2", "--eps", "0.2", "--nev", "3", "--ntheta", "3",
     )
@@ -187,13 +176,13 @@ def test_fem_bands_unconverged_sparse_solve_exits_3(tmp_path, monkeypatch, capsy
 
 
 def test_fem_localized_window_modes_and_dump(tmp_path):
-    code, prefix = _run(
+    code, prefix = run_cli(
         tmp_path,
         "fem", "localized", "--L", "2", "--eps", "0.2", "--mu", "0.25",
         "--cells", "6", "--window", "2.1,5.0", "--dump-modes",
     )
     assert code == 0
-    cols, rows = _csv_rows(prefix)
+    cols, rows = csv_rows(prefix)
     assert cols == [
         "omega", "lambda", "r_hat", "center_mass_fraction", "residual", "n_fit_cells",
     ]
@@ -203,20 +192,20 @@ def test_fem_localized_window_modes_and_dump(tmp_path):
     mesh, vals = Mesh.load(tmp_path / "out_mode0.mesh")
     assert vals is not None and vals.shape[0] == mesh.n_nodes
 
-    code, prefix = _run(
+    code, prefix = run_cli(
         tmp_path,
         "fem", "localized", "--L", "2", "--eps", "0.2", "--mu", "1.0",
         "--cells", "6", "--window", "2.1,5.0",
         name="mu1",
     )
     assert code == 0
-    _, rows = _csv_rows(prefix)
+    _, rows = csv_rows(prefix)
     assert rows == []
 
 
 def test_fem_localized_gap_stores_its_window(tmp_path):
     argv = ["fem", "localized", "--L", "2", "--eps", "0.2", "--mu", "0.25", "--cells", "6"]
-    code, _ = _run(tmp_path, *argv)
+    code, _ = run_cli(tmp_path, *argv)
     assert code == 0
     rep = SpectralReport.load(tmp_path / "out.json")
     v, _ = cli._resolve(cli._build_parser().parse_args(argv))
@@ -224,33 +213,62 @@ def test_fem_localized_gap_stores_its_window(tmp_path):
     assert rep.diagnostics["window"] == list(window)
     assert rep.diagnostics["fem_gaps"] == gaps
     # with --window the window is stored once, in config
-    code, _ = _run(tmp_path, *argv, "--window", "2.1,5.0", name="win")
+    code, _ = run_cli(tmp_path, *argv, "--window", "2.1,5.0", name="win")
     assert code == 0
     rep = SpectralReport.load(tmp_path / "win.json")
     assert rep.config["window"] == [2.1, 5.0]
     assert "window" not in rep.diagnostics
 
 
-def test_study_quasimode_exponent(tmp_path):
-    code, prefix = _run(
-        tmp_path,
-        "study", "quasimode",
-        "--L", "2", "--eps", "0.2,0.1,0.05", "--mu", "0.25",
-    )
+@pytest.mark.parametrize(
+    "argv,columns,column,errors,key,slope",
+    [
+        (["quasimode", "--class", "sym", "--eps", "0.2,0.1,0.05", "--mu", "0.25"],
+         ["eps", "h", "ratio_dual", "ratio_mass"],
+         "ratio_dual", [0.298, 0.180, 0.116], "exponent_dual", 0.685),
+        # antisymmetric gap 1 is the bottom gap (0, omega_t), for the FEM as for the graph
+        (["band-edges", "--class", "antisym", "--eps", "0.2,0.1,0.05,0.025"],
+         ["eps", "h", "omega_b_fem", "omega_t_fem", "omega_b_graph", "omega_t_graph",
+          "max_edge_error"], "max_edge_error", [0.113, 0.053, 0.026, 0.013], "slope", 1.054),
+        (["eigenvalues", "--class", "antisym", "--eps", "0.2,0.1,0.05", "--mu", "0.25"],
+         ["eps", "h", "lambda_fem", "lambda_graph", "error"],
+         "error", [0.171, 0.078, 0.037], "slope", 1.109),
+    ],
+    ids=["quasimode", "band-edges-antisym", "eigenvalues-antisym"],
+)
+def test_study_errors_and_verdict(tmp_path, argv, columns, column, errors, key, slope):
+    code, prefix = run_cli(tmp_path, "study", *argv, "--L", "2")
     assert code == 0
     rep = SpectralReport.load(tmp_path / "out.json")
-    assert rep.kind == "study_quasimode"
-    assert rep.diagnostics["pass"] is True
-    assert abs(rep.diagnostics["exponent_dual"] - 0.6845) < 2e-2
-    cols, rows = _csv_rows(prefix)
-    assert cols == ["eps", "h", "ratio_dual", "ratio_mass"]
-    assert [float(r[0]) for r in rows] == [0.2, 0.1, 0.05]
-    duals = [float(r[2]) for r in rows]
-    assert duals[0] > duals[1] > duals[2]
+    assert rep.kind == "study_" + argv[0]
+    assert rep.diagnostics["pass"] is True and abs(rep.diagnostics[key] - slope) < 1e-2
+    cols, rows = csv_rows(prefix)
+    assert cols == columns
+    eps = sorted(map(float, argv[argv.index("--eps") + 1].split(",")), reverse=True)
+    assert [float(r[0]) for r in rows] == eps
+    assert [float(r[cols.index(column)]) for r in rows] == pytest.approx(errors, abs=1e-3)
+
+
+def test_study_band_edges_sweeps_the_nev_it_records(tmp_path, monkeypatch, capsys):
+    swept = []
+    bloch = fem.fem_bloch_bands
+
+    def keep(*args, **kwargs):
+        rep = bloch(*args, **kwargs)
+        swept.append(len(rep.bands))
+        return rep
+
+    monkeypatch.setattr(fem, "fem_bloch_bands", keep)
+    code, _ = run_cli(tmp_path, "study", "band-edges", "--eps", "0.2,0.1,0.05", "--nev", "2")
+    assert code == 0 and swept == [2, 2, 2]
+    assert SpectralReport.load(tmp_path / "out.json").config["nev"] == 2
+    # one band bounds no symmetric gap
+    code, _ = run_cli(tmp_path, "study", "band-edges", "--eps", "0.2,0.1,0.05", "--nev", "1")
+    assert code == 3 and "raise --nev" in capsys.readouterr().err
 
 
 def test_study_needs_three_eps(tmp_path, capsys):
-    code, _ = _run(
+    code, _ = run_cli(
         tmp_path,
         "study", "quasimode",
         "--L", "2", "--eps", "0.2,0.1", "--mu", "0.25",
@@ -261,19 +279,19 @@ def test_study_needs_three_eps(tmp_path, capsys):
 
 
 def test_config_errors_name_the_flag(tmp_path, capsys):
-    code, _ = _run(tmp_path, "graph", "bands", "--L", "abc")
+    code, _ = run_cli(tmp_path, "graph", "bands", "--L", "abc")
     assert code == 2
     assert "--L" in capsys.readouterr().err
 
-    code, _ = _run(tmp_path, "fem", "bands", "--eps", "1.5")
+    code, _ = run_cli(tmp_path, "fem", "bands", "--eps", "1.5")
     assert code == 2
     assert "--eps" in capsys.readouterr().err
 
-    code, _ = _run(tmp_path, "fem", "bands", "--eps", "0.2", "--h", "0.15")
+    code, _ = run_cli(tmp_path, "fem", "bands", "--eps", "0.2", "--h", "0.15")
     assert code == 2
     assert "--h" in capsys.readouterr().err
 
-    code, _ = _run(
+    code, _ = run_cli(
         tmp_path, "fem", "localized", "--eps", "0.2", "--window", "5,2"
     )
     assert code == 2
@@ -291,7 +309,7 @@ def test_config_errors_name_the_flag(tmp_path, capsys):
 )
 def test_single_valued_flags_reject_lists(tmp_path, capsys, argv, flag):
     # these commands read one value; a list must not run on its first entry
-    code, _ = _run(tmp_path, *argv, "--L", "2")
+    code, _ = run_cli(tmp_path, *argv, "--L", "2")
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and flag in err
@@ -300,11 +318,11 @@ def test_single_valued_flags_reject_lists(tmp_path, capsys, argv, flag):
 
 def test_thread_env_validation(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LADDERSPEC_THREADS", "zero")
-    code, _ = _run(tmp_path, "graph", "gaps", "--L", "2")
+    code, _ = run_cli(tmp_path, "graph", "gaps", "--L", "2")
     assert code == 2
     assert "LADDERSPEC_THREADS" in capsys.readouterr().err
     monkeypatch.setenv("LADDERSPEC_THREADS", "1")
-    code, _ = _run(tmp_path, "graph", "gaps", "--L", "2", "--omega-max", "5")
+    code, _ = run_cli(tmp_path, "graph", "gaps", "--L", "2", "--omega-max", "5")
     assert code == 0
 
 
@@ -366,8 +384,8 @@ def test_each_command_takes_and_records_only_the_flags_it_reads(case, capsys):
 @pytest.mark.parametrize("flag", ["--nev", "--ntheta"])
 def test_fem_localized_window_rejects_gap_search_flags(tmp_path, capsys, flag):
     # --nev and --ntheta size the Bloch sweep that finds --gap; --window skips it
-    code, _ = _run(tmp_path, "fem", "localized", "--eps", "0.2", "--window", "2,5",
-                   flag, "9")
+    code, _ = run_cli(tmp_path, "fem", "localized", "--eps", "0.2", "--window", "2,5",
+                      flag, "9")
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error" in err and flag in err
