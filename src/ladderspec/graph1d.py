@@ -139,23 +139,6 @@ def truncated_half_ladder(L, mu, sym_class, n_cells, h=DEFAULT_H):
     return K.tocsc(), M.tocsc(), vertex_ids
 
 
-def _outer_mass_fraction(vec, vertex_ids, n_cells):
-    """Outer-rail amplitude share, used to spot truncation artifacts.
-
-    Defect modes decay geometrically from j = 0, so their amplitude on the
-    outer half of the rail is negligible; modes pinned to the artificial
-    Dirichlet ends show the opposite profile.
-    """
-    cut = max(2, n_cells // 2)
-    amp_in = max(abs(vec[v]) for j, v in vertex_ids.items() if abs(j) <= cut)
-    amp_out = max(
-        (abs(vec[v]) for j, v in vertex_ids.items() if abs(j) > cut), default=0.0
-    )
-    if amp_in == 0.0:
-        return 1.0
-    return amp_out / (amp_in + amp_out)
-
-
 @dataclass
 class OracleResult:
     """Defect eigenvalues found by the truncated-graph solve.
@@ -163,7 +146,7 @@ class OracleResult:
     n_cells, n_dofs and inertia_count describe the run that produced the
     eigenvalues (the wider one once the convergence check adopts it);
     inertia_count is the number of pencil eigenvalues in its search window,
-    artifacts included, as counted by Sylvester inertia.
+    as counted by Sylvester inertia, and equals lams.size.
     """
 
     omegas: np.ndarray
@@ -177,7 +160,7 @@ class OracleResult:
 
 
 def _gap_eigs_once(L, mu, sym_class, lam_lo, lam_hi, n_cells, h):
-    K, M, vertex_ids = truncated_half_ladder(L, mu, sym_class, n_cells, h)
+    K, M, _ = truncated_half_ladder(L, mu, sym_class, n_cells, h)
     count = count_below(K, M, lam_hi) - count_below(K, M, lam_lo)
     if count == 0:
         return np.zeros(0), K.shape[0], 0
@@ -186,20 +169,14 @@ def _gap_eigs_once(L, mu, sym_class, lam_lo, lam_hi, n_cells, h):
     sigma = 0.5 * (lam_lo + lam_hi)
     # a fixed start vector: without v0 ARPACK draws one from process-global state
     v0 = np.random.default_rng(0).standard_normal(K.shape[0])
-    vals, vecs = spla.eigsh(K, k=count, M=M, sigma=sigma, which="LM", v0=v0)
+    vals, _ = spla.eigsh(K, k=count, M=M, sigma=sigma, which="LM", v0=v0)
     found = int(np.count_nonzero((vals > lam_lo) & (vals < lam_hi)))
     if found != count:
         raise RuntimeError(
             f"inertia counts {count} eigenvalue(s) in the window but ARPACK "
             f"found {found}"
         )
-    # eigenvectors pinned to the truncation ends are artifacts, not defect modes
-    kept = [
-        lam
-        for lam, vec in zip(vals, vecs.T)
-        if _outer_mass_fraction(vec, vertex_ids, n_cells) <= 0.45
-    ]
-    return np.array(sorted(kept)), K.shape[0], count
+    return np.sort(vals), K.shape[0], count
 
 
 def oracle_gap_eigenvalues(
@@ -218,12 +195,11 @@ def oracle_gap_eigenvalues(
     gap width) to avoid grazing the band edges.  Sylvester inertia at both
     window ends counts the pencil eigenvalues inside it; one ARPACK
     shift-invert solve at the gap centre then asks for exactly that many,
-    and raises if a different number lands inside.  Eigenvectors that
-    concentrate near the truncation ends are discarded as boundary
-    artifacts.  With check_convergence the run is repeated with a wider
-    truncation and flagged converged if every eigenvalue moved by less than
-    ORACLE_REL_TOL relatively; the wider run's eigenvalues and size are then
-    returned.
+    and raises if a different number lands inside, so every counted
+    eigenvalue is returned.  With check_convergence the run is repeated with
+    a wider truncation and flagged converged if every eigenvalue moved by
+    less than ORACLE_REL_TOL relatively; the wider run's eigenvalues and size
+    are then returned.
     """
     pad = EDGE_MARGIN * gap.width
     lam_lo, lam_hi = (gap.omega_b + pad) ** 2, (gap.omega_t - pad) ** 2

@@ -13,6 +13,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ladderspec import graph1d
 from ladderspec.bands import bloch_curves, essential_bands, first_n_gaps
@@ -110,6 +112,39 @@ def test_oracle_matches_closed_form_antisymmetric_leading_gap():
     assert res.converged
     assert res.omegas.size == 1
     assert abs(res.omegas[0] - exact[0]) / exact[0] <= 1e-4
+
+
+def test_oracle_returns_slowly_decaying_mode_it_counted():
+    # the closed-form mode decays with r = -0.984, so at 20 cells it still
+    # reaches the truncation ends; it is a defect mode all the same, and the
+    # oracle returns every eigenvalue its inertia count finds in the window
+    L, mu = 2.2714, 0.204
+    gap = first_n_gaps(L, S, 2)[1]
+    (exact,) = [e.omega for e in discrete_eigenvalues(L, mu, S, gap)]
+    assert abs(reflection_root(exact, L, S)) > 0.98
+    res = oracle_gap_eigenvalues(
+        L, mu, S, gap, h=8e-3, n_cells=20, check_convergence=False
+    )
+    assert res.lams.size == res.inertia_count == 1
+    assert abs(res.omegas[0] - exact) / exact <= 1e-4
+
+
+@settings(max_examples=20)
+@given(
+    L=st.floats(0.5, 6.0),
+    cls=st.sampled_from([S, A]),
+    mu=st.floats(0.1, 0.9),
+)
+def test_oracle_agrees_with_closed_form_in_first_gap(L, cls, mu):
+    gap = first_n_gaps(L, cls, 1)[0]
+    exact = np.array([e.omega for e in discrete_eigenvalues(L, mu, cls, gap)])
+    # a mode with |r| near 1 spreads past any affordable truncation
+    assume(all(abs(reflection_root(w, L, cls)) <= 0.9 for w in exact))
+    res = oracle_gap_eigenvalues(
+        L, mu, cls, gap, h=8e-3, n_cells=20, check_convergence=False
+    )
+    assert res.lams.size == res.inertia_count == exact.size
+    assert np.all(np.abs(res.omegas - exact) <= 5e-4 * exact)
 
 
 def test_oracle_repeats_bit_for_bit():
