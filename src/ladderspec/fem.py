@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.optimize import minimize_scalar
 
 from .eigen import EigenResult, count_below, eig_dense, eig_sparse_shift_invert
 from .mesh import Mesh, build_cell_mesh, build_supercell_mesh, rectangle_mesh
@@ -263,6 +262,9 @@ def fem_bloch_bands(params: LadderParams, sym_class, nev, h, *, n_theta=17, seed
         i0 = int(np.argmin(vals))
         best = vals[i0]
         if 0 < i0 < thetas.size - 1:
+            # lazy: scipy.optimize costs ~0.2 s to import, and only an interior extreme needs it
+            from scipy.optimize import minimize_scalar
+
             r = minimize_scalar(
                 lambda t: sign * lam_at(t)[band],
                 bounds=(thetas[i0 - 1], thetas[i0 + 1]),

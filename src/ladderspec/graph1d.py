@@ -199,7 +199,10 @@ def oracle_gap_eigenvalues(
     eigenvalue is returned.  With check_convergence the run is repeated with
     a wider truncation and flagged converged if every eigenvalue moved by
     less than ORACLE_REL_TOL relatively; the wider run's eigenvalues and size
-    are then returned.
+    are then returned.  converged only means that the two truncations agree:
+    both can miss the same slowly decaying mode near a gap edge, and in 72 of
+    479 random cases (h=8e-3, 20 cells) the flag read True while the count
+    or a value disagreed with the closed form.
     """
     pad = EDGE_MARGIN * gap.width
     lam_lo, lam_hi = (gap.omega_b + pad) ** 2, (gap.omega_t - pad) ** 2
@@ -260,8 +263,9 @@ def oracle_band_edges(L, sym_class, n_bands, *, h=0.01, n_theta=61):
     per_theta = np.empty((n_theta, n_bands))
     for i, th in enumerate(thetas):
         Kr, Mr = quasiperiodic_cell(L, sym_class, th, h=h)
-        vals = scipy.linalg.eigh(Kr, Mr, eigvals_only=True)
-        per_theta[i] = vals[:n_bands]
+        per_theta[i] = scipy.linalg.eigh(
+            Kr, Mr, eigvals_only=True, subset_by_index=(0, n_bands - 1)
+        )
     lo = np.sqrt(np.clip(per_theta.min(axis=0), 0.0, None))
     hi = np.sqrt(per_theta.max(axis=0))
     return list(zip(lo, hi))

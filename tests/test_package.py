@@ -1,6 +1,7 @@
 """The package namespace: every lazily exported name resolves, every name the
-benchmark's tracer wraps resolves, and the command-line front end imports no
-numeric library before it runs a command."""
+benchmark's tracer wraps resolves, the command-line front end imports no
+numeric library before it runs a command, the graph commands load numpy only
+and the FEM route loads scipy.optimize only for an interior band extreme."""
 
 import importlib.util
 import subprocess
@@ -15,17 +16,51 @@ def test_every_exported_name_resolves():
         assert getattr(ladderspec, name) is not None, name
 
 
-def test_cli_parser_loads_neither_numpy_nor_scipy():
-    # LADDERSPEC_THREADS must reach the environment before the BLAS loads
+def _modules_after(code):
+    """Names in sys.modules after `code` runs in a fresh interpreter, with the
+    package on the path and `ladderspec.cli` bound to `cli`."""
     src = str(Path(ladderspec.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); "
-        "import ladderspec, ladderspec.cli as cli; cli._build_parser(); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+        "import ladderspec, ladderspec.cli as cli\n"
+        f"{code}\n"
+        "print(*sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def _top_level(modules):
+    return {m.split(".")[0] for m in modules}
+
+
+def test_cli_parser_loads_neither_numpy_nor_scipy():
+    # LADDERSPEC_THREADS must reach the environment before the BLAS loads
+    loaded = _top_level(_modules_after("cli._build_parser()"))
+    assert loaded & {"numpy", "scipy"} == set()
+
+
+def test_graph_commands_load_numpy_only(tmp_path):
+    runs = [["bands"], ["gaps"], ["eigs", "--mu", "0.25"]]
+    code = "\n".join(
+        f"cli.main(['graph', *{r!r}, '--L', '2', '--omega-max', '10', "
+        f"'--out', {str(tmp_path / r[0])!r}])"
+        for r in runs
+    )
+    loaded = _top_level(_modules_after(code))
+    assert loaded & {"numpy", "scipy"} == {"numpy"}
+
+
+def test_fem_bands_on_the_grid_skips_scipy_optimize(tmp_path):
+    # no band extreme of this cell lies strictly inside the theta grid, so the
+    # bounded refinement, the only user of scipy.optimize, never runs
+    code = (
+        "import ladderspec.fem, ladderspec.graph1d, ladderspec.eigen\n"
+        "cli.main(['fem', 'bands', '--L', '2', '--eps', '0.4', '--nev', '2', "
+        f"'--out', {str(tmp_path / 'out')!r}])"
+    )
+    assert "scipy.optimize" not in _modules_after(code)
 
 
 def test_every_traced_name_resolves(monkeypatch):
