@@ -16,9 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .eigen import EigenResult, count_below, eig_dense, eig_sparse_shift_invert
+from .eigen import (
+    EigenResult,
+    count_below,
+    eig_dense,
+    eig_sparse_shift_invert,
+    solve_once,
+)
 from .mesh import Mesh, build_cell_mesh, build_supercell_mesh, rectangle_mesh
 from .modes import build_eigenfunction
 from .params import LadderParams, SymmetryClass
@@ -57,15 +62,22 @@ def assemble_p1(mesh: Mesh):
     if np.any(det <= 0):
         raise ValueError("mesh contains non-positively oriented triangles")
     area = 0.5 * det
-    Ke = (
-        b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
-    ) / (4.0 * area)[:, None, None]
-    Me = ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :] * area[:, None, None]
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
+    # 32-bit indices, as the sparse matrices store them; each form's element
+    # matrices live only while that form is converted
+    idx = tris.astype(np.intc)
+    rows = np.repeat(idx, 3, axis=1).ravel()
+    cols = np.tile(idx, (1, 3)).ravel()
     n = mesh.n_nodes
-    K = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    M = sp.coo_matrix((Me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+    def csr(element_matrices):
+        return sp.coo_matrix((element_matrices.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+    Ke = b[:, :, None] * b[:, None, :]
+    Ke += c[:, :, None] * c[:, None, :]
+    Ke /= (4.0 * area)[:, None, None]
+    K = csr(Ke)
+    del Ke
+    M = csr(((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :] * area[:, None, None])
     return K, M
 
 
@@ -195,14 +207,14 @@ def _supercell_pencil(mesh):
     """Real supercell (K, M) and the mesh node ids kept as dofs, in order.
 
     The class stored in the mesh metadata decides the y = 0 condition: the
-    antisymmetric class eliminates the axis nodes (Dirichlet), the symmetric
-    class keeps every node.
+    antisymmetric class eliminates the axis nodes (Dirichlet) by keeping the
+    other rows and columns, the symmetric class keeps every node.  K and M
+    keep the one pattern they are assembled with.
     """
     K, M = assemble_p1(mesh)
     if mesh.meta.get("sym_class") == SymmetryClass.ANTISYMMETRIC.value:
         keep = np.setdiff1d(np.arange(mesh.n_nodes), mesh.axis)
-        E = sp.identity(mesh.n_nodes, format="csr")[:, keep]
-        return (E.T @ K @ E).tocsr(), (E.T @ M @ E).tocsr(), keep
+        return K[keep][:, keep], M[keep][:, keep], keep
     return K, M, np.arange(mesh.n_nodes)
 
 
@@ -315,10 +327,9 @@ def fem_bloch_bands(params: LadderParams, sym_class, nev, h, *, n_theta=17, seed
     return report
 
 
-def _tri_mass_integrals(mesh, values):
+def _tri_mass_integrals(tris, areas, values):
     """Per-triangle integral of |u_h|^2 for nodal values (possibly complex)."""
-    v = values[mesh.triangles]
-    areas = mesh.areas()
+    v = values[tris]
     sq = np.abs(v) ** 2
     cross = (
         v[:, 0] * v[:, 1].conj() + v[:, 0] * v[:, 2].conj() + v[:, 1] * v[:, 2].conj()
@@ -326,14 +337,24 @@ def _tri_mass_integrals(mesh, values):
     return areas / 12.0 * (2.0 * sq.sum(axis=1) + 2.0 * cross)
 
 
+def _triangle_cells(mesh, n_cells):
+    """Triangle areas, and the index j + n_cells of the unit cell j that holds
+    each triangle: what every per-cell mass profile on the mesh shares."""
+    cx = mesh.nodes[mesh.triangles, 0].mean(axis=1)
+    return mesh.areas(), np.clip(np.rint(cx).astype(int), -n_cells, n_cells) + n_cells
+
+
+def _cell_mass(mesh, areas, cell, values, n_cells):
+    return np.bincount(
+        cell,
+        weights=_tri_mass_integrals(mesh.triangles, areas, values),
+        minlength=2 * n_cells + 1,
+    )
+
+
 def per_cell_mass(mesh, values, n_cells):
     """L^2 mass of a nodal field per unit cell j = -n_cells..n_cells."""
-    pts, tris = mesh.nodes, mesh.triangles
-    cx = pts[tris, 0].mean(axis=1)
-    cell = np.clip(np.rint(cx).astype(int), -n_cells, n_cells)
-    out = np.zeros(2 * n_cells + 1)
-    np.add.at(out, cell + n_cells, _tri_mass_integrals(mesh, values))
-    return out
+    return _cell_mass(mesh, *_triangle_cells(mesh, n_cells), values, n_cells)
 
 
 def _fit_decay(profile, n_cells):
@@ -391,6 +412,7 @@ def localized_modes(
                 f"inertia counts {count} eigenvalue(s) in the window but the "
                 f"Lanczos solve found {res.values.size} (converged={res.converged})"
             )
+    areas, cell = _triangle_cells(mesh, n_cells)
     report = SpectralReport(
         kind="localized_modes",
         config={
@@ -406,7 +428,7 @@ def localized_modes(
             "n_dofs": n,
             "inertia_count": int(count),
             "solver_converged": bool(res.converged),
-            "mesh_area": mesh.total_area(),
+            "mesh_area": float(areas.sum()),
         },
     )
     mode_rows = []
@@ -416,7 +438,7 @@ def localized_modes(
         full[keep] = res.vectors[:, rank]
         if dump_prefix is not None:
             mesh.save(f"{dump_prefix}{rank}.mesh", values=np.real(full))
-        prof = per_cell_mass(mesh, full, n_cells)
+        prof = _cell_mass(mesh, areas, cell, full, n_cells)
         total = prof.sum()
         r_hat, n_fit = _fit_decay(prof, n_cells)
         centre = prof[n_cells - 1 : n_cells + 2].sum() / total if total > 0 else 0.0
@@ -505,11 +527,8 @@ def quasimode_detail(params: LadderParams, sym_class, graph_ev, h, *, n_cells=10
     vec = values[keep]
     lam = graph_ev.omega**2
     resid = K @ vec - lam * (M @ vec)
-    KM = (K + M).tocsc()
-    lu_km = spla.splu(KM)
-    lu_m = spla.splu(M.tocsc())
-    num_dual = math.sqrt(max(float(resid @ lu_km.solve(resid)), 0.0))
-    num_mass = math.sqrt(max(float(resid @ lu_m.solve(resid)), 0.0))
+    num_dual = math.sqrt(max(float(resid @ solve_once(K + M, resid)), 0.0))
+    num_mass = math.sqrt(max(float(resid @ solve_once(M, resid)), 0.0))
     den = math.sqrt(float(vec @ (K @ vec) + vec @ (M @ vec)))
     return {
         "lambda": lam,

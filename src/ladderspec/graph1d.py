@@ -35,6 +35,22 @@ ORACLE_REL_TOL = 1e-6
 EDGE_MARGIN = 1e-6
 
 
+def _edge_pattern(n_sub):
+    """Local COO pattern of the P1 pair on one edge of n_sub elements.
+
+    Local node numbering is 0..n_sub along the edge.  Returns rows, cols and
+    the stiffness and mass entries of a unit-weight edge before their scale
+    factors weight/h and weight*h/6.
+    """
+    a = np.arange(n_sub)
+    rows = np.concatenate([a, a, a + 1, a + 1])
+    cols = np.concatenate([a, a + 1, a, a + 1])
+    ones = np.ones(n_sub)
+    k_unit = np.concatenate([ones, -ones, -ones, ones])
+    m_unit = np.concatenate([2.0 * ones, ones, ones, 2.0 * ones])
+    return rows, cols, k_unit, m_unit
+
+
 def _edge_matrices(n_sub, length, weight):
     """COO triplets of the P1 stiffness/mass pair on one subdivided edge.
 
@@ -42,16 +58,31 @@ def _edge_matrices(n_sub, length, weight):
     global indices.
     """
     h = length / n_sub
-    a = np.arange(n_sub)
-    rows = np.concatenate([a, a, a + 1, a + 1])
-    cols = np.concatenate([a, a + 1, a, a + 1])
-    k_vals = (weight / h) * np.concatenate(
-        [np.ones(n_sub), -np.ones(n_sub), -np.ones(n_sub), np.ones(n_sub)]
+    rows, cols, k_unit, m_unit = _edge_pattern(n_sub)
+    return rows, cols, (weight / h) * k_unit, (weight * h / 6.0) * m_unit
+
+
+def _edges_triplets(chains, weights, length, clamped):
+    """COO triplets of the P1 pair on many edges of one length at once.
+
+    Row e of chains holds the global node ids along edge e (its n_sub + 1
+    local nodes) and weights[e] its measure weight.  clamped drops every
+    entry touching the last local node (a Dirichlet tip).  The triplets come
+    edge by edge in `_Assembler.add_edge` order with the same values.
+    """
+    n_sub = chains.shape[1] - 1
+    h = length / n_sub
+    rows, cols, k_unit, m_unit = _edge_pattern(n_sub)
+    if clamped:
+        keep = (rows != n_sub) & (cols != n_sub)
+        rows, cols, k_unit, m_unit = rows[keep], cols[keep], k_unit[keep], m_unit[keep]
+    w = np.asarray(weights, dtype=float)[:, np.newaxis]
+    return (
+        np.take(chains, rows, axis=1).ravel(),
+        np.take(chains, cols, axis=1).ravel(),
+        ((w / h) * k_unit).ravel(),
+        ((w * h / 6.0) * m_unit).ravel(),
     )
-    m_vals = (weight * h / 6.0) * np.concatenate(
-        [2.0 * np.ones(n_sub), np.ones(n_sub), np.ones(n_sub), 2.0 * np.ones(n_sub)]
-    )
-    return rows, cols, k_vals, m_vals
 
 
 class _Assembler:
@@ -124,19 +155,34 @@ def truncated_half_ladder(L, mu, sym_class, n_cells, h=DEFAULT_H):
         raise ValueError("need at least 5 cells per side")
     if not 0.0 < h <= 0.1:
         raise ValueError("mesh step h must lie in (0, 0.1]")
-    asm = _Assembler()
-    verts = asm.new_nodes(2 * n_cells + 1)  # index j + n_cells
+    # node ids follow the edge-by-edge build: rail vertices j + n_cells, then
+    # each rail edge's interior nodes, then each rung's interior nodes and,
+    # for a free tip, its tip
+    n_vert = 2 * n_cells + 1
     n_rail = _subdivisions(1.0, h)
     n_rung = _subdivisions(0.5 * L, h)
-    for j in range(-n_cells, n_cells):
-        asm.add_edge(verts[j + n_cells], verts[j + 1 + n_cells], n_rail, 1.0, 1.0)
-    rung_end = None if sym_class is SymmetryClass.SYMMETRIC else -1
-    for j in range(-n_cells, n_cells + 1):
-        w = mu if j == 0 else 1.0
-        asm.add_edge(verts[j + n_cells], rung_end, n_rung, 0.5 * L, w)
-    K, M = asm.build()
-    vertex_ids = {j: int(verts[j + n_cells]) for j in range(-n_cells, n_cells + 1)}
-    return K.tocsc(), M.tocsc(), vertex_ids
+    verts = np.arange(n_vert)
+    rails = np.empty((n_vert - 1, n_rail + 1), dtype=np.intc)
+    rails[:, 0], rails[:, -1] = verts[:-1], verts[1:]
+    rails[:, 1:-1] = n_vert + np.arange((n_vert - 1) * (n_rail - 1)).reshape(n_vert - 1, -1)
+    first = n_vert + (n_vert - 1) * (n_rail - 1)
+    clamped = sym_class is not SymmetryClass.SYMMETRIC
+    new_per_rung = n_rung - 1 if clamped else n_rung
+    rungs = np.zeros((n_vert, n_rung + 1), dtype=np.intc)  # a clamped tip keeps id 0, unused
+    rungs[:, 0] = verts
+    rungs[:, 1 : 1 + new_per_rung] = first + np.arange(n_vert * new_per_rung).reshape(n_vert, -1)
+    rung_w = np.ones(n_vert)
+    rung_w[n_cells] = mu
+    parts = [
+        _edges_triplets(rails, np.ones(n_vert - 1), 1.0, False),
+        _edges_triplets(rungs, rung_w, 0.5 * L, clamped),
+    ]
+    rows, cols, k_vals, m_vals = (np.concatenate(t) for t in zip(*parts))
+    n = first + n_vert * new_per_rung
+    K = sp.coo_matrix((k_vals, (rows, cols)), (n, n)).tocsc()
+    M = sp.coo_matrix((m_vals, (rows, cols)), (n, n)).tocsc()
+    vertex_ids = {j: j + n_cells for j in range(-n_cells, n_cells + 1)}
+    return K, M, vertex_ids
 
 
 @dataclass
@@ -169,7 +215,9 @@ def _gap_eigs_once(L, mu, sym_class, lam_lo, lam_hi, n_cells, h):
     sigma = 0.5 * (lam_lo + lam_hi)
     # a fixed start vector: without v0 ARPACK draws one from process-global state
     v0 = np.random.default_rng(0).standard_normal(K.shape[0])
-    vals, _ = spla.eigsh(K, k=count, M=M, sigma=sigma, which="LM", v0=v0)
+    vals = spla.eigsh(
+        K, k=count, M=M, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False
+    )
     found = int(np.count_nonzero((vals > lam_lo) & (vals < lam_hi)))
     if found != count:
         raise RuntimeError(

@@ -148,10 +148,11 @@ def _structured_mesh(xs, ys, rects, meta):
     ys = np.asarray(ys)
     cx = 0.5 * (xs[:-1] + xs[1:])
     cy = 0.5 * (ys[:-1] + ys[1:])
-    CX, CY = np.meshgrid(cx, cy, indexing="ij")
-    occupied = np.zeros(CX.shape, dtype=bool)
+    # a cell centre lies in a rectangle when its x and its y lie in the two
+    # open intervals: one outer product of 1-D masks per rectangle
+    occupied = np.zeros((cx.size, cy.size), dtype=bool)
     for x0, x1, y0, y1 in rects:
-        occupied |= (CX > x0) & (CX < x1) & (CY > y0) & (CY < y1)
+        occupied |= np.outer((cx > x0) & (cx < x1), (cy > y0) & (cy < y1))
     nx1, ny1 = xs.size, ys.size
     point_used = np.zeros((nx1, ny1), dtype=bool)
     occ_i, occ_j = np.nonzero(occupied)
@@ -161,8 +162,7 @@ def _structured_mesh(xs, ys, rects, meta):
     index = -np.ones((nx1, ny1), dtype=int)
     used_i, used_j = np.nonzero(point_used)
     index[used_i, used_j] = np.arange(used_i.size)
-    XX, YY = np.meshgrid(xs, ys, indexing="ij")
-    nodes = np.column_stack([XX[point_used], YY[point_used]])
+    nodes = np.column_stack([xs[used_i], ys[used_j]])
     bl = index[occ_i, occ_j]
     br = index[occ_i + 1, occ_j]
     tl = index[occ_i, occ_j + 1]

@@ -18,11 +18,15 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ladderspec.eigen import count_below, eig_dense, eig_sparse_shift_invert
-from ladderspec.fem import assemble_bloch_pencil
-from ladderspec.graph1d import quasiperiodic_cell
-from ladderspec.mesh import build_cell_mesh
+from ladderspec.bands import first_n_gaps
+from ladderspec.eigen import _shifted, count_below, eig_dense, eig_sparse_shift_invert
+from ladderspec.fem import _supercell_pencil, assemble_bloch_pencil
+from ladderspec.graph1d import EDGE_MARGIN, quasiperiodic_cell, truncated_half_ladder
+from ladderspec.mesh import build_cell_mesh, build_supercell_mesh
 from ladderspec.params import LadderParams, SymmetryClass
+
+# first FEM gap (omega) of the eps = 0.2 ladder at h = 0.05, as pinned in test_fem
+GAP_EPS02 = (1.442293309513593, 2.237909188561469)
 
 
 def _random_pencil(n, seed):
@@ -218,6 +222,42 @@ def test_count_below_matches_dense_count_on_complex_bloch_pencil():
         vals = eig_dense(p.K, p.M).values
         for t in np.concatenate([[vals[0] - 1.0], 0.5 * (vals[:20] + vals[1:21])]):
             assert count_below(p.K, p.M, t) == int(np.count_nonzero(vals < t))
+
+
+def _assert_counts_match_dense(K, M, shifts):
+    """At every shift t, count_below on the shared-pattern shift and on the
+    sparse-difference fallback both equal the number of negative eigenvalues
+    of the dense K - t*M, which t keeps clear of singular."""
+    Kd, Md = K.toarray(), M.toarray()
+    M_other = M.tocsc() if M.format == "csr" else M.tocsr()
+    for t in shifts:
+        d = np.linalg.eigvalsh(Kd - t * Md)
+        assert np.abs(d).min() > 1e-10 * np.abs(d).max()
+        want = int(np.count_nonzero(d < 0.0))
+        assert count_below(K, M, t) == want
+        assert count_below(K, M_other, t) == want
+
+
+def test_count_below_matches_dense_inertia_on_supercell_pencil():
+    # the supercell K and M share one pattern, so count_below shifts their
+    # data; shifts at both ends of the symmetric gate-7-style window (inside
+    # the first antisymmetric band) and at 6.0, inside a band of both classes
+    lo, hi = (GAP_EPS02[0] * (1 + 1e-3)) ** 2, (GAP_EPS02[1] * (1 - 1e-3)) ** 2
+    for cls in (SymmetryClass.SYMMETRIC, SymmetryClass.ANTISYMMETRIC):
+        mesh = build_supercell_mesh(LadderParams(2.0, 0.2, mu=0.25), cls, 4, 0.05)
+        K, M, _ = _supercell_pencil(mesh)
+        A = _shifted(K, M, lo)
+        assert A.format == K.format and np.array_equal(A.indices, K.indices)
+        _assert_counts_match_dense(K, M, [lo, hi, 6.0])
+
+
+def test_count_below_matches_dense_inertia_on_oracle_pencil():
+    for cls in (SymmetryClass.SYMMETRIC, SymmetryClass.ANTISYMMETRIC):
+        gap = first_n_gaps(2.0, cls, 1)[0]
+        pad = EDGE_MARGIN * gap.width
+        ends = [(gap.omega_b + pad) ** 2, (gap.omega_t - pad) ** 2]
+        K, M, _ = truncated_half_ladder(2.0, 0.25, cls, 5, h=1e-2)
+        _assert_counts_match_dense(K, M, ends + [1.3 * ends[1]])
 
 
 def test_count_below_refuses_off_diagonal_pivots():

@@ -371,6 +371,19 @@ def test_defect_decay_rate_matches_graph_reflection():
         assert abs(r_hat**2 - r2) <= 0.2 * r2
 
 
+def test_antisymmetric_supercell_pencil_is_the_reduction_bit_for_bit():
+    # kept rows and columns are sliced out: the same entries as E^T A E with
+    # E the kept columns of the identity, and one pattern shared by K and M
+    mesh = build_supercell_mesh(LadderParams(2.0, 0.2, mu=0.25), A, 4, 0.05)
+    K, M, keep = fem._supercell_pencil(mesh)
+    assert np.array_equal(keep, np.setdiff1d(np.arange(mesh.n_nodes), mesh.axis))
+    E = sp.identity(mesh.n_nodes, format="csr")[:, keep]
+    for got, full in zip((K, M), assemble_p1(mesh)):
+        assert (got != (E.T @ full @ E)).nnz == 0
+    assert np.array_equal(K.indptr, M.indptr)
+    assert np.array_equal(K.indices, M.indices)
+
+
 def test_per_cell_mass_totals_match_mass_matrix():
     p = LadderParams(2.0, 0.2, mu=0.25)
     mesh = build_supercell_mesh(p, S, 4, 0.05)
@@ -378,6 +391,11 @@ def test_per_cell_mass_totals_match_mass_matrix():
     rng = np.random.default_rng(12)
     vals = rng.standard_normal(mesh.n_nodes)
     prof = per_cell_mass(mesh, vals, 4)
+    # the triangle integrals added cell by cell in mesh order, as np.add.at does
+    areas, cell = fem._triangle_cells(mesh, 4)
+    ref = np.zeros(9)
+    np.add.at(ref, cell, fem._tri_mass_integrals(mesh.triangles, areas, vals))
+    assert prof.tobytes() == ref.tobytes()
     assert prof.shape == (9,)
     assert np.all(prof >= 0.0)
     total = float(vals @ (M @ vals))

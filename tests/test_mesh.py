@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from ladderspec import mesh as mesh_mod
 from ladderspec.mesh import (
     Mesh,
     build_cell_mesh,
@@ -18,6 +19,7 @@ from ladderspec.mesh import (
 from ladderspec.params import LadderParams, SymmetryClass
 
 S = SymmetryClass.SYMMETRIC
+A = SymmetryClass.ANTISYMMETRIC
 
 
 def _half_cell_area(L, eps):
@@ -100,6 +102,46 @@ def test_supercell_centre_cell_is_the_cell_mesh():
         sup = build_supercell_mesh(p, S, 4, h)
         centre = sup.nodes[np.abs(sup.nodes[:, 0]) <= 0.5]
         assert np.array_equal(centre, cell.nodes)
+
+
+def _two_d_rule(xs, ys, rects):
+    """Nodes and triangles of the grid cells whose centre lies in a rectangle,
+    occupancy decided by 2-D comparisons on the cell-centre grids."""
+    CX, CY = np.meshgrid(0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:]), indexing="ij")
+    occupied = np.zeros(CX.shape, dtype=bool)
+    for x0, x1, y0, y1 in rects:
+        occupied |= (CX > x0) & (CX < x1) & (CY > y0) & (CY < y1)
+    used = np.zeros((xs.size, ys.size), dtype=bool)
+    i, j = np.nonzero(occupied)
+    for di in (0, 1):
+        for dj in (0, 1):
+            used[i + di, j + dj] = True
+    index = np.cumsum(used).reshape(used.shape) - 1
+    XX, YY = np.meshgrid(xs, ys, indexing="ij")
+    bl, br, tl, tr = index[i, j], index[i + 1, j], index[i, j + 1], index[i + 1, j + 1]
+    tris = np.concatenate([np.column_stack([bl, br, tr]), np.column_stack([bl, tr, tl])])
+    return np.column_stack([XX[used], YY[used]]), tris
+
+
+def test_occupancy_matches_the_two_d_rule_bit_for_bit(monkeypatch):
+    built = []
+    real = mesh_mod._structured_mesh
+
+    def keeps_inputs(xs, ys, rects, meta):
+        built.append((np.asarray(xs), np.asarray(ys), rects, real(xs, ys, rects, meta)))
+        return built[-1][-1]
+
+    monkeypatch.setattr(mesh_mod, "_structured_mesh", keeps_inputs)
+    build_cell_mesh(LadderParams(2.0, 0.2), S, 0.05)
+    build_supercell_mesh(LadderParams(2.0, 0.2, mu=0.25), A, 4, 0.05)
+    build_supercell_mesh(LadderParams(0.5, 0.1, mu=1.7), S, 4, 0.025)
+    rectangle_mesh(1.5, 0.7, 6, 4)
+    assert len(built) == 4
+    for xs, ys, rects, mesh in built:
+        nodes, tris = _two_d_rule(xs, ys, rects)
+        assert mesh.nodes.dtype == nodes.dtype and mesh.triangles.dtype == tris.dtype
+        assert mesh.nodes.tobytes() == nodes.tobytes()
+        assert mesh.triangles.tobytes() == tris.tobytes()
 
 
 def test_rectangle_mesh_counts_and_area():

@@ -1,8 +1,10 @@
 """The package namespace: every lazily exported name resolves, every name the
 benchmark's tracer wraps resolves, the command-line front end imports no
-numeric library before it runs a command, the graph commands load numpy only
-and the FEM route loads scipy.optimize only for an interior band extreme."""
+numeric library before it runs a command, the graph commands load numpy only,
+the FEM route loads scipy.optimize only for an interior band extreme, and
+every SuperLU factorisation names its column ordering."""
 
+import ast
 import importlib.util
 import subprocess
 import sys
@@ -61,6 +63,22 @@ def test_fem_bands_on_the_grid_skips_scipy_optimize(tmp_path):
         f"'--out', {str(tmp_path / 'out')!r}])"
     )
     assert "scipy.optimize" not in _modules_after(code)
+
+
+def test_every_splu_call_names_its_ordering():
+    # each factorisation's column ordering is chosen for how it is used
+    # (eigen.py says which and why); SuperLU's default must not stand in
+    src = Path(ladderspec.__file__).resolve().parent
+    calls = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name == "splu":
+                    calls.append((path.name, node.lineno, {k.arg for k in node.keywords}))
+    assert calls
+    assert [(p, n) for p, n, kws in calls if "permc_spec" not in kws] == []
 
 
 def test_every_traced_name_resolves(monkeypatch):
