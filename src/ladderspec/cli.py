@@ -87,7 +87,7 @@ def _need(ok, flag, message):
 
 
 def _positive(flag, x, _):
-    _need(x > 0, flag, f"must be positive, got {x}")
+    _need(0 < x < math.inf, flag, f"must be positive and finite, got {x}")
     return x
 
 
@@ -144,6 +144,7 @@ def _window(flag, raw, _):
     vals = _float_list(flag, raw)
     _need(len(vals) == 2 and vals[0] < vals[1], flag,
           f"expected 'lo,hi' with lo < hi, got {raw!r}")
+    _need(all(map(math.isfinite, vals)), flag, f"expected finite numbers, got {raw!r}")
     return vals
 
 
@@ -163,8 +164,8 @@ def _in_eps_range(e, resolved):
     return 0 < e < min(1.0, resolved["L"].value / 2)
 
 
-def _is_positive(m, _):
-    return m > 0
+def _is_positive_finite(m, _):
+    return 0 < m < math.inf
 
 
 _OMEGA_MAX = Flag("--omega-max", _positive, type=float, default=10 * math.pi,
@@ -177,10 +178,10 @@ _EPS = Flag("--eps", _numbers(_in_eps_range, "outside (0, min(1, L/2))"),
             required=True, help="rung thickness")
 _EPS_LIST = Flag("--eps", _numbers(_in_eps_range, "outside (0, min(1, L/2))", at_least=3),
                  required=True, help="comma list of at least 3 rung thicknesses")
-_MU = Flag("--mu", _numbers(_is_positive, "is not positive"), default="1.0",
+_MU = Flag("--mu", _numbers(_is_positive_finite, "is not positive and finite"), default="1.0",
            help="defect width factor")
-_MU_LIST = Flag("--mu", _numbers(_is_positive, "is not positive", at_least=1), default="1.0",
-                help="comma list of defect width factors")
+_MU_LIST = Flag("--mu", _numbers(_is_positive_finite, "is not positive and finite", at_least=1),
+                default="1.0", help="comma list of defect width factors")
 _H = Flag("--h", _mesh_step, type=float, help="mesh step (default eps/4, at most eps/3)")
 _NEV = Flag("--nev", _at_least(1), type=int, default=5, help="Bloch bands per quasimomentum")
 _NTHETA = Flag("--ntheta", _at_least(3), type=int, default=17,

@@ -3,10 +3,14 @@
 This is the slow, assumption-free cross-check for the closed-form machinery:
 piecewise-linear finite elements on every edge of the (symmetry-reduced)
 graph, with the defect rung carrying measure weight mu in both the stiffness
-and the mass form.  Two geometries are provided:
+and the mass form.  One vectorised half-ladder builder, `_half_ladder`,
+assembles both geometries:
 
-* a truncated ladder with Dirichlet far ends, for defect eigenvalues in gaps;
-* a single quasi-periodic cell, for band edges of the unperturbed ladder.
+* a truncated ladder with natural far ends, for defect eigenvalues in gaps;
+* one open real cell (a vertex with its rung and the rail edge to its
+  rung-less image), whose image vertex `_bloch_tie` ties to the first
+  vertex with a Bloch phase: a quasi-periodic cell, for band edges of the
+  unperturbed ladder.
 
 Nothing here reuses the transfer-matrix algebra, so agreement with
 `modes.discrete_eigenvalues` / `bands.essential_bands` is a genuine
@@ -51,24 +55,13 @@ def _edge_pattern(n_sub):
     return rows, cols, k_unit, m_unit
 
 
-def _edge_matrices(n_sub, length, weight):
-    """COO triplets of the P1 stiffness/mass pair on one subdivided edge.
-
-    Local node numbering is 0..n_sub along the edge; the caller remaps to
-    global indices.
-    """
-    h = length / n_sub
-    rows, cols, k_unit, m_unit = _edge_pattern(n_sub)
-    return rows, cols, (weight / h) * k_unit, (weight * h / 6.0) * m_unit
-
-
 def _edges_triplets(chains, weights, length, clamped):
     """COO triplets of the P1 pair on many edges of one length at once.
 
     Row e of chains holds the global node ids along edge e (its n_sub + 1
     local nodes) and weights[e] its measure weight.  clamped drops every
     entry touching the last local node (a Dirichlet tip).  The triplets come
-    edge by edge in `_Assembler.add_edge` order with the same values.
+    edge by edge, each in `_edge_pattern` order.
     """
     n_sub = chains.shape[1] - 1
     h = length / n_sub
@@ -85,80 +78,25 @@ def _edges_triplets(chains, weights, length, clamped):
     )
 
 
-class _Assembler:
-    """Accumulates edge contributions into one global sparse pencil."""
-
-    def __init__(self):
-        self.n_nodes = 0
-        self.rows, self.cols, self.k_vals, self.m_vals = [], [], [], []
-
-    def new_nodes(self, count):
-        out = np.arange(self.n_nodes, self.n_nodes + count)
-        self.n_nodes += count
-        return out
-
-    def add_edge(self, start, end, n_sub, length, weight):
-        """Subdivided edge between existing node ids; returns interior ids.
-
-        end=None allocates a fresh terminal node (free tip); end=-1 clamps the
-        far end (homogeneous Dirichlet, the terminal dof is never created and
-        the last element keeps only its inner-node coupling).
-        """
-        interior = self.new_nodes(n_sub - 1)
-        if end is None:
-            end_id = self.new_nodes(1)[0]
-            chain = np.concatenate([[start], interior, [end_id]])
-            keep_last = True
-        elif end == -1:
-            chain = np.concatenate([[start], interior, [interior[-1] if n_sub > 1 else start]])
-            keep_last = False
-        else:
-            chain = np.concatenate([[start], interior, [end]])
-            keep_last = True
-        rows, cols, kv, mv = _edge_matrices(n_sub, length, weight)
-        glob_r, glob_c = chain[rows], chain[cols]
-        if not keep_last:
-            # Dirichlet tip: drop every entry touching the clamped node, which
-            # in local numbering is node n_sub.
-            mask = (rows != n_sub) & (cols != n_sub)
-            glob_r, glob_c, kv, mv = glob_r[mask], glob_c[mask], kv[mask], mv[mask]
-        self.rows.append(glob_r)
-        self.cols.append(glob_c)
-        self.k_vals.append(kv)
-        self.m_vals.append(mv)
-        return interior
-
-    def build(self):
-        rows = np.concatenate(self.rows)
-        cols = np.concatenate(self.cols)
-        shape = (self.n_nodes, self.n_nodes)
-        K = sp.coo_matrix((np.concatenate(self.k_vals), (rows, cols)), shape).tocsr()
-        M = sp.coo_matrix((np.concatenate(self.m_vals), (rows, cols)), shape).tocsr()
-        return K, M
-
-
 def _subdivisions(length, h):
     return max(1, round(length / h))
 
 
-def truncated_half_ladder(L, mu, sym_class, n_cells, h=DEFAULT_H):
-    """Sparse (K, M, vertex_ids) for the half ladder truncated at +-n_cells.
+def _half_ladder(L, rung_w, sym_class, h, image=False):
+    """Sparse real (K, M) of a half ladder whose rail vertex i carries a rung
+    weighted by rung_w[i] in both forms.
 
-    Rail vertices j = -n_cells..n_cells, each carrying its rung; the rail
-    simply stops after the outermost vertices (natural ends, no boundary
-    rows needed).  Rungs have length L/2 with a free tip for the symmetric
-    class and a clamped tip for the antisymmetric class; the rung at j = 0
-    is weighted by mu in both forms.  Returns the assembled pencil and the
-    rail-vertex dof indices keyed by j.
+    Unit rail edges join consecutive vertices; the rail simply stops after
+    the outermost ones (natural ends, no boundary rows needed).  Rungs have
+    length L/2 with a free tip for the symmetric class and a clamped tip for
+    the antisymmetric class.  image appends one rung-less rail vertex on the
+    right.  Node ids: rail vertices 0, 1, ..., then each rail edge's interior
+    nodes, then each rung's interior nodes and, for a free tip, its tip.
     """
-    if n_cells < 5:
-        raise ValueError("need at least 5 cells per side")
     if not 0.0 < h <= 0.1:
         raise ValueError("mesh step h must lie in (0, 0.1]")
-    # node ids follow the edge-by-edge build: rail vertices j + n_cells, then
-    # each rail edge's interior nodes, then each rung's interior nodes and,
-    # for a free tip, its tip
-    n_vert = 2 * n_cells + 1
+    n_rungs = len(rung_w)
+    n_vert = n_rungs + image
     n_rail = _subdivisions(1.0, h)
     n_rung = _subdivisions(0.5 * L, h)
     verts = np.arange(n_vert)
@@ -168,19 +106,34 @@ def truncated_half_ladder(L, mu, sym_class, n_cells, h=DEFAULT_H):
     first = n_vert + (n_vert - 1) * (n_rail - 1)
     clamped = sym_class is not SymmetryClass.SYMMETRIC
     new_per_rung = n_rung - 1 if clamped else n_rung
-    rungs = np.zeros((n_vert, n_rung + 1), dtype=np.intc)  # a clamped tip keeps id 0, unused
-    rungs[:, 0] = verts
-    rungs[:, 1 : 1 + new_per_rung] = first + np.arange(n_vert * new_per_rung).reshape(n_vert, -1)
-    rung_w = np.ones(n_vert)
-    rung_w[n_cells] = mu
+    rungs = np.zeros((n_rungs, n_rung + 1), dtype=np.intc)  # a clamped tip keeps id 0, unused
+    rungs[:, 0] = verts[:n_rungs]
+    rungs[:, 1 : 1 + new_per_rung] = (
+        first + np.arange(n_rungs * new_per_rung).reshape(n_rungs, -1)
+    )
     parts = [
         _edges_triplets(rails, np.ones(n_vert - 1), 1.0, False),
         _edges_triplets(rungs, rung_w, 0.5 * L, clamped),
     ]
     rows, cols, k_vals, m_vals = (np.concatenate(t) for t in zip(*parts))
-    n = first + n_vert * new_per_rung
+    n = first + n_rungs * new_per_rung
     K = sp.coo_matrix((k_vals, (rows, cols)), (n, n)).tocsc()
     M = sp.coo_matrix((m_vals, (rows, cols)), (n, n)).tocsc()
+    return K, M
+
+
+def truncated_half_ladder(L, mu, sym_class, n_cells, h=DEFAULT_H):
+    """Sparse (K, M, vertex_ids) for the half ladder truncated at +-n_cells.
+
+    Rail vertices j = -n_cells..n_cells, each carrying its rung (see
+    `_half_ladder`); the rung at j = 0 is weighted by mu in both forms.
+    Returns the assembled pencil and the rail-vertex dof indices keyed by j.
+    """
+    if n_cells < 5:
+        raise ValueError("need at least 5 cells per side")
+    rung_w = np.ones(2 * n_cells + 1)
+    rung_w[n_cells] = mu
+    K, M = _half_ladder(L, rung_w, sym_class, h)
     vertex_ids = {j: j + n_cells for j in range(-n_cells, n_cells + 1)}
     return K, M, vertex_ids
 
@@ -272,47 +225,56 @@ def oracle_gap_eigenvalues(
     )
 
 
+def _open_cell(L, sym_class, h):
+    """Dense real (K, M) of one ladder period, untied: vertex 0 with its rung
+    and the unit rail edge to its rung-less image, vertex 1."""
+    K, M = _half_ladder(L, [1.0], sym_class, h, image=True)
+    return K.toarray(), M.toarray()
+
+
+def _bloch_tie(A, theta):
+    """The open-cell form A with its image vertex tied to exp(i*theta) times
+    vertex 0: T^H A T on every dof but the image, vertex 0 first.
+
+    With h <= 0.1 vertices 0 and 1 share no element, so each tied entry is
+    one product, or A[0, 0] + A[1, 1] on the diagonal, and the result is
+    exactly Hermitian.
+    """
+    phase = np.exp(1j * theta)
+    out = np.empty((A.shape[0] - 1,) * 2, dtype=complex)
+    out[1:, 1:] = A[2:, 2:]
+    out[0, 1:] = A[0, 2:] + phase.conjugate() * A[1, 2:]
+    out[1:, 0] = A[2:, 0] + phase * A[2:, 1]
+    out[0, 0] = A[0, 0] + A[1, 1]
+    return out
+
+
 def quasiperiodic_cell(L, sym_class, theta, h=0.01):
     """Dense Hermitian (K, M) for one ladder period with Bloch phase theta.
 
     One rail edge of length 1 plus the rung at its left vertex; the right
     rail end is tied to exp(i*theta) times the left vertex.
     """
-    asm = _Assembler()
-    v0, v1 = asm.new_nodes(2)
-    n_rail = _subdivisions(1.0, h)
-    n_rung = _subdivisions(0.5 * L, h)
-    asm.add_edge(v0, v1, n_rail, 1.0, 1.0)
-    rung_end = None if sym_class is SymmetryClass.SYMMETRIC else -1
-    asm.add_edge(v0, rung_end, n_rung, 0.5 * L, 1.0)
-    K, M = asm.build()
-    n = asm.n_nodes
-    keep = np.setdiff1d(np.arange(n), [v1])
-    # v0 is column 0 after elimination; v1 is tied to it with the phase
-    rows = np.append(keep, v1)
-    cols = np.append(np.arange(n - 1), 0)
-    data = np.append(np.ones(n - 1, dtype=complex), np.exp(1j * theta))
-    T = sp.csr_matrix((data, (rows, cols)), shape=(n, n - 1))
-    Kr = (T.conj().T @ K @ T).toarray()
-    Mr = (T.conj().T @ M @ T).toarray()
-    Kr = 0.5 * (Kr + Kr.conj().T)
-    Mr = 0.5 * (Mr + Mr.conj().T)
-    return Kr, Mr
+    return tuple(_bloch_tie(A, theta) for A in _open_cell(L, sym_class, h))
 
 
 def oracle_band_edges(L, sym_class, n_bands, *, h=0.01, n_theta=61):
     """First n_bands Bloch bands of the unperturbed ladder, as (lo, hi) in omega.
 
-    Sweeps theta over [0, pi] (the spectrum is even in theta), solves the
-    dense quasi-periodic cell pencil, and takes the per-index envelope.  Flat
-    bands come out with lo == hi up to discretisation error.
+    Builds the open cell once, ties it at each theta in [0, pi] (the spectrum
+    is even in theta), solves the dense quasi-periodic cell pencil, and takes
+    the per-index envelope.  Flat bands come out with lo == hi up to
+    discretisation error.
     """
     thetas = np.linspace(0.0, math.pi, n_theta)
     per_theta = np.empty((n_theta, n_bands))
+    K, M = _open_cell(L, sym_class, h)
     for i, th in enumerate(thetas):
-        Kr, Mr = quasiperiodic_cell(L, sym_class, th, h=h)
         per_theta[i] = scipy.linalg.eigh(
-            Kr, Mr, eigvals_only=True, subset_by_index=(0, n_bands - 1)
+            _bloch_tie(K, th),
+            _bloch_tie(M, th),
+            eigvals_only=True,
+            subset_by_index=(0, n_bands - 1),
         )
     lo = np.sqrt(np.clip(per_theta.min(axis=0), 0.0, None))
     hi = np.sqrt(per_theta.max(axis=0))

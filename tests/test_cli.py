@@ -297,6 +297,19 @@ def test_config_errors_name_the_flag(tmp_path, capsys):
     assert code == 2
     assert "--window" in capsys.readouterr().err
 
+    # an infinite bound must not reach the band scan or the factorisation
+    for argv, flag in [
+        (["graph", "bands", "--omega-max", "inf"], "--omega-max"),
+        (["graph", "gaps", "--tol", "inf"], "--tol"),
+        (["graph", "eigs", "--mu", "0.25", "--omega-max", "nan"], "--omega-max"),
+        (["graph", "eigs", "--mu", "inf"], "--mu"),
+        (["fem", "localized", "--eps", "0.2", "--window", "1,inf"], "--window"),
+        (["fem", "localized", "--eps", "0.2", "--window=-inf,1"], "--window"),
+    ]:
+        code, _ = run_cli(tmp_path, *argv)
+        assert code == 2, argv
+        assert flag in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "argv,flag",

@@ -68,43 +68,89 @@ def test_defect_weight_touches_only_central_rung():
         assert rows.size <= round(0.5 * 2.0 / h) + 1
 
 
-def _edge_by_edge(L, mu, cls, n_cells, h):
-    """The truncated pencil built one edge at a time with `_Assembler`: rails
-    left to right, then rungs, the j = 0 rung weighted by mu."""
-    asm = graph1d._Assembler()
-    verts = asm.new_nodes(2 * n_cells + 1)
-    n_rail = graph1d._subdivisions(1.0, h)
-    n_rung = graph1d._subdivisions(0.5 * L, h)
-    for j in range(2 * n_cells):
-        asm.add_edge(verts[j], verts[j + 1], n_rail, 1.0, 1.0)
-    tip = None if cls is S else -1
-    for j in range(2 * n_cells + 1):
-        asm.add_edge(verts[j], tip, n_rung, 0.5 * L, mu if j == n_cells else 1.0)
-    K, M = asm.build()
-    return K.tocsc(), M.tocsc()
+def _edge_by_edge(n_vert, edges, h):
+    """Reference P1 pencil built one edge and one element at a time.
+
+    Node ids 0..n_vert-1 are the vertices; each edge (start, end, length,
+    weight) then numbers its interior nodes, and end=None also a free tip;
+    end=-1 clamps the tip, which gets no dof.
+    """
+    rows, cols, k_vals, m_vals = [], [], [], []
+    n = n_vert
+    for start, end, length, weight in edges:
+        n_sub = max(1, round(length / h))
+        step = length / n_sub
+        chain = [start, *range(n, n + n_sub - 1)]
+        n += n_sub - 1
+        if end is None:
+            chain.append(n)
+            n += 1
+        elif end != -1:
+            chain.append(end)
+        for e in range(n_sub):
+            for a, b in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+                if e + max(a, b) < len(chain):
+                    rows.append(chain[e + a])
+                    cols.append(chain[e + b])
+                    k_vals.append(weight / step * (1.0 if a == b else -1.0))
+                    m_vals.append(weight * step / 6.0 * (2.0 if a == b else 1.0))
+    K = sp.coo_matrix((k_vals, (rows, cols)), (n, n)).tocsc()
+    M = sp.coo_matrix((m_vals, (rows, cols)), (n, n)).tocsc()
+    return K, M
+
+
+_PINNED = [(2.0, 0.25, 8e-3), (1.3, 1.7, 1e-2), (2.2714, 0.204, 7e-3)]
 
 
 def test_pencil_is_the_edge_by_edge_build_bit_for_bit():
     # at L = 2.2714, h = 7e-3 the three terms on a rail vertex's diagonal sum
-    # inexactly, so the pin also holds the order of the duplicate sums
+    # inexactly, so the pin also holds the order of the duplicate sums;
+    # (2, 0.4, 4e-3, 20) is the benchmark's defect window
     for cls in (S, A):
-        for L, mu, h in [(2.0, 0.25, 8e-3), (1.3, 1.7, 1e-2), (2.2714, 0.204, 7e-3)]:
-            K, M, vertex_ids = truncated_half_ladder(L, mu, cls, 6, h)
-            assert vertex_ids == {j: j + 6 for j in range(-6, 7)}
-            for got, want in zip((K, M), _edge_by_edge(L, mu, cls, 6, h)):
+        tip = None if cls is S else -1
+        for L, mu, h, n_cells in [(*c, 6) for c in _PINNED] + [(2.0, 0.4, 4e-3, 20)]:
+            n_vert = 2 * n_cells + 1
+            rails = [(j, j + 1, 1.0, 1.0) for j in range(n_vert - 1)]
+            rungs = [(j, tip, 0.5 * L, mu if j == n_cells else 1.0) for j in range(n_vert)]
+            K, M, vertex_ids = truncated_half_ladder(L, mu, cls, n_cells, h)
+            assert vertex_ids == {j: j + n_cells for j in range(-n_cells, n_cells + 1)}
+            for got, want in zip((K, M), _edge_by_edge(n_vert, rails + rungs, h)):
                 assert got.format == want.format == "csc"
                 assert np.array_equal(got.indptr, want.indptr)
                 assert np.array_equal(got.indices, want.indices)
                 assert got.data.tobytes() == want.data.tobytes()
 
 
+def test_cell_is_the_tied_edge_by_edge_build():
+    # T keeps every dof of the open cell but its image vertex 1, which it
+    # ties to exp(i*theta) times vertex 0.  The sparse triple product rounds
+    # |exp(i*theta)|^2 and leaves ~1e-14 imaginary on vertex 0's diagonal
+    # (L = 2.2714, h = 7e-3, theta = 0.7); its Hermitian part is the former
+    # build of the cell, which the one-vertex tie reproduces exactly
+    for cls in (S, A):
+        tip = None if cls is S else -1
+        for L, _, h in _PINNED:
+            open_cell = _edge_by_edge(2, [(0, 1, 1.0, 1.0), (0, tip, 0.5 * L, 1.0)], h)
+            n = open_cell[0].shape[0]
+            for theta in (0.0, 0.7, math.pi / 2, math.pi):
+                data = [*np.ones(n - 1), np.exp(1j * theta)]
+                T = sp.csr_matrix((data, ([0, *range(2, n), 1], [*range(n - 1), 0])))
+                for got, X in zip(quasiperiodic_cell(L, cls, theta, h), open_cell):
+                    assert np.array_equal(got, got.conj().T)
+                    want = (T.conj().T @ X @ T).toarray()
+                    assert np.array_equal(got, 0.5 * (want + want.conj().T))
+
+
 def test_invalid_truncation_or_step_raises():
     with pytest.raises(ValueError):
         truncated_half_ladder(2.0, 0.5, S, 4)
-    with pytest.raises(ValueError):
-        truncated_half_ladder(2.0, 0.5, S, 10, h=0.2)
-    with pytest.raises(ValueError):
-        truncated_half_ladder(2.0, 0.5, S, 10, h=0.0)
+    for h in (0.2, 0.0, -0.01):
+        with pytest.raises(ValueError, match="mesh step h"):
+            truncated_half_ladder(2.0, 0.5, S, 10, h=h)
+        with pytest.raises(ValueError, match="mesh step h"):
+            quasiperiodic_cell(2.0, S, 0.3, h=h)
+        with pytest.raises(ValueError, match="mesh step h"):
+            oracle_band_edges(2.0, A, 2, h=h, n_theta=3)
 
 
 def test_oracle_matches_closed_form_symmetric():

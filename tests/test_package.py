@@ -1,8 +1,9 @@
 """The package namespace: every lazily exported name resolves, every name the
 benchmark's tracer wraps resolves, the command-line front end imports no
 numeric library before it runs a command, the graph commands load numpy only,
-the FEM route loads scipy.optimize only for an interior band extreme, and
-every SuperLU factorisation names its column ordering."""
+the FEM route loads scipy.optimize only for an interior band extreme, every
+SuperLU factorisation names its column ordering, and the three routes import
+nothing of each other but the oracle's inertia count."""
 
 import ast
 import importlib.util
@@ -79,6 +80,44 @@ def test_every_splu_call_names_its_ordering():
                     calls.append((path.name, node.lineno, {k.arg for k in node.keywords}))
     assert calls
     assert [(p, n) for p, n, kws in calls if "permc_spec" not in kws] == []
+
+
+def _package_imports(module):
+    """(sibling module, name) for every import of the package in module's
+    source, function-level ones included; name is "*" for a whole module."""
+    path = Path(ladderspec.__file__).resolve().parent / f"{module}.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # from .x import y, from . import x
+                sub = module
+            elif module == "ladderspec" or module.startswith("ladderspec."):
+                sub = module.partition(".")[2]
+            else:
+                continue
+            if sub:
+                found |= {(sub.split(".")[0], a.name) for a in node.names}
+            else:
+                found |= {(a.name, "*") for a in node.names}
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                parts = a.name.split(".")
+                if parts[0] == "ladderspec" and len(parts) > 1:
+                    found.add((parts[1], "*"))
+    return found
+
+
+def test_routes_stay_independent():
+    # the oracle and the closed-form route check each other and the FEM
+    # route; the oracle takes only an inertia count from the FEM side
+    oracle = _package_imports("graph1d")
+    assert oracle
+    assert {m for m, _ in oracle} & {"dispersion", "bands", "modes", "mesh", "fem"} == set()
+    assert {n for m, n in oracle if m == "eigen"} <= {"count_below"}
+    for module in ("dispersion", "bands", "modes"):
+        imported = {m for m, _ in _package_imports(module)}
+        assert imported & {"mesh", "fem", "eigen", "graph1d"} == set(), module
 
 
 def test_every_traced_name_resolves(monkeypatch):
