@@ -387,9 +387,11 @@ def localized_modes(
 
     window must lie inside a spectral gap of the same-eps periodic problem.
     Sylvester inertia at both window ends counts the supercell eigenvalues
-    inside it; one shift-invert Lanczos solve at the window centre then asks
-    for exactly that many pairs, which are the ones inside, so nothing inside
-    can be missed.  A solve that returns a different in-window count raises.
+    inside it (a lower end at or below 0 counts none without factorising,
+    the stiffness being positive semi-definite); one shift-invert Lanczos
+    solve at the window centre then asks for exactly that many pairs, which
+    are the ones inside, so nothing inside can be missed.  A solve that
+    returns a different in-window count raises.
     Each in-window eigenpair gets a per-cell mass profile, a fitted geometric
     decay rate r_hat, and the share of mass in the central three cells.
     """
@@ -400,7 +402,10 @@ def localized_modes(
     mesh = build_supercell_mesh(params, sym_class, n_cells, h)
     K, M, keep = _supercell_pencil(mesh)
     n = K.shape[0]
-    count = count_below(K, M, lam_hi) - count_below(K, M, lam_lo)
+    # K is an assembled P1 stiffness, positive semi-definite: nothing lies
+    # below a lower end lam_lo <= 0, so that end needs no factorisation
+    below_lo = count_below(K, M, lam_lo) if lam_lo > 0.0 else 0
+    count = count_below(K, M, lam_hi) - below_lo
     res = EigenResult(np.zeros(0), np.zeros((n, 0)), np.zeros(0))
     if count:
         res = eig_sparse_shift_invert(

@@ -17,6 +17,14 @@ Nothing here reuses the transfer-matrix algebra, so agreement with
 two-route consistency check.  The only import from the FEM side is
 `eigen.count_below`, an inertia count that computes no eigenvalue; the
 spectrum itself comes from ARPACK, not from the FEM route's Lanczos.
+
+ARPACK stops once each wanted Ritz residual is at most sqrt(eps) relative
+(`_ARPACK_TOL`), not at its machine-precision default.  The shift-invert
+operator is self-adjoint in the M-inner product, so a Ritz value's error is
+quadratic in its residual (Parlett, The Symmetric Eigenvalue Problem,
+section 11-7): each eigenvalue comes with an a-posteriori bound,
+`OracleResult.lam_error_bounds`, of order eps divided by its separation
+from the rest of the spectrum (`_lam_error_bounds`).
 """
 
 from __future__ import annotations
@@ -37,6 +45,9 @@ DEFAULT_H = 1e-3
 ORACLE_REL_TOL = 1e-6
 #: margin, relative to the gap width, by which the oracle shrinks its gap window
 EDGE_MARGIN = 1e-6
+#: ARPACK's relative residual tolerance, sqrt(eps) = 2**-26: the Ritz values
+#: it leaves are exact to about eps / separation (`_lam_error_bounds`)
+_ARPACK_TOL = math.sqrt(np.finfo(float).eps)
 
 
 def _edge_pattern(n_sub):
@@ -146,6 +157,8 @@ class OracleResult:
     eigenvalues (the wider one once the convergence check adopts it);
     inertia_count is the number of pencil eigenvalues in its search window,
     as counted by Sylvester inertia, and equals lams.size.
+    lam_error_bounds[i] bounds the distance, in lambda, from lams[i] to the
+    pencil eigenvalue it approximates, beyond round-off (`_lam_error_bounds`).
     """
 
     omegas: np.ndarray
@@ -155,21 +168,63 @@ class OracleResult:
     n_dofs: int
     converged: bool
     inertia_count: int
+    lam_error_bounds: np.ndarray
     history: list = field(default_factory=list)
+
+
+def _gap_window(gap):
+    """Open lambda window (lo, hi) that the oracle searches in a gap.
+
+    The gap is shrunk by EDGE_MARGIN of its width at a band edge.  A gap
+    starting at omega = 0 has no band below it, so its window starts at
+    lambda = 0.
+    """
+    pad = EDGE_MARGIN * gap.width
+    lam_lo = (gap.omega_b + pad) ** 2 if gap.omega_b > 0.0 else 0.0
+    return lam_lo, (gap.omega_t - pad) ** 2
+
+
+def _lam_error_bounds(lams, sigma, half_width):
+    """A-posteriori bounds on |lams[i] - lambda_i| for Ritz values that ARPACK
+    accepted with shift sigma in a window of the given half-width about it.
+
+    The shift-invert operator (K - sigma*M)^-1 M is self-adjoint in the
+    M-inner product, with eigenvalues 1/(lambda - sigma).  ARPACK stops once
+    the residual of each Ritz value theta_i = 1/(lams[i] - sigma) is at most
+    rho_i = _ARPACK_TOL * |theta_i| (ARPACK Users' Guide, section 4.6), and
+    a self-adjoint Ritz value then lies within rho_i**2 / delta_i of an
+    eigenvalue, delta_i being its separation from the rest of the spectrum.
+    Every eigenvalue outside the window has |1/(lambda - sigma)| <=
+    1 / half_width, so delta_i >= min(|theta_i| - 1/half_width,
+    |theta_i - theta_j| for j != i).  Mapped back by lambda = sigma + 1/theta,
+    the error is at most rho_i**2 / (delta_i * theta_i**2) = _ARPACK_TOL**2 /
+    delta_i.
+    """
+    theta = 1.0 / (lams - sigma)
+    delta = np.abs(theta) - 1.0 / half_width
+    if theta.size > 1:
+        apart = np.abs(theta[:, np.newaxis] - theta[np.newaxis, :])
+        np.fill_diagonal(apart, np.inf)
+        delta = np.minimum(delta, apart.min(axis=1))
+    return _ARPACK_TOL**2 / delta
 
 
 def _gap_eigs_once(L, mu, sym_class, lam_lo, lam_hi, n_cells, h):
     K, M, _ = truncated_half_ladder(L, mu, sym_class, n_cells, h)
-    count = count_below(K, M, lam_hi) - count_below(K, M, lam_lo)
+    # K is an assembled P1 stiffness with positive weights, so it is positive
+    # semi-definite and no eigenvalue lies below lam_lo <= 0: no factorisation
+    below_lo = count_below(K, M, lam_lo) if lam_lo > 0.0 else 0
+    count = count_below(K, M, lam_hi) - below_lo
     if count == 0:
-        return np.zeros(0), K.shape[0], 0
+        return np.zeros(0), np.zeros(0), K.shape[0], 0
     # the window is symmetric about sigma, so the count eigenvalues nearest
     # sigma are exactly the ones inside it
     sigma = 0.5 * (lam_lo + lam_hi)
     # a fixed start vector: without v0 ARPACK draws one from process-global state
     v0 = np.random.default_rng(0).standard_normal(K.shape[0])
     vals = spla.eigsh(
-        K, k=count, M=M, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False
+        K, k=count, M=M, sigma=sigma, which="LM", v0=v0, tol=_ARPACK_TOL,
+        return_eigenvectors=False,
     )
     found = int(np.count_nonzero((vals > lam_lo) & (vals < lam_hi)))
     if found != count:
@@ -177,7 +232,9 @@ def _gap_eigs_once(L, mu, sym_class, lam_lo, lam_hi, n_cells, h):
             f"inertia counts {count} eigenvalue(s) in the window but ARPACK "
             f"found {found}"
         )
-    return np.sort(vals), K.shape[0], count
+    vals = np.sort(vals)
+    bounds = _lam_error_bounds(vals, sigma, 0.5 * (lam_hi - lam_lo))
+    return vals, bounds, K.shape[0], count
 
 
 def oracle_gap_eigenvalues(
@@ -193,25 +250,33 @@ def oracle_gap_eigenvalues(
     """Eigenvalues of the truncated defect graph inside the given gap.
 
     The search window is the open gap shrunk by EDGE_MARGIN (relative to the
-    gap width) to avoid grazing the band edges.  Sylvester inertia at both
-    window ends counts the pencil eigenvalues inside it; one ARPACK
-    shift-invert solve at the gap centre then asks for exactly that many,
-    and raises if a different number lands inside, so every counted
-    eigenvalue is returned.  With check_convergence the run is repeated with
-    a wider truncation and flagged converged if every eigenvalue moved by
-    less than ORACLE_REL_TOL relatively; the wider run's eigenvalues and size
-    are then returned.  converged only means that the two truncations agree:
-    both can miss the same slowly decaying mode near a gap edge, and in 72 of
-    479 random cases (h=8e-3, 20 cells) the flag read True while the count
-    or a value disagreed with the closed form.
+    gap width) to avoid grazing the band edges; a gap that starts at
+    omega = 0 (the first antisymmetric gap) has no band below it, so its
+    window starts at lambda = 0, where the count below is zero without a
+    factorisation (the stiffness is positive semi-definite).  Sylvester
+    inertia at the window ends counts the pencil eigenvalues inside it; one
+    ARPACK shift-invert solve at the window centre then asks for exactly
+    that many, and raises if a different number lands inside, so every
+    counted eigenvalue is returned.  ARPACK stops at a relative residual of
+    sqrt(eps): for this self-adjoint operator the Ritz-value error is
+    quadratic in the residual, and lam_error_bounds[i] bounds it per
+    eigenvalue (`_lam_error_bounds`; 4e-16 to 2e-15 on the benchmark
+    pencils, 4e-14 for a mode near a gap edge).  With check_convergence the run is repeated with a
+    wider truncation and flagged converged if every eigenvalue moved by less
+    than ORACLE_REL_TOL relatively; the wider run's eigenvalues, bounds and
+    size are then returned.  converged only means that the two truncations
+    agree: both can miss the same slowly decaying mode near a gap edge, and
+    in 72 of 479 random cases (h=8e-3, 20 cells) the flag read True while
+    the count or a value disagreed with the closed form.
     """
-    pad = EDGE_MARGIN * gap.width
-    lam_lo, lam_hi = (gap.omega_b + pad) ** 2, (gap.omega_t - pad) ** 2
-    lams, ndof, count = _gap_eigs_once(L, mu, sym_class, lam_lo, lam_hi, n_cells, h)
+    lam_lo, lam_hi = _gap_window(gap)
+    lams, bounds, ndof, count = _gap_eigs_once(
+        L, mu, sym_class, lam_lo, lam_hi, n_cells, h
+    )
     history = [(n_cells, lams)]
     converged = not check_convergence
     if check_convergence:
-        lams2, ndof2, count2 = _gap_eigs_once(
+        lams2, bounds2, ndof2, count2 = _gap_eigs_once(
             L, mu, sym_class, lam_lo, lam_hi, n_cells + 8, h
         )
         history.append((n_cells + 8, lams2))
@@ -219,9 +284,11 @@ def oracle_gap_eigenvalues(
             np.abs(lams2 - lams) <= ORACLE_REL_TOL * np.abs(lams)
         ):
             converged = True
-            n_cells, lams, ndof, count = n_cells + 8, lams2, ndof2, count2
+            n_cells, lams, bounds, ndof, count = (
+                n_cells + 8, lams2, bounds2, ndof2, count2
+            )
     return OracleResult(
-        np.sqrt(lams), lams, n_cells, h, ndof, converged, count, history
+        np.sqrt(lams), lams, n_cells, h, ndof, converged, count, bounds, history
     )
 
 

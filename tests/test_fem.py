@@ -325,6 +325,25 @@ def test_localized_modes_frozen_lambdas():
     assert np.allclose(lams, [2.0818039195518208, 3.7660323138951033], rtol=1e-12, atol=0)
 
 
+def test_localized_window_from_zero_factors_only_its_upper_end(monkeypatch):
+    # the supercell stiffness is positive semi-definite, so a window starting
+    # at lambda = 0 counts nothing below it and factors only its upper end;
+    # the count matches the one factored at a lower end just above 0
+    calls = []
+    real = fem.count_below
+    monkeypatch.setattr(
+        fem, "count_below", lambda K, M, s: calls.append(s) or real(K, M, s)
+    )
+    p, hi = LadderParams(2.0, 0.1, mu=0.25), (0.89 * 0.999) ** 2
+    from_zero = localized_modes(p, A, (0.0, hi), 6, 0.025)
+    assert calls == [hi]
+    calls.clear()
+    above_zero = localized_modes(p, A, (1e-6, hi), 6, 0.025)
+    assert calls == [1e-6, hi]
+    assert from_zero.diagnostics["inertia_count"] == 1
+    assert above_zero.diagnostics["inertia_count"] == 1
+
+
 def test_localized_modes_empty_without_defect():
     rep = localized_modes(
         LadderParams(2.0, 0.2, mu=1.0), S, _shrunk_window(GAP_EPS02), 6, 0.05

@@ -240,6 +240,98 @@ def test_oracle_repeats_bit_for_bit():
     assert first.tobytes() == again.tobytes()
 
 
+def _tol0_lams(res, L, mu, cls, gap):
+    """The oracle's pencil solved by ARPACK to its machine-precision default
+    (tol=0), with the oracle's shift and start vector."""
+    K, M, _ = truncated_half_ladder(L, mu, cls, res.n_cells, res.h)
+    lo, hi = graph1d._gap_window(gap)
+    v0 = np.random.default_rng(0).standard_normal(K.shape[0])
+    vals = spla.eigsh(
+        K, k=res.inertia_count, M=M, sigma=0.5 * (lo + hi), which="LM", v0=v0,
+        tol=0, return_eigenvectors=False,
+    )
+    return np.sort(vals)
+
+
+def _within_bounds(res, ref):
+    slack = 16.0 * np.finfo(float).eps * np.abs(res.lams)
+    return np.abs(res.lams - ref) <= res.lam_error_bounds + slack
+
+
+# (L, mu, class, gap index, h, n_cells): the six benchmark oracle pencils, the
+# slowly decaying near-edge mode and the symmetric mu = 0.25 pencil of gate 4
+_BOUND_PENCILS = [
+    (2.0, mu, cls, 0, 4e-3, 20) for cls in (A, S) for mu in (0.25, 0.4, 0.5)
+] + [(2.2714, 0.204, S, 1, 8e-3, 20), (2.0, 0.25, S, 0, 1e-3, 40)]
+
+
+@pytest.mark.parametrize("L, mu, cls, gap_index, h, n_cells", _BOUND_PENCILS)
+def test_oracle_eigenvalues_within_their_bounds_of_a_full_precision_solve(
+    L, mu, cls, gap_index, h, n_cells
+):
+    gap = first_n_gaps(L, cls, gap_index + 1)[gap_index]
+    res = oracle_gap_eigenvalues(
+        L, mu, cls, gap, h=h, n_cells=n_cells, check_convergence=False
+    )
+    assert res.lams.size == res.inertia_count == res.lam_error_bounds.size >= 1
+    assert np.all(_within_bounds(res, _tol0_lams(res, L, mu, cls, gap)))
+
+
+def test_error_bounds_hold_and_are_tight_at_a_loose_tolerance(monkeypatch):
+    # at sqrt(eps) the bounds sit below round-off; at 1e-6 they are ~1e-12,
+    # where a bound a hundred times too small fails on the symmetric
+    # mu = 0.25 pencil (its error is a quarter of its bound)
+    monkeypatch.setattr(graph1d, "_ARPACK_TOL", 1e-6)
+    worst = 0.0
+    for L, mu, cls, gap_index, h, n_cells in _BOUND_PENCILS[:6]:
+        gap = first_n_gaps(L, cls, gap_index + 1)[gap_index]
+        res = oracle_gap_eigenvalues(
+            L, mu, cls, gap, h=h, n_cells=n_cells, check_convergence=False
+        )
+        ref = _tol0_lams(res, L, mu, cls, gap)
+        assert np.all(_within_bounds(res, ref))
+        worst = max(worst, (np.abs(res.lams - ref) / res.lam_error_bounds).max())
+    assert worst > 0.01
+
+
+@settings(max_examples=20)
+@given(
+    L=st.floats(0.5, 6.0),
+    cls=st.sampled_from([S, A]),
+    mu=st.floats(0.1, 0.9),
+)
+def test_oracle_error_bounds_property(L, cls, mu):
+    gap = first_n_gaps(L, cls, 1)[0]
+    res = oracle_gap_eigenvalues(
+        L, mu, cls, gap, h=8e-3, n_cells=20, check_convergence=False
+    )
+    assert res.lams.size == res.inertia_count == res.lam_error_bounds.size
+    assert np.all(np.isfinite(res.lam_error_bounds))
+    assert np.all(res.lam_error_bounds > 0.0)
+    if res.inertia_count:
+        assert np.all(_within_bounds(res, _tol0_lams(res, L, mu, cls, gap)))
+
+
+def test_window_from_omega_zero_counts_once(monkeypatch):
+    # the first antisymmetric gap starts at omega = 0: its window starts at
+    # lambda = 0, below which the PSD stiffness has no eigenvalue, so only
+    # the upper end is factored
+    calls = []
+    real = graph1d.count_below
+    monkeypatch.setattr(
+        graph1d, "count_below", lambda K, M, s: calls.append(s) or real(K, M, s)
+    )
+    for cls, n_counts in ((A, 1), (S, 2)):
+        gap = first_n_gaps(2.0, cls, 1)[0]
+        calls.clear()
+        oracle_gap_eigenvalues(
+            2.0, 0.25, cls, gap, h=1e-2, n_cells=10, check_convergence=False
+        )
+        assert len(calls) == n_counts
+        assert all(s > 0.0 for s in calls)
+    assert graph1d._gap_window(first_n_gaps(2.0, A, 1)[0])[0] == 0.0
+
+
 def test_oracle_empty_without_defect():
     for cls in (S, A):
         gap = first_n_gaps(2.0, cls, 1)[0]

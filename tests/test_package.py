@@ -2,8 +2,9 @@
 benchmark's tracer wraps resolves, the command-line front end imports no
 numeric library before it runs a command, the graph commands load numpy only,
 the FEM route loads scipy.optimize only for an interior band extreme, every
-SuperLU factorisation names its column ordering, and the three routes import
-nothing of each other but the oracle's inertia count."""
+SuperLU factorisation names its column ordering, every ARPACK call fixes its
+tolerance and start vector, and the three routes import nothing of each
+other but the oracle's inertia count."""
 
 import ast
 import importlib.util
@@ -66,9 +67,9 @@ def test_fem_bands_on_the_grid_skips_scipy_optimize(tmp_path):
     assert "scipy.optimize" not in _modules_after(code)
 
 
-def test_every_splu_call_names_its_ordering():
-    # each factorisation's column ordering is chosen for how it is used
-    # (eigen.py says which and why); SuperLU's default must not stand in
+def _calls_in_package(func_name):
+    """(file, line, keyword names) for every call of func_name, as a bare
+    name or an attribute, in the package's source."""
     src = Path(ladderspec.__file__).resolve().parent
     calls = []
     for path in sorted(src.rglob("*.py")):
@@ -76,10 +77,26 @@ def test_every_splu_call_names_its_ordering():
             if isinstance(node, ast.Call):
                 f = node.func
                 name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-                if name == "splu":
+                if name == func_name:
                     calls.append((path.name, node.lineno, {k.arg for k in node.keywords}))
+    return calls
+
+
+def test_every_splu_call_names_its_ordering():
+    # each factorisation's column ordering is chosen for how it is used
+    # (eigen.py says which and why); SuperLU's default must not stand in
+    calls = _calls_in_package("splu")
     assert calls
     assert [(p, n) for p, n, kws in calls if "permc_spec" not in kws] == []
+
+
+def test_every_eigsh_call_fixes_tol_and_start():
+    # ARPACK's defaults are a machine-precision stop (tol=0), which the
+    # oracle's error bounds make needless, and a start vector drawn from
+    # process-global state, which makes repeated calls differ in the last bits
+    calls = _calls_in_package("eigsh")
+    assert calls
+    assert [(p, n) for p, n, kws in calls if not {"tol", "v0"} <= kws] == []
 
 
 def _package_imports(module):
