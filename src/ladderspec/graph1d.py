@@ -6,7 +6,10 @@ graph, with the defect rung carrying measure weight mu in both the stiffness
 and the mass form.  One vectorised half-ladder builder, `_half_ladder`,
 assembles both geometries:
 
-* a truncated ladder with natural far ends, for defect eigenvalues in gaps;
+* a truncated ladder with natural far ends, for defect eigenvalues in gaps,
+  which the gap solve folds at the defect rung's mirror line into an even
+  and an odd half-size sector pencil (`_mirror_sectors`) and never builds
+  whole;
 * one open real cell (a vertex with its rung and the rail edge to its
   rung-less image), whose image vertex `_bloch_tie` ties to the first
   vertex with a Bloch phase: a quasi-periodic cell, for band edges of the
@@ -24,7 +27,9 @@ operator is self-adjoint in the M-inner product, so a Ritz value's error is
 quadratic in its residual (Parlett, The Symmetric Eigenvalue Problem,
 section 11-7): each eigenvalue comes with an a-posteriori bound,
 `OracleResult.lam_error_bounds`, of order eps divided by its separation
-from the rest of the spectrum (`_lam_error_bounds`).
+from the rest of its sector's spectrum (`_lam_error_bounds`).  The bound
+covers ARPACK's early stop only, not the round-off floor of the shifted
+pencil, which is 100-10,000 times larger on the benchmark pencils.
 """
 
 from __future__ import annotations
@@ -133,15 +138,20 @@ def _half_ladder(L, rung_w, sym_class, h, image=False):
     return K, M
 
 
+def _check_cells(n_cells):
+    if n_cells < 5:
+        raise ValueError("need at least 5 cells per side")
+
+
 def truncated_half_ladder(L, mu, sym_class, n_cells, h=DEFAULT_H):
     """Sparse (K, M, vertex_ids) for the half ladder truncated at +-n_cells.
 
     Rail vertices j = -n_cells..n_cells, each carrying its rung (see
     `_half_ladder`); the rung at j = 0 is weighted by mu in both forms.
     Returns the assembled pencil and the rail-vertex dof indices keyed by j.
+    The oracle solves it folded into its mirror sectors (`_mirror_sectors`).
     """
-    if n_cells < 5:
-        raise ValueError("need at least 5 cells per side")
+    _check_cells(n_cells)
     rung_w = np.ones(2 * n_cells + 1)
     rung_w[n_cells] = mu
     K, M = _half_ladder(L, rung_w, sym_class, h)
@@ -149,16 +159,42 @@ def truncated_half_ladder(L, mu, sym_class, n_cells, h=DEFAULT_H):
     return K, M, vertex_ids
 
 
+def _mirror_sectors(L, mu, sym_class, n_cells, h):
+    """The pencils (K, M) of `truncated_half_ladder` restricted to functions
+    even, then odd, under j -> -j, built one at a time.
+
+    The truncated ladder is symmetric about its defect rung, so its spectrum
+    is the union of the two sectors' spectra, and their sizes add up to its
+    size.  An even function's energy is the defect rung's plus twice the
+    right half's: halved, it is the half ladder j = 0..n_cells with the
+    defect rung weighted mu/2 and a natural condition at j = 0.  An odd
+    function vanishes on the defect rung and at j = 0: the right half with
+    j = 0 clamped, which is `_half_ladder` with n_cells rungs and its
+    rung-less image vertex (id n_cells, standing for j = 0) removed; it does
+    not depend on mu.
+    """
+    _check_cells(n_cells)
+    rung_w = np.ones(n_cells + 1)
+    rung_w[0] = 0.5 * mu
+    yield _half_ladder(L, rung_w, sym_class, h)
+    K, M = _half_ladder(L, np.ones(n_cells), sym_class, h, image=True)
+    keep = np.delete(np.arange(K.shape[0]), n_cells)
+    yield K[keep][:, keep], M[keep][:, keep]
+
+
 @dataclass
 class OracleResult:
     """Defect eigenvalues found by the truncated-graph solve.
 
     n_cells, n_dofs and inertia_count describe the run that produced the
-    eigenvalues (the wider one once the convergence check adopts it);
-    inertia_count is the number of pencil eigenvalues in its search window,
-    as counted by Sylvester inertia, and equals lams.size.
-    lam_error_bounds[i] bounds the distance, in lambda, from lams[i] to the
-    pencil eigenvalue it approximates, beyond round-off (`_lam_error_bounds`).
+    eigenvalues (the wider one once the convergence check adopts it).
+    n_dofs is the size of the truncated pencil, the sum of its two mirror
+    sectors' sizes; inertia_count is the number of pencil eigenvalues in the
+    search window, the sum of the sectors' Sylvester inertia counts, and
+    equals lams.size.  lam_error_bounds[i] bounds the distance, in lambda,
+    from lams[i] to the sector-pencil eigenvalue it approximates, left by
+    ARPACK's early stop (`_lam_error_bounds`); it does not cover the
+    pencil's round-off floor, which is larger.
     """
 
     omegas: np.ndarray
@@ -209,14 +245,15 @@ def _lam_error_bounds(lams, sigma, half_width):
     return _ARPACK_TOL**2 / delta
 
 
-def _gap_eigs_once(L, mu, sym_class, lam_lo, lam_hi, n_cells, h):
-    K, M, _ = truncated_half_ladder(L, mu, sym_class, n_cells, h)
+def _sector_eigs(K, M, lam_lo, lam_hi):
+    """Eigenvalues of one sector pencil inside (lam_lo, lam_hi), their error
+    bounds and their inertia count; ARPACK runs only if the count is nonzero."""
     # K is an assembled P1 stiffness with positive weights, so it is positive
     # semi-definite and no eigenvalue lies below lam_lo <= 0: no factorisation
     below_lo = count_below(K, M, lam_lo) if lam_lo > 0.0 else 0
     count = count_below(K, M, lam_hi) - below_lo
     if count == 0:
-        return np.zeros(0), np.zeros(0), K.shape[0], 0
+        return np.zeros(0), np.zeros(0), 0
     # the window is symmetric about sigma, so the count eigenvalues nearest
     # sigma are exactly the ones inside it
     sigma = 0.5 * (lam_lo + lam_hi)
@@ -233,8 +270,22 @@ def _gap_eigs_once(L, mu, sym_class, lam_lo, lam_hi, n_cells, h):
             f"found {found}"
         )
     vals = np.sort(vals)
-    bounds = _lam_error_bounds(vals, sigma, 0.5 * (lam_hi - lam_lo))
-    return vals, bounds, K.shape[0], count
+    # the other sector's eigenvalues are not in this operator's spectrum, so
+    # the separations in the bound are taken within the sector
+    return vals, _lam_error_bounds(vals, sigma, 0.5 * (lam_hi - lam_lo)), count
+
+
+def _gap_eigs_once(L, mu, sym_class, lam_lo, lam_hi, n_cells, h):
+    lams, bounds, n_dofs, count = [], [], 0, 0
+    for K, M in _mirror_sectors(L, mu, sym_class, n_cells, h):
+        vals, errs, sector_count = _sector_eigs(K, M, lam_lo, lam_hi)
+        lams.append(vals)
+        bounds.append(errs)
+        n_dofs += K.shape[0]
+        count += sector_count
+    lams, bounds = np.concatenate(lams), np.concatenate(bounds)
+    order = np.argsort(lams)
+    return lams[order], bounds[order], n_dofs, count
 
 
 def oracle_gap_eigenvalues(
@@ -253,21 +304,28 @@ def oracle_gap_eigenvalues(
     gap width) to avoid grazing the band edges; a gap that starts at
     omega = 0 (the first antisymmetric gap) has no band below it, so its
     window starts at lambda = 0, where the count below is zero without a
-    factorisation (the stiffness is positive semi-definite).  Sylvester
-    inertia at the window ends counts the pencil eigenvalues inside it; one
-    ARPACK shift-invert solve at the window centre then asks for exactly
-    that many, and raises if a different number lands inside, so every
-    counted eigenvalue is returned.  ARPACK stops at a relative residual of
-    sqrt(eps): for this self-adjoint operator the Ritz-value error is
-    quadratic in the residual, and lam_error_bounds[i] bounds it per
-    eigenvalue (`_lam_error_bounds`; 4e-16 to 2e-15 on the benchmark
-    pencils, 4e-14 for a mode near a gap edge).  With check_convergence the run is repeated with a
-    wider truncation and flagged converged if every eigenvalue moved by less
-    than ORACLE_REL_TOL relatively; the wider run's eigenvalues, bounds and
-    size are then returned.  converged only means that the two truncations
-    agree: both can miss the same slowly decaying mode near a gap edge, and
-    in 72 of 479 random cases (h=8e-3, 20 cells) the flag read True while
-    the count or a value disagreed with the closed form.
+    factorisation (the stiffness is positive semi-definite).  The truncated
+    pencil is solved as its even and odd mirror sectors (`_mirror_sectors`),
+    one at a time; their spectra together are the pencil's.  In each sector
+    Sylvester inertia at the window ends counts the eigenvalues inside it;
+    when that count is nonzero, one ARPACK shift-invert solve at the window
+    centre asks for exactly that many, and raises if a different number
+    lands inside, so every counted eigenvalue is returned.  The trapped
+    modes are even, so on the benchmark pencils ARPACK runs once, on the
+    even sector.  ARPACK stops at a relative residual of sqrt(eps): for
+    this self-adjoint operator the Ritz-value error is quadratic in the
+    residual, and lam_error_bounds[i] bounds it per eigenvalue
+    (`_lam_error_bounds`; 4e-16 to 2e-15 on the benchmark pencils, 4e-14
+    for a mode near a gap edge).  The bound leaves out the pencil's
+    round-off floor (Ritz value against Rayleigh quotient, 2.2e-13 to
+    1.6e-11 relative on the benchmark pencils' even sectors).  With check_convergence
+    the run is repeated with a wider truncation and flagged converged if
+    every eigenvalue moved by less than ORACLE_REL_TOL relatively; the wider
+    run's eigenvalues, bounds and size are then returned.  converged only
+    means that the two truncations agree: both can miss the same slowly
+    decaying mode near a gap edge, and in 72 of 479 random cases (h=8e-3,
+    20 cells) the flag read True while the count or a value disagreed with
+    the closed form.
     """
     lam_lo, lam_hi = _gap_window(gap)
     lams, bounds, ndof, count = _gap_eigs_once(

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from ladderspec import graph1d
 from ladderspec.bands import bloch_curves, essential_bands, first_n_gaps
 from ladderspec.dispersion import reflection_root
+from ladderspec.eigen import count_below
 from ladderspec.graph1d import (
     oracle_band_edges,
     oracle_gap_eigenvalues,
@@ -66,6 +67,23 @@ def test_defect_weight_touches_only_central_rung():
         assert vertex_ids[1] not in rows and vertex_ids[-1] not in rows
         # support is the central rung chain: vertex + interiors + free tip
         assert rows.size <= round(0.5 * 2.0 / h) + 1
+
+
+def test_mirror_sectors_split_the_truncated_spectrum_exactly():
+    eps = np.finfo(float).eps
+    for cls in (S, A):
+        for mu in (0.25, 1.7):
+            K, M, _ = truncated_half_ladder(2.0, mu, cls, 6, h=0.05)
+            full = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+            sectors = list(graph1d._mirror_sectors(2.0, mu, cls, 6, 0.05))
+            assert sum(Ks.shape[0] for Ks, _ in sectors) == K.shape[0]
+            union = np.sort(np.concatenate([
+                scipy.linalg.eigh(Ks.toarray(), Ms.toarray(), eigvals_only=True)
+                for Ks, Ms in sectors
+            ]))
+            # dense round-off is relative to the largest eigenvalue: 12 eps
+            # measured; a wrong defect weight moves eigenvalues by 1e-2 or more
+            assert np.abs(union - full).max() <= 64 * eps * full.max()
 
 
 def _edge_by_edge(n_vert, edges, h):
@@ -142,11 +160,16 @@ def test_cell_is_the_tied_edge_by_edge_build():
 
 
 def test_invalid_truncation_or_step_raises():
-    with pytest.raises(ValueError):
+    gap = first_n_gaps(2.0, S, 1)[0]
+    with pytest.raises(ValueError, match="at least 5 cells"):
         truncated_half_ladder(2.0, 0.5, S, 4)
+    with pytest.raises(ValueError, match="at least 5 cells"):
+        oracle_gap_eigenvalues(2.0, 0.5, S, gap, n_cells=4)
     for h in (0.2, 0.0, -0.01):
         with pytest.raises(ValueError, match="mesh step h"):
             truncated_half_ladder(2.0, 0.5, S, 10, h=h)
+        with pytest.raises(ValueError, match="mesh step h"):
+            oracle_gap_eigenvalues(2.0, 0.5, S, gap, h=h, n_cells=10)
         with pytest.raises(ValueError, match="mesh step h"):
             quasiperiodic_cell(2.0, S, 0.3, h=h)
         with pytest.raises(ValueError, match="mesh step h"):
@@ -240,17 +263,25 @@ def test_oracle_repeats_bit_for_bit():
     assert first.tobytes() == again.tobytes()
 
 
-def _tol0_lams(res, L, mu, cls, gap):
-    """The oracle's pencil solved by ARPACK to its machine-precision default
-    (tol=0), with the oracle's shift and start vector."""
-    K, M, _ = truncated_half_ladder(L, mu, cls, res.n_cells, res.h)
+def _tol0(K, M, gap):
+    """The eigenvalues of (K, M) in the oracle's window of gap, solved by
+    ARPACK to its machine-precision default (tol=0) with the oracle's shift
+    and start vector."""
     lo, hi = graph1d._gap_window(gap)
+    k = count_below(K, M, hi) - (count_below(K, M, lo) if lo > 0.0 else 0)
+    if k == 0:
+        return np.zeros(0)
     v0 = np.random.default_rng(0).standard_normal(K.shape[0])
-    vals = spla.eigsh(
-        K, k=res.inertia_count, M=M, sigma=0.5 * (lo + hi), which="LM", v0=v0,
-        tol=0, return_eigenvectors=False,
+    return spla.eigsh(
+        K, k=k, M=M, sigma=0.5 * (lo + hi), which="LM", v0=v0, tol=0,
+        return_eigenvectors=False,
     )
-    return np.sort(vals)
+
+
+def _tol0_lams(res, L, mu, cls, gap):
+    """The sector pencils the oracle solves, each solved by `_tol0`."""
+    sectors = graph1d._mirror_sectors(L, mu, cls, res.n_cells, res.h)
+    return np.sort(np.concatenate([_tol0(K, M, gap) for K, M in sectors]))
 
 
 def _within_bounds(res, ref):
@@ -280,7 +311,7 @@ def test_oracle_eigenvalues_within_their_bounds_of_a_full_precision_solve(
 def test_error_bounds_hold_and_are_tight_at_a_loose_tolerance(monkeypatch):
     # at sqrt(eps) the bounds sit below round-off; at 1e-6 they are ~1e-12,
     # where a bound a hundred times too small fails on the symmetric
-    # mu = 0.25 pencil (its error is a quarter of its bound)
+    # mu = 0.25 pencil (its error is 0.06 of its bound)
     monkeypatch.setattr(graph1d, "_ARPACK_TOL", 1e-6)
     worst = 0.0
     for L, mu, cls, gap_index, h, n_cells in _BOUND_PENCILS[:6]:
@@ -292,6 +323,46 @@ def test_error_bounds_hold_and_are_tight_at_a_loose_tolerance(monkeypatch):
         assert np.all(_within_bounds(res, ref))
         worst = max(worst, (np.abs(res.lams - ref) / res.lam_error_bounds).max())
     assert worst > 0.01
+
+
+@pytest.mark.parametrize("L, mu, cls, gap_index, h, n_cells", _BOUND_PENCILS[:6])
+def test_folded_oracle_matches_a_full_precision_solve_of_the_full_pencil(
+    L, mu, cls, gap_index, h, n_cells
+):
+    # the sectors are solved separately, so the values differ from the full
+    # pencil's by round-off only: at most 1.3e-12 relative here, below these
+    # pencils' own floor (Ritz value against Rayleigh quotient, 3.7e-13 to
+    # 1.5e-11 relative)
+    gap = first_n_gaps(L, cls, gap_index + 1)[gap_index]
+    res = oracle_gap_eigenvalues(
+        L, mu, cls, gap, h=h, n_cells=n_cells, check_convergence=False
+    )
+    K, M, _ = truncated_half_ladder(L, mu, cls, n_cells, h)
+    full = np.sort(_tol0(K, M, gap))
+    assert res.n_dofs == K.shape[0]
+    assert res.lams.size == res.inertia_count == full.size
+    assert np.all(np.abs(res.lams - full) <= 5e-12 * full)
+
+
+def test_benchmark_oracle_calls_solve_only_the_even_sector(monkeypatch):
+    # the trapped modes of these pencils are even; the odd sector's inertia
+    # count is 0, so ARPACK runs once, on the even sector's half-size pencil
+    sizes = []
+    real = graph1d.spla.eigsh
+
+    def recorded(K, *args, **kwargs):
+        sizes.append(K.shape[0])
+        return real(K, *args, **kwargs)
+
+    monkeypatch.setattr(graph1d.spla, "eigsh", recorded)
+    for L, mu, cls, gap_index, h, n_cells in _BOUND_PENCILS[:6]:
+        gap = first_n_gaps(L, cls, gap_index + 1)[gap_index]
+        sizes.clear()
+        oracle_gap_eigenvalues(
+            L, mu, cls, gap, h=h, n_cells=n_cells, check_convergence=False
+        )
+        K_even, _ = next(graph1d._mirror_sectors(L, mu, cls, n_cells, h))
+        assert sizes == [K_even.shape[0]]
 
 
 @settings(max_examples=20)
@@ -321,7 +392,8 @@ def test_window_from_omega_zero_counts_once(monkeypatch):
     monkeypatch.setattr(
         graph1d, "count_below", lambda K, M, s: calls.append(s) or real(K, M, s)
     )
-    for cls, n_counts in ((A, 1), (S, 2)):
+    # one count per mirror sector at each factored end
+    for cls, n_counts in ((A, 2), (S, 4)):
         gap = first_n_gaps(2.0, cls, 1)[0]
         calls.clear()
         oracle_gap_eigenvalues(
