@@ -7,9 +7,8 @@ and the mass form.  One vectorised half-ladder builder, `_half_ladder`,
 assembles both geometries:
 
 * a truncated ladder with natural far ends, for defect eigenvalues in gaps,
-  which the gap solve folds at the defect rung's mirror line into an even
-  and an odd half-size sector pencil (`_mirror_sectors`) and never builds
-  whole;
+  of which the gap solve builds and solves only the half-size even sector
+  (`_even_sector`), folded at the defect rung's mirror line;
 * one open real cell (a vertex with its rung and the rail edge to its
   rung-less image), whose image vertex `_bloch_tie` ties to the first
   vertex with a Bloch phase: a quasi-periodic cell, for band edges of the
@@ -20,6 +19,18 @@ Nothing here reuses the transfer-matrix algebra, so agreement with
 two-route consistency check.  The only import from the FEM side is
 `eigen.count_below`, an inertia count that computes no eigenvalue; the
 spectrum itself comes from ARPACK, not from the FEM route's Lanczos.
+
+The odd sector holds no trapped mode.  A function odd under j -> -j vanishes
+on the defect rung and at vertex 0, and its two rail fluxes at vertex 0
+cancel, so it satisfies the unperturbed equations whatever mu is: an odd
+eigenfunction of the defect ladder is an eigenfunction of the periodic
+ladder.  A periodic graph has point spectrum only as flat bands, which lie
+inside the spectrum, never in a gap (Berkolaiko and Kuchment, Introduction
+to Quantum Graphs, AMS 2013, ch. 4).  The same steps hold for the P1
+equations, with the P1 gap in place of the exact one.  So an odd eigenvalue
+of the truncated pencil inside a gap window is a truncation-end state, or a
+P1 band state in the sliver between the exact and the P1 gap edge, and the
+gap solve drops the odd sector unbuilt.
 
 ARPACK stops once each wanted Ritz residual is at most sqrt(eps) relative
 (`_ARPACK_TOL`), not at its machine-precision default.  The shift-invert
@@ -149,7 +160,7 @@ def truncated_half_ladder(L, mu, sym_class, n_cells, h=DEFAULT_H):
     Rail vertices j = -n_cells..n_cells, each carrying its rung (see
     `_half_ladder`); the rung at j = 0 is weighted by mu in both forms.
     Returns the assembled pencil and the rail-vertex dof indices keyed by j.
-    The oracle solves it folded into its mirror sectors (`_mirror_sectors`).
+    The oracle solves only its even mirror sector (`_even_sector`).
     """
     _check_cells(n_cells)
     rung_w = np.ones(2 * n_cells + 1)
@@ -159,27 +170,19 @@ def truncated_half_ladder(L, mu, sym_class, n_cells, h=DEFAULT_H):
     return K, M, vertex_ids
 
 
-def _mirror_sectors(L, mu, sym_class, n_cells, h):
-    """The pencils (K, M) of `truncated_half_ladder` restricted to functions
-    even, then odd, under j -> -j, built one at a time.
+def _even_sector(L, mu, sym_class, n_cells, h):
+    """The pencil (K, M) of `truncated_half_ladder` restricted to functions
+    even under j -> -j, the only mirror sector that can hold a trapped mode
+    (module docstring).
 
-    The truncated ladder is symmetric about its defect rung, so its spectrum
-    is the union of the two sectors' spectra, and their sizes add up to its
-    size.  An even function's energy is the defect rung's plus twice the
-    right half's: halved, it is the half ladder j = 0..n_cells with the
-    defect rung weighted mu/2 and a natural condition at j = 0.  An odd
-    function vanishes on the defect rung and at j = 0: the right half with
-    j = 0 clamped, which is `_half_ladder` with n_cells rungs and its
-    rung-less image vertex (id n_cells, standing for j = 0) removed; it does
-    not depend on mu.
+    An even function's energy is the defect rung's plus twice the right
+    half's: halved, it is the half ladder j = 0..n_cells with the defect rung
+    weighted mu/2 and a natural condition at j = 0.
     """
     _check_cells(n_cells)
     rung_w = np.ones(n_cells + 1)
     rung_w[0] = 0.5 * mu
-    yield _half_ladder(L, rung_w, sym_class, h)
-    K, M = _half_ladder(L, np.ones(n_cells), sym_class, h, image=True)
-    keep = np.delete(np.arange(K.shape[0]), n_cells)
-    yield K[keep][:, keep], M[keep][:, keep]
+    return _half_ladder(L, rung_w, sym_class, h)
 
 
 @dataclass
@@ -188,13 +191,13 @@ class OracleResult:
 
     n_cells, n_dofs and inertia_count describe the run that produced the
     eigenvalues (the wider one once the convergence check adopts it).
-    n_dofs is the size of the truncated pencil, the sum of its two mirror
-    sectors' sizes; inertia_count is the number of pencil eigenvalues in the
-    search window, the sum of the sectors' Sylvester inertia counts, and
-    equals lams.size.  lam_error_bounds[i] bounds the distance, in lambda,
-    from lams[i] to the sector-pencil eigenvalue it approximates, left by
-    ARPACK's early stop (`_lam_error_bounds`); it does not cover the
-    pencil's round-off floor, which is larger.
+    n_dofs is the size of the even mirror sector's pencil, about half the
+    truncated ladder's; inertia_count is that pencil's Sylvester inertia
+    count of eigenvalues in the search window, and equals lams.size.
+    lam_error_bounds[i] bounds the distance, in lambda, from lams[i] to the
+    even-sector eigenvalue it approximates, left by ARPACK's early stop
+    (`_lam_error_bounds`); it does not cover the pencil's round-off floor,
+    which is larger.
     """
 
     omegas: np.ndarray
@@ -246,7 +249,7 @@ def _lam_error_bounds(lams, sigma, half_width):
 
 
 def _sector_eigs(K, M, lam_lo, lam_hi):
-    """Eigenvalues of one sector pencil inside (lam_lo, lam_hi), their error
+    """Eigenvalues of the sector pencil inside (lam_lo, lam_hi), their error
     bounds and their inertia count; ARPACK runs only if the count is nonzero."""
     # K is an assembled P1 stiffness with positive weights, so it is positive
     # semi-definite and no eigenvalue lies below lam_lo <= 0: no factorisation
@@ -270,22 +273,15 @@ def _sector_eigs(K, M, lam_lo, lam_hi):
             f"found {found}"
         )
     vals = np.sort(vals)
-    # the other sector's eigenvalues are not in this operator's spectrum, so
-    # the separations in the bound are taken within the sector
+    # the odd sector's eigenvalues are not in this operator's spectrum, so
+    # the separations in the bound are taken within the even sector
     return vals, _lam_error_bounds(vals, sigma, 0.5 * (lam_hi - lam_lo)), count
 
 
 def _gap_eigs_once(L, mu, sym_class, lam_lo, lam_hi, n_cells, h):
-    lams, bounds, n_dofs, count = [], [], 0, 0
-    for K, M in _mirror_sectors(L, mu, sym_class, n_cells, h):
-        vals, errs, sector_count = _sector_eigs(K, M, lam_lo, lam_hi)
-        lams.append(vals)
-        bounds.append(errs)
-        n_dofs += K.shape[0]
-        count += sector_count
-    lams, bounds = np.concatenate(lams), np.concatenate(bounds)
-    order = np.argsort(lams)
-    return lams[order], bounds[order], n_dofs, count
+    K, M = _even_sector(L, mu, sym_class, n_cells, h)
+    lams, bounds, count = _sector_eigs(K, M, lam_lo, lam_hi)
+    return lams, bounds, K.shape[0], count
 
 
 def oracle_gap_eigenvalues(
@@ -304,22 +300,21 @@ def oracle_gap_eigenvalues(
     gap width) to avoid grazing the band edges; a gap that starts at
     omega = 0 (the first antisymmetric gap) has no band below it, so its
     window starts at lambda = 0, where the count below is zero without a
-    factorisation (the stiffness is positive semi-definite).  The truncated
-    pencil is solved as its even and odd mirror sectors (`_mirror_sectors`),
-    one at a time; their spectra together are the pencil's.  In each sector
-    Sylvester inertia at the window ends counts the eigenvalues inside it;
-    when that count is nonzero, one ARPACK shift-invert solve at the window
-    centre asks for exactly that many, and raises if a different number
-    lands inside, so every counted eigenvalue is returned.  The trapped
-    modes are even, so on the benchmark pencils ARPACK runs once, on the
-    even sector.  ARPACK stops at a relative residual of sqrt(eps): for
-    this self-adjoint operator the Ritz-value error is quadratic in the
-    residual, and lam_error_bounds[i] bounds it per eigenvalue
-    (`_lam_error_bounds`; 4e-16 to 2e-15 on the benchmark pencils, 4e-14
-    for a mode near a gap edge).  The bound leaves out the pencil's
-    round-off floor (Ritz value against Rayleigh quotient, 2.2e-13 to
-    1.6e-11 relative on the benchmark pencils' even sectors).  With check_convergence
-    the run is repeated with a wider truncation and flagged converged if
+    factorisation (the stiffness is positive semi-definite).  Only the even
+    mirror sector of the truncated pencil is solved (`_even_sector`): the odd
+    sector holds no trapped mode (module docstring), only truncation-end
+    states and P1 band states.  Sylvester inertia at the window ends counts
+    the even sector's eigenvalues inside the window; when that count is
+    nonzero, one ARPACK shift-invert solve at the window centre asks for
+    exactly that many, and raises if a different number lands inside, so
+    every counted eigenvalue is returned.  ARPACK stops at a relative
+    residual of sqrt(eps): for this self-adjoint operator the Ritz-value
+    error is quadratic in the residual, and lam_error_bounds[i] bounds it
+    per eigenvalue (`_lam_error_bounds`; 4e-16 to 2e-15 on the benchmark
+    pencils, 4e-14 for a mode near a gap edge).  The bound leaves out the
+    pencil's round-off floor (Ritz value against Rayleigh quotient, 2.2e-13
+    to 1.6e-11 relative on the benchmark pencils' even sectors).  With
+    check_convergence the run is repeated with a wider truncation and flagged converged if
     every eigenvalue moved by less than ORACLE_REL_TOL relatively; the wider
     run's eigenvalues, bounds and size are then returned.  converged only
     means that the two truncations agree: both can miss the same slowly

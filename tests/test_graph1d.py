@@ -69,21 +69,52 @@ def test_defect_weight_touches_only_central_rung():
         assert rows.size <= round(0.5 * 2.0 / h) + 1
 
 
+def _odd_sector(L, sym_class, n_cells, h):
+    """The pencil of `truncated_half_ladder` restricted to functions odd under
+    j -> -j, which the oracle does not solve.
+
+    An odd function vanishes on the defect rung and at j = 0: the right half
+    with j = 0 clamped, which is `_half_ladder` with n_cells rungs and its
+    rung-less image vertex (id n_cells, standing for j = 0) removed.  It does
+    not depend on mu.
+    """
+    K, M = graph1d._half_ladder(L, np.ones(n_cells), sym_class, h, image=True)
+    keep = np.delete(np.arange(K.shape[0]), n_cells)
+    return K[keep][:, keep], M[keep][:, keep]
+
+
+def _dense_eigs(K, M):
+    return scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+
+
 def test_mirror_sectors_split_the_truncated_spectrum_exactly():
     eps = np.finfo(float).eps
     for cls in (S, A):
         for mu in (0.25, 1.7):
             K, M, _ = truncated_half_ladder(2.0, mu, cls, 6, h=0.05)
-            full = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
-            sectors = list(graph1d._mirror_sectors(2.0, mu, cls, 6, 0.05))
+            full = _dense_eigs(K, M)
+            sectors = [
+                graph1d._even_sector(2.0, mu, cls, 6, 0.05),
+                _odd_sector(2.0, cls, 6, 0.05),
+            ]
             assert sum(Ks.shape[0] for Ks, _ in sectors) == K.shape[0]
-            union = np.sort(np.concatenate([
-                scipy.linalg.eigh(Ks.toarray(), Ms.toarray(), eigvals_only=True)
-                for Ks, Ms in sectors
-            ]))
+            union = np.sort(np.concatenate([_dense_eigs(Ks, Ms) for Ks, Ms in sectors]))
             # dense round-off is relative to the largest eigenvalue: 12 eps
             # measured; a wrong defect weight moves eigenvalues by 1e-2 or more
             assert np.abs(union - full).max() <= 64 * eps * full.max()
+
+
+def test_odd_sector_is_in_the_spectrum_at_every_defect_weight():
+    # the odd sector takes no mu: its eigenvalues belong to the truncated
+    # ladder's spectrum at a weakened and at a strengthened defect rung alike
+    eps = np.finfo(float).eps
+    for cls in (S, A):
+        odd = _dense_eigs(*_odd_sector(2.0, cls, 6, 0.05))
+        for mu in (0.25, 1.7):
+            K, M, _ = truncated_half_ladder(2.0, mu, cls, 6, h=0.05)
+            full = _dense_eigs(K, M)
+            nearest = np.abs(odd[:, np.newaxis] - full[np.newaxis, :]).min(axis=1)
+            assert nearest.max() <= 64 * eps * full.max()
 
 
 def _edge_by_edge(n_vert, edges, h):
@@ -194,7 +225,7 @@ def test_oracle_reports_the_run_that_produced_its_eigenvalues():
     res = oracle_gap_eigenvalues(2.0, 0.25, S, gap, h=4e-3, n_cells=25)
     assert res.converged
     assert res.n_cells == 33
-    K, _, _ = truncated_half_ladder(2.0, 0.25, S, 33, 4e-3)
+    K, _ = graph1d._even_sector(2.0, 0.25, S, 33, 4e-3)
     assert res.n_dofs == K.shape[0]
     assert np.array_equal(res.lams, res.history[-1][1])
 
@@ -263,12 +294,18 @@ def test_oracle_repeats_bit_for_bit():
     assert first.tobytes() == again.tobytes()
 
 
+def _window_count(K, M, gap):
+    """Inertia count of (K, M) in the oracle's window of gap."""
+    lo, hi = graph1d._gap_window(gap)
+    return count_below(K, M, hi) - (count_below(K, M, lo) if lo > 0.0 else 0)
+
+
 def _tol0(K, M, gap):
     """The eigenvalues of (K, M) in the oracle's window of gap, solved by
     ARPACK to its machine-precision default (tol=0) with the oracle's shift
     and start vector."""
     lo, hi = graph1d._gap_window(gap)
-    k = count_below(K, M, hi) - (count_below(K, M, lo) if lo > 0.0 else 0)
+    k = _window_count(K, M, gap)
     if k == 0:
         return np.zeros(0)
     v0 = np.random.default_rng(0).standard_normal(K.shape[0])
@@ -279,9 +316,8 @@ def _tol0(K, M, gap):
 
 
 def _tol0_lams(res, L, mu, cls, gap):
-    """The sector pencils the oracle solves, each solved by `_tol0`."""
-    sectors = graph1d._mirror_sectors(L, mu, cls, res.n_cells, res.h)
-    return np.sort(np.concatenate([_tol0(K, M, gap) for K, M in sectors]))
+    """The even-sector pencil the oracle solves, solved by `_tol0`."""
+    return np.sort(_tol0(*graph1d._even_sector(L, mu, cls, res.n_cells, res.h), gap))
 
 
 def _within_bounds(res, ref):
@@ -329,17 +365,18 @@ def test_error_bounds_hold_and_are_tight_at_a_loose_tolerance(monkeypatch):
 def test_folded_oracle_matches_a_full_precision_solve_of_the_full_pencil(
     L, mu, cls, gap_index, h, n_cells
 ):
-    # the sectors are solved separately, so the values differ from the full
-    # pencil's by round-off only: at most 1.3e-12 relative here, below these
-    # pencils' own floor (Ritz value against Rayleigh quotient, 3.7e-13 to
-    # 1.5e-11 relative)
+    # only the even sector is solved; the odd one holds nothing in these
+    # windows (test_odd_sector_holds_nothing_in_the_bound_pencils_windows),
+    # so the values differ from the full pencil's by round-off only: at most
+    # 1.3e-12 relative here, below these pencils' own floor (Ritz value
+    # against Rayleigh quotient, 3.7e-13 to 1.5e-11 relative)
     gap = first_n_gaps(L, cls, gap_index + 1)[gap_index]
     res = oracle_gap_eigenvalues(
         L, mu, cls, gap, h=h, n_cells=n_cells, check_convergence=False
     )
     K, M, _ = truncated_half_ladder(L, mu, cls, n_cells, h)
     full = np.sort(_tol0(K, M, gap))
-    assert res.n_dofs == K.shape[0]
+    assert res.n_dofs == graph1d._even_sector(L, mu, cls, n_cells, h)[0].shape[0]
     assert res.lams.size == res.inertia_count == full.size
     assert np.all(np.abs(res.lams - full) <= 5e-12 * full)
 
@@ -361,8 +398,38 @@ def test_benchmark_oracle_calls_solve_only_the_even_sector(monkeypatch):
         oracle_gap_eigenvalues(
             L, mu, cls, gap, h=h, n_cells=n_cells, check_convergence=False
         )
-        K_even, _ = next(graph1d._mirror_sectors(L, mu, cls, n_cells, h))
+        K_even, _ = graph1d._even_sector(L, mu, cls, n_cells, h)
         assert sizes == [K_even.shape[0]]
+
+
+@pytest.mark.parametrize("L, mu, cls, gap_index, h, n_cells", _BOUND_PENCILS)
+def test_odd_sector_holds_nothing_in_the_bound_pencils_windows(
+    L, mu, cls, gap_index, h, n_cells
+):
+    # so on these pencils the even sector alone holds every eigenvalue the
+    # truncated pencil has in the window
+    gap = first_n_gaps(L, cls, gap_index + 1)[gap_index]
+    assert _window_count(*_odd_sector(L, cls, n_cells, h), gap) == 0
+
+
+def test_oracle_drops_the_odd_sector_end_state():
+    # the truncated ladder holds an odd eigenvalue in this window, at omega
+    # 6.471835: a pair of end states, whose even partner at 6.471819 the oracle
+    # keeps; the odd sector holds no trapped mode, so it is not returned
+    L, mu, h, n_cells = 1.4418, 0.1092, 8e-3, 20
+    gap = first_n_gaps(L, S, 4)[3]
+    assert _window_count(*_odd_sector(L, S, n_cells, h), gap) == 1
+    res = oracle_gap_eigenvalues(
+        L, mu, S, gap, h=h, n_cells=n_cells, check_convergence=False
+    )
+    assert res.lams.size == res.inertia_count == 3
+    assert np.allclose(res.omegas, [6.471819, 6.520355, 7.336926], rtol=0, atol=1e-6)
+    even = _tol0_lams(res, L, mu, S, gap)
+    assert np.all(np.abs(res.lams - even) <= 5e-12 * even)
+    exact = [e.omega for e in discrete_eigenvalues(L, mu, S, gap)]
+    assert len(exact) == 2
+    for w in exact:
+        assert np.abs(res.omegas - w).min() <= 2e-4 * w
 
 
 @settings(max_examples=20)
@@ -392,8 +459,8 @@ def test_window_from_omega_zero_counts_once(monkeypatch):
     monkeypatch.setattr(
         graph1d, "count_below", lambda K, M, s: calls.append(s) or real(K, M, s)
     )
-    # one count per mirror sector at each factored end
-    for cls, n_counts in ((A, 2), (S, 4)):
+    # one count of the even sector at each factored end
+    for cls, n_counts in ((A, 1), (S, 2)):
         gap = first_n_gaps(2.0, cls, 1)[0]
         calls.clear()
         oracle_gap_eigenvalues(
