@@ -11,19 +11,25 @@ Two routes with one result type:
 `count_below` is not a solver: it counts the eigenvalues below a shift from
 the inertia of K - sigma*M, which sizes a windowed solve exactly.
 
-Each SuperLU factorisation takes the column ordering that suits its use (the
-measurements are the table above `count_below`).  A factorisation used once,
-for an inertia count or a single solve (`solve_once`), is ordered by minimum
-degree on A^T + A and factored one column per panel, the cheapest to factor
-on these nearly fill-free pencils.  The shift-invert LU is solved once per
-Lanczos step, so it keeps COLAMD, whose factors of a supercell pencil solve
-1.4-1.9 times as fast and repay their dearer factorisation within about 20
-steps.  When K and M share one sparse pattern, as every supercell and oracle
-pencil does, the shift K - sigma*M is formed on their data arrays.
+Every sparse pencil of the package comes numbered along its comb, each
+route by its own builder (`fem._comb_order`, `graph1d._chains`): the rung
+nodes tip-first, rung by rung, then the rail.  Eliminated in that order a
+pencil fills in about as much as under minimum degree, so every SuperLU
+factorisation here keeps the pencil's own column order and runs no ordering
+pass, one column per panel: diagonal pivots for an inertia count or a single
+solve (`solve_once`), partial pivoting for the shift-invert LU.  On the
+16,324-dof supercell (L = 2, eps = 0.05, ten cells; one OpenBLAS thread on a
+2-core host, medians of 30 interleaved runs) a count factors in 8.8 ms
+against 12.4 ms with the `MMD_AT_PLUS_A` ordering, and the shift-invert LU
+in 9.5 ms against 23 ms with COLAMD, at the same fill (196k L+U entries) and
+the same 0.70 ms per solve; on the oracle's 10k-dof even sector a count
+takes 2.5 ms against 3.6 ms.  When K and M share one sparse pattern, as
+every supercell and oracle pencil does, the shift K - sigma*M is formed on
+their data arrays.
 
 The Lanczos path deliberately avoids ARPACK so that its behaviour (start
 vector, reorthogonalisation, stopping rule) is fully pinned down by this file;
-it factorises K - sigma*M once with SuperLU (COLAMD), runs once, and works in
+it factorises K - sigma*M once with SuperLU, runs once, and works in
 the M-inner product, so M only needs to be positive definite, K only Hermitian.
 It keeps its basis in one array and reorthogonalises each new vector by
 classical Gram-Schmidt done twice (CGS2), so one step costs one LU solve,
@@ -87,8 +93,10 @@ def _shifted(K, M, sigma):
     """K - sigma*M as a sparse matrix.
 
     When K and M share one compressed pattern, as every supercell and oracle
-    pencil does, the shift is formed on their data arrays and keeps K's
-    pattern; otherwise it is the sparse (or dense) difference.
+    pencil does, the shift is formed on their data arrays and takes a copy of
+    K's pattern: SuperLU sorts a matrix with unsorted indices in place, which
+    on shared index arrays would scramble K.  Otherwise it is the sparse (or
+    dense) difference.
     """
     if (
         sp.issparse(K)
@@ -98,18 +106,19 @@ def _shifted(K, M, sigma):
         and np.array_equal(K.indptr, M.indptr)
         and np.array_equal(K.indices, M.indices)
     ):
-        return K.__class__((K.data - sigma * M.data, K.indices, K.indptr), shape=K.shape)
+        return K.__class__(
+            (K.data - sigma * M.data, K.indices.copy(), K.indptr.copy()), shape=K.shape
+        )
     return sp.csc_matrix(K - sigma * M)
 
 
-def _one_shot_lu(A):
-    """SuperLU factors of a Hermitian sparse A that is factored for one use,
-    an inertia count or a single solve: minimum degree on the pattern of
-    A^T + A, diagonal pivots only and one column per panel (see the table
-    above `count_below`)."""
+def _diagonal_lu(A):
+    """SuperLU factors of a Hermitian sparse A in its own order, one column
+    per panel, with diagonal pivots only, so the LU is an LDL^T in disguise:
+    the factorisation of an inertia count or a single solve."""
     return spla.splu(
         sp.csc_matrix(A),
-        permc_spec="MMD_AT_PLUS_A",
+        permc_spec="NATURAL",
         diag_pivot_thresh=0.0,
         panel_size=1,
         options=dict(SymmetricMode=True),
@@ -119,25 +128,7 @@ def _one_shot_lu(A):
 def solve_once(A, b):
     """x = A^-1 b for a symmetric positive definite sparse A, factored for
     this one solve."""
-    return _one_shot_lu(A).solve(b)
-
-
-# Factor and solve times in ms of the shifted pencil K - sigma*M, one OpenBLAS
-# thread on a 2-core host, medians of 30 interleaved runs.  MMD is
-# MMD_AT_PLUS_A with diagonal pivots in symmetric mode; p is SuperLU's panel
-# size (10 is its default); RCM+NATURAL includes the reverse Cuthill-McKee
-# ordering and the permutation.  Supercells: L = 2, mu = 0.25, 10 cells,
-# h = eps/4; oracle comb: L = 2, h = 4e-3, 20 cells.
-#                            MMD p10     MMD p1   RCM+NATURAL p1  COLAMD p10
-#                         factor/solve
-#   supercell  7,964 dofs   6.6/0.42    4.6/0.43     6.1/0.39      6.9/0.31
-#   supercell 16,324 dofs  18.6/1.33   12.4/1.25    13.1/0.94     22.6/0.67
-#   oracle comb 20,251      8.2/0.34    5.9/0.37     7.3/0.35     12.5/0.47
-# Counts and single solves use MMD p1: the fastest factorisation, and RCM
-# gains nothing once the panels are one column wide.  The shift-invert LU
-# keeps COLAMD (p10): the supercell windows of the benchmark take 16-27
-# Lanczos steps, one solve each, and at 16k dofs 27 solves save 16 ms against
-# the 10 ms its factorisation costs over MMD p1.
+    return _diagonal_lu(A).solve(b)
 
 
 def count_below(K, M, sigma):
@@ -145,12 +136,10 @@ def count_below(K, M, sigma):
 
     Factors K - sigma*M with symmetric (diagonal) pivoting only, so the LU is
     an LDL^T in disguise and diag(U) = D has the inertia of the pencil shift.
-    The factorisation is used once, so it takes the cheapest one-shot
-    ordering, minimum degree on A^T + A, one column per panel (table above).
     No eigenvalue is computed.  Raises if SuperLU had to leave the diagonal,
     which voids the count (sigma on or within round-off of an eigenvalue).
     """
-    lu = _one_shot_lu(_shifted(K, M, sigma))
+    lu = _diagonal_lu(_shifted(K, M, sigma))
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise RuntimeError(
             f"inertia count at sigma={sigma!r} needed off-diagonal pivots"
@@ -165,7 +154,9 @@ def _pair_residuals(K, M, vals, vecs):
     return np.linalg.norm(R, axis=0)
 
 
-def eig_sparse_shift_invert(K, M, sigma, k, *, window=None, tol=1e-10, seed=0):
+def eig_sparse_shift_invert(
+    K, M, sigma, k, *, window=None, tol=1e-10, seed=0, draw_order=None
+):
     """k eigenpairs of K x = lam M x nearest sigma, by Lanczos on (K-sigma*M)^-1 M.
 
     Factors K - sigma*M once with SuperLU, whose RuntimeError a singular
@@ -175,6 +166,11 @@ def eig_sparse_shift_invert(K, M, sigma, k, *, window=None, tol=1e-10, seed=0):
     window=(lo, hi), converged eigenvalues outside the window are dropped and
     counted in n_outside_window.  A caller that sets k from `count_below` at
     both window ends expects that count to be zero.
+
+    The start vector is one standard normal draw per dof from `seed`, real
+    and imaginary parts drawn in turn for a complex pencil.  draw_order[i]
+    is the dof that takes the i-th draw (default: dof i), so a pencil whose
+    dofs are renumbered starts from the same vector, node for node.
     """
     if not sp.issparse(K):
         K = sp.csr_matrix(K)
@@ -183,8 +179,9 @@ def eig_sparse_shift_invert(K, M, sigma, k, *, window=None, tol=1e-10, seed=0):
     n = K.shape[0]
     if k < 1 or k > n - 1:
         raise ValueError(f"k={k} out of range for n={n}")
-    lu = spla.splu(_shifted(K, M, sigma).tocsc(), permc_spec="COLAMD")
-    vals, vecs, iters, ok, msg = _lanczos_si(K, M, lu, sigma, k, tol, seed)
+    # partial pivoting, in the pencil's own order
+    lu = spla.splu(_shifted(K, M, sigma).tocsc(), permc_spec="NATURAL", panel_size=1)
+    vals, vecs, iters, ok, msg = _lanczos_si(K, M, lu, sigma, k, tol, seed, draw_order)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     n_out = 0
@@ -197,7 +194,7 @@ def eig_sparse_shift_invert(K, M, sigma, k, *, window=None, tol=1e-10, seed=0):
     return EigenResult(vals, vecs, res, iters, ok, n_out, msg)
 
 
-def _lanczos_si(K, M, lu, sigma, k, tol, seed):
+def _lanczos_si(K, M, lu, sigma, k, tol, seed, draw_order):
     """Core Lanczos loop; returns the (at most k) Ritz pairs nearest sigma.
 
     The M-orthonormal basis is the columns of one preallocated array V.  A
@@ -213,6 +210,8 @@ def _lanczos_si(K, M, lu, sigma, k, tol, seed):
     v = rng.standard_normal(n).astype(dtype)
     if dtype.kind == "c":
         v = (v + 1j * rng.standard_normal(n)).astype(dtype)
+    if draw_order is not None:
+        v[draw_order] = v.copy()
     V = np.empty((n, max_steps + 1), dtype=dtype, order="F")
     Mv = M @ v
     nrm = math.sqrt(abs(np.vdot(v, Mv)))

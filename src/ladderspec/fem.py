@@ -33,12 +33,13 @@ from .report import SpectralReport
 # inertia-certified shift-invert Lanczos.  One Bloch pencil solve at
 # theta = 0.7 (symmetric L = 2 or 1/2 cells, h = eps/4): values-only dense
 # `eigh` on the sweep's ndarray pencil vs Lanczos plus inertia count on the
-# CSR pencil, one OpenBLAS thread on a 2-core host, median over three runs
-# of the medians of 41 interleaved solves (5 at 1580 dofs):
-#     80 dofs, nev  2: 1.4 vs 4.4 ms     180 dofs, nev  2: 8.4 vs 6.1 ms
-#    230 dofs, nev 12:  15 vs  18 ms     380 dofs, nev  2:  50 vs 7.0 ms
-#    380 dofs, nev 12:  49 vs  13 ms     480 dofs, nev 12:  98 vs  17 ms
-#    780 dofs, nev  2: 337 vs 9.3 ms    1580 dofs, nev  2: 2.6 s vs 15 ms
+# CSR pencil in comb order, both columns measured together, one OpenBLAS
+# thread on a 2-core host, median over three runs of the medians of 41
+# interleaved solves (5 at 1580 dofs):
+#     80 dofs, nev  2: 1.1 vs 2.7 ms     180 dofs, nev  2: 5.1 vs 2.9 ms
+#    230 dofs, nev 12: 9.8 vs  12 ms     380 dofs, nev  2:  33 vs 4.2 ms
+#    380 dofs, nev 12:  32 vs 7.8 ms     480 dofs, nev 12:  61 vs 9.1 ms
+#    780 dofs, nev  2: 232 vs 5.0 ms    1580 dofs, nev  2: 3.7 s vs 8.8 ms
 # Every `fem bands` pencil up to 230 dofs stays dense; a lower or nev-aware
 # cutoff would move band edges by round-off.
 DENSE_CUTOFF = 300
@@ -49,8 +50,16 @@ THETA_XATOL = 1e-5
 LOCALIZED_TOL = 1e-9
 
 
-def assemble_p1(mesh: Mesh):
-    """Real stiffness/mass pair for continuous P1 on the triangulation."""
+def assemble_p1(mesh: Mesh, dofs=None):
+    """Real stiffness/mass pair for continuous P1 on the triangulation.
+
+    dofs lists the mesh node ids that become dofs, in dof order (default:
+    every node in id order); the rows and columns of the other nodes are
+    dropped, an essential condition on them.  Every entry is summed over its
+    triangles in triangle order, whatever the numbering: a diagonal one by
+    `bincount`, an off-diagonal one has at most two terms.  So a renumbered
+    pencil holds the very entries of the mesh-numbered one.
+    """
     pts, tris = mesh.nodes, mesh.triangles
     x = pts[tris, 0]  # (m, 3)
     y = pts[tris, 1]
@@ -62,23 +71,67 @@ def assemble_p1(mesh: Mesh):
     if np.any(det <= 0):
         raise ValueError("mesh contains non-positively oriented triangles")
     area = 0.5 * det
-    # 32-bit indices, as the sparse matrices store them; each form's element
-    # matrices live only while that form is converted
-    idx = tris.astype(np.intc)
-    rows = np.repeat(idx, 3, axis=1).ravel()
-    cols = np.tile(idx, (1, 3)).ravel()
-    n = mesh.n_nodes
+    del x, y, det  # b, c and area hold all the geometry the forms need
+    # 32-bit dof ids, as the sparse matrices store them; -1 marks a dropped node
+    if dofs is None:
+        n = mesh.n_nodes
+        idx = tris.astype(np.intc)
+    else:
+        n = len(dofs)
+        dof_of = np.full(mesh.n_nodes, -1, dtype=np.intc)
+        dof_of[dofs] = np.arange(n, dtype=np.intc)
+        idx = dof_of[tris]
+    li, lj = np.nonzero(~np.eye(3, dtype=bool))  # the six off-diagonal pairs
+    rows, cols = idx[:, li].ravel(), idx[:, lj].ravel()
+    off = (rows >= 0) & (cols >= 0)
+    on = idx.ravel() >= 0
+    diag = np.arange(n, dtype=np.intc)
+    rows, cols = np.concatenate([rows[off], diag]), np.concatenate([cols[off], diag])
 
-    def csr(element_matrices):
-        return sp.coo_matrix((element_matrices.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    def csr(off_values, diag_values):
+        # per triangle, the six off-diagonal and the three diagonal entries
+        d = np.bincount(idx.ravel()[on], weights=diag_values.ravel()[on], minlength=n)
+        vals = np.concatenate([off_values.ravel()[off], d])
+        # the summed matrix may keep views of the triplet-sized arrays: the
+        # copy holds the entries alone
+        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr().copy()
 
-    Ke = b[:, :, None] * b[:, None, :]
-    Ke += c[:, :, None] * c[:, None, :]
-    Ke /= (4.0 * area)[:, None, None]
-    K = csr(Ke)
-    del Ke
-    M = csr(((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :] * area[:, None, None])
+    # stiffness (b_i b_j + c_i c_j) / (4 area), mass (1 + delta_ij) area / 12
+    four_area = (4.0 * area)[:, None]
+    k_off = b[:, li] * b[:, lj]
+    k_off += c[:, li] * c[:, lj]
+    k_off /= four_area
+    k_diag = b * b
+    k_diag += c * c
+    k_diag /= four_area
+    K = csr(k_off, k_diag)
+    del k_off, k_diag
+    area = area[:, None]
+    M = csr(
+        np.repeat((1.0 / 12.0) * area, 6, axis=1), np.repeat((2.0 / 12.0) * area, 3, axis=1)
+    )
     return K, M
+
+
+def _comb_order(mesh, nodes):
+    """The mesh node ids `nodes` in comb order: the rung nodes (above the
+    rail strip) rung by rung, each rung row by row from its tip down, then
+    the rail strip column by column in x; rows run in x and columns from the
+    top down, the direction of each triangle's diagonal.
+
+    Eliminated in this order, a rung fills a band as wide as one of its rows
+    and the rail strip one as wide as one of its columns: on a supercell
+    0.92-0.97 times the fill of minimum degree, with no ordering pass.  On a
+    periodicity cell the tied rail closes into a ring, which the sweep goes
+    round with its first column in tow: 1.08-1.17 times.
+    """
+    x, y = mesh.nodes[nodes, 0], mesh.nodes[nodes, 1]
+    on_rung = y > -0.5 * mesh.meta["L"] + mesh.meta["eps"] + 1e-12
+    rung = np.lexsort((x, -y, np.rint(x)))
+    rung = rung[on_rung[rung]]
+    rail = np.lexsort((-y, x))
+    rail = rail[~on_rung[rail]]
+    return nodes[np.concatenate([rung, rail])]
 
 
 @dataclass
@@ -123,6 +176,8 @@ class _BlochSplit:
     to their left-boundary masters.  For A = K and A = M the reduced matrix
     T^H A T is therefore A0 + e^{-i theta} A1 + e^{i theta} A1^T with
     A0 = T0^T A T0 + T1^T A T1 and A1 = T0^T A T1, formed once per mesh.
+    The columns, `free`, come in comb order (`_comb_order`) on both sides
+    of the cutoff.
 
     On the dense side of the cutoff (`dense`, from `_solved_dense` unless
     given) A0 is kept as one real ndarray and A1 as COO triplets, and each
@@ -139,7 +194,7 @@ class _BlochSplit:
         drop[mesh.right] = True
         if mesh.meta.get("sym_class") == SymmetryClass.ANTISYMMETRIC.value:
             drop[mesh.axis] = True
-        keep = np.nonzero(~drop)[0]
+        keep = _comb_order(mesh, np.nonzero(~drop)[0])
         col_of = -np.ones(n, dtype=int)
         col_of[keep] = np.arange(keep.size)
         masters = col_of[mesh.left]
@@ -149,6 +204,8 @@ class _BlochSplit:
         self.T0 = sp.csr_matrix((np.ones(keep.size), (keep, col_of[keep])), shape=shape)
         self.T1 = sp.csr_matrix((np.ones(masters.size), (mesh.right, masters)), shape=shape)
         self.free = keep
+        # the Lanczos start vector is drawn over the free nodes in id order
+        self.draw_order = np.argsort(keep)
         self.dense = _solved_dense(keep.size) if dense is None else dense
         K, M = assemble_p1(mesh)
         self.K_parts = self._parts(K)
@@ -206,26 +263,30 @@ def assemble_bloch_pencil(mesh, theta):
 def _supercell_pencil(mesh):
     """Real supercell (K, M) and the mesh node ids kept as dofs, in order.
 
-    The class stored in the mesh metadata decides the y = 0 condition: the
-    antisymmetric class eliminates the axis nodes (Dirichlet) by keeping the
-    other rows and columns, the symmetric class keeps every node.  K and M
-    keep the one pattern they are assembled with.
+    The dofs come in comb order (`_comb_order`).  The class stored in the
+    mesh metadata decides the y = 0 condition: the antisymmetric class drops
+    the axis nodes (Dirichlet) at assembly, the symmetric class keeps every
+    node.  K and M share the one pattern they are assembled with.
     """
-    K, M = assemble_p1(mesh)
+    nodes = np.arange(mesh.n_nodes)
     if mesh.meta.get("sym_class") == SymmetryClass.ANTISYMMETRIC.value:
-        keep = np.setdiff1d(np.arange(mesh.n_nodes), mesh.axis)
-        return K[keep][:, keep], M[keep][:, keep], keep
-    return K, M, np.arange(mesh.n_nodes)
+        nodes = np.setdiff1d(nodes, mesh.axis)
+    keep = _comb_order(mesh, nodes)
+    K, M = assemble_p1(mesh, keep)
+    return K, M, keep
 
 
-def _lowest_eigs(Kr, Mr, nev, *, seed=0):
+def _lowest_eigs(Kr, Mr, nev, *, seed=0, draw_order=None):
     """Lowest nev eigenvalues: dense LAPACK up to DENSE_CUTOFF dofs, else a
-    shift-invert Lanczos certified by one inertia count above its top value."""
+    shift-invert Lanczos (seed and draw_order as in `eig_sparse_shift_invert`)
+    certified by one inertia count above its top value."""
     n = Kr.shape[0]
     nev = min(nev, n)
     if _solved_dense(n):
         return eig_dense(Kr, Mr, subset=(0, nev - 1), vectors=False).values
-    res = eig_sparse_shift_invert(Kr, Mr, -1e-2, min(nev, n - 2), seed=seed)
+    res = eig_sparse_shift_invert(
+        Kr, Mr, -1e-2, min(nev, n - 2), seed=seed, draw_order=draw_order
+    )
     if not res.converged:
         raise RuntimeError(f"lowest-eigenvalue Lanczos solve failed: {res.message}")
     # the margin sits well above the Lanczos error and the round-off of the
@@ -262,7 +323,9 @@ def fem_bloch_bands(params: LadderParams, sym_class, nev, h, *, n_theta=17, seed
         key = round(float(theta), 12)
         if key not in cache:
             p = split.pencil(theta)
-            cache[key] = _lowest_eigs(p.K, p.M, nev, seed=seed)
+            cache[key] = _lowest_eigs(
+                p.K, p.M, nev, seed=seed, draw_order=split.draw_order
+            )
         return cache[key]
 
     thetas = np.linspace(0.0, math.pi, n_theta)
@@ -411,6 +474,7 @@ def localized_modes(
         res = eig_sparse_shift_invert(
             K, M, 0.5 * (lam_lo + lam_hi), count,
             window=(lam_lo, lam_hi), seed=seed, tol=LOCALIZED_TOL,
+            draw_order=np.argsort(keep),
         )
         if res.values.size != count:
             raise RuntimeError(

@@ -14,6 +14,12 @@ assembles both geometries:
   vertex with a Bloch phase: a quasi-periodic cell, for band edges of the
   unperturbed ladder.
 
+Both geometries are numbered along the comb (`_chains`): the rail
+vertices, then the rung nodes tip-first, then the rail edges' interiors, an
+order that `count_below` factors with no ordering pass and barely any fill.
+ARPACK's start vector is dealt out in a fixed node order of its own
+(`_draw_order`), so the Krylov sequence does not depend on that numbering.
+
 Nothing here reuses the transfer-matrix algebra, so agreement with
 `modes.discrete_eigenvalues` / `bands.essential_bands` is a genuine
 two-route consistency check.  The only import from the FEM side is
@@ -109,6 +115,37 @@ def _subdivisions(length, h):
     return max(1, round(length / h))
 
 
+def _chains(L, n_rungs, sym_class, h, image):
+    """Node ids along the rail edges and the rungs of `_half_ladder`, and the
+    node count.
+
+    Row e of rails holds the ids along rail edge e from vertex e to vertex
+    e + 1, row i of rungs those along rung i from vertex i to its tip (a
+    clamped tip keeps id 0, unused).  Vertices are 0, 1, ..., then come the
+    rung nodes, rung by rung and each from its tip down, then the rail
+    edges' interior nodes in x.  Eliminated in this order a vertex fills
+    only the three pairs among its rail and rung neighbours, and a rung or a
+    rail edge nothing, so the pencil factors in its own order as sparsely as
+    under minimum degree.
+    """
+    n_vert = n_rungs + image
+    n_rail = _subdivisions(1.0, h)
+    n_rung = _subdivisions(0.5 * L, h)
+    clamped = sym_class is not SymmetryClass.SYMMETRIC
+    new_per_rung = n_rung - 1 if clamped else n_rung
+    verts = np.arange(n_vert)
+    rungs = np.zeros((n_rungs, n_rung + 1), dtype=np.intc)
+    rungs[:, 0] = verts[:n_rungs]
+    rungs[:, new_per_rung:0:-1] = (
+        n_vert + np.arange(n_rungs * new_per_rung).reshape(n_rungs, -1)
+    )
+    first = n_vert + n_rungs * new_per_rung
+    rails = np.empty((n_vert - 1, n_rail + 1), dtype=np.intc)
+    rails[:, 0], rails[:, -1] = verts[:-1], verts[1:]
+    rails[:, 1:-1] = first + np.arange((n_vert - 1) * (n_rail - 1)).reshape(n_vert - 1, -1)
+    return rails, rungs, first + (n_vert - 1) * (n_rail - 1)
+
+
 def _half_ladder(L, rung_w, sym_class, h, image=False):
     """Sparse real (K, M) of a half ladder whose rail vertex i carries a rung
     weighted by rung_w[i] in both forms.
@@ -117,36 +154,46 @@ def _half_ladder(L, rung_w, sym_class, h, image=False):
     the outermost ones (natural ends, no boundary rows needed).  Rungs have
     length L/2 with a free tip for the symmetric class and a clamped tip for
     the antisymmetric class.  image appends one rung-less rail vertex on the
-    right.  Node ids: rail vertices 0, 1, ..., then each rail edge's interior
-    nodes, then each rung's interior nodes and, for a free tip, its tip.
+    right.  Node ids (`_chains`): rail vertices 0, 1, ..., then each rung's
+    nodes from its tip (if free) down to its vertex, then each rail edge's
+    interior nodes.
     """
     if not 0.0 < h <= 0.1:
         raise ValueError("mesh step h must lie in (0, 0.1]")
-    n_rungs = len(rung_w)
-    n_vert = n_rungs + image
-    n_rail = _subdivisions(1.0, h)
-    n_rung = _subdivisions(0.5 * L, h)
-    verts = np.arange(n_vert)
-    rails = np.empty((n_vert - 1, n_rail + 1), dtype=np.intc)
-    rails[:, 0], rails[:, -1] = verts[:-1], verts[1:]
-    rails[:, 1:-1] = n_vert + np.arange((n_vert - 1) * (n_rail - 1)).reshape(n_vert - 1, -1)
-    first = n_vert + (n_vert - 1) * (n_rail - 1)
     clamped = sym_class is not SymmetryClass.SYMMETRIC
-    new_per_rung = n_rung - 1 if clamped else n_rung
-    rungs = np.zeros((n_rungs, n_rung + 1), dtype=np.intc)  # a clamped tip keeps id 0, unused
-    rungs[:, 0] = verts[:n_rungs]
-    rungs[:, 1 : 1 + new_per_rung] = (
-        first + np.arange(n_rungs * new_per_rung).reshape(n_rungs, -1)
-    )
+    rails, rungs, n = _chains(L, len(rung_w), sym_class, h, image)
     parts = [
-        _edges_triplets(rails, np.ones(n_vert - 1), 1.0, False),
+        _edges_triplets(rails, np.ones(rails.shape[0]), 1.0, False),
         _edges_triplets(rungs, rung_w, 0.5 * L, clamped),
     ]
     rows, cols, k_vals, m_vals = (np.concatenate(t) for t in zip(*parts))
-    n = first + n_rungs * new_per_rung
     K = sp.coo_matrix((k_vals, (rows, cols)), (n, n)).tocsc()
     M = sp.coo_matrix((m_vals, (rows, cols)), (n, n)).tocsc()
     return K, M
+
+
+def _draw_order(L, n_rungs, sym_class, h, image=False):
+    """The node ids of `_half_ladder` listed vertex by vertex, then rail edge
+    by rail edge, then rung by rung from its vertex out: the numbering of an
+    edge-by-edge build that lists the rail edges before the rungs."""
+    rails, rungs, _ = _chains(L, n_rungs, sym_class, h, image)
+    clamped = sym_class is not SymmetryClass.SYMMETRIC
+    return np.concatenate([
+        np.arange(n_rungs + image),
+        rails[:, 1:-1].ravel(),
+        rungs[:, 1 : rungs.shape[1] - clamped].ravel(),
+    ])
+
+
+def _start_vector(L, n_rungs, sym_class, h):
+    """ARPACK's fixed start vector on the pencil of `_half_ladder`: one
+    standard normal draw per node from seed 0, dealt out in `_draw_order`
+    rather than in the pencil's own order, so that renumbering the pencil
+    for its factorisation leaves the Krylov sequence as it is."""
+    order = _draw_order(L, n_rungs, sym_class, h)
+    v0 = np.empty(order.size)
+    v0[order] = np.random.default_rng(0).standard_normal(order.size)
+    return v0
 
 
 def _check_cells(n_cells):
@@ -248,9 +295,10 @@ def _lam_error_bounds(lams, sigma, half_width):
     return _ARPACK_TOL**2 / delta
 
 
-def _sector_eigs(K, M, lam_lo, lam_hi):
+def _sector_eigs(K, M, v0, lam_lo, lam_hi):
     """Eigenvalues of the sector pencil inside (lam_lo, lam_hi), their error
-    bounds and their inertia count; ARPACK runs only if the count is nonzero."""
+    bounds and their inertia count; ARPACK runs only if the count is nonzero,
+    from the start vector v0."""
     # K is an assembled P1 stiffness with positive weights, so it is positive
     # semi-definite and no eigenvalue lies below lam_lo <= 0: no factorisation
     below_lo = count_below(K, M, lam_lo) if lam_lo > 0.0 else 0
@@ -260,8 +308,6 @@ def _sector_eigs(K, M, lam_lo, lam_hi):
     # the window is symmetric about sigma, so the count eigenvalues nearest
     # sigma are exactly the ones inside it
     sigma = 0.5 * (lam_lo + lam_hi)
-    # a fixed start vector: without v0 ARPACK draws one from process-global state
-    v0 = np.random.default_rng(0).standard_normal(K.shape[0])
     vals = spla.eigsh(
         K, k=count, M=M, sigma=sigma, which="LM", v0=v0, tol=_ARPACK_TOL,
         return_eigenvectors=False,
@@ -280,7 +326,9 @@ def _sector_eigs(K, M, lam_lo, lam_hi):
 
 def _gap_eigs_once(L, mu, sym_class, lam_lo, lam_hi, n_cells, h):
     K, M = _even_sector(L, mu, sym_class, n_cells, h)
-    lams, bounds, count = _sector_eigs(K, M, lam_lo, lam_hi)
+    # a fixed start vector: without v0 ARPACK draws one from process-global state
+    v0 = _start_vector(L, n_cells + 1, sym_class, h)
+    lams, bounds, count = _sector_eigs(K, M, v0, lam_lo, lam_hi)
     return lams, bounds, K.shape[0], count
 
 

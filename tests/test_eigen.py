@@ -18,9 +18,10 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ladderspec import eigen, graph1d
 from ladderspec.bands import first_n_gaps
 from ladderspec.eigen import _shifted, count_below, eig_dense, eig_sparse_shift_invert
-from ladderspec.fem import _supercell_pencil, assemble_bloch_pencil
+from ladderspec.fem import DENSE_CUTOFF, _supercell_pencil, assemble_bloch_pencil
 from ladderspec.graph1d import EDGE_MARGIN, quasiperiodic_cell, truncated_half_ladder
 from ladderspec.mesh import build_cell_mesh, build_supercell_mesh
 from ladderspec.params import LadderParams, SymmetryClass
@@ -112,6 +113,20 @@ def test_shift_invert_matches_dense_complex_hermitian():
     assert np.allclose(res.values, nearest, rtol=1e-9, atol=1e-9)
     G = res.vectors.conj().T @ (Md @ res.vectors)
     assert np.abs(G - np.eye(4)).max() < 1e-8
+
+
+def test_shift_invert_deals_its_start_vector_out_node_for_node():
+    # dealt the same draws node for node, a renumbered pencil runs the same
+    # Krylov sequence: the same steps and, stopped early, the same Ritz
+    # values up to round-off, where another start leaves other errors
+    K, M = _string_pencil(400)
+    p = np.random.default_rng(1).permutation(400)
+    ref = eig_sparse_shift_invert(K, M, 230.0, 6, tol=1e-3)
+    got = eig_sparse_shift_invert(
+        K[p][:, p], M[p][:, p], 230.0, 6, tol=1e-3, draw_order=np.argsort(p)
+    )
+    assert got.iterations == ref.iterations
+    assert np.allclose(got.values, ref.values, rtol=1e-12, atol=0)
 
 
 class _CountingCSR(sp.csr_matrix):
@@ -258,6 +273,65 @@ def test_count_below_matches_dense_inertia_on_oracle_pencil():
         ends = [(gap.omega_b + pad) ** 2, (gap.omega_t - pad) ** 2]
         K, M, _ = truncated_half_ladder(2.0, 0.25, cls, 5, h=1e-2)
         _assert_counts_match_dense(K, M, ends + [1.3 * ends[1]])
+
+
+def test_count_below_leaves_a_shared_unsorted_pattern_alone():
+    # K and M permuted alike share one unsorted CSC pattern, so the count
+    # shifts their data; SuperLU sorts the shift's indices in place, which
+    # must not reach K's: a scrambled K would miscount every later shift
+    K, M = graph1d._half_ladder(2.0, [0.125, 1, 1, 1, 1, 1], SymmetryClass.SYMMETRIC, 2e-2)
+    p = np.random.default_rng(0).permutation(K.shape[0])
+    K, M = K[p][:, p].tocsc(), M[p][:, p].tocsc()
+    assert not K.has_sorted_indices
+    assert np.array_equal(K.indices, M.indices) and np.array_equal(K.indptr, M.indptr)
+    dense = eig_dense(K, M).values
+    before = K.copy()
+    for t in (2.0, 10.0, 30.0):
+        assert count_below(K, M, t) == int(np.count_nonzero(dense < t))
+    for a in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(K, a), getattr(before, a))
+
+
+def _comb_pencils():
+    """(name, K, M, sigma) for each sparse builder, shifted into a window
+    of its own: supercells of both classes, a Bloch cell above the dense
+    cutoff, the oracle's even sector and the truncated half ladder."""
+    gap = [first_n_gaps(2.0, cls, 1)[0] for cls in SymmetryClass]
+    hi = [graph1d._gap_window(g)[1] for g in gap]
+    lo = (GAP_EPS02[0] * (1 + 1e-3)) ** 2
+    for cls in SymmetryClass:
+        mesh = build_supercell_mesh(LadderParams(2.0, 0.1, mu=0.25), cls, 10, 0.025)
+        yield (f"supercell {cls.value}", *_supercell_pencil(mesh)[:2], lo)
+    # the gate-6 cell: its periodic rail closes into a ring, which natural
+    # order sweeps with the tied column in tow (1.08 of minimum degree's fill
+    # here, up to 1.17 on the L = 1/2 cells)
+    mesh = build_cell_mesh(LadderParams(2.0, 0.05), SymmetryClass.SYMMETRIC, 0.0125)
+    p = assemble_bloch_pencil(mesh, 0.7)
+    assert p.K.shape[0] > DENSE_CUTOFF
+    yield "Bloch cell", p.K, p.M, 3.0
+    for cls, top in zip(SymmetryClass, hi):
+        K, M = graph1d._even_sector(2.0, 0.25, cls, 20, 4e-3)
+        yield f"even sector {cls.value}", K, M, top
+        K, M, _ = truncated_half_ladder(2.0, 0.25, cls, 20, 4e-3)
+        yield f"truncated {cls.value}", K, M, top
+
+
+def _fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+def test_comb_order_fills_no_more_than_minimum_degree():
+    # every factorisation keeps the pencil's own order, so the builders'
+    # numbering must do minimum degree's work: listing the rail edges before
+    # the rungs (`graph1d._draw_order`) leaves 6.1 times its fill on the even
+    # sector
+    for name, K, M, sigma in _comb_pencils():
+        A = _shifted(K, M, sigma)
+        mmd = scipy.sparse.linalg.splu(
+            sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            panel_size=1, options=dict(SymmetricMode=True),
+        )
+        assert _fill(eigen._diagonal_lu(A)) <= 1.1 * _fill(mmd), name
 
 
 def test_count_below_refuses_off_diagonal_pivots():

@@ -151,10 +151,20 @@ def _edge_by_edge(n_vert, edges, h):
 _PINNED = [(2.0, 0.25, 8e-3), (1.3, 1.7, 1e-2), (2.2714, 0.204, 7e-3)]
 
 
+def _renumbered(A, L, n_rungs, cls, h, image=False):
+    """An `_edge_by_edge` matrix (rail edges listed before the rungs) in the
+    comb numbering of `_half_ladder`, canonical CSC."""
+    inv = np.argsort(graph1d._draw_order(L, n_rungs, cls, h, image))
+    out = A.tocsc()[inv][:, inv].tocsc()
+    out.sort_indices()
+    return out
+
+
 def test_pencil_is_the_edge_by_edge_build_bit_for_bit():
     # at L = 2.2714, h = 7e-3 the three terms on a rail vertex's diagonal sum
     # inexactly, so the pin also holds the order of the duplicate sums;
-    # (2, 0.4, 4e-3, 20) is the benchmark's defect window
+    # (2, 0.4, 4e-3, 20) is the benchmark's defect window.  The builder
+    # numbers the rungs before the rail edges, tip first
     for cls in (S, A):
         tip = None if cls is S else -1
         for L, mu, h, n_cells in [(*c, 6) for c in _PINNED] + [(2.0, 0.4, 4e-3, 20)]:
@@ -163,7 +173,8 @@ def test_pencil_is_the_edge_by_edge_build_bit_for_bit():
             rungs = [(j, tip, 0.5 * L, mu if j == n_cells else 1.0) for j in range(n_vert)]
             K, M, vertex_ids = truncated_half_ladder(L, mu, cls, n_cells, h)
             assert vertex_ids == {j: j + n_cells for j in range(-n_cells, n_cells + 1)}
-            for got, want in zip((K, M), _edge_by_edge(n_vert, rails + rungs, h)):
+            for got, ref in zip((K, M), _edge_by_edge(n_vert, rails + rungs, h)):
+                want = _renumbered(ref, L, n_vert, cls, h)
                 assert got.format == want.format == "csc"
                 assert np.array_equal(got.indptr, want.indptr)
                 assert np.array_equal(got.indices, want.indices)
@@ -179,7 +190,10 @@ def test_cell_is_the_tied_edge_by_edge_build():
     for cls in (S, A):
         tip = None if cls is S else -1
         for L, _, h in _PINNED:
-            open_cell = _edge_by_edge(2, [(0, 1, 1.0, 1.0), (0, tip, 0.5 * L, 1.0)], h)
+            open_cell = [
+                _renumbered(X, L, 1, cls, h, image=True)
+                for X in _edge_by_edge(2, [(0, 1, 1.0, 1.0), (0, tip, 0.5 * L, 1.0)], h)
+            ]
             n = open_cell[0].shape[0]
             for theta in (0.0, 0.7, math.pi / 2, math.pi):
                 data = [*np.ones(n - 1), np.exp(1j * theta)]
@@ -300,15 +314,14 @@ def _window_count(K, M, gap):
     return count_below(K, M, hi) - (count_below(K, M, lo) if lo > 0.0 else 0)
 
 
-def _tol0(K, M, gap):
+def _tol0(K, M, gap, v0):
     """The eigenvalues of (K, M) in the oracle's window of gap, solved by
     ARPACK to its machine-precision default (tol=0) with the oracle's shift
-    and start vector."""
+    and the start vector v0, from `graph1d._start_vector`."""
     lo, hi = graph1d._gap_window(gap)
     k = _window_count(K, M, gap)
     if k == 0:
         return np.zeros(0)
-    v0 = np.random.default_rng(0).standard_normal(K.shape[0])
     return spla.eigsh(
         K, k=k, M=M, sigma=0.5 * (lo + hi), which="LM", v0=v0, tol=0,
         return_eigenvectors=False,
@@ -316,8 +329,10 @@ def _tol0(K, M, gap):
 
 
 def _tol0_lams(res, L, mu, cls, gap):
-    """The even-sector pencil the oracle solves, solved by `_tol0`."""
-    return np.sort(_tol0(*graph1d._even_sector(L, mu, cls, res.n_cells, res.h), gap))
+    """The even-sector pencil the oracle solves, solved by `_tol0` from the
+    oracle's start vector."""
+    K, M = graph1d._even_sector(L, mu, cls, res.n_cells, res.h)
+    return np.sort(_tol0(K, M, gap, graph1d._start_vector(L, res.n_cells + 1, cls, res.h)))
 
 
 def _within_bounds(res, ref):
@@ -375,7 +390,7 @@ def test_folded_oracle_matches_a_full_precision_solve_of_the_full_pencil(
         L, mu, cls, gap, h=h, n_cells=n_cells, check_convergence=False
     )
     K, M, _ = truncated_half_ladder(L, mu, cls, n_cells, h)
-    full = np.sort(_tol0(K, M, gap))
+    full = np.sort(_tol0(K, M, gap, graph1d._start_vector(L, 2 * n_cells + 1, cls, h)))
     assert res.n_dofs == graph1d._even_sector(L, mu, cls, n_cells, h)[0].shape[0]
     assert res.lams.size == res.inertia_count == full.size
     assert np.all(np.abs(res.lams - full) <= 5e-12 * full)

@@ -2,9 +2,9 @@
 benchmark's tracer wraps resolves, the command-line front end imports no
 numeric library before it runs a command, the graph commands load numpy only,
 the FEM route loads scipy.optimize only for an interior band extreme, every
-SuperLU factorisation names its column ordering, every ARPACK call fixes its
-tolerance and start vector, and the three routes import nothing of each
-other but the oracle's inertia count."""
+SuperLU factorisation keeps the pencil's own column order, every ARPACK call
+fixes its tolerance and start vector, and the three routes import nothing of
+each other but the oracle's inertia count."""
 
 import ast
 import importlib.util
@@ -67,9 +67,9 @@ def test_fem_bands_on_the_grid_skips_scipy_optimize(tmp_path):
     assert "scipy.optimize" not in _modules_after(code)
 
 
-def _calls_in_package(func_name):
-    """(file, line, keyword names) for every call of func_name, as a bare
-    name or an attribute, in the package's source."""
+def _call_nodes(func_name):
+    """(file, ast.Call) for every call of func_name, as a bare name or an
+    attribute, in the package's source."""
     src = Path(ladderspec.__file__).resolve().parent
     calls = []
     for path in sorted(src.rglob("*.py")):
@@ -78,16 +78,30 @@ def _calls_in_package(func_name):
                 f = node.func
                 name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
                 if name == func_name:
-                    calls.append((path.name, node.lineno, {k.arg for k in node.keywords}))
+                    calls.append((path.name, node))
     return calls
 
 
+def _calls_in_package(func_name):
+    """(file, line, keyword names) for every call of func_name."""
+    return [
+        (p, node.lineno, {k.arg for k in node.keywords}) for p, node in _call_nodes(func_name)
+    ]
+
+
 def test_every_splu_call_names_its_ordering():
-    # each factorisation's column ordering is chosen for how it is used
-    # (eigen.py says which and why); SuperLU's default must not stand in
-    calls = _calls_in_package("splu")
+    # every sparse pencil comes numbered along its comb, an order each
+    # factorisation keeps (eigen.py says why): SuperLU must run no ordering
+    # pass, and its default, COLAMD, must not stand in
+    calls = _call_nodes("splu")
     assert calls
-    assert [(p, n) for p, n, kws in calls if "permc_spec" not in kws] == []
+    orderings = {
+        (p, node.lineno): [
+            ast.literal_eval(k.value) for k in node.keywords if k.arg == "permc_spec"
+        ]
+        for p, node in calls
+    }
+    assert {where: o for where, o in orderings.items() if o != ["NATURAL"]} == {}
 
 
 def test_every_eigsh_call_fixes_tol_and_start():
