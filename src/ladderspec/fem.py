@@ -16,12 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack, solve_triangular
 
 from .eigen import (
     EigenResult,
     count_below,
     eig_dense,
     eig_sparse_shift_invert,
+    mass_cholesky,
     solve_once,
 )
 from .mesh import Mesh, build_cell_mesh, build_supercell_mesh, rectangle_mesh
@@ -32,16 +34,19 @@ from .report import SpectralReport
 # Pencils with at most this many dofs go to dense LAPACK, larger ones to the
 # inertia-certified shift-invert Lanczos.  One Bloch pencil solve at
 # theta = 0.7 (symmetric L = 2 or 1/2 cells, h = eps/4): values-only dense
-# `eigh` on the sweep's ndarray pencil vs Lanczos plus inertia count on the
-# CSR pencil in comb order, both columns measured together, one OpenBLAS
-# thread on a 2-core host, median over three runs of the medians of 41
-# interleaved solves (5 at 1580 dofs):
-#     80 dofs, nev  2: 1.1 vs 2.7 ms     180 dofs, nev  2: 5.1 vs 2.9 ms
-#    230 dofs, nev 12: 9.8 vs  12 ms     380 dofs, nev  2:  33 vs 4.2 ms
-#    380 dofs, nev 12:  32 vs 7.8 ms     480 dofs, nev 12:  61 vs 9.1 ms
-#    780 dofs, nev  2: 232 vs 5.0 ms    1580 dofs, nev  2: 3.7 s vs 8.8 ms
-# Every `fem bands` pencil up to 230 dofs stays dense; a lower or nev-aware
-# cutoff would move band edges by round-off.
+# standard `eigh` on the sweep's ndarray C vs Lanczos plus inertia count on
+# the CSR pencil in comb order, pencils formed beforehand, both columns
+# measured together, one OpenBLAS thread on a 2-core host, median over three
+# runs of the medians of 41 interleaved solves (5 at 1580 dofs):
+#     80 dofs, nev  2: 0.68 vs 2.7 ms     80 dofs, nev 12: 0.88 vs 6.8 ms
+#    180 dofs, nev  2:  3.2 vs 2.7 ms    180 dofs, nev 12:  3.5 vs 8.8 ms
+#    230 dofs, nev  2:  5.7 vs 3.1 ms    230 dofs, nev 12:  7.2 vs  12 ms
+#    380 dofs, nev  2:   24 vs 4.1 ms    380 dofs, nev 12:   22 vs 7.7 ms
+#    480 dofs, nev 12:   45 vs 8.8 ms    780 dofs, nev  2:  178 vs 5.2 ms
+#   1580 dofs, nev  2: 2.9 s vs 9.5 ms
+# Forming C at theta costs a further 0.2-0.5 ms.  Every `fem bands` pencil
+# up to 230 dofs stays dense; a lower or nev-aware cutoff would move band
+# edges by round-off.
 DENSE_CUTOFF = 300
 
 #: theta tolerance of the bounded search that sharpens an interior band extreme
@@ -138,16 +143,17 @@ def _comb_order(mesh, nodes):
 class HermitianPencil:
     """Reduced (K, M) after quasi-periodic tying / Dirichlet elimination.
 
-    In the Bloch sweep K and M are dense ndarrays when the pencil goes to
-    dense LAPACK (`_solved_dense`) and CSR matrices when it goes to Lanczos;
-    `assemble_bloch_pencil` always returns CSR.  T maps reduced dofs to full
-    mesh nodes (u_full = T u_red); only `assemble_bloch_pencil` builds it,
-    the sweep leaves it None.  free lists the full-mesh node ids that
-    survived as their own dofs, in column order.
+    `assemble_bloch_pencil` returns the CSR pair (K, M) with its tying map T
+    (u_full = T u_red), and free lists the full-mesh node ids that survived
+    as their own dofs, in column order.  In the Bloch sweep T is None; a
+    pencil that goes to Lanczos is that CSR pair, and one that goes to dense
+    LAPACK (`_solved_dense`) is the standard form: K is the dense matrix
+    C = L^-1 K L^-H of the block Cholesky factor L of M, and M is None.  C
+    acts on the coordinates L^H u, whose order free gives.
     """
 
     K: np.ndarray | sp.csr_matrix
-    M: np.ndarray | sp.csr_matrix
+    M: sp.csr_matrix | None
     T: sp.csr_matrix | None
     free: np.ndarray
     theta: float
@@ -168,6 +174,10 @@ def _bloch_phase(theta):
     return np.exp(-1j * theta)
 
 
+def _lower_solve(L, B):
+    return solve_triangular(L, B, lower=True, check_finite=False)
+
+
 class _BlochSplit:
     """Theta-independent parts of the tied pencil on one periodicity cell.
 
@@ -176,14 +186,28 @@ class _BlochSplit:
     to their left-boundary masters.  For A = K and A = M the reduced matrix
     T^H A T is therefore A0 + e^{-i theta} A1 + e^{i theta} A1^T with
     A0 = T0^T A T0 + T1^T A T1 and A1 = T0^T A T1, formed once per mesh.
-    The columns, `free`, come in comb order (`_comb_order`) on both sides
-    of the cutoff.
+    The columns come in comb order (`_comb_order`).  On the Lanczos side of
+    the cutoff the pencil is that CSR sum, in those columns (`free`).
 
-    On the dense side of the cutoff (`dense`, from `_solved_dense` unless
-    given) A0 is kept as one real ndarray and A1 as COO triplets, and each
-    pencil is a copy of A0 with e^{-i theta} A1 and e^{i theta} A1^T
-    scattered in; A1 and A1^T share no entry, so every entry is the same
-    float sum as in the CSR pencil.  Otherwise the pencil is that CSR sum.
+    On the dense side (`dense`, from `_solved_dense` unless given) the
+    pencil is reduced to standard form by the block Cholesky factor of
+    M(theta) (Golub & Van Loan, Matrix Computations, sec. 8.7).  A1 touches
+    only a set q of dofs, the tying masters and their tied neighbours; with
+    p the other dofs, ordered p then q, every block but the q-q one is real
+    and independent of theta.  Once per cell, in real arithmetic:
+
+        L_pp = chol(M_pp),  X = L_pp^-1 M_pq,  Y = L_pp^-1 K_pq,
+        C_pp = L_pp^-1 K_pp L_pp^-T,  G = Y^T - X^T C_pp,
+        S_q = X^T X,  R_q = X^T C_pp X - X^T Y - Y^T X;
+
+    and at each theta only m = |q| sized work:
+
+        L_qq = chol(M_qq(theta) - S_q),  C_qp = L_qq^-1 G,
+        C_qq = L_qq^-1 (K_qq(theta) + R_q) L_qq^-H.
+
+    C(theta) is the matrix LAPACK's generalized solver forms from the whole
+    pencil, up to round-off; it is made exactly Hermitian, and it is real at
+    theta = 0 and pi.  The dense A0 arrays are dropped once the blocks exist.
     """
 
     def __init__(self, mesh, *, dense=None):
@@ -203,46 +227,79 @@ class _BlochSplit:
         shape = (n, keep.size)
         self.T0 = sp.csr_matrix((np.ones(keep.size), (keep, col_of[keep])), shape=shape)
         self.T1 = sp.csr_matrix((np.ones(masters.size), (mesh.right, masters)), shape=shape)
+        self.dense = _solved_dense(keep.size) if dense is None else dense
+        K, M = assemble_p1(mesh)
+        K0, K1 = self._parts(K)
+        M0, M1 = self._parts(M)
+        if self.dense:
+            keep = keep[self._reduce(K0, K1, M0, M1)]
+        else:
+            self.K_parts = (K0, K1, K1.T.tocsr())
+            self.M_parts = (M0, M1, M1.T.tocsr())
         self.free = keep
         # the Lanczos start vector is drawn over the free nodes in id order
         self.draw_order = np.argsort(keep)
-        self.dense = _solved_dense(keep.size) if dense is None else dense
-        K, M = assemble_p1(mesh)
-        self.K_parts = self._parts(K)
-        self.M_parts = self._parts(M)
+
+    def _reduce(self, K0, K1, M0, M1):
+        """The once-per-cell blocks of the standard form, from the CSR parts;
+        returns the p-then-q column order."""
+        # q: the rows and columns of the entries A1 stores
+        touched = np.zeros(K0.shape[0], dtype=bool)
+        for A1 in (K1, M1):
+            touched[np.diff(A1.indptr) > 0] = True
+            touched[A1.indices] = True
+        q = np.flatnonzero(touched)
+        order = np.concatenate([np.flatnonzero(~touched), q])
+        n_p = order.size - q.size
+        K0, M0 = (A.toarray()[order][:, order] for A in (K0, M0))
+        K1, M1 = (A.toarray()[np.ix_(q, q)] for A in (K1, M1))
+        L = mass_cholesky(M0[:n_p, :n_p])
+        X, Y = _lower_solve(L, M0[:n_p, n_p:]), _lower_solve(L, K0[:n_p, n_p:])
+        # L^-1 K_pp L^-T in the lower triangle, as the generalized solver
+        # forms it, mirrored into the upper one
+        C_pp = lapack.dsygst(K0[:n_p, :n_p], L, lower=1)[0]
+        C_pp = np.where(np.tri(n_p, dtype=bool), C_pp, C_pp.T)
+        XtY = X.T @ Y
+        self.C_pp = C_pp
+        self.G = Y.T - X.T @ C_pp
+        # the q-q blocks of M(theta) - X^T X and K(theta) + R_q, split as the
+        # tied pencil is
+        self.M_q = (M0[n_p:, n_p:] - X.T @ X, M1, M1.T)
+        self.K_q = (K0[n_p:, n_p:] + X.T @ C_pp @ X - (XtY + XtY.T), K1, K1.T)
+        return order
 
     def _parts(self, A):
         T0, T1 = self.T0, self.T1
-        A0 = (T0.T @ A @ T0 + T1.T @ A @ T1).tocsr()
-        A1 = (T0.T @ A @ T1).tocsr()
-        if self.dense:
-            return A0.toarray(), A1.tocoo()
-        return A0, A1, A1.T.tocsr()
+        return (T0.T @ A @ T0 + T1.T @ A @ T1).tocsr(), (T0.T @ A @ T1).tocsr()
 
     def pencil(self, theta):
-        """Reduced pencil at Bloch phase theta, exactly Hermitian."""
+        """Reduced pencil at Bloch phase theta, exactly Hermitian: the CSR
+        pair on the Lanczos side, the standard form (C, None) on the dense
+        side."""
         phase = _bloch_phase(theta)
-        at = _dense_at if self.dense else _sparse_at
-        return HermitianPencil(
-            at(phase, *self.K_parts),
-            at(phase, *self.M_parts),
-            None,
-            self.free,
-            float(theta),
-        )
+        if not self.dense:
+            K = _tied_at(phase, *self.K_parts)
+            M = _tied_at(phase, *self.M_parts)
+            return HermitianPencil(K, M, None, self.free, float(theta))
+        L = mass_cholesky(_tied_at(phase, *self.M_q))
+        n_p = self.C_pp.shape[0]
+        W = _lower_solve(L, np.concatenate([self.G, _tied_at(phase, *self.K_q)], axis=1))
+        C_qp = W[:, :n_p]
+        Z = _lower_solve(L, W[:, n_p:].conj().T)
+        C_qq = 0.5 * (Z + Z.conj().T)  # exactly Hermitian
+        C = np.empty((self.free.size,) * 2, dtype=C_qq.dtype)
+        C[:n_p, :n_p] = self.C_pp
+        C[n_p:, :n_p] = C_qp
+        C[:n_p, n_p:] = C_qp.conj().T
+        C[n_p:, n_p:] = C_qq
+        return HermitianPencil(C, None, None, self.free, float(theta))
 
 
-def _sparse_at(phase, A0, A1, A1T):
-    # A0 is symmetric and the bracket Hermitian entry by entry, so the sum
-    # is exactly Hermitian
+def _tied_at(phase, A0, A1, A1T):
+    # A0 + e^{-i theta} A1 + e^{i theta} A1^T, sparse or dense: A0 is
+    # symmetric and the bracket Hermitian entry by entry, so the sum is
+    # exactly Hermitian
     return A0 + (phase * A1 + np.conj(phase) * A1T)
-
-
-def _dense_at(phase, A0, A1):
-    out = A0.astype(np.result_type(A0.dtype, phase))
-    out[A1.row, A1.col] += phase * A1.data
-    out[A1.col, A1.row] += np.conj(phase) * A1.data
-    return out
 
 
 def assemble_bloch_pencil(mesh, theta):
