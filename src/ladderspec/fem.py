@@ -7,6 +7,12 @@ class enters only through the boundary condition on the y = 0 line: natural
 antisymmetric one.  The essential spectrum comes from theta-quasi-periodic
 pencils on the periodicity cell; the discrete spectrum from Neumann-truncated
 supercells around the perturbed rung.
+
+A cell pencil depends on theta only through its few tying-interface dofs.
+Up to `DENSE_CUTOFF` dofs it is reduced once per cell to a bordered diagonal
+pencil (`_BorderedPencil`), whose eigenvalues at every theta are roots of
+an interface-sized Schur complement, counted by Sylvester inertia; larger
+cells go to the inertia-certified shift-invert Lanczos of `eigen`.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import eigh, lapack, solve_triangular
 
 from .eigen import (
     EigenResult,
@@ -31,28 +37,35 @@ from .modes import build_eigenfunction
 from .params import LadderParams, SymmetryClass
 from .report import SpectralReport
 
-# Pencils with at most this many dofs go to dense LAPACK, larger ones to the
-# inertia-certified shift-invert Lanczos.  One Bloch pencil solve at
-# theta = 0.7 (symmetric L = 2 or 1/2 cells, h = eps/4): values-only dense
-# standard `eigh` on the sweep's ndarray C vs Lanczos plus inertia count on
-# the CSR pencil in comb order, pencils formed beforehand, both columns
-# measured together, one OpenBLAS thread on a 2-core host, median over three
-# runs of the medians of 41 interleaved solves (5 at 1580 dofs):
-#     80 dofs, nev  2: 0.68 vs 2.7 ms     80 dofs, nev 12: 0.88 vs 6.8 ms
-#    180 dofs, nev  2:  3.2 vs 2.7 ms    180 dofs, nev 12:  3.5 vs 8.8 ms
-#    230 dofs, nev  2:  5.7 vs 3.1 ms    230 dofs, nev 12:  7.2 vs  12 ms
-#    380 dofs, nev  2:   24 vs 4.1 ms    380 dofs, nev 12:   22 vs 7.7 ms
-#    480 dofs, nev 12:   45 vs 8.8 ms    780 dofs, nev  2:  178 vs 5.2 ms
-#   1580 dofs, nev  2: 2.9 s vs 9.5 ms
-# Forming C at theta costs a further 0.2-0.5 ms.  Every `fem bands` pencil
-# up to 230 dofs stays dense; a lower or nev-aware cutoff would move band
-# edges by round-off.
+# Pencils with at most this many dofs go to the dense interface solver
+# (`_BorderedPencil`), larger ones to the inertia-certified shift-invert
+# Lanczos.  Bloch pencils at theta = 0.7 (symmetric L = 2 or 1/2 cells,
+# h = eps/4), interface roots for one theta alone / per theta of a 17-theta
+# sweep vs Lanczos plus inertia count on the CSR pencil in comb order,
+# pencils and once-per-cell reductions formed beforehand, all measured
+# together, one OpenBLAS thread on a 2-core host, median over three runs of
+# the medians of 41 interleaved solves:
+#     80 dofs, nev  2: 0.86 / 0.32 vs 0.84 ms  nev 12: 2.1 / 1.5 vs 1.1 ms
+#    180 dofs, nev  2: 1.4  / 0.49 vs 6.6 ms   nev 12: 2.7 / 1.9 vs 6.0 ms
+#    230 dofs, nev  2: 0.99 / 0.30 vs 9.3 ms   nev 12: 2.9 / 1.9 vs  11 ms
+#    380 dofs, nev  2: 0.97 / 0.36 vs 2.9 ms   nev 12: 2.5 / 1.7 vs 7.0 ms
+#    480 dofs, nev  2: 0.95 / 0.35 vs 3.5 ms   nev 12: 2.3 / 1.6 vs 7.1 ms
+# The interface cost hardly grows with n, but the once-per-cell reduction
+# (block Cholesky and one real eigh) does: 2.4, 6.2, 8.4, 26 and 52 ms at
+# those sizes.  Every `fem bands` pencil up to 230 dofs stays dense; moving
+# the cutoff would move band edges by round-off.
 DENSE_CUTOFF = 300
 
 #: theta tolerance of the bounded search that sharpens an interior band extreme
 THETA_XATOL = 1e-5
 #: relative Ritz-bound tolerance of the supercell Lanczos in `localized_modes`
 LOCALIZED_TOL = 1e-9
+#: relative width of the inertia bracket at which a dense Bloch eigenvalue
+#: is done (`_BorderedPencil.lowest`)
+INTERFACE_RTOL = 1e-14
+#: iteration cap of that root-finder; bisection alone from an interlacing
+#: bracket to INTERFACE_RTOL takes about 60 steps
+_INTERFACE_MAX_STEPS = 200
 
 
 def assemble_p1(mesh: Mesh, dofs=None):
@@ -141,26 +154,24 @@ def _comb_order(mesh, nodes):
 
 @dataclass
 class HermitianPencil:
-    """Reduced (K, M) after quasi-periodic tying / Dirichlet elimination.
+    """Reduced CSR pair (K, M) after quasi-periodic tying / Dirichlet
+    elimination.
 
-    `assemble_bloch_pencil` returns the CSR pair (K, M) with its tying map T
-    (u_full = T u_red), and free lists the full-mesh node ids that survived
-    as their own dofs, in column order.  In the Bloch sweep T is None; a
-    pencil that goes to Lanczos is that CSR pair, and one that goes to dense
-    LAPACK (`_solved_dense`) is the standard form: K is the dense matrix
-    C = L^-1 K L^-H of the block Cholesky factor L of M, and M is None.  C
-    acts on the coordinates L^H u, whose order free gives.
+    `assemble_bloch_pencil` returns it with its tying map T
+    (u_full = T u_red); in the Bloch sweep, which hands it to the Lanczos
+    path, T is None.  free lists the full-mesh node ids that survived as
+    their own dofs, in column order.
     """
 
-    K: np.ndarray | sp.csr_matrix
-    M: sp.csr_matrix | None
+    K: sp.csr_matrix
+    M: sp.csr_matrix
     T: sp.csr_matrix | None
     free: np.ndarray
     theta: float
 
 
 def _solved_dense(n):
-    """True when an n-dof pencil goes to dense LAPACK, False for Lanczos."""
+    """True when an n-dof pencil goes to the dense solvers, False for Lanczos."""
     return n <= DENSE_CUTOFF
 
 
@@ -190,24 +201,23 @@ class _BlochSplit:
     the cutoff the pencil is that CSR sum, in those columns (`free`).
 
     On the dense side (`dense`, from `_solved_dense` unless given) the
-    pencil is reduced to standard form by the block Cholesky factor of
-    M(theta) (Golub & Van Loan, Matrix Computations, sec. 8.7).  A1 touches
-    only a set q of dofs, the tying masters and their tied neighbours; with
-    p the other dofs, ordered p then q, every block but the q-q one is real
-    and independent of theta.  Once per cell, in real arithmetic:
+    pencil is reduced once per cell to a bordered diagonal one
+    (`_BorderedPencil`).  A1 touches only a set q of dofs, the tying masters
+    and their tied neighbours; with p the other dofs, ordered p then q,
+    every block but the q-q one is real and independent of theta.  Once per
+    cell, in real arithmetic, with the block Cholesky factor of M (Golub &
+    Van Loan, Matrix Computations, sec. 8.7):
 
         L_pp = chol(M_pp),  X = L_pp^-1 M_pq,  Y = L_pp^-1 K_pq,
-        C_pp = L_pp^-1 K_pp L_pp^-T,  G = Y^T - X^T C_pp,
-        S_q = X^T X,  R_q = X^T C_pp X - X^T Y - Y^T X;
+        C_pp = L_pp^-1 K_pp L_pp^-T = Q diag(d) Q^T,  G = Y^T - X^T C_pp,
+        S_q = X^T X,  R_q = X^T C_pp X - X^T Y - Y^T X.
 
-    and at each theta only m = |q| sized work:
+    In the coordinates (Q^T (L_pp^T u_p + X u_q), u_q) the pencil is
 
-        L_qq = chol(M_qq(theta) - S_q),  C_qp = L_qq^-1 G,
-        C_qq = L_qq^-1 (K_qq(theta) + R_q) L_qq^-H.
+        [[diag(d), Gq^T], [Gq, K_qq(theta) + R_q]]
+            - lam [[I, 0], [0, M_qq(theta) - S_q]],  Gq = G Q,
 
-    C(theta) is the matrix LAPACK's generalized solver forms from the whole
-    pencil, up to round-off; it is made exactly Hermitian, and it is real at
-    theta = 0 and pi.  The dense A0 arrays are dropped once the blocks exist.
+    so at each theta only its m x m q-q blocks are formed (`lowest`).
     """
 
     def __init__(self, mesh, *, dense=None):
@@ -241,8 +251,8 @@ class _BlochSplit:
         self.draw_order = np.argsort(keep)
 
     def _reduce(self, K0, K1, M0, M1):
-        """The once-per-cell blocks of the standard form, from the CSR parts;
-        returns the p-then-q column order."""
+        """The bordered pencil (`interface`) from the CSR parts; returns the
+        p-then-q column order."""
         # q: the rows and columns of the entries A1 stores
         touched = np.zeros(K0.shape[0], dtype=bool)
         for A1 in (K1, M1):
@@ -260,12 +270,15 @@ class _BlochSplit:
         C_pp = lapack.dsygst(K0[:n_p, :n_p], L, lower=1)[0]
         C_pp = np.where(np.tri(n_p, dtype=bool), C_pp, C_pp.T)
         XtY = X.T @ Y
-        self.C_pp = C_pp
-        self.G = Y.T - X.T @ C_pp
-        # the q-q blocks of M(theta) - X^T X and K(theta) + R_q, split as the
-        # tied pencil is
-        self.M_q = (M0[n_p:, n_p:] - X.T @ X, M1, M1.T)
-        self.K_q = (K0[n_p:, n_p:] + X.T @ C_pp @ X - (XtY + XtY.T), K1, K1.T)
+        d, Q = eigh(C_pp, check_finite=False)
+        self.interface = _BorderedPencil(
+            d,
+            (Y.T - X.T @ C_pp) @ Q,
+            # the q-q blocks of K(theta) + R_q and M(theta) - S_q, split as
+            # the tied pencil is
+            (K0[n_p:, n_p:] + X.T @ C_pp @ X - (XtY + XtY.T), K1, K1.T),
+            (M0[n_p:, n_p:] - X.T @ X, M1, M1.T),
+        )
         return order
 
     def _parts(self, A):
@@ -273,32 +286,190 @@ class _BlochSplit:
         return (T0.T @ A @ T0 + T1.T @ A @ T1).tocsr(), (T0.T @ A @ T1).tocsr()
 
     def pencil(self, theta):
-        """Reduced pencil at Bloch phase theta, exactly Hermitian: the CSR
-        pair on the Lanczos side, the standard form (C, None) on the dense
-        side."""
+        """Reduced CSR pencil at Bloch phase theta, exactly Hermitian (the
+        Lanczos side of the cutoff)."""
         phase = _bloch_phase(theta)
-        if not self.dense:
-            K = _tied_at(phase, *self.K_parts)
-            M = _tied_at(phase, *self.M_parts)
-            return HermitianPencil(K, M, None, self.free, float(theta))
-        L = mass_cholesky(_tied_at(phase, *self.M_q))
-        n_p = self.C_pp.shape[0]
-        W = _lower_solve(L, np.concatenate([self.G, _tied_at(phase, *self.K_q)], axis=1))
-        C_qp = W[:, :n_p]
-        Z = _lower_solve(L, W[:, n_p:].conj().T)
-        C_qq = 0.5 * (Z + Z.conj().T)  # exactly Hermitian
-        C = np.empty((self.free.size,) * 2, dtype=C_qq.dtype)
-        C[:n_p, :n_p] = self.C_pp
-        C[n_p:, :n_p] = C_qp
-        C[:n_p, n_p:] = C_qp.conj().T
-        C[n_p:, n_p:] = C_qq
-        return HermitianPencil(C, None, None, self.free, float(theta))
+        K = _tied_at(phase, *self.K_parts)
+        M = _tied_at(phase, *self.M_parts)
+        return HermitianPencil(K, M, None, self.free, float(theta))
+
+    def lowest(self, thetas, nev, *, seed=0):
+        """The nev lowest eigenvalues at each theta, one row per theta: all
+        thetas in one interface solve on the dense side, one certified
+        Lanczos solve per theta (seed as in `_lowest_eigs`) on the other."""
+        if self.dense:
+            return self.interface.lowest([_bloch_phase(t) for t in thetas], nev)
+        return np.array([
+            _lowest_eigs(p.K, p.M, nev, seed=seed, draw_order=self.draw_order)
+            for p in map(self.pencil, thetas)
+        ])
+
+
+class _BorderedPencil:
+    """The dense Bloch pencil on its theta-dependent interface:
+
+        [[diag(d), Gq^T], [Gq, K(theta)]] - lam [[I, 0], [0, M(theta)]],
+
+    with d ascending, Gq real m x n_p, and only the m x m blocks
+    K(theta) = K0 + e^{-i theta} K1 + e^{i theta} K1^T and M(theta) alike
+    depending on theta.  Eliminating the diagonal block leaves the Schur
+    complement
+
+        S(lam) = K - lam M - Gq diag(1/(d - lam)) Gq^T,
+
+    and by Haynsworth's inertia additivity (Linear Algebra Appl. 1 (1968)
+    73-81) the pencil has #{d_j < lam} + #{eig S(lam) < 0} eigenvalues
+    below any lam off the poles d.  Each eigenvalue of S decreases in lam,
+    with derivative -v^H (M + Gq diag(1/(d - lam)^2) Gq^T) v, and Cauchy
+    interlacing puts the i-th pencil eigenvalue (from 0) in
+    [d_{i-m}, d_i].  `lowest` finds each wanted eigenvalue as the root of
+    branch i - #{d_j < lam} of S, after the secular-equation solvers of
+    Bunch, Nielsen & Sorensen (Numer. Math. 31 (1978) 31-48); each S costs
+    one m x m Hermitian `eigh`, counted in `evals`.
+    """
+
+    def __init__(self, d, Gq, K_q, M_q):
+        m = Gq.shape[0]
+        self.d, self.Gq, self.K_q, self.M_q = d, Gq, K_q, M_q
+        # g_j g_j^T of every column of Gq, flattened: one row per mode
+        self.P = (Gq.T[:, :, None] * Gq.T[:, None, :]).reshape(d.size, m * m)
+        self.evals = 0
+
+    def _ritz_start(self, K, M, nev):
+        """Rayleigh-Ritz values on the lowest nev + m + 4 modes and the
+        interface, the dropped modes folded into the q-q block to first
+        order at lam = 0: g g^T / (d - lam) ~ g g^T / d + lam g g^T / d^2."""
+        m, k = K.shape[1], min(nev + K.shape[1] + 4, self.d.size)
+        d, P = self.d[k:], self.P[k:]
+        fold = ((1.0 / d) @ P).reshape(m, m)
+        fold_slope = ((1.0 / d**2) @ P).reshape(m, m)
+        C = np.zeros((k + m, k + m), dtype=complex)
+        C[np.arange(k), np.arange(k)] = self.d[:k]
+        start = np.empty((K.shape[0], nev))
+        for t, (K_t, M_t) in enumerate(zip(K, M)):
+            mu, U = _eigh(M_t + fold_slope)
+            W = U / np.sqrt(mu)  # W^H (M + fold_slope) W = I
+            # _eigh reads the lower triangle only: C's upper right stays zero
+            C[k:, :k] = W.conj().T @ self.Gq[:, :k]
+            C[k:, k:] = W.conj().T @ (K_t - fold) @ W
+            start[t] = _eigh(C, vectors=False)[0][:nev]
+        return start
+
+    def _blocks(self, phases):
+        """K(theta) and M(theta), one m x m slice per phase."""
+        phase = np.asarray(phases, dtype=complex)[:, None, None]
+        return _tied_at(phase, *self.K_q), _tied_at(phase, *self.M_q)
+
+    def _schur(self, x, K, M, branch):
+        """S(x) = K - x M - Gq diag(w) Gq^T, w = 1/(d - x), at each point x
+        off the poles, with K and M its slices: the pencil's count below x,
+        and eigenvalue number `branch` of S (ascending) with its vector."""
+        w = 1.0 / (self.d - x[:, None])
+        S = K - x[:, None, None] * M
+        S -= (w @ self.P).reshape(S.shape)
+        count = np.searchsorted(self.d, x)
+        f, v = np.empty(x.size), np.empty(S.shape[:2], dtype=S.dtype)
+        for r, (S_r, b) in enumerate(zip(S, branch)):
+            sig, z = _eigh(S_r)
+            count[r] += np.count_nonzero(sig < 0.0)
+            f[r], v[r] = sig[b], z[:, b]
+        self.evals += x.size
+        return count, f, v, w
+
+    def _admissible(self, y, lo, hi):
+        """y where it lies strictly inside (lo, hi), else the bracket's
+        midpoint, or a step out from its finite end while it is
+        half-infinite; a point on a pole, where S is undefined, moves
+        halfway to that fallback."""
+        d, down = self.d, np.isinf(lo)
+        end = np.where(down, hi, lo)
+        out = end + np.where(down, -1.0, 1.0) * np.maximum(np.abs(end), 1.0)
+        back = np.where(down | np.isinf(hi), out, 0.5 * (lo + hi))
+        y = np.where((lo < y) & (y < hi), y, back)
+        pole = d[np.minimum(np.searchsorted(d, y), d.size - 1)] == y
+        return np.where(pole, 0.5 * (y + back), y)
+
+    def count_below(self, phase, lam):
+        """Number of eigenvalues below lam (not a pole) at one phase, by
+        inertia alone."""
+        K, M = self._blocks([phase])
+        return int(self._schur(np.array([float(lam)]), K, M, [0])[0][0])
+
+    def lowest(self, phases, nev):
+        """The nev lowest eigenvalues at each Bloch phase e^{-i theta}, one
+        row per phase.
+
+        All (phase, i) roots run together.  Each keeps an inertia bracket
+        lo <= lam_i <= hi, opened by interlacing and shrunk by the count at
+        every point it evaluates.  The first point is the Rayleigh-Ritz
+        value, the next ones Newton steps on the root's branch of S, pushed
+        a quarter tolerance past the root so that the bracket closes from
+        both sides; a point outside the bracket, or off every branch,
+        bisects it instead (`_admissible`).  A root is done when its bracket
+        is INTERFACE_RTOL relative wide, or eps times the largest |d|
+        absolute, and is its bracket's midpoint.
+        """
+        d, P, m = self.d, self.P, self.Gq.shape[0]
+        K, M = self._blocks(phases)
+        lam = self._ritz_start(K, M, nev).ravel()
+        at = np.repeat(np.arange(len(phases)), nev)
+        index = np.tile(np.arange(nev), len(phases))
+        ends = np.concatenate([[-np.inf], d, [np.inf]])
+        lo = ends[np.maximum(index - m + 1, 0)]
+        hi = ends[np.minimum(index + 1, d.size + 1)]
+        floor = np.finfo(float).eps * np.abs(d).max(initial=0.0)
+        lam = self._admissible(lam, lo, hi)
+        out = np.empty(lam.size)
+        todo = np.arange(lam.size)
+        for _ in range(_INTERFACE_MAX_STEPS):
+            x, t, i = lam[todo], at[todo], index[todo]
+            # the root sits on branch i - #{d_j < x} of S, if that exists
+            branch = i - np.searchsorted(d, x)
+            on = (branch >= 0) & (branch < m)
+            M_t = M[t]
+            count, f, v, w = self._schur(x, K[t], M_t, np.clip(branch, 0, m - 1))
+            above = count > i
+            lo[todo] = np.where(above, lo[todo], x)
+            hi[todo] = np.where(above, x, hi[todo])
+            a, b = lo[todo], hi[todo]
+            tol = np.maximum(INTERFACE_RTOL * np.abs(x), floor)
+            done = b - a <= tol
+            out[todo[done]] = 0.5 * (a[done] + b[done])
+            # Newton on that branch: S v = f v, -dS/dlam = M + Gq diag(w^2) Gq^T
+            w *= w
+            slope = np.einsum("ni,nij,nj->n", v.conj(), M_t, v).real + np.einsum(
+                "ni,nij,nj->n", v.conj(), (w @ P).reshape(M_t.shape), v
+            ).real
+            step = f / slope
+            y = x + step + np.copysign(0.25 * tol, step)
+            lam[todo] = self._admissible(np.where(on, y, np.nan), a, b)
+            todo = todo[~done]
+            if todo.size == 0:
+                return out.reshape(len(phases), nev)
+        raise RuntimeError(
+            f"interface root-finder: {todo.size} eigenvalue(s) not bracketed to "
+            f"{INTERFACE_RTOL} in {_INTERFACE_MAX_STEPS} steps"
+        )
+
+
+def _eigh(a, vectors=True):
+    """(values ascending, vectors or None) of one dense Hermitian matrix, read
+    from its lower triangle, by scipy's LAPACK zheev.  On 10 x 10 matrices
+    its QR iteration takes about 16 us against 22 us for zheevr (one
+    OpenBLAS thread on a 2-core host).
+    numpy.linalg's batched eigh is no faster on such slices, and it would
+    page in a second copy of LAPACK's eigensolver code: 1.5 MB more
+    resident memory in a `fem bands` process."""
+    w, z, info = lapack.zheev(a, compute_v=vectors, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"zheev failed with info={info}")
+    return w, (z if vectors else None)
 
 
 def _tied_at(phase, A0, A1, A1T):
-    # A0 + e^{-i theta} A1 + e^{i theta} A1^T, sparse or dense: A0 is
-    # symmetric and the bracket Hermitian entry by entry, so the sum is
-    # exactly Hermitian
+    # A0 + e^{-i theta} A1 + e^{i theta} A1^T, sparse or dense, one phase or
+    # a stack of them: A0 is symmetric and the bracket Hermitian entry by
+    # entry, so the sum is exactly Hermitian
     return A0 + (phase * A1 + np.conj(phase) * A1T)
 
 
@@ -361,32 +532,43 @@ def _lowest_eigs(Kr, Mr, nev, *, seed=0, draw_order=None):
 def fem_bloch_bands(params: LadderParams, sym_class, nev, h, *, n_theta=17, seed=0):
     """First nev Bloch bands of the unperturbed thin ladder.
 
-    Sweeps theta over [0, pi] (the pencil spectrum is even in theta), one
-    eigensolve per grid point.  Each band extreme found strictly inside the
-    grid is then sharpened by a bounded 1-D minimisation between its two
-    neighbours.  An extreme at either grid end is kept as it is: every
-    lambda_n(theta) is even about both 0 and pi, so those two points are
-    always critical points, and a bounded search, which never evaluates its
-    bracket ends, could only walk back toward the grid value.  Bands and gaps
-    are reported in omega = sqrt(lambda); the per-theta eigenvalue grid is
-    kept as a table.
+    Sweeps theta over [0, pi] (the pencil spectrum is even in theta): the
+    dense side solves the whole grid at once on the tying interface, the
+    Lanczos side one pencil per grid point.  Each band extreme found
+    strictly inside the grid is then sharpened by a bounded 1-D
+    minimisation between its two neighbours.  An extreme at either grid end
+    is kept as it is: every lambda_n(theta) is even about both 0 and pi, so
+    those two points are always critical points, and a bounded search,
+    which never evaluates its bracket ends, could only walk back toward the
+    grid value.  Bands and gaps are reported in omega = sqrt(lambda); the
+    per-theta eigenvalue grid is kept as a table.  Raises ValueError, before any solve, when nev exceeds
+    the eigenvalues the cell's solver returns (n_dofs dense, n_dofs - 2
+    Lanczos).
     """
     sym_class = SymmetryClass.parse(sym_class)
     mesh = build_cell_mesh(params, sym_class, h)
     split = _BlochSplit(mesh)
+    n = int(split.free.size)
+    most = n if split.dense else n - 2
+    if nev > most:
+        raise ValueError(
+            f"nev={nev} exceeds the {most} Bloch eigenvalues the "
+            f"{'dense' if split.dense else 'Lanczos'} solver returns on this "
+            f"cell (n_dofs={n})"
+        )
     cache = {}
 
+    def key(theta):
+        return round(float(theta), 12)
+
     def lam_at(theta):
-        key = round(float(theta), 12)
-        if key not in cache:
-            p = split.pencil(theta)
-            cache[key] = _lowest_eigs(
-                p.K, p.M, nev, seed=seed, draw_order=split.draw_order
-            )
-        return cache[key]
+        if key(theta) not in cache:
+            cache[key(theta)] = split.lowest([theta], nev, seed=seed)[0]
+        return cache[key(theta)]
 
     thetas = np.linspace(0.0, math.pi, n_theta)
-    grid = np.array([lam_at(t) for t in thetas])
+    grid = split.lowest(thetas, nev, seed=seed)
+    cache.update(zip(map(key, thetas), grid))
 
     def _refined_extreme(band, sign):
         """min (sign=+1) or max (sign=-1) of lambda_band(theta)."""
@@ -432,8 +614,9 @@ def fem_bloch_bands(params: LadderParams, sym_class, nev, h, *, n_theta=17, seed
         gaps=gaps,
         diagnostics={
             "n_nodes": mesh.n_nodes,
-            "n_dofs": int(split.free.size),
+            "n_dofs": n,
             "n_solves": len(cache),
+            "n_schur_evals": split.interface.evals if split.dense else 0,
             "solver": "dense" if split.dense else "lanczos",
             "mesh_area": mesh.total_area(),
         },

@@ -5,11 +5,14 @@ solver; the independent cross-checks against the limit-graph machinery live
 in the convergence studies (graph edges, decay rates, residual exponents).
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ladderspec import fem
 from ladderspec.bands import first_n_gaps
@@ -135,20 +138,16 @@ def test_bloch_bands_frozen_gap_and_table_shape():
 def _synthetic_bands(monkeypatch, lam):
     """Run fem_bloch_bands on the synthetic lambda(theta) -> lam(theta) array.
 
-    The pencil at theta is replaced by theta itself, so the patched solver
-    sees which theta it is asked for; returns the report and solved thetas.
+    The split's solver is replaced by lam itself, so it records which thetas
+    it is asked for; returns the report and solved thetas.
     """
     solved = []
 
-    def pencil(self, theta):
-        return fem.HermitianPencil(theta, None, None, self.free, theta)
+    def lowest(self, thetas, nev, **_kw):
+        solved.extend(float(t) for t in thetas)
+        return np.array([lam(t) for t in thetas], dtype=float)
 
-    def lowest(theta, _, nev, **_kw):
-        solved.append(float(theta))
-        return np.asarray(lam(theta), dtype=float)
-
-    monkeypatch.setattr(fem._BlochSplit, "pencil", pencil)
-    monkeypatch.setattr(fem, "_lowest_eigs", lowest)
+    monkeypatch.setattr(fem._BlochSplit, "lowest", lowest)
     rep = fem_bloch_bands(LadderParams(2.0, 0.4), S, 2, 0.1)
     return rep, solved
 
@@ -182,37 +181,105 @@ def test_bloch_endpoint_extremes_cost_one_solve_per_grid_point(monkeypatch):
 DENSE_CELLS = ((2.0, S, 0.2, 0.05), (2.0, A, 0.2, 0.05), (0.5, S, 0.1, 0.025))
 
 
-def _standard_form(K, M):
-    """L^-1 K L^-H for the lower Cholesky factor L of M, densely."""
-    L = np.linalg.cholesky(M)
-    W = np.linalg.solve(L, K)
-    return np.linalg.solve(L, W.conj().T).conj().T
+def _dense_lowest(mesh, theta, nev):
+    """The nev lowest eigenvalues of the CSR Bloch pencil, densified."""
+    ref = assemble_bloch_pencil(mesh, theta)
+    return eig_dense(ref.K, ref.M, subset=(0, nev - 1), vectors=False).values
 
 
-def test_dense_sweep_pencil_is_the_standard_form_of_the_csr_pencil():
+def test_interface_lowest_values_match_the_dense_csr_pencil():
+    thetas = (0.0, 0.7, math.pi)
     for L, cls, eps, h in DENSE_CELLS:
         mesh = build_cell_mesh(LadderParams(L, eps), cls, h)
         split = fem._BlochSplit(mesh)
         assert split.dense
-        for theta in (0.0, 0.7, math.pi):
-            p = split.pencil(theta)
-            ref = assemble_bloch_pencil(mesh, theta)
-            assert p.T is None and p.M is None
-            C = p.K
-            assert isinstance(C, np.ndarray)
-            assert np.array_equal(C, C.conj().T)
-            assert np.iscomplexobj(C) == (theta == 0.7)
-            # the CSR pencil renumbered in the split's p-then-q order and
-            # reduced by the Cholesky factor of its whole mass matrix
-            col = {node: i for i, node in enumerate(ref.free)}
-            perm = np.array([col[node] for node in p.free])
-            Kd = ref.K.toarray()[np.ix_(perm, perm)]
-            Md = ref.M.toarray()[np.ix_(perm, perm)]
-            want = _standard_form(Kd, Md)
-            assert np.abs(C - want).max() <= 1e-12 * np.abs(want).max()
-            lams = eig_dense(C, None, subset=(0, 11), vectors=False).values
-            ref_lams = eig_dense(Kd, Md, subset=(0, 11), vectors=False).values
-            assert np.abs(lams - ref_lams).max() <= 1e-12 * np.abs(ref_lams).max()
+        grid = split.lowest(thetas, 12)  # every theta in one solve
+        for row, theta in zip(grid, thetas):
+            ref = _dense_lowest(mesh, theta, 12)
+            assert np.abs(row - ref).max() <= 1e-12 * ref.max()
+            two = split.lowest([theta], 2)[0]
+            assert np.abs(two - ref[:2]).max() <= 1e-12 * ref[1]
+    # every eigenvalue of the 80-dof cell, the last ones above every pole
+    mesh = build_cell_mesh(LadderParams(2.0, 0.4), S, 0.1)
+    split = fem._BlochSplit(mesh)
+    n = split.free.size
+    assert n == 80
+    for theta in thetas:
+        ref = _dense_lowest(mesh, theta, n)
+        assert np.abs(split.lowest([theta], n)[0] - ref).max() <= 1e-12 * ref.max()
+
+
+@functools.cache
+def _count_cell(cls):
+    mesh = build_cell_mesh(LadderParams(2.0, 0.2), cls, 0.05)
+    return mesh, fem._BlochSplit(mesh)
+
+
+@settings(max_examples=40)
+@given(
+    cls=st.sampled_from([S, A]),
+    theta=st.floats(0.0, math.pi),
+    rank=st.floats(0.0, 30.0),
+)
+def test_interface_count_is_the_dense_pencil_count(cls, theta, rank):
+    # lam runs over the lowest 30 eigenvalues and between them, kept 1e-8
+    # relative away from every one
+    mesh, split = _count_cell(cls)
+    ref = _dense_lowest(mesh, theta, 32)
+    j = int(rank)
+    lam = ref[j] + (rank - j) * (ref[j + 1] - ref[j])
+    assume(np.abs(lam - ref).min() >= 1e-8 * max(abs(lam), ref[1]))
+    count = split.interface.count_below(fem._bloch_phase(theta), lam)
+    assert count == np.count_nonzero(ref < lam)
+
+
+def _synthetic_bordered(d, Gq, K, M, K1):
+    """A bordered pencil with the given blocks, and the dense eigenvalues of
+    the whole pencil at theta = 0.7."""
+    pencil = fem._BorderedPencil(d, Gq, (K, K1, K1.T), (M, 0.0 * K1, 0.0 * K1))
+    Kt = K + np.exp(-0.7j) * K1 + np.exp(0.7j) * K1.T
+    A = np.block([[np.diag(d), Gq.T], [Gq, Kt]])
+    B = np.eye(A.shape[0], dtype=complex)
+    B[d.size :, d.size :] = M
+    return pencil, eig_dense(A, B, vectors=False).values
+
+
+def test_interface_roots_on_a_pole_and_at_a_double_eigenvalue(monkeypatch):
+    rng = np.random.default_rng(5)
+    phase = [np.exp(-0.7j)]
+    # a zero column of Gq decouples its mode: d_3 is an eigenvalue of the
+    # pencil, exactly at a pole of S
+    d = np.array([0.4, 1.3, 2.2, 2.9, 4.1, 5.7, 7.5])
+    Gq = rng.standard_normal((3, d.size))
+    Gq[:, 3] = 0.0
+    R = rng.standard_normal((3, 3))
+    K, K1 = R @ R.T + 3.0 * np.eye(3), 0.3 * rng.standard_normal((3, 3))
+    M = np.eye(3) + 0.1 * (R + R.T)
+    pencil, ref = _synthetic_bordered(d, Gq, K, M, K1)
+    got = pencil.lowest(phase, ref.size)[0]
+    assert np.abs(got - ref).max() <= 1e-12 * ref.max()
+    assert np.abs(got - d[3]).min() <= 1e-12 * ref.max()
+    # no point is ever evaluated on a pole, where S is undefined
+    moved = pencil._admissible(d[[3]], d[[0]], d[[4]])
+    assert d[0] < moved[0] < d[4] and moved[0] not in d
+    # two interfaces whose secular equations share the root 3 (poles 1, 4
+    # and 2, 5), mixed by a rotation: a double eigenvalue off the poles
+    d = np.array([1.0, 2.0, 4.0, 5.0])
+    g = np.array([[0.8, 0.0, 1.1, 0.0], [0.0, 0.6, 0.0, 1.4]])
+    mass = np.array([1.5, 0.7])
+    stiff = 3.0 * mass + (g**2 / (d - 3.0)).sum(axis=1)
+    U = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    pencil, ref = _synthetic_bordered(
+        d, U @ g, U @ np.diag(stiff) @ U.T, U @ np.diag(mass) @ U.T, np.zeros((2, 2))
+    )
+    assert np.sort(np.abs(ref - 3.0))[1] <= 1e-13
+    got = pencil.lowest(phase, ref.size)[0]
+    assert np.abs(got - ref).max() <= 1e-12 * ref.max()
+    assert np.count_nonzero(np.abs(got - 3.0) <= 1e-12 * ref.max()) == 2
+    # a root-finder that runs out of steps raises instead of returning
+    monkeypatch.setattr(fem, "_INTERFACE_MAX_STEPS", 1)
+    with pytest.raises(RuntimeError, match="not bracketed"):
+        pencil.lowest(phase, ref.size)
 
 
 def test_dense_split_keeps_theta_dependence_on_the_boundary():
@@ -223,8 +290,8 @@ def test_dense_split_keeps_theta_dependence_on_the_boundary():
             mesh = build_cell_mesh(LadderParams(L, eps), cls, h)
             split = fem._BlochSplit(mesh)
             assert split.dense
-            # the q block trails the p block of the standard form
-            assert split.free.size - split.C_pp.shape[0] <= 2 * mesh.left.size
+            # the q block trails the p block of the bordered pencil
+            assert split.free.size - split.interface.d.size <= 2 * mesh.left.size
 
 
 def test_dense_split_rejects_indefinite_mass(monkeypatch):
@@ -241,47 +308,57 @@ def test_dense_split_rejects_indefinite_mass(monkeypatch):
         fem._BlochSplit(mesh)
 
 
-def test_values_only_dense_subset_equals_vector_subset_bit_for_bit():
-    for L, cls, eps, h in DENSE_CELLS:
-        split = fem._BlochSplit(build_cell_mesh(LadderParams(L, eps), cls, h))
-        for theta in (0.0, 0.7, math.pi):
-            p = split.pencil(theta)
-            assert p.M is None
-            for subset in ((0, 1), (0, 11)):
-                only = eig_dense(p.K, None, subset=subset, vectors=False)
-                full = eig_dense(p.K, None, subset=subset)
-                assert only.vectors is None and only.residuals is None
-                assert np.array_equal(only.values, full.values)
+def test_dense_bloch_sweep_diagonalises_once_per_cell(monkeypatch):
+    # one cell on the dense side: one real eigh of the p block per cell and
+    # none of the pencil per theta; each theta costs a Rayleigh-Ritz start
+    # (an m x m whitening and a values-only solve of nev + 2m + 4 at most)
+    # and m x m Schur complements, counted in the diagnostics
+    cell, small, factored = [], [], []
+    real_eigh, real_small, real_chol = fem.eigh, fem._eigh, fem.mass_cholesky
 
+    def recording(a, **kw):
+        cell.append((a.shape, a.dtype))
+        return real_eigh(a, **kw)
 
-def test_dense_bloch_sweep_solves_values_only_standard_problems(monkeypatch):
-    # one cell on the dense side: one values-only standard LAPACK call per
-    # grid theta on an ndarray; the theta-independent blocks are built once
-    # per cell (one Cholesky factor of the p-p mass block), and each theta
-    # factors only the q-q Schur complement
-    solves, factored = [], []
-    real_eig, real_chol = fem.eig_dense, fem.mass_cholesky
-
-    def recording(K, M, **kw):
-        solves.append((K, M, kw))
-        return real_eig(K, M, **kw)
+    def recording_small(a, **kw):
+        small.append((a.shape[0], kw.get("vectors", True)))
+        return real_small(a, **kw)
 
     def chol(M):
         factored.append(M.shape[0])
         return real_chol(M)
 
-    monkeypatch.setattr(fem, "eig_dense", recording)
+    monkeypatch.setattr(fem, "eigh", recording)
+    monkeypatch.setattr(fem, "_eigh", recording_small)
     monkeypatch.setattr(fem, "mass_cholesky", chol)
+    monkeypatch.setattr(fem, "eig_dense", None)
     rep = fem_bloch_bands(LadderParams(2.0, 0.2), S, 2, 0.05)
     assert rep.diagnostics["solver"] == "dense"
-    assert rep.diagnostics["n_solves"] == len(solves) == 17
-    for K, M, kw in solves:
-        assert isinstance(K, np.ndarray) and M is None
-        assert kw["vectors"] is False
+    assert rep.diagnostics["n_solves"] == 17
     n = rep.diagnostics["n_dofs"]
-    m = n - factored[0]
-    assert 0 < m <= 10
-    assert factored == [n - m] + [m] * 17
+    n_p = factored[0]
+    m = n - n_p
+    assert factored == [n_p] and 0 < m <= 10
+    assert cell == [((n_p, n_p), np.float64)]
+    ritz = [size for size, vectors in small if not vectors]
+    assert len(ritz) == 17 and max(ritz) <= 2 + 2 * m + 4
+    schur = [size for size, vectors in small if vectors]
+    assert set(schur) == {m}
+    assert rep.diagnostics["n_schur_evals"] == len(schur) - 17 > 17 * 2
+
+
+def test_bloch_bands_reject_more_bands_than_the_solver_returns(monkeypatch):
+    params = LadderParams(2.0, 0.4)
+    # the dense side returns at most n eigenvalues: nev = n runs, n + 1 not
+    n = fem_bloch_bands(params, S, 1, 0.1).diagnostics["n_dofs"]
+    assert len(fem_bloch_bands(params, S, n, 0.1, n_theta=2).bands) == n
+    with pytest.raises(ValueError, match=f"nev={n + 1} .*n_dofs={n}"):
+        fem_bloch_bands(params, S, n + 1, 0.1)
+    # the Lanczos side at most n - 2, refused before any solve
+    monkeypatch.setattr(fem, "DENSE_CUTOFF", 0)
+    monkeypatch.setattr(fem, "_lowest_eigs", None)
+    with pytest.raises(ValueError, match=f"nev={n - 1} .*n_dofs={n}"):
+        fem_bloch_bands(params, S, n - 1, 0.1)
 
 
 def test_sweep_form_solver_and_diagnostics_follow_one_predicate(monkeypatch):
