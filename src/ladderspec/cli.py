@@ -14,12 +14,15 @@ Subcommands, each accepting only the flags it reads:
   fattened graph eigenfunction.
 
 Every flag is declared once, with one rule that validates its value, and
-each command lists the flags it reads.  Every run writes ``<out>.csv`` and
-``<out>.json``; the JSON embeds the schema version and a ``config`` of the
-values the run used: ``command``, ``L`` as given, ``L_value``, then one key
-per flag read (``--out`` aside), named after the flag.  Numeric CSV cells use
-17 significant digits so doubles round-trip exactly.  Exit codes: 0 success,
-2 configuration error (the message names the flag), 3 numerical failure.
+each command lists the flags it reads.  Every run writes ``<out>.csv``, the
+command's main table, and ``<out>.json``; the JSON embeds the schema version
+and a ``config`` of the values the run used: ``command``, ``L`` as given,
+``L_value``, then one key per flag read (``--out`` aside), named after the
+flag.  The fem and study commands keep their table in the JSON as well; the
+graph commands do not, since their JSON holds every entry of it already
+(``GRAPH_TABLE``).  Numeric CSV cells use 17 significant digits so doubles
+round-trip exactly.  Exit codes: 0 success, 2 configuration error (the
+message names the flag), 3 numerical failure.
 
 The environment variable ``LADDERSPEC_THREADS`` caps BLAS/OpenMP thread
 counts; it must be read before the numeric stack is imported, which is why
@@ -233,14 +236,23 @@ def _resolve(args):
 
 
 def _write(report, out, table):
+    """Write the table to <out>.csv, then the report to <out>.json; a graph
+    command's table goes to the CSV only (see GRAPH_TABLE)."""
     parent = os.path.dirname(out)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    report.save(out + ".json")
     report.write_table_csv(table, out + ".csv")
+    if table == GRAPH_TABLE:
+        del report.tables[table]
+    report.save(out + ".json")
     print(f"wrote {out}.json and {out}.csv")
 
 
+#: The table of the graph commands, written to the CSV alone: the JSON holds
+#: every entry of it (omega in `bands`, `gaps` or `diagnostics.eigenvalues`,
+#: lambda = omega**2, the gap type in `gaps`, a flat band as lo == hi in
+#: `bands`, the class in `config`, mu in `diagnostics.eigenvalues`).
+GRAPH_TABLE = "spectrum"
 GRAPH_COLUMNS = ["omega", "lambda", "kind", "gap_type", "class", "mu"]
 
 
@@ -280,15 +292,15 @@ def cmd_graph_bands(v, config):
     from .modes import flat_bands
     from .report import SpectralReport
 
-    cls = v["class"]
+    cls, name = v["class"], config["class"]
     bands = essential_bands(v["L"].value, cls, v["omega_max"], tol=v["tol"])
     rows = []
     for b in bands:
         if b.is_flat:
-            rows.append((b.omega_lo, b.lambda_lo, "flat", "", str(cls), ""))
+            rows.append((b.omega_lo, b.lambda_lo, "flat", "", name, ""))
         else:
-            rows.append((b.omega_lo, b.lambda_lo, "band_edge", "", str(cls), ""))
-            rows.append((b.omega_hi, b.lambda_hi, "band_edge", "", str(cls), ""))
+            rows.append((b.omega_lo, b.lambda_lo, "band_edge", "", name, ""))
+            rows.append((b.omega_hi, b.lambda_hi, "band_edge", "", name, ""))
     fb = flat_bands(v["L"], cls, v["omega_max"])
     report = SpectralReport(
         kind="graph_bands",
@@ -301,8 +313,8 @@ def cmd_graph_bands(v, config):
             "flat_omegas": list(fb.omegas),
         },
     )
-    report.add_table("spectrum", GRAPH_COLUMNS, rows)
-    _write(report, v["out"], "spectrum")
+    report.add_table(GRAPH_TABLE, GRAPH_COLUMNS, rows)
+    _write(report, v["out"], GRAPH_TABLE)
     print(f"{len(bands)} bands below omega_max={v['omega_max']:g}")
     return 0
 
@@ -312,12 +324,12 @@ def cmd_graph_gaps(v, config):
     from .bands import gaps
     from .report import SpectralReport
 
-    cls = v["class"]
+    cls, name = v["class"], config["class"]
     found = gaps(v["L"].value, cls, v["omega_max"], tol=v["tol"])
     rows = []
     for g in found:
-        rows.append((g.omega_b, g.lambda_b, "gap_b", g.gap_type, str(cls), ""))
-        rows.append((g.omega_t, g.lambda_t, "gap_t", g.gap_type, str(cls), ""))
+        rows.append((g.omega_b, g.lambda_b, "gap_b", g.gap_type, name, ""))
+        rows.append((g.omega_t, g.lambda_t, "gap_t", g.gap_type, name, ""))
     report = SpectralReport(
         kind="graph_gaps",
         config=config,
@@ -327,8 +339,8 @@ def cmd_graph_gaps(v, config):
         ],
         diagnostics={"n_gaps": len(found)},
     )
-    report.add_table("spectrum", GRAPH_COLUMNS, rows)
-    _write(report, v["out"], "spectrum")
+    report.add_table(GRAPH_TABLE, GRAPH_COLUMNS, rows)
+    _write(report, v["out"], GRAPH_TABLE)
     for i, g in enumerate(found, 1):
         print(f"gap {i}: ({g.omega_b:.4f}, {g.omega_t:.4f}) type {g.gap_type}")
     return 0
@@ -340,13 +352,13 @@ def cmd_graph_eigs(v, config):
     from .modes import discrete_eigenvalues
     from .report import SpectralReport
 
-    cls, L = v["class"], v["L"].value
+    cls, name, L = v["class"], config["class"], v["L"].value
     found = gaps(L, cls, v["omega_max"], tol=v["tol"])
     index = {g: gi for gi, g in enumerate(found, 1)}
     rows = []
     eigen_info = []
     for ev in discrete_eigenvalues(L, v["mu"], cls, found, xtol=v["tol"]):
-        rows.append((ev.omega, ev.lam, "eig", ev.gap.gap_type, str(cls), ev.mu))
+        rows.append((ev.omega, ev.lam, "eig", ev.gap.gap_type, name, ev.mu))
         eigen_info.append(
             {"omega": ev.omega, "lambda": ev.lam, "mu": ev.mu, "gap": index[ev.gap]}
         )
@@ -360,8 +372,8 @@ def cmd_graph_eigs(v, config):
         eigenvalues=[e["omega"] for e in eigen_info],
         diagnostics={"eigenvalues": eigen_info},
     )
-    report.add_table("spectrum", GRAPH_COLUMNS, rows)
-    _write(report, v["out"], "spectrum")
+    report.add_table(GRAPH_TABLE, GRAPH_COLUMNS, rows)
+    _write(report, v["out"], GRAPH_TABLE)
     print(f"{len(rows)} defect eigenvalue(s) across {len(found)} gap(s)")
     return 0
 

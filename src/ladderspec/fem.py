@@ -293,12 +293,14 @@ class _BlochSplit:
         M = _tied_at(phase, *self.M_parts)
         return HermitianPencil(K, M, None, self.free, float(theta))
 
-    def lowest(self, thetas, nev, *, seed=0):
+    def lowest(self, thetas, nev, *, seed=0, band=None):
         """The nev lowest eigenvalues at each theta, one row per theta: all
         thetas in one interface solve on the dense side, one certified
-        Lanczos solve per theta (seed as in `_lowest_eigs`) on the other."""
+        Lanczos solve per theta (seed as in `_lowest_eigs`) on the other.
+        Given a band, the dense side solves that root alone and leaves the
+        row's other entries NaN; the Lanczos side fills every row."""
         if self.dense:
-            return self.interface.lowest([_bloch_phase(t) for t in thetas], nev)
+            return self.interface.lowest([_bloch_phase(t) for t in thetas], nev, band)
         return np.array([
             _lowest_eigs(p.K, p.M, nev, seed=seed, draw_order=self.draw_order)
             for p in map(self.pencil, thetas)
@@ -395,9 +397,9 @@ class _BorderedPencil:
         K, M = self._blocks([phase])
         return int(self._schur(np.array([float(lam)]), K, M, [0])[0][0])
 
-    def lowest(self, phases, nev):
+    def lowest(self, phases, nev, band=None):
         """The nev lowest eigenvalues at each Bloch phase e^{-i theta}, one
-        row per phase.
+        row per phase; only column `band`, the others NaN, when one is given.
 
         All (phase, i) roots run together.  Each keeps an inertia bracket
         lo <= lam_i <= hi, opened by interlacing and shrunk by the count at
@@ -407,13 +409,18 @@ class _BorderedPencil:
         both sides; a point outside the bracket, or off every branch,
         bisects it instead (`_admissible`).  A root is done when its bracket
         is INTERFACE_RTOL relative wide, or eps times the largest |d|
-        absolute, and is its bracket's midpoint.
+        absolute, and is its bracket's midpoint.  The roots share nothing
+        but the Rayleigh-Ritz start, which is taken for all nev, so a root
+        solved alone differs from the same root solved with others only by
+        the rounding of the batched product with P (numpy forms a one-row
+        product by gemv and a batch by gemm): by a few ulp.
         """
         d, P, m = self.d, self.P, self.Gq.shape[0]
         K, M = self._blocks(phases)
-        lam = self._ritz_start(K, M, nev).ravel()
-        at = np.repeat(np.arange(len(phases)), nev)
-        index = np.tile(np.arange(nev), len(phases))
+        bands = np.arange(nev) if band is None else np.array([band])
+        at = np.repeat(np.arange(len(phases)), bands.size)
+        index = np.tile(bands, len(phases))
+        lam = self._ritz_start(K, M, nev)[at, index]
         ends = np.concatenate([[-np.inf], d, [np.inf]])
         lo = ends[np.maximum(index - m + 1, 0)]
         hi = ends[np.minimum(index + 1, d.size + 1)]
@@ -445,7 +452,9 @@ class _BorderedPencil:
             lam[todo] = self._admissible(np.where(on, y, np.nan), a, b)
             todo = todo[~done]
             if todo.size == 0:
-                return out.reshape(len(phases), nev)
+                rows = np.full((len(phases), nev), np.nan)
+                rows[at, index] = out
+                return rows
         raise RuntimeError(
             f"interface root-finder: {todo.size} eigenvalue(s) not bracketed to "
             f"{INTERFACE_RTOL} in {_INTERFACE_MAX_STEPS} steps"
@@ -561,10 +570,13 @@ def fem_bloch_bands(params: LadderParams, sym_class, nev, h, *, n_theta=17, seed
     def key(theta):
         return round(float(theta), 12)
 
-    def lam_at(theta):
-        if key(theta) not in cache:
-            cache[key(theta)] = split.lowest([theta], nev, seed=seed)[0]
-        return cache[key(theta)]
+    def lam_at(theta, band):
+        # one row per distinct theta; the dense side fills it band by band
+        row = cache.setdefault(key(theta), np.full(nev, np.nan))
+        if np.isnan(row[band]):
+            new = split.lowest([theta], nev, seed=seed, band=band)[0]
+            np.copyto(row, new, where=np.isnan(row))
+        return row[band]
 
     thetas = np.linspace(0.0, math.pi, n_theta)
     grid = split.lowest(thetas, nev, seed=seed)
@@ -580,7 +592,7 @@ def fem_bloch_bands(params: LadderParams, sym_class, nev, h, *, n_theta=17, seed
             from scipy.optimize import minimize_scalar
 
             r = minimize_scalar(
-                lambda t: sign * lam_at(t)[band],
+                lambda t: sign * lam_at(t, band),
                 bounds=(thetas[i0 - 1], thetas[i0 + 1]),
                 method="bounded",
                 options={"xatol": THETA_XATOL},

@@ -3,7 +3,10 @@
 A SpectralReport is a plain data bundle: resolved configuration, band/gap
 intervals (in omega), discrete eigenvalues, free-form numeric tables (e.g.
 per-theta eigenvalue grids) and diagnostics.  JSON round-trips exactly;
-tables can also be written as CSV with full float precision.
+tables can also be written as CSV with full float precision.  A table whose
+entries the other fields already hold can be written to CSV and then
+dropped before `save`, as the CLI's graph commands do, so that the JSON
+stores each number once.
 
 JSON comes from json's C encoder, which writes `np.float64` by
 `float.__repr__`; its `default` hook maps an ndarray to `.tolist()`, any other

@@ -110,6 +110,47 @@ def test_graph_bands_flat_rows_and_determinism(tmp_path):
     assert sum(r[2] == "band_edge" for r in rows) == 4  # two open bands
 
 
+def _graph_rows_from_json(rep):
+    """The graph commands' CSV rows, rebuilt from the JSON fields that hold them."""
+    cls = rep.config["class"]
+    if rep.kind == "graph_bands":
+        for lo, hi in rep.bands:
+            if lo == hi:
+                yield lo, lo**2, "flat", "", cls, ""
+            else:
+                yield lo, lo**2, "band_edge", "", cls, ""
+                yield hi, hi**2, "band_edge", "", cls, ""
+    elif rep.kind == "graph_gaps":
+        for g in rep.gaps:
+            yield g["omega_b"], g["omega_b"] ** 2, "gap_b", g["type"], cls, ""
+            yield g["omega_t"], g["omega_t"] ** 2, "gap_t", g["type"], cls, ""
+    else:
+        for e in rep.diagnostics["eigenvalues"]:
+            assert e["lambda"] == e["omega"] ** 2
+            yield e["omega"], e["lambda"], "eig", rep.gaps[e["gap"] - 1]["type"], cls, e["mu"]
+
+
+@pytest.mark.parametrize("cls", ["sym", "antisym"])
+@pytest.mark.parametrize("action", ["bands", "gaps", "eigs"])
+def test_graph_table_is_stored_once_in_the_csv(tmp_path, action, cls):
+    # the JSON holds every entry of the table, so only the CSV carries it;
+    # L = 2 antisym has flat bands (lo == hi)
+    mu = ["--mu", "0.25,0.4"] if action == "eigs" else []
+    code, prefix = run_cli(tmp_path, "graph", action, "--L", "2", "--class", cls, *mu)
+    assert code == 0
+    rep = SpectralReport.load(tmp_path / "out.json")
+    assert rep.tables == {}
+    cols, rows = csv_rows(prefix)
+    assert cols == cli.GRAPH_COLUMNS
+    rebuilt = [
+        [f"{x:.16e}" if isinstance(x, float) else x for x in row]
+        for row in _graph_rows_from_json(rep)
+    ]
+    assert rows and rows == rebuilt
+    if (action, cls) == ("bands", "antisym"):
+        assert any(r[2] == "flat" for r in rows)
+
+
 def test_fem_bands_table_shape(tmp_path):
     code, prefix = run_cli(
         tmp_path,

@@ -209,6 +209,28 @@ def test_interface_lowest_values_match_the_dense_csr_pencil():
         assert np.abs(split.lowest([theta], n)[0] - ref).max() <= 1e-12 * ref.max()
 
 
+def test_interface_solves_one_band_alone_for_the_refinement():
+    # 80 dofs, nev 12: 49 of its 66 solves refine an interior band extreme
+    mesh = build_cell_mesh(LadderParams(2.0, 0.4), S, 0.1)
+    split = fem._BlochSplit(mesh)
+    thetas = (0.4, 1.9)
+    full = split.lowest(thetas, 12)
+    for band in (0, 5, 11):
+        one = split.lowest(thetas, 12, band=band)
+        assert np.isnan(np.delete(one, band, axis=1)).all()
+        # the same root to round-off: numpy forms a one-row product by gemv
+        # and a batch by gemm, so the iterates may differ in the last bits
+        err = np.abs(one[:, band] - full[:, band]).max()
+        assert err <= fem.INTERFACE_RTOL * full[:, band].max()
+    rep = fem_bloch_bands(LadderParams(2.0, 0.4), S, 12, 0.1)
+    sweep = fem._BlochSplit(mesh)
+    sweep.lowest(np.linspace(0.0, math.pi, 17), 12)
+    refined = rep.diagnostics["n_solves"] - 17
+    assert refined > 17
+    # each refinement step solves one root, about 6 Schur evaluations
+    assert rep.diagnostics["n_schur_evals"] - sweep.interface.evals <= 10 * refined
+
+
 @functools.cache
 def _count_cell(cls):
     mesh = build_cell_mesh(LadderParams(2.0, 0.2), cls, 0.05)
