@@ -55,16 +55,13 @@ _EXPORTS = {
     "graph1d": [
         "OracleResult",
         "truncated_half_ladder",
-        "quasiperiodic_cell",
         "oracle_gap_eigenvalues",
         "oracle_band_edges",
     ],
     "eigen": ["EigenResult", "eig_dense", "eig_sparse_shift_invert"],
     "mesh": ["Mesh", "build_cell_mesh", "build_supercell_mesh", "rectangle_mesh"],
     "fem": [
-        "HermitianPencil",
         "assemble_p1",
-        "assemble_bloch_pencil",
         "fem_bloch_bands",
         "localized_modes",
         "per_cell_mass",

@@ -18,7 +18,6 @@ cells go to the inertia-certified shift-invert Lanczos of `eigen`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -152,24 +151,6 @@ def _comb_order(mesh, nodes):
     return nodes[np.concatenate([rung, rail])]
 
 
-@dataclass
-class HermitianPencil:
-    """Reduced CSR pair (K, M) after quasi-periodic tying / Dirichlet
-    elimination.
-
-    `assemble_bloch_pencil` returns it with its tying map T
-    (u_full = T u_red); in the Bloch sweep, which hands it to the Lanczos
-    path, T is None.  free lists the full-mesh node ids that survived as
-    their own dofs, in column order.
-    """
-
-    K: sp.csr_matrix
-    M: sp.csr_matrix
-    T: sp.csr_matrix | None
-    free: np.ndarray
-    theta: float
-
-
 def _solved_dense(n):
     """True when an n-dof pencil goes to the dense solvers, False for Lanczos."""
     return n <= DENSE_CUTOFF
@@ -200,13 +181,13 @@ class _BlochSplit:
     The columns come in comb order (`_comb_order`).  On the Lanczos side of
     the cutoff the pencil is that CSR sum, in those columns (`free`).
 
-    On the dense side (`dense`, from `_solved_dense` unless given) the
-    pencil is reduced once per cell to a bordered diagonal one
-    (`_BorderedPencil`).  A1 touches only a set q of dofs, the tying masters
-    and their tied neighbours; with p the other dofs, ordered p then q,
-    every block but the q-q one is real and independent of theta.  Once per
-    cell, in real arithmetic, with the block Cholesky factor of M (Golub &
-    Van Loan, Matrix Computations, sec. 8.7):
+    On the dense side (`dense`, from `_solved_dense`) the pencil is reduced
+    once per cell to a bordered diagonal one (`_BorderedPencil`).  A1
+    touches only a set q of dofs, the tying masters and their tied
+    neighbours; with p the other dofs, ordered p then q, every block but the
+    q-q one is real and independent of theta.  Once per cell, in real
+    arithmetic, with the block Cholesky factor of M (Golub & Van Loan,
+    Matrix Computations, sec. 8.7):
 
         L_pp = chol(M_pp),  X = L_pp^-1 M_pq,  Y = L_pp^-1 K_pq,
         C_pp = L_pp^-1 K_pp L_pp^-T = Q diag(d) Q^T,  G = Y^T - X^T C_pp,
@@ -220,7 +201,7 @@ class _BlochSplit:
     so at each theta only its m x m q-q blocks are formed (`lowest`).
     """
 
-    def __init__(self, mesh, *, dense=None):
+    def __init__(self, mesh):
         if mesh.left.size != mesh.right.size:
             raise ValueError("left/right boundary node counts differ")
         n = mesh.n_nodes
@@ -235,12 +216,13 @@ class _BlochSplit:
         if np.any(masters < 0):
             raise ValueError("a tying master node was eliminated")
         shape = (n, keep.size)
-        self.T0 = sp.csr_matrix((np.ones(keep.size), (keep, col_of[keep])), shape=shape)
-        self.T1 = sp.csr_matrix((np.ones(masters.size), (mesh.right, masters)), shape=shape)
-        self.dense = _solved_dense(keep.size) if dense is None else dense
-        K, M = assemble_p1(mesh)
-        K0, K1 = self._parts(K)
-        M0, M1 = self._parts(M)
+        T0 = sp.csr_matrix((np.ones(keep.size), (keep, col_of[keep])), shape=shape)
+        T1 = sp.csr_matrix((np.ones(masters.size), (mesh.right, masters)), shape=shape)
+        self.dense = _solved_dense(keep.size)
+        (K0, K1), (M0, M1) = (
+            ((T0.T @ A @ T0 + T1.T @ A @ T1).tocsr(), (T0.T @ A @ T1).tocsr())
+            for A in assemble_p1(mesh)
+        )
         if self.dense:
             keep = keep[self._reduce(K0, K1, M0, M1)]
         else:
@@ -281,17 +263,11 @@ class _BlochSplit:
         )
         return order
 
-    def _parts(self, A):
-        T0, T1 = self.T0, self.T1
-        return (T0.T @ A @ T0 + T1.T @ A @ T1).tocsr(), (T0.T @ A @ T1).tocsr()
-
     def pencil(self, theta):
         """Reduced CSR pencil at Bloch phase theta, exactly Hermitian (the
-        Lanczos side of the cutoff)."""
+        Lanczos side of the cutoff), as (K, M) in the columns `free`."""
         phase = _bloch_phase(theta)
-        K = _tied_at(phase, *self.K_parts)
-        M = _tied_at(phase, *self.M_parts)
-        return HermitianPencil(K, M, None, self.free, float(theta))
+        return _tied_at(phase, *self.K_parts), _tied_at(phase, *self.M_parts)
 
     def lowest(self, thetas, nev, *, seed=0, band=None):
         """The nev lowest eigenvalues at each theta, one row per theta: all
@@ -302,8 +278,8 @@ class _BlochSplit:
         if self.dense:
             return self.interface.lowest([_bloch_phase(t) for t in thetas], nev, band)
         return np.array([
-            _lowest_eigs(p.K, p.M, nev, seed=seed, draw_order=self.draw_order)
-            for p in map(self.pencil, thetas)
+            _lowest_eigs(K, M, nev, seed=seed, draw_order=self.draw_order)
+            for K, M in map(self.pencil, thetas)
         ])
 
 
@@ -482,21 +458,6 @@ def _tied_at(phase, A0, A1, A1T):
     return A0 + (phase * A1 + np.conj(phase) * A1T)
 
 
-def assemble_bloch_pencil(mesh, theta):
-    """Quasi-periodic CSR pencil, with its tying map T, on a
-    periodicity-cell mesh at Bloch phase theta.
-
-    The right boundary trace is e^{-i theta} times the left one; the class
-    stored in the mesh metadata decides the y = 0 condition.
-    """
-    if not 0.0 <= theta <= math.pi + 1e-12:
-        raise ValueError(f"theta={theta} outside [0, pi]")
-    split = _BlochSplit(mesh, dense=False)
-    p = split.pencil(theta)
-    p.T = (split.T0 + _bloch_phase(theta) * split.T1).tocsr()
-    return p
-
-
 def _supercell_pencil(mesh):
     """Real supercell (K, M) and the mesh node ids kept as dofs, in order.
 
@@ -546,12 +507,15 @@ def fem_bloch_bands(params: LadderParams, sym_class, nev, h, *, n_theta=17, seed
     Lanczos side one pencil per grid point.  Each band extreme found
     strictly inside the grid is then sharpened by a bounded 1-D
     minimisation between its two neighbours.  An extreme at either grid end
-    is kept as it is: every lambda_n(theta) is even about both 0 and pi, so
-    those two points are always critical points, and a bounded search,
-    which never evaluates its bracket ends, could only walk back toward the
-    grid value.  Bands and gaps are reported in omega = sqrt(lambda); the
-    per-theta eigenvalue grid is kept as a table.  Raises ValueError, before any solve, when nev exceeds
-    the eigenvalues the cell's solver returns (n_dofs dense, n_dofs - 2
+    is kept as it is, unrefined.  Every lambda_n(theta) is even about both 0
+    and pi, so those points are critical, but a critical point need not be
+    the extreme: a band can rise from its theta = 0 value to a maximum
+    inside the first grid step, and the reported edge is then the grid
+    value, with the gap too wide by that rise (L = 1, eps = 0.3 symmetric,
+    h = 0.075: 5.6e-9 relative on its fifth gap).  Bands and gaps are
+    reported in omega = sqrt(lambda); the per-theta eigenvalue grid is kept
+    as a table.  Raises ValueError, before any solve, when nev exceeds the
+    eigenvalues the cell's solver returns (n_dofs dense, n_dofs - 2
     Lanczos).
     """
     sym_class = SymmetryClass.parse(sym_class)

@@ -17,8 +17,7 @@ assembles both geometries:
 Both geometries are numbered along the comb (`_chains`): the rail
 vertices, then the rung nodes tip-first, then the rail edges' interiors, an
 order that `count_below` factors with no ordering pass and barely any fill.
-ARPACK's start vector is dealt out in a fixed node order of its own
-(`_draw_order`), so the Krylov sequence does not depend on that numbering.
+ARPACK starts from one fixed standard normal draw per dof, in that order.
 
 Nothing here reuses the transfer-matrix algebra, so agreement with
 `modes.discrete_eigenvalues` / `bands.essential_bands` is a genuine
@@ -172,30 +171,6 @@ def _half_ladder(L, rung_w, sym_class, h, image=False):
     return K, M
 
 
-def _draw_order(L, n_rungs, sym_class, h, image=False):
-    """The node ids of `_half_ladder` listed vertex by vertex, then rail edge
-    by rail edge, then rung by rung from its vertex out: the numbering of an
-    edge-by-edge build that lists the rail edges before the rungs."""
-    rails, rungs, _ = _chains(L, n_rungs, sym_class, h, image)
-    clamped = sym_class is not SymmetryClass.SYMMETRIC
-    return np.concatenate([
-        np.arange(n_rungs + image),
-        rails[:, 1:-1].ravel(),
-        rungs[:, 1 : rungs.shape[1] - clamped].ravel(),
-    ])
-
-
-def _start_vector(L, n_rungs, sym_class, h):
-    """ARPACK's fixed start vector on the pencil of `_half_ladder`: one
-    standard normal draw per node from seed 0, dealt out in `_draw_order`
-    rather than in the pencil's own order, so that renumbering the pencil
-    for its factorisation leaves the Krylov sequence as it is."""
-    order = _draw_order(L, n_rungs, sym_class, h)
-    v0 = np.empty(order.size)
-    v0[order] = np.random.default_rng(0).standard_normal(order.size)
-    return v0
-
-
 def _check_cells(n_cells):
     if n_cells < 5:
         raise ValueError("need at least 5 cells per side")
@@ -327,7 +302,7 @@ def _sector_eigs(K, M, v0, lam_lo, lam_hi):
 def _gap_eigs_once(L, mu, sym_class, lam_lo, lam_hi, n_cells, h):
     K, M = _even_sector(L, mu, sym_class, n_cells, h)
     # a fixed start vector: without v0 ARPACK draws one from process-global state
-    v0 = _start_vector(L, n_cells + 1, sym_class, h)
+    v0 = np.random.default_rng(0).standard_normal(K.shape[0])
     lams, bounds, count = _sector_eigs(K, M, v0, lam_lo, lam_hi)
     return lams, bounds, K.shape[0], count
 
@@ -415,15 +390,6 @@ def _bloch_tie(A, theta):
     out[1:, 0] = A[2:, 0] + phase * A[2:, 1]
     out[0, 0] = A[0, 0] + A[1, 1]
     return out
-
-
-def quasiperiodic_cell(L, sym_class, theta, h=0.01):
-    """Dense Hermitian (K, M) for one ladder period with Bloch phase theta.
-
-    One rail edge of length 1 plus the rung at its left vertex; the right
-    rail end is tied to exp(i*theta) times the left vertex.
-    """
-    return tuple(_bloch_tie(A, theta) for A in _open_cell(L, sym_class, h))
 
 
 def oracle_band_edges(L, sym_class, n_bands, *, h=0.01, n_theta=61):

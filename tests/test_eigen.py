@@ -15,19 +15,26 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from bloch_reference import bloch_pencil
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ladderspec import eigen, graph1d
+from ladderspec import eigen, fem, graph1d
 from ladderspec.bands import first_n_gaps
 from ladderspec.eigen import _shifted, count_below, eig_dense, eig_sparse_shift_invert
-from ladderspec.fem import DENSE_CUTOFF, _supercell_pencil, assemble_bloch_pencil
-from ladderspec.graph1d import EDGE_MARGIN, quasiperiodic_cell, truncated_half_ladder
+from ladderspec.fem import DENSE_CUTOFF, _supercell_pencil
+from ladderspec.graph1d import EDGE_MARGIN, truncated_half_ladder
 from ladderspec.mesh import build_cell_mesh, build_supercell_mesh
 from ladderspec.params import LadderParams, SymmetryClass
 
 # first FEM gap (omega) of the eps = 0.2 ladder at h = 0.05, as pinned in test_fem
 GAP_EPS02 = (1.442293309513593, 2.237909188561469)
+
+
+def _oracle_cell(theta, h):
+    """Dense complex Hermitian (K, M) of the oracle's symmetric L = 2 cell."""
+    open_cell = graph1d._open_cell(2.0, SymmetryClass.SYMMETRIC, h)
+    return tuple(graph1d._bloch_tie(A, theta) for A in open_cell)
 
 
 def _random_pencil(n, seed):
@@ -128,7 +135,7 @@ def test_shift_invert_matches_dense_real():
 
 
 def test_shift_invert_matches_dense_complex_hermitian():
-    Kd, Md = quasiperiodic_cell(2.0, SymmetryClass.SYMMETRIC, 0.7, h=0.02)
+    Kd, Md = _oracle_cell(0.7, 0.02)
     dense = eig_dense(Kd, Md).values
     sigma = 0.6 * dense[1] + 0.4 * dense[2]
     res = eig_sparse_shift_invert(sp.csr_matrix(Kd), sp.csr_matrix(Md), sigma, 4)
@@ -205,7 +212,7 @@ def test_shift_invert_long_run_stays_orthonormal():
 def test_shift_invert_long_run_stays_orthonormal_complex_hermitian():
     # a complex Bloch pencil above the dense cutoff, as `fem._lowest_eigs`
     # sends down this path
-    Kd, Md = quasiperiodic_cell(2.0, SymmetryClass.SYMMETRIC, 0.7, h=0.004)
+    Kd, Md = _oracle_cell(0.7, 0.004)
     dense = eig_dense(Kd, Md).values
     sigma = 0.5 * (dense[99] + dense[100])
     res = eig_sparse_shift_invert(sp.csr_matrix(Kd), sp.csr_matrix(Md), sigma, 20)
@@ -256,11 +263,11 @@ def test_count_below_matches_dense_count_on_complex_bloch_pencil():
     # diag(U) must still carry the inertia, between every pair of eigenvalues
     for cls in (SymmetryClass.SYMMETRIC, SymmetryClass.ANTISYMMETRIC):
         mesh = build_cell_mesh(LadderParams(2.0, 0.2), cls, 0.05)
-        p = assemble_bloch_pencil(mesh, 0.7)
-        assert np.iscomplexobj(p.K.toarray())
-        vals = eig_dense(p.K, p.M).values
+        K, M, _ = bloch_pencil(mesh, 0.7)
+        assert np.iscomplexobj(K.toarray())
+        vals = eig_dense(K, M).values
         for t in np.concatenate([[vals[0] - 1.0], 0.5 * (vals[:20] + vals[1:21])]):
-            assert count_below(p.K, p.M, t) == int(np.count_nonzero(vals < t))
+            assert count_below(K, M, t) == int(np.count_nonzero(vals < t))
 
 
 def _assert_counts_match_dense(K, M, shifts):
@@ -330,9 +337,9 @@ def _comb_pencils():
     # order sweeps with the tied column in tow (1.08 of minimum degree's fill
     # here, up to 1.17 on the L = 1/2 cells)
     mesh = build_cell_mesh(LadderParams(2.0, 0.05), SymmetryClass.SYMMETRIC, 0.0125)
-    p = assemble_bloch_pencil(mesh, 0.7)
-    assert p.K.shape[0] > DENSE_CUTOFF
-    yield "Bloch cell", p.K, p.M, 3.0
+    K, M = fem._BlochSplit(mesh).pencil(0.7)
+    assert K.shape[0] > DENSE_CUTOFF
+    yield "Bloch cell", K, M, 3.0
     for cls, top in zip(SymmetryClass, hi):
         K, M = graph1d._even_sector(2.0, 0.25, cls, 20, 4e-3)
         yield f"even sector {cls.value}", K, M, top
@@ -347,8 +354,8 @@ def _fill(lu):
 def test_comb_order_fills_no_more_than_minimum_degree():
     # every factorisation keeps the pencil's own order, so the builders'
     # numbering must do minimum degree's work: listing the rail edges before
-    # the rungs (`graph1d._draw_order`) leaves 6.1 times its fill on the even
-    # sector
+    # the rungs (`_draw_order` in test_graph1d) leaves 6.1 times its fill on
+    # the even sector
     for name, K, M, sigma in _comb_pencils():
         A = _shifted(K, M, sigma)
         mmd = scipy.sparse.linalg.splu(

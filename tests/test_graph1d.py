@@ -23,7 +23,6 @@ from ladderspec.eigen import count_below
 from ladderspec.graph1d import (
     oracle_band_edges,
     oracle_gap_eigenvalues,
-    quasiperiodic_cell,
     truncated_half_ladder,
 )
 from ladderspec.modes import discrete_eigenvalues
@@ -31,6 +30,12 @@ from ladderspec.params import SymmetryClass
 
 S = SymmetryClass.SYMMETRIC
 A = SymmetryClass.ANTISYMMETRIC
+
+
+def _cell(L, cls, theta, h):
+    """Dense Hermitian (K, M) of one ladder period, its rail end tied to
+    exp(i*theta) times its first vertex."""
+    return tuple(graph1d._bloch_tie(X, theta) for X in graph1d._open_cell(L, cls, h))
 
 
 def test_pencil_structure_and_constant_kernel():
@@ -148,13 +153,26 @@ def _edge_by_edge(n_vert, edges, h):
     return K, M
 
 
+def _draw_order(L, n_rungs, sym_class, h, image=False):
+    """The node ids of `_half_ladder` listed vertex by vertex, then rail edge
+    by rail edge, then rung by rung from its vertex out: the numbering of
+    `_edge_by_edge` when it lists the rail edges before the rungs."""
+    rails, rungs, _ = graph1d._chains(L, n_rungs, sym_class, h, image)
+    clamped = sym_class is not S
+    return np.concatenate([
+        np.arange(n_rungs + image),
+        rails[:, 1:-1].ravel(),
+        rungs[:, 1 : rungs.shape[1] - clamped].ravel(),
+    ])
+
+
 _PINNED = [(2.0, 0.25, 8e-3), (1.3, 1.7, 1e-2), (2.2714, 0.204, 7e-3)]
 
 
 def _renumbered(A, L, n_rungs, cls, h, image=False):
     """An `_edge_by_edge` matrix (rail edges listed before the rungs) in the
     comb numbering of `_half_ladder`, canonical CSC."""
-    inv = np.argsort(graph1d._draw_order(L, n_rungs, cls, h, image))
+    inv = np.argsort(_draw_order(L, n_rungs, cls, h, image))
     out = A.tocsc()[inv][:, inv].tocsc()
     out.sort_indices()
     return out
@@ -198,7 +216,7 @@ def test_cell_is_the_tied_edge_by_edge_build():
             for theta in (0.0, 0.7, math.pi / 2, math.pi):
                 data = [*np.ones(n - 1), np.exp(1j * theta)]
                 T = sp.csr_matrix((data, ([0, *range(2, n), 1], [*range(n - 1), 0])))
-                for got, X in zip(quasiperiodic_cell(L, cls, theta, h), open_cell):
+                for got, X in zip(_cell(L, cls, theta, h), open_cell):
                     assert np.array_equal(got, got.conj().T)
                     want = (T.conj().T @ X @ T).toarray()
                     assert np.array_equal(got, 0.5 * (want + want.conj().T))
@@ -216,7 +234,7 @@ def test_invalid_truncation_or_step_raises():
         with pytest.raises(ValueError, match="mesh step h"):
             oracle_gap_eigenvalues(2.0, 0.5, S, gap, h=h, n_cells=10)
         with pytest.raises(ValueError, match="mesh step h"):
-            quasiperiodic_cell(2.0, S, 0.3, h=h)
+            _cell(2.0, S, 0.3, h)
         with pytest.raises(ValueError, match="mesh step h"):
             oracle_band_edges(2.0, A, 2, h=h, n_theta=3)
 
@@ -314,14 +332,15 @@ def _window_count(K, M, gap):
     return count_below(K, M, hi) - (count_below(K, M, lo) if lo > 0.0 else 0)
 
 
-def _tol0(K, M, gap, v0):
+def _tol0(K, M, gap):
     """The eigenvalues of (K, M) in the oracle's window of gap, solved by
     ARPACK to its machine-precision default (tol=0) with the oracle's shift
-    and the start vector v0, from `graph1d._start_vector`."""
+    and start vector: one seed-0 standard normal draw per dof, in order."""
     lo, hi = graph1d._gap_window(gap)
     k = _window_count(K, M, gap)
     if k == 0:
         return np.zeros(0)
+    v0 = np.random.default_rng(0).standard_normal(K.shape[0])
     return spla.eigsh(
         K, k=k, M=M, sigma=0.5 * (lo + hi), which="LM", v0=v0, tol=0,
         return_eigenvectors=False,
@@ -332,7 +351,7 @@ def _tol0_lams(res, L, mu, cls, gap):
     """The even-sector pencil the oracle solves, solved by `_tol0` from the
     oracle's start vector."""
     K, M = graph1d._even_sector(L, mu, cls, res.n_cells, res.h)
-    return np.sort(_tol0(K, M, gap, graph1d._start_vector(L, res.n_cells + 1, cls, res.h)))
+    return np.sort(_tol0(K, M, gap))
 
 
 def _within_bounds(res, ref):
@@ -390,7 +409,7 @@ def test_folded_oracle_matches_a_full_precision_solve_of_the_full_pencil(
         L, mu, cls, gap, h=h, n_cells=n_cells, check_convergence=False
     )
     K, M, _ = truncated_half_ladder(L, mu, cls, n_cells, h)
-    full = np.sort(_tol0(K, M, gap, graph1d._start_vector(L, 2 * n_cells + 1, cls, h)))
+    full = np.sort(_tol0(K, M, gap))
     assert res.n_dofs == graph1d._even_sector(L, mu, cls, n_cells, h)[0].shape[0]
     assert res.lams.size == res.inertia_count == full.size
     assert np.all(np.abs(res.lams - full) <= 5e-12 * full)
@@ -528,7 +547,7 @@ def test_cell_theta0_constant_and_second_order_convergence():
     roots = np.array(bloch_curves(2.0, S, 12.0, [0.0]).roots[0])
     errs = []
     for h in (1e-2, 5e-3, 2.5e-3):
-        K, M = quasiperiodic_cell(2.0, S, 0.0, h=h)
+        K, M = _cell(2.0, S, 0.0, h)
         vals = scipy.linalg.eigh(K, M, eigvals_only=True)
         assert abs(vals[0]) < 1e-9  # constant mode
         om = np.sqrt(np.clip(vals, 0.0, None))
@@ -541,7 +560,7 @@ def test_cell_theta0_constant_and_second_order_convergence():
 def test_cell_matches_dispersion_roots_midband():
     theta = math.pi / 2
     roots = np.array(bloch_curves(2.0, S, 12.0, [theta]).roots[0])
-    K, M = quasiperiodic_cell(2.0, S, theta, h=2.5e-3)
+    K, M = _cell(2.0, S, theta, 2.5e-3)
     # quasi-periodic tying makes the pencil genuinely complex yet Hermitian
     assert np.iscomplexobj(K) and np.abs(K.imag).max() > 0.0
     assert np.array_equal(K, K.conj().T)
@@ -553,7 +572,7 @@ def test_cell_matches_dispersion_roots_midband():
 
 def test_antisymmetric_pi_cell_stays_away_from_zero():
     # antisymmetric Bloch roots exclude omega = 0 at every theta
-    K, M = quasiperiodic_cell(2.0, A, math.pi, h=5e-3)
+    K, M = _cell(2.0, A, math.pi, 5e-3)
     vals = scipy.linalg.eigh(K, M, eigvals_only=True)
     assert vals[0] > 1.0
 

@@ -3,8 +3,9 @@ benchmark's tracer wraps resolves, the command-line front end imports no
 numeric library before it runs a command, the graph commands load numpy only,
 the FEM route loads scipy.optimize only for an interior band extreme, every
 SuperLU factorisation keeps the pencil's own column order, every ARPACK call
-fixes its tolerance and start vector, and the three routes import nothing of
-each other but the oracle's inertia count."""
+fixes its tolerance and start vector, the three routes import nothing of
+each other but the oracle's inertia count, and the tests' Bloch reference
+takes nothing from `fem` but the untied P1 matrices."""
 
 import ast
 import importlib.util
@@ -113,10 +114,9 @@ def test_every_eigsh_call_fixes_tol_and_start():
     assert [(p, n) for p, n, kws in calls if not {"tol", "v0"} <= kws] == []
 
 
-def _package_imports(module):
-    """(sibling module, name) for every import of the package in module's
-    source, function-level ones included; name is "*" for a whole module."""
-    path = Path(ladderspec.__file__).resolve().parent / f"{module}.py"
+def _package_imports(path):
+    """(package module, name) for every import of the package in the file at
+    path, function-level ones included; name is "*" for a whole module."""
     found = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.ImportFrom):
@@ -142,13 +142,21 @@ def _package_imports(module):
 def test_routes_stay_independent():
     # the oracle and the closed-form route check each other and the FEM
     # route; the oracle takes only an inertia count from the FEM side
-    oracle = _package_imports("graph1d")
+    src = Path(ladderspec.__file__).resolve().parent
+    oracle = _package_imports(src / "graph1d.py")
     assert oracle
     assert {m for m, _ in oracle} & {"dispersion", "bands", "modes", "mesh", "fem"} == set()
     assert {n for m, n in oracle if m == "eigen"} <= {"count_below"}
     for module in ("dispersion", "bands", "modes"):
-        imported = {m for m, _ in _package_imports(module)}
+        imported = {m for m, _ in _package_imports(src / f"{module}.py")}
         assert imported & {"mesh", "fem", "eigen", "graph1d"} == set(), module
+
+
+def test_bloch_reference_takes_only_assemble_p1_from_fem():
+    # the test-side pencil checks `fem._BlochSplit`, so it must not be built
+    # from the split or any other tying code of `fem`
+    imported = _package_imports(Path(__file__).resolve().parent / "bloch_reference.py")
+    assert {n for m, n in imported if m == "fem"} == {"assemble_p1"}
 
 
 def test_every_traced_name_resolves(monkeypatch):
