@@ -3,7 +3,7 @@
 Two routes with one result type:
 
 * `eig_dense` — LAPACK via scipy for moderate sizes (all eigenvalues, or an
-  index range; with or without eigenvectors; M=None for a standard problem);
+  index range; with or without eigenvectors);
 * `eig_sparse_shift_invert` — a self-contained shift-invert Lanczos with full
   reorthogonalisation in the M-inner product, for large sparse pencils where
   only eigenvalues near a target are wanted.
@@ -40,7 +40,6 @@ says so in `EigenResult.converged` and `message`, and the callers raise.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -56,7 +55,7 @@ class EigenResult:
 
     values: np.ndarray
     vectors: np.ndarray | None  # column i pairs with values[i]; M-orthonormal
-    residuals: np.ndarray | None  # ||K x - lam M x||_2 per pair
+    residuals: np.ndarray | None  # ||K x - lam M x||_2 per pair; None if dense
     iterations: int = 0
     converged: bool = True
     n_outside_window: int = 0  # converged pairs discarded by the window filter
@@ -67,36 +66,17 @@ def eig_dense(K, M, *, subset=None, vectors=True):
     """All (or a subset of) eigenpairs of the dense Hermitian pencil.
 
     subset=(i0, i1) keeps the inclusive index range.  M must be positive
-    definite; M=None means the identity, a standard problem, which LAPACK
-    solves with no Cholesky factorisation or reduction.  vectors=False asks
-    LAPACK for eigenvalues only and leaves `vectors` and `residuals` None;
-    over an index subset LAPACK bisects for the same values whether or not
-    it also computes vectors.
+    definite, else ValueError.  vectors=False asks LAPACK for eigenvalues
+    only and leaves `vectors` None; over an index subset LAPACK bisects for
+    the same values whether or not it also computes vectors.  `residuals`
+    is None: a dense result carries none.
     """
     Kd = K.toarray() if sp.issparse(K) else np.asarray(K)
-    Md = None if M is None else M.toarray() if sp.issparse(M) else np.asarray(M)
-    with _positive_definite_mass():
+    Md = M.toarray() if sp.issparse(M) else np.asarray(M)
+    try:
         out = scipy.linalg.eigh(
             Kd, Md, subset_by_index=subset, eigvals_only=not vectors
         )
-    if not vectors:
-        return EigenResult(out, None, None)
-    vals, vecs = out
-    return EigenResult(vals, vecs, _pair_residuals(Kd, Md, vals, vecs))
-
-
-def mass_cholesky(M):
-    """Lower Cholesky factor of a dense Hermitian mass matrix, read from its
-    lower triangle; raises the ValueError of `eig_dense` when M is not
-    positive definite."""
-    with _positive_definite_mass():
-        return scipy.linalg.cholesky(M, lower=True, check_finite=False)
-
-
-@contextlib.contextmanager
-def _positive_definite_mass():
-    try:
-        yield
     except scipy.linalg.LinAlgError as exc:
         if "positive definite" in str(exc):
             raise ValueError(
@@ -104,6 +84,9 @@ def _positive_definite_mass():
                 "assembly"
             ) from exc
         raise
+    if not vectors:
+        return EigenResult(out, None, None)
+    return EigenResult(*out, None)
 
 
 def _shifted(K, M, sigma):
@@ -167,8 +150,7 @@ def count_below(K, M, sigma):
 def _pair_residuals(K, M, vals, vecs):
     if vals.size == 0:
         return np.zeros(0)
-    Mx = vecs if M is None else M @ vecs
-    R = K @ vecs - Mx * vals[np.newaxis, :]
+    R = K @ vecs - (M @ vecs) * vals[np.newaxis, :]
     return np.linalg.norm(R, axis=0)
 
 

@@ -9,9 +9,10 @@ pencils on the periodicity cell; the discrete spectrum from Neumann-truncated
 supercells around the perturbed rung.
 
 A cell pencil depends on theta only through its few tying-interface dofs.
-Up to `DENSE_CUTOFF` dofs it is reduced once per cell to a bordered diagonal
-pencil (`_BorderedPencil`), whose eigenvalues at every theta are roots of
-an interface-sized Schur complement, counted by Sylvester inertia; larger
+Up to `DENSE_CUTOFF` dofs it is reduced once per cell, by one generalized
+`eig_dense` of its theta-independent block, to a bordered diagonal pencil
+(`_BorderedPencil`), whose eigenvalues at every theta are roots of an
+interface-sized Schur complement, counted by Sylvester inertia; larger
 cells go to the inertia-certified shift-invert Lanczos of `eigen`.
 """
 
@@ -21,14 +22,13 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh, lapack, solve_triangular
+from scipy.linalg import lapack
 
 from .eigen import (
     EigenResult,
     count_below,
     eig_dense,
     eig_sparse_shift_invert,
-    mass_cholesky,
     solve_once,
 )
 from .mesh import Mesh, build_cell_mesh, build_supercell_mesh, rectangle_mesh
@@ -50,9 +50,10 @@ from .report import SpectralReport
 #    380 dofs, nev  2: 0.97 / 0.36 vs 2.9 ms   nev 12: 2.5 / 1.7 vs 7.0 ms
 #    480 dofs, nev  2: 0.95 / 0.35 vs 3.5 ms   nev 12: 2.3 / 1.6 vs 7.1 ms
 # The interface cost hardly grows with n, but the once-per-cell reduction
-# (block Cholesky and one real eigh) does: 2.4, 6.2, 8.4, 26 and 52 ms at
-# those sizes.  Every `fem bands` pencil up to 230 dofs stays dense; moving
-# the cutoff would move band edges by round-off.
+# (one real generalized `eig_dense` and five thin products) does: 0.8,
+# 4.0, 6.1, 20 and 36 ms at those sizes (median of three runs of the
+# medians of 21).  Every `fem bands` pencil up to 230 dofs stays dense;
+# moving the cutoff would move band edges by round-off.
 DENSE_CUTOFF = 300
 
 #: theta tolerance of the bounded search that sharpens an interior band extreme
@@ -166,10 +167,6 @@ def _bloch_phase(theta):
     return np.exp(-1j * theta)
 
 
-def _lower_solve(L, B):
-    return solve_triangular(L, B, lower=True, check_finite=False)
-
-
 class _BlochSplit:
     """Theta-independent parts of the tied pencil on one periodicity cell.
 
@@ -186,17 +183,15 @@ class _BlochSplit:
     touches only a set q of dofs, the tying masters and their tied
     neighbours; with p the other dofs, ordered p then q, every block but the
     q-q one is real and independent of theta.  Once per cell, in real
-    arithmetic, with the block Cholesky factor of M (Golub & Van Loan,
-    Matrix Computations, sec. 8.7):
+    arithmetic, one generalized solve of the p-p blocks (`eig_dense`),
+    K_pp V = M_pp V diag(d) with V^T M_pp V = I, and with
 
-        L_pp = chol(M_pp),  X = L_pp^-1 M_pq,  Y = L_pp^-1 K_pq,
-        C_pp = L_pp^-1 K_pp L_pp^-T = Q diag(d) Q^T,  G = Y^T - X^T C_pp,
-        S_q = X^T X,  R_q = X^T C_pp X - X^T Y - Y^T X.
+        Wm = V^T M_pq,  Wk = V^T K_pq,  Gq = (Wk - diag(d) Wm)^T,
 
-    In the coordinates (Q^T (L_pp^T u_p + X u_q), u_q) the pencil is
+    the pencil in the coordinates (V^T (M_pp u_p + M_pq u_q), u_q) is
 
-        [[diag(d), Gq^T], [Gq, K_qq(theta) + R_q]]
-            - lam [[I, 0], [0, M_qq(theta) - S_q]],  Gq = G Q,
+        [[diag(d), Gq^T], [Gq, K_qq(theta) - Wk^T Wm - Wm^T Gq^T]]
+            - lam [[I, 0], [0, M_qq(theta) - Wm^T Wm]],
 
     so at each theta only its m x m q-q blocks are formed (`lowest`).
     """
@@ -245,21 +240,16 @@ class _BlochSplit:
         n_p = order.size - q.size
         K0, M0 = (A.toarray()[order][:, order] for A in (K0, M0))
         K1, M1 = (A.toarray()[np.ix_(q, q)] for A in (K1, M1))
-        L = mass_cholesky(M0[:n_p, :n_p])
-        X, Y = _lower_solve(L, M0[:n_p, n_p:]), _lower_solve(L, K0[:n_p, n_p:])
-        # L^-1 K_pp L^-T in the lower triangle, as the generalized solver
-        # forms it, mirrored into the upper one
-        C_pp = lapack.dsygst(K0[:n_p, :n_p], L, lower=1)[0]
-        C_pp = np.where(np.tri(n_p, dtype=bool), C_pp, C_pp.T)
-        XtY = X.T @ Y
-        d, Q = eigh(C_pp, check_finite=False)
+        modes = eig_dense(K0[:n_p, :n_p], M0[:n_p, :n_p])
+        d, V = modes.values, modes.vectors
+        Wm, Wk = V.T @ M0[:n_p, n_p:], V.T @ K0[:n_p, n_p:]
+        Gq = (Wk - d[:, None] * Wm).T
         self.interface = _BorderedPencil(
             d,
-            (Y.T - X.T @ C_pp) @ Q,
-            # the q-q blocks of K(theta) + R_q and M(theta) - S_q, split as
-            # the tied pencil is
-            (K0[n_p:, n_p:] + X.T @ C_pp @ X - (XtY + XtY.T), K1, K1.T),
-            (M0[n_p:, n_p:] - X.T @ X, M1, M1.T),
+            Gq,
+            # the q-q blocks, split as the tied pencil is
+            (K0[n_p:, n_p:] - Wk.T @ Wm - Wm.T @ Gq.T, K1, K1.T),
+            (M0[n_p:, n_p:] - Wm.T @ Wm, M1, M1.T),
         )
         return order
 
@@ -366,12 +356,6 @@ class _BorderedPencil:
         y = np.where((lo < y) & (y < hi), y, back)
         pole = d[np.minimum(np.searchsorted(d, y), d.size - 1)] == y
         return np.where(pole, 0.5 * (y + back), y)
-
-    def count_below(self, phase, lam):
-        """Number of eigenvalues below lam (not a pole) at one phase, by
-        inertia alone."""
-        K, M = self._blocks([phase])
-        return int(self._schur(np.array([float(lam)]), K, M, [0])[0][0])
 
     def lowest(self, phases, nev, band=None):
         """The nev lowest eigenvalues at each Bloch phase e^{-i theta}, one
@@ -529,25 +513,16 @@ def fem_bloch_bands(params: LadderParams, sym_class, nev, h, *, n_theta=17, seed
             f"{'dense' if split.dense else 'Lanczos'} solver returns on this "
             f"cell (n_dofs={n})"
         )
-    cache = {}
-
-    def key(theta):
-        return round(float(theta), 12)
-
-    def lam_at(theta, band):
-        # one row per distinct theta; the dense side fills it band by band
-        row = cache.setdefault(key(theta), np.full(nev, np.nan))
-        if np.isnan(row[band]):
-            new = split.lowest([theta], nev, seed=seed, band=band)[0]
-            np.copyto(row, new, where=np.isnan(row))
-        return row[band]
-
     thetas = np.linspace(0.0, math.pi, n_theta)
     grid = split.lowest(thetas, nev, seed=seed)
-    cache.update(zip(map(key, thetas), grid))
+    n_solves = thetas.size
+
+    def lam_at(theta, band):
+        return split.lowest([theta], nev, seed=seed, band=band)[0, band]
 
     def _refined_extreme(band, sign):
         """min (sign=+1) or max (sign=-1) of lambda_band(theta)."""
+        nonlocal n_solves
         vals = sign * grid[:, band]
         i0 = int(np.argmin(vals))
         best = vals[i0]
@@ -561,6 +536,7 @@ def fem_bloch_bands(params: LadderParams, sym_class, nev, h, *, n_theta=17, seed
                 method="bounded",
                 options={"xatol": THETA_XATOL},
             )
+            n_solves += r.nfev
             best = min(best, r.fun)
         return sign * best
 
@@ -591,7 +567,7 @@ def fem_bloch_bands(params: LadderParams, sym_class, nev, h, *, n_theta=17, seed
         diagnostics={
             "n_nodes": mesh.n_nodes,
             "n_dofs": n,
-            "n_solves": len(cache),
+            "n_solves": n_solves,
             "n_schur_evals": split.interface.evals if split.dense else 0,
             "solver": "dense" if split.dense else "lanczos",
             "mesh_area": mesh.total_area(),

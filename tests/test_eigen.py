@@ -95,30 +95,6 @@ def test_dense_rejects_indefinite_mass():
         eig_dense(K, M)
 
 
-def test_dense_standard_problem_is_the_identity_mass():
-    rng = np.random.default_rng(6)
-    B = rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))
-    K = B + B.conj().T
-    standard = eig_dense(K, None)
-    identity = eig_dense(K, np.eye(30))
-    scale = np.abs(identity.values).max()
-    assert np.abs(standard.values - identity.values).max() <= 1e-13 * scale
-    assert standard.residuals.max() <= 1e-12 * scale
-    part = eig_dense(K, None, subset=(0, 3), vectors=False).values
-    assert np.abs(part - identity.values[:4]).max() <= 1e-13 * scale
-
-
-def test_mass_cholesky_raises_the_dense_solver_error():
-    K, M = _random_pencil(12, seed=9)
-    M[0, 0] = -abs(M[0, 0])
-    with pytest.raises(ValueError) as dense:
-        eig_dense(K, M)
-    with pytest.raises(ValueError) as factor:
-        eigen.mass_cholesky(M)
-    assert str(factor.value) == str(dense.value)
-    assert "not positive definite" in str(dense.value)
-
-
 def test_shift_invert_matches_dense_real():
     K, M = _string_pencil(400)
     dense = eig_dense(K, M).values

@@ -270,8 +270,14 @@ def test_interface_count_is_the_dense_pencil_count(cls, theta, rank):
     j = int(rank)
     lam = ref[j] + (rank - j) * (ref[j + 1] - ref[j])
     assume(np.abs(lam - ref).min() >= 1e-8 * max(abs(lam), ref[1]))
-    count = split.interface.count_below(fem._bloch_phase(theta), lam)
-    assert count == np.count_nonzero(ref < lam)
+    assert _interface_count(split.interface, theta, lam) == np.count_nonzero(ref < lam)
+
+
+def _interface_count(interface, theta, lam):
+    """Number of eigenvalues below lam (not a pole) of the bordered pencil
+    at theta, by the inertia of its Schur complement alone."""
+    K, M = interface._blocks([fem._bloch_phase(theta)])
+    return int(interface._schur(np.array([float(lam)]), K, M, [0])[0][0])
 
 
 def _synthetic_bordered(d, Gq, K, M, K1):
@@ -336,7 +342,7 @@ def test_dense_split_keeps_theta_dependence_on_the_boundary():
 
 
 def test_dense_split_rejects_indefinite_mass(monkeypatch):
-    # the split factors the mass matrix itself, and raises as eig_dense does
+    # the split solves its p-p blocks with eig_dense, which refuses the mass
     mesh = build_cell_mesh(LadderParams(2.0, 0.2), S, 0.05)
     real = fem.assemble_p1
 
@@ -350,37 +356,32 @@ def test_dense_split_rejects_indefinite_mass(monkeypatch):
 
 
 def test_dense_bloch_sweep_diagonalises_once_per_cell(monkeypatch):
-    # one cell on the dense side: one real eigh of the p block per cell and
-    # none of the pencil per theta; each theta costs a Rayleigh-Ritz start
-    # (an m x m whitening and a values-only solve of nev + 2m + 4 at most)
-    # and m x m Schur complements, counted in the diagnostics
-    cell, small, factored = [], [], []
-    real_eigh, real_small, real_chol = fem.eigh, fem._eigh, fem.mass_cholesky
+    # one cell on the dense side: one real generalized solve of the p-p
+    # blocks per cell and none of the pencil per theta; each theta costs a
+    # Rayleigh-Ritz start (an m x m whitening and a values-only solve of
+    # nev + 2m + 4 at most) and m x m Schur complements, counted in the
+    # diagnostics
+    cell, small = [], []
+    real_dense, real_small = fem.eig_dense, fem._eigh
 
-    def recording(a, **kw):
-        cell.append((a.shape, a.dtype))
-        return real_eigh(a, **kw)
+    def recording(K, M, **kw):
+        cell.append((K.shape, K.dtype, M.shape, M.dtype))
+        return real_dense(K, M, **kw)
 
     def recording_small(a, **kw):
         small.append((a.shape[0], kw.get("vectors", True)))
         return real_small(a, **kw)
 
-    def chol(M):
-        factored.append(M.shape[0])
-        return real_chol(M)
-
-    monkeypatch.setattr(fem, "eigh", recording)
+    monkeypatch.setattr(fem, "eig_dense", recording)
     monkeypatch.setattr(fem, "_eigh", recording_small)
-    monkeypatch.setattr(fem, "mass_cholesky", chol)
-    monkeypatch.setattr(fem, "eig_dense", None)
     rep = fem_bloch_bands(LadderParams(2.0, 0.2), S, 2, 0.05)
     assert rep.diagnostics["solver"] == "dense"
     assert rep.diagnostics["n_solves"] == 17
     n = rep.diagnostics["n_dofs"]
-    n_p = factored[0]
+    n_p = cell[0][0][0]
     m = n - n_p
-    assert factored == [n_p] and 0 < m <= 10
-    assert cell == [((n_p, n_p), np.float64)]
+    assert 0 < m <= 10
+    assert cell == [((n_p, n_p), np.float64, (n_p, n_p), np.float64)]
     ritz = [size for size, vectors in small if not vectors]
     assert len(ritz) == 17 and max(ritz) <= 2 + 2 * m + 4
     schur = [size for size, vectors in small if vectors]

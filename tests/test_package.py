@@ -4,8 +4,10 @@ numeric library before it runs a command, the graph commands load numpy only,
 the FEM route loads scipy.optimize only for an interior band extreme, every
 SuperLU factorisation keeps the pencil's own column order, every ARPACK call
 fixes its tolerance and start vector, the three routes import nothing of
-each other but the oracle's inertia count, and the tests' Bloch reference
-takes nothing from `fem` but the untied P1 matrices."""
+each other but the oracle's inertia count, the tests' Bloch reference
+takes nothing from `fem` but the untied P1 matrices, and a dense `fem bands`
+run solves through `fem.eig_dense`, where the benchmark's self-test hooks
+it."""
 
 import ast
 import importlib.util
@@ -14,6 +16,7 @@ import sys
 from pathlib import Path
 
 import ladderspec
+from ladderspec import cli, fem
 
 
 def test_every_exported_name_resolves():
@@ -170,3 +173,15 @@ def test_every_traced_name_resolves(monkeypatch):
     names = [(mod, qual) for mod, qual, *_ in tracing.TARGETS.values()]
     names += list(tracing.COUNTED.values())
     assert [n for n in names if tracing.resolve(*n) is None] == []
+
+
+def test_dense_bloch_cell_fails_through_fem_eig_dense(monkeypatch, tmp_path):
+    # perfbench/selftest.py perturbs the bloch_cell workload by patching
+    # fem.eig_dense: a dense `fem bands` run must reach its solver there, so
+    # that a failing solver is a failing command
+    def failing(*args, **kwargs):
+        raise RuntimeError("injected numerical failure")
+
+    monkeypatch.setattr(fem, "eig_dense", failing)
+    argv = ["fem", "bands", "--L", "2", "--eps", "0.4", "--nev", "2"]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 3
