@@ -6,8 +6,11 @@ decreases between its poles and h_theta increases between its own, so
 phi_L - h_theta (`dispersion.impedance_residual`) has at most one root on
 each branch between consecutive poles of either term.  Its sign just inside
 each branch end follows from the limits there, so every band edge and every
-Bloch root is bisected inside a bracket known in advance, all branches at
-once (`rootfind.bisect_falling`); no frequency grid is scanned.
+Bloch root is found inside a bracket known in advance, all branches at once,
+by bracketed Newton on the residual and its slope
+(`dispersion.impedance_and_slope`, `rootfind.falling_roots`): each
+evaluation lies strictly inside its bracket and shrinks it by its sign, so
+the bracket still certifies the root; no frequency grid is scanned.
 
 Band edges come from theta in {0, pi}: on each pi-interval h_0 and h_pi are
 the curves f_minus and f_plus, and omega lies in a gap exactly when
@@ -28,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import impedance_residual, phi_L, phi_L_pole_or_zero, radicand
+from .dispersion import impedance_and_slope, phi_L, phi_L_pole_or_zero, radicand
 from .params import SymmetryClass
-from .rootfind import bisect_falling, dist_to_multiple
+from .rootfind import dist_to_multiple, falling_roots
 
-#: absolute bisection tolerance for band edges and Bloch roots; breakpoints
+#: final bracket width (absolute) of band edges and Bloch roots; breakpoints
 #: closer than this (relative to max(1, omega)) are fused into one
 EDGE_TOL = 1e-10
 #: distance (relative to max(1, omega)) within which `in_essential_spectrum`
@@ -196,7 +199,7 @@ def _branch_gaps(L, sym_class, omega_hi, tol):
     branch start except a bare lattice point with phi_L <= 0 (the gap starts
     there), and phi_L - f_minus is negative just left of every branch end
     except a bare lattice point with phi_L >= 0 (the gap stops there); the
-    remaining edges are bisected, all in one call.
+    remaining edges are found, all in one `rootfind.falling_roots` call.
     """
     top = omega_hi + math.pi  # completes the branch that holds omega_hi
     pts = _breakpoints(
@@ -219,8 +222,8 @@ def _branch_gaps(L, sym_class, omega_hi, tol):
     starts = bare_a & (phi_L(a, L, sym_class) <= 0.0)
     stops = bare_b & (phi_L(b, L, sym_class) >= 0.0)
     n_plus = np.count_nonzero(~starts)
-    roots = bisect_falling(
-        lambda w, th: impedance_residual(w, th, L, sym_class),
+    roots = falling_roots(
+        lambda w, th: impedance_and_slope(w, th, L, sym_class),
         np.concatenate([a[~starts], a[~stops]]),
         np.concatenate([b[~starts], b[~stops]]),
         np.concatenate([th_plus[~starts], math.pi - th_plus[~stops]]),
@@ -229,7 +232,7 @@ def _branch_gaps(L, sym_class, omega_hi, tol):
     r_plus, r_minus = a.copy(), b.copy()
     r_plus[~starts] = roots[:n_plus]
     r_minus[~stops] = roots[n_plus:]
-    # in a gap narrower than tol the two bisected edges may cross
+    # in a gap narrower than tol the two edges found may cross
     r_minus = np.maximum(r_minus, r_plus)
     return [
         Gap(float(lo), float(hi), "ii" if s else "iii" if t else "i", sym_class)
@@ -284,7 +287,8 @@ def bloch_curves(L, sym_class, omega_max, theta_grid, *, tol=EDGE_TOL):
 
     phi_L - h_theta falls from +inf to -inf on each branch between
     consecutive poles of phi_L and of h_theta (cos w = cos theta), so each
-    branch holds one root, bisected for all branches and all theta at once.
+    branch holds one root, found for all branches and all theta at once by
+    `rootfind.falling_roots`.
     Before the first pole the antisymmetric residual starts at 0 (omega = 0)
     and only falls, so that stretch holds no root.  Roots on a breakpoint,
     where both sides diverge, are added explicitly: the fold roots at
@@ -319,8 +323,8 @@ def bloch_curves(L, sym_class, omega_max, theta_grid, *, tol=EDGE_TOL):
             and _H_POLE in tags
             and (_POLE in tags or dist_to_multiple(x, math.pi) <= tol * max(1.0, x))
         ])
-    found = bisect_falling(
-        lambda w, t: impedance_residual(w, t, L, sym_class), lo, hi, th, xtol=tol
+    found = falling_roots(
+        lambda w, t: impedance_and_slope(w, t, L, sym_class), lo, hi, th, xtol=tol
     )
     for i, w in zip(owner, found):
         if w <= omega_max:

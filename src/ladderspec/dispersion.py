@@ -32,13 +32,13 @@ from __future__ import annotations
 import numpy as np
 
 from .params import SymmetryClass
-from .rootfind import bisect_falling, dist_to_multiple
+from .rootfind import dist_to_multiple, falling_roots
 
 #: relative tolerance for detecting an exact trigonometric pole
 POLE_RTOL = 1e-12
 #: tolerance under which sin(omega) counts as zero when classifying a pole
 FLAT_RTOL = 1e-9
-#: bisection tolerance of `theta_root`
+#: final bracket width of `theta_root`
 THETA_TOL = 1e-10
 
 _quiet = np.errstate(divide="ignore", invalid="ignore")
@@ -83,6 +83,17 @@ def phi_L(omega, L, sym_class):
     else:
         p = -2.0 * np.tan(half)
     return np.where(pole, np.inf, np.where(zero, 0.0, p))[()]
+
+
+def _impedance_slope(p, L):
+    """Derivative in omega of an impedance p = 2/tan(omega*L/2) or -2*tan(omega*L/2).
+
+    Both obey p' = -L (1 + p^2/4): that is -L/sin^2(omega*L/2) for the
+    first and -L/cos^2(omega*L/2) for the second.  Formed from p, it needs
+    no trigonometry, cancels nothing and takes the limits of the masks of
+    `phi_L`: -inf on a pole, -L on a zero.  phi_2 is the case L = 2.
+    """
+    return -L * (1.0 + 0.25 * p * p)
 
 
 def phi_2(omega):
@@ -130,14 +141,26 @@ def dispersion_residual(theta, omega, L, sym_class):
     essential spectrum of the corresponding family (for the antisymmetric one,
     omega = 0 is excluded by definition).  theta and omega broadcast.
     """
+    return dispersion_and_slope(theta, omega, L, sym_class)[0]
+
+
+def dispersion_and_slope(theta, omega, L, sym_class):
+    """(`dispersion_residual`, its derivative in theta) at (theta, omega).
+
+    The residual is c (cos w - cos theta) + e with c = 2 cos(wL/2)
+    (symmetric) or 2 sin(wL/2) (antisymmetric), so its theta-slope is
+    c sin theta, from the same c.
+    """
     th = np.asarray(theta, dtype=float)
     if not np.all((0.0 <= th) & (th <= np.pi)):
         raise ValueError(f"quasimomentum theta={theta} outside [0, pi]")
     w = np.asarray(omega, dtype=float)
     half = 0.5 * w * L
     if sym_class is SymmetryClass.SYMMETRIC:
-        return 2.0 * np.cos(half) * (np.cos(w) - np.cos(th)) - np.sin(w) * np.sin(half)
-    return 2.0 * np.sin(half) * (np.cos(w) - np.cos(th)) + np.sin(w) * np.cos(half)
+        c, e = 2.0 * np.cos(half), -np.sin(w) * np.sin(half)
+    else:
+        c, e = 2.0 * np.sin(half), np.sin(w) * np.cos(half)
+    return c * (np.cos(w) - np.cos(th)) + e, c * np.sin(th)
 
 
 def impedance_residual(omega, theta, L, sym_class):
@@ -151,11 +174,26 @@ def impedance_residual(omega, theta, L, sym_class):
     evaluate it strictly inside those branches only.  cos w - cos theta is
     formed as -2 sin((w+theta)/2) sin((w-theta)/2), which keeps h_theta
     accurate next to its poles.  omega and theta broadcast.
+    `impedance_and_slope` gives the slope beside it.
+    """
+    return impedance_and_slope(omega, theta, L, sym_class)[0]
+
+
+@_quiet
+def impedance_and_slope(omega, theta, L, sym_class):
+    """(`impedance_residual`, its derivative in omega) from the same terms.
+
+    With a = sin((w+theta)/2) and b = sin((w-theta)/2), cos w - cos theta =
+    -2ab and 1 - cos w cos theta = a^2 + b^2, so the slope phi_L' -
+    h_theta' = -L (1 + phi_L^2/4) - (a^2 + b^2) / (2ab)^2 is a sum of
+    negative terms and cancels nothing.
     """
     w = np.asarray(omega, dtype=float)
     th = np.asarray(theta, dtype=float)
-    denom = -2.0 * np.sin(0.5 * (w + th)) * np.sin(0.5 * (w - th))
-    return phi_L(w, L, sym_class) - np.sin(w) / denom
+    a, b = np.sin(0.5 * (w + th)), np.sin(0.5 * (w - th))
+    denom = -2.0 * a * b
+    p = phi_L(w, L, sym_class)
+    return p - np.sin(w) / denom, _impedance_slope(p, L) - (a * a + b * b) / (denom * denom)
 
 
 def defect_residual(omega, kappa, sign, L, sym_class):
@@ -169,15 +207,30 @@ def defect_residual(omega, kappa, sign, L, sym_class):
     decreases in omega, so r_sign(phi_2) rises while phi_L falls: between
     consecutive poles of phi_L and of phi_2 the residual strictly decreases
     and has at most one root; evaluate it strictly inside those branches
-    only.  omega, kappa and sign (+1 or -1) broadcast.
+    only.  omega, kappa and sign (+1 or -1) broadcast.  `defect_and_slope`
+    gives the slope beside it.
+    """
+    return defect_and_slope(omega, kappa, sign, L, sym_class)[0]
+
+
+@_quiet
+def defect_and_slope(omega, kappa, sign, L, sym_class):
+    """(`defect_residual`, its derivative in omega) from the same terms.
+
+    Differentiating r^2 + q r - kappa = 0 gives r_sign'(q) = (-1 + sign q /
+    sqrt(q^2 + 4 kappa)) / 2 = -|r_sign| / sqrt(q^2 + 4 kappa), which
+    cancels nothing; with phi_2' = -2/sin^2 w the slope is phi_L' +
+    |r_sign| phi_2' / sqrt(q^2 + 4 kappa), a sum of negative terms.
     """
     w = np.asarray(omega, dtype=float)
     q = phi_2(w)
-    big = 0.5 * (np.abs(q) + np.hypot(q, 2.0 * np.sqrt(kappa)))
+    root = np.hypot(q, 2.0 * np.sqrt(kappa))
+    big = 0.5 * (np.abs(q) + root)
     # r_-(q) = -r_+(-q), and r_+(t) is kappa/big for t > 0, big otherwise
     t = sign * q
     r = sign * np.where(t > 0.0, kappa / big, big)
-    return phi_L(w, L, sym_class) - r
+    p = phi_L(w, L, sym_class)
+    return p - r, _impedance_slope(p, L) + np.abs(r) / root * _impedance_slope(q, 2.0)
 
 
 def theta_root(omega, L, sym_class):
@@ -185,16 +238,23 @@ def theta_root(omega, L, sym_class):
 
     The residual is linear in cos(theta), so the bracket [0, pi] certifies
     existence: a root exists iff the endpoint residuals do not share a strict
-    sign.  Every bracket is oriented by the sign of its residual at 0 and all
-    are bisected at once to THETA_TOL.  NaN where no root exists.
+    sign.  Every bracket is oriented by the sign of its residual at 0, and all
+    are closed at once by bracketed Newton in theta (`rootfind.falling_roots`,
+    with the theta-slope of `dispersion_and_slope`) to THETA_TOL wide.  NaN
+    where no root exists.
     """
     w = np.asarray(omega, dtype=float)
     r0 = np.ravel(dispersion_residual(0.0, w, L, sym_class))
     rpi = np.ravel(dispersion_residual(np.pi, w, L, sym_class))
     theta = np.where(r0 == 0.0, 0.0, np.where(rpi == 0.0, np.pi, np.nan))
     i = np.flatnonzero((r0 != 0.0) & (rpi != 0.0) & (np.signbit(r0) != np.signbit(rpi)))
-    theta[i] = bisect_falling(
-        lambda th, wi, sg: sg * dispersion_residual(th, wi, L, sym_class),
+
+    def falling(th, wi, sg):
+        value, slope = dispersion_and_slope(th, wi, L, sym_class)
+        return sg * value, sg * slope
+
+    theta[i] = falling_roots(
+        falling,
         np.zeros(i.size),
         np.full(i.size, np.pi),
         np.ravel(w)[i],

@@ -10,7 +10,10 @@ The roots are found as zeros of `dispersion.defect_residual`, phi_L -
 r_sign(phi_2), which strictly falls across a gap.  A type (i) gap holds one
 root of each sign (+ below the zero of phi_L, - above it), a type (ii) gap
 one of sign -, a type (iii) gap one of sign +; the gap edges are the
-brackets, so every root of a call is bisected at once.
+brackets, so every root of a call is found at once, by bracketed Newton on
+the residual and its slope (`dispersion.defect_and_slope`,
+`rootfind.falling_roots`) that evaluates only strictly inside each bracket
+and shrinks it by the sign of each value.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from itertools import product
 import numpy as np
 
 from .bands import Gap
-from .dispersion import defect_residual, g_mu_value, reflection_root
+from .dispersion import defect_and_slope, g_mu_value, reflection_root
 from .params import ExactLength, SymmetryClass
-from .rootfind import bisect_falling
+from .rootfind import falling_roots
 
 
 @dataclass(frozen=True)
@@ -61,18 +64,22 @@ def discrete_eigenvalues(L, mu, sym_class, gap, *, xtol=0.0):
     with phi_L > 0 (sign +) below the zero of phi_L and one with phi_L < 0
     (sign -) above it, a type (ii) gap one with sign -, a type (iii) gap one
     with sign +.  So the brackets are the gap edges themselves, and all
-    roots of the call are bisected at once (`rootfind.bisect_falling`, which
-    evaluates only midpoints, so edges on lattice points are fine).
+    roots of the call are found at once (`rootfind.falling_roots`: bracketed
+    Newton that evaluates only strictly inside each bracket, so edges on
+    lattice points are fine).
 
-    The default xtol = 0 halves each bracket until it cannot be split in
+    The default xtol = 0 closes each bracket until it cannot be split in
     floating point, so the roots do not depend on the last digits of the gap
     edges; a positive xtol (the CLI passes --tol) stops at that bracket
     width.  Every root lies in [omega_b, omega_t], and in a very narrow gap
     it may sit on an edge to the last bit.  In the gap (2 pi - 3.8e-6, 2 pi)
     at L = 7.500005804330669 (antisymmetric), phi_L (phi_L + phi_2) falls
     by about 0.3 per ulp of omega, so for mu = 0.3953 the root lies within
-    about one ulp of the true bottom edge, closer than the edge tolerance:
-    F is already about -3e3 at the computed bottom edge, which is returned.
+    about one ulp of the true bottom edge, closer than the edge tolerance.
+    F is already about -3e3 at the computed bottom edge, so every point
+    evaluated inside the gap reads a negative residual and moves the top of
+    the bracket down: the bracket closes onto the bottom edge, which is
+    returned, whether the points are Newton steps or midpoints.
     """
     mus = [mu] if np.ndim(mu) == 0 else list(mu)
     for m in mus:
@@ -96,8 +103,8 @@ def discrete_eigenvalues(L, mu, sym_class, gap, *, xtol=0.0):
         return []
     pair, m, g, sign = zip(*brackets)
     mf = np.array(m, dtype=float)
-    roots = bisect_falling(
-        lambda w, kappa, sg: defect_residual(w, kappa, sg, L, sym_class),
+    roots = falling_roots(
+        lambda w, kappa, sg: defect_and_slope(w, kappa, sg, L, sym_class),
         [gi.omega_b for gi in g],
         [gi.omega_t for gi in g],
         mf * (2.0 - mf),

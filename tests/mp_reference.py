@@ -15,15 +15,37 @@ import mpmath
 from ladderspec.params import SymmetryClass
 
 
+def mp_phi(w, L, cls):
+    """Rung impedance phi_L(omega): 2/tan(wL/2) or -2 tan(wL/2)."""
+    half = mpmath.mpf(w) * mpmath.mpf(L) / 2
+    if cls is SymmetryClass.SYMMETRIC:
+        return 2 / mpmath.tan(half)
+    return -2 * mpmath.tan(half)
+
+
 def mp_g(w, L, cls):
     """Transfer coefficient g(omega) of the unperturbed ladder."""
-    w, L = mpmath.mpf(w), mpmath.mpf(L)
-    half = w * L / 2
+    return -mpmath.cos(mpmath.mpf(w)) + mpmath.sin(mpmath.mpf(w)) / mp_phi(w, L, cls)
+
+
+def mp_dispersion_residual(theta, w, L, cls):
+    """The Floquet dispersion residual in its trigonometric form."""
+    half = mpmath.mpf(w) * mpmath.mpf(L) / 2
+    diff = mpmath.cos(w) - mpmath.cos(theta)
     if cls is SymmetryClass.SYMMETRIC:
-        phi = 2 / mpmath.tan(half)
-    else:
-        phi = -2 * mpmath.tan(half)
-    return -mpmath.cos(w) + mpmath.sin(w) / phi
+        return 2 * mpmath.cos(half) * diff - mpmath.sin(w) * mpmath.sin(half)
+    return 2 * mpmath.sin(half) * diff + mpmath.sin(w) * mpmath.cos(half)
+
+
+def mp_impedance_residual(w, theta, L, cls):
+    """phi_L - sin w / (cos w - cos theta), with the difference of cosines as is."""
+    return mp_phi(w, L, cls) - mpmath.sin(w) / (mpmath.cos(w) - mpmath.cos(theta))
+
+
+def mp_defect_residual(w, kappa, sign, L, cls):
+    """phi_L - r_sign(phi_2), r_sign = (-q + sign sqrt(q^2 + 4 kappa)) / 2 as is."""
+    q = mp_phi(w, 2, SymmetryClass.SYMMETRIC)
+    return mp_phi(w, L, cls) - (-q + sign * mpmath.sqrt(q * q + 4 * mpmath.mpf(kappa))) / 2
 
 
 def mp_radicand(w, L, cls):

@@ -63,8 +63,8 @@ def _off_pole_samples(rng, L, n, margin=1e-6):
 
 def test_01_membership_equivalence():
     # The package's membership test and |g(omega)| <= 1 must both agree with
-    # an actual theta-root of the dispersion relation, certified by
-    # bisection, on random off-pole frequencies.
+    # an actual theta-root of the dispersion relation, certified by its
+    # bracket [0, pi], on random off-pole frequencies.
     t0 = time.perf_counter()
     rng = np.random.default_rng(62831853)
     n_total = n_agree = 0
@@ -79,7 +79,7 @@ def test_01_membership_equivalence():
     _verdict(
         "01 membership equivalence",
         n_agree == n_total,
-        "%d/%d samples agree (bisection tol %g)" % (n_agree, n_total, THETA_TOL),
+        "%d/%d samples agree (theta bracket tol %g)" % (n_agree, n_total, THETA_TOL),
         t0,
         10.0,
     )

@@ -12,14 +12,22 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ladderspec import dispersion as dsp
 from ladderspec.bands import gaps, in_essential_spectrum
 from ladderspec.params import SymmetryClass
 from ladderspec.rootfind import bisect_root, dist_to_multiple
-from mp_reference import mp_capital_F, mp_radicand, mp_reflection_root, ulp_ratio
+from mp_reference import (
+    mp_capital_F,
+    mp_defect_residual,
+    mp_dispersion_residual,
+    mp_impedance_residual,
+    mp_radicand,
+    mp_reflection_root,
+    ulp_ratio,
+)
 
 S = SymmetryClass.SYMMETRIC
 A = SymmetryClass.ANTISYMMETRIC
@@ -322,6 +330,9 @@ def test_array_call_equals_its_scalar_calls(case, cls, mu, theta, sign):
         "dispersion_residual": lambda w: dsp.dispersion_residual(theta, w, L, cls),
         "impedance_residual": lambda w: dsp.impedance_residual(w, theta, L, cls),
         "defect_residual": lambda w: dsp.defect_residual(w, mu * (2.0 - mu), sign, L, cls),
+        "dispersion_and_slope": lambda w: dsp.dispersion_and_slope(theta, w, L, cls),
+        "impedance_and_slope": lambda w: dsp.impedance_and_slope(w, theta, L, cls),
+        "defect_and_slope": lambda w: dsp.defect_and_slope(w, mu * (2.0 - mu), sign, L, cls),
         "theta_root": lambda w: dsp.theta_root(w, L, cls),
         "f_plus": dsp.f_plus,
         "f_minus": dsp.f_minus,
@@ -350,3 +361,45 @@ def test_array_call_equals_its_scalar_calls(case, cls, mu, theta, sign):
                 assert not any(isinstance(x, np.ndarray) for x in want), name
                 want = np.array(want, dtype=got.dtype)
                 assert got.shape == want.shape and _bits(got) == _bits(want), (name, k)
+
+
+@settings(max_examples=60)
+@given(
+    L=st.floats(0.3, 40.0),
+    omega=st.floats(0.05, 50.0),
+    cls=st.sampled_from([S, A]),
+    theta=st.floats(0.0, math.pi),
+    mu=st.floats(0.05, 0.95),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_slopes_match_mpmath_derivatives(L, omega, cls, theta, mu, sign):
+    # interior points: a margin from every pole and zero of phi_L, phi_2 and
+    # h_theta, and from the zeros of the theta-slope c sin(theta)
+    margin = 1e-2
+    assume(dist_to_multiple(0.5 * omega * L, 0.5 * math.pi) > margin)
+    assume(dist_to_multiple(omega, math.pi) > margin)
+    assume(dist_to_multiple(omega - theta, 2 * math.pi) > margin)
+    assume(dist_to_multiple(omega + theta, 2 * math.pi) > margin)
+    assume(math.sin(theta) > margin)
+    kappa = mu * (2.0 - mu)
+    cases = {
+        "dispersion_and_slope": (
+            dsp.dispersion_and_slope(theta, omega, L, cls)[1],
+            lambda t: mp_dispersion_residual(t, omega, L, cls),
+            theta,
+        ),
+        "impedance_and_slope": (
+            dsp.impedance_and_slope(omega, theta, L, cls)[1],
+            lambda w: mp_impedance_residual(w, theta, L, cls),
+            omega,
+        ),
+        "defect_and_slope": (
+            dsp.defect_and_slope(omega, kappa, sign, L, cls)[1],
+            lambda w: mp_defect_residual(w, kappa, sign, L, cls),
+            omega,
+        ),
+    }
+    with mpmath.workdps(30):
+        for name, (got, f, x) in cases.items():
+            want = mpmath.diff(f, mpmath.mpf(x))
+            assert abs(got - want) <= 1e-9 * abs(want), name

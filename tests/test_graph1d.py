@@ -332,26 +332,27 @@ def _window_count(K, M, gap):
     return count_below(K, M, hi) - (count_below(K, M, lo) if lo > 0.0 else 0)
 
 
-def _tol0(K, M, gap):
+def _tol0(K, M, gap, seed=0):
     """The eigenvalues of (K, M) in the oracle's window of gap, solved by
     ARPACK to its machine-precision default (tol=0) with the oracle's shift
-    and start vector: one seed-0 standard normal draw per dof, in order."""
+    and start vector: one standard normal draw per dof, in order, from seed
+    0 unless another seed is given."""
     lo, hi = graph1d._gap_window(gap)
     k = _window_count(K, M, gap)
     if k == 0:
         return np.zeros(0)
-    v0 = np.random.default_rng(0).standard_normal(K.shape[0])
+    v0 = np.random.default_rng(seed).standard_normal(K.shape[0])
     return spla.eigsh(
         K, k=k, M=M, sigma=0.5 * (lo + hi), which="LM", v0=v0, tol=0,
         return_eigenvectors=False,
     )
 
 
-def _tol0_lams(res, L, mu, cls, gap):
+def _tol0_lams(res, L, mu, cls, gap, seed=0):
     """The even-sector pencil the oracle solves, solved by `_tol0` from the
-    oracle's start vector."""
+    oracle's start vector (drawn from seed)."""
     K, M = graph1d._even_sector(L, mu, cls, res.n_cells, res.h)
-    return np.sort(_tol0(K, M, gap))
+    return np.sort(_tol0(K, M, gap, seed))
 
 
 def _within_bounds(res, ref):
@@ -381,17 +382,32 @@ def test_oracle_eigenvalues_within_their_bounds_of_a_full_precision_solve(
 def test_error_bounds_hold_and_are_tight_at_a_loose_tolerance(monkeypatch):
     # at sqrt(eps) the bounds sit below round-off; at 1e-6 they are ~1e-12,
     # where a bound a hundred times too small fails on the symmetric
-    # mu = 0.25 pencil (its error is 0.06 of its bound)
+    # mu = 0.25 pencil (its error is 0.06 of its bound).  How close an error
+    # comes to its bound depends on ARPACK's start vector, drawn for the
+    # oracle and its tol=0 reference alike: over these six pencils the worst
+    # ratio reads 0.065 for the oracle's seed 0 and 0.001 to 0.37 for seeds
+    # 1-6.  So every start vector drawn must keep its bounds, and tightness
+    # is asserted on the largest ratio over seeds 0-3
     monkeypatch.setattr(graph1d, "_ARPACK_TOL", 1e-6)
+    sector_eigs = graph1d._sector_eigs
+    start = {"seed": 0}
+
+    def from_seed(K, M, v0, lam_lo, lam_hi):
+        v0 = np.random.default_rng(start["seed"]).standard_normal(K.shape[0])
+        return sector_eigs(K, M, v0, lam_lo, lam_hi)
+
+    monkeypatch.setattr(graph1d, "_sector_eigs", from_seed)
     worst = 0.0
     for L, mu, cls, gap_index, h, n_cells in _BOUND_PENCILS[:6]:
         gap = first_n_gaps(L, cls, gap_index + 1)[gap_index]
-        res = oracle_gap_eigenvalues(
-            L, mu, cls, gap, h=h, n_cells=n_cells, check_convergence=False
-        )
-        ref = _tol0_lams(res, L, mu, cls, gap)
-        assert np.all(_within_bounds(res, ref))
-        worst = max(worst, (np.abs(res.lams - ref) / res.lam_error_bounds).max())
+        for seed in range(4):
+            start["seed"] = seed
+            res = oracle_gap_eigenvalues(
+                L, mu, cls, gap, h=h, n_cells=n_cells, check_convergence=False
+            )
+            ref = _tol0_lams(res, L, mu, cls, gap, seed)
+            assert np.all(_within_bounds(res, ref)), seed
+            worst = max(worst, (np.abs(res.lams - ref) / res.lam_error_bounds).max())
     assert worst > 0.01
 
 
