@@ -354,13 +354,15 @@ def cmd_graph_eigs(v, config):
 
     cls, name, L = v["class"], config["class"], v["L"].value
     found = gaps(L, cls, v["omega_max"], tol=v["tol"])
-    index = {g: gi for gi, g in enumerate(found, 1)}
+    # each eigenvalue carries one of the Gap objects of found: number it by
+    # identity, which hashes no dataclass field
+    index = {id(g): gi for gi, g in enumerate(found, 1)}
     rows = []
     eigen_info = []
     for ev in discrete_eigenvalues(L, v["mu"], cls, found, xtol=v["tol"]):
         rows.append((ev.omega, ev.lam, "eig", ev.gap.gap_type, name, ev.mu))
         eigen_info.append(
-            {"omega": ev.omega, "lambda": ev.lam, "mu": ev.mu, "gap": index[ev.gap]}
+            {"omega": ev.omega, "lambda": ev.lam, "mu": ev.mu, "gap": index[id(ev.gap)]}
         )
     report = SpectralReport(
         kind="graph_eigs",

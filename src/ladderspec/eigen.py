@@ -5,8 +5,8 @@ Two routes with one result type:
 * `eig_dense` — LAPACK via scipy for moderate sizes (all eigenvalues, or an
   index range; with or without eigenvectors);
 * `eig_sparse_shift_invert` — a self-contained shift-invert Lanczos with full
-  reorthogonalisation in the M-inner product, for large sparse pencils where
-  only eigenvalues near a target are wanted.
+  reorthogonalisation in the M-inner product (DGKS), for large sparse pencils
+  where only eigenvalues near a target are wanted.
 
 `count_below` is not a solver: it counts the eigenvalues below a shift from
 the inertia of K - sigma*M, which sizes a windowed solve exactly.
@@ -23,17 +23,21 @@ solve (`solve_once`), partial pivoting for the shift-invert LU.  On the
 against 12.4 ms with the `MMD_AT_PLUS_A` ordering, and the shift-invert LU
 in 9.5 ms against 23 ms with COLAMD, at the same fill (196k L+U entries) and
 the same 0.70 ms per solve; on the oracle's 10k-dof even sector a count
-takes 2.5 ms against 3.6 ms.  When K and M share one sparse pattern, as
-every supercell and oracle pencil does, the shift K - sigma*M is formed on
-their data arrays.
+takes 2.5 ms against 3.6 ms, and the oracle's own shift-invert LU at its
+window centre (`graph1d._arpack`, which hands it to ARPACK) 1.9 ms against
+4.2 ms with COLAMD, at the same fill (51k L+U entries).  When K and M share
+one sparse pattern, as every supercell and oracle pencil does, the shift
+K - sigma*M is formed on their data arrays.
 
 The Lanczos path deliberately avoids ARPACK so that its behaviour (start
 vector, reorthogonalisation, stopping rule) is fully pinned down by this file;
 it factorises K - sigma*M once with SuperLU, runs once, and works in
 the M-inner product, so M only needs to be positive definite, K only Hermitian.
 It keeps its basis in one array and reorthogonalises each new vector by
-classical Gram-Schmidt done twice (CGS2), so one step costs one LU solve,
-three sparse products with M and four matrix-vector products with the basis.
+classical Gram-Schmidt, repeated only when the first pass cancels (the DGKS
+test of ARPACK's `dsaitr`), so a typical step costs one LU solve, two sparse
+products with M and two matrix-vector products with the basis; a repeated
+pass adds one and two.
 A singular K - sigma*M raises; a run that stops short of k converged pairs
 says so in `EigenResult.converged` and `message`, and the callers raise.
 """
@@ -47,6 +51,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+#: a Gram-Schmidt pass that leaves at most this fraction of the M-norm it
+#: started from has cancelled and is repeated (DGKS; ARPACK's `dsaitr`)
+_DGKS_ETA = 0.717
 
 
 @dataclass
@@ -198,10 +206,11 @@ def _lanczos_si(K, M, lu, sigma, k, tol, seed, draw_order):
     """Core Lanczos loop; returns the (at most k) Ritz pairs nearest sigma.
 
     The M-orthonormal basis is the columns of one preallocated array V.  A
-    step costs one LU solve and three sparse products with M: one in each of
-    the two classical Gram-Schmidt passes against V ("twice is enough"), and
-    one for the M-norm of the new vector, which is kept as the next step's
-    right-hand side and alpha product.
+    step costs one LU solve and, when its Gram-Schmidt pass against V keeps
+    the M-norm (`_orthogonalise`), two sparse products with M: the new
+    vector's M-norm before the pass and after it.  The second is kept as the
+    next step's right-hand side and alpha product.  On the benchmark's three
+    supercell solves no pass has cancelled, so none was repeated.
     """
     n = K.shape[0]
     dtype = np.result_type(K.dtype, M.dtype, np.float64)
@@ -225,15 +234,8 @@ def _lanczos_si(K, M, lu, sigma, k, tol, seed, draw_order):
         w -= a * V[:, step - 1]
         if step > 1:
             w -= betas[-1] * V[:, step - 2]
-        # full reorthogonalisation: classical Gram-Schmidt, twice; the
-        # coefficients Vj^H M w are formed as conj(Vj^T conj(M w)), so a
-        # complex Vj is never copied
-        Vj = V[:, :step]
-        for _ in range(2):
-            w -= Vj @ (Vj.T @ (M @ w).conj()).conj()
+        w, Mw, b = _orthogonalise(V[:, :step], M, w)
         alphas.append(a.real)
-        Mw = M @ w
-        b = math.sqrt(abs(np.vdot(w, Mw)))
         theta, s = scipy.linalg.eigh_tridiagonal(np.array(alphas), np.array(betas))
         # Ritz values of the inverted operator; largest |theta| sit nearest
         # sigma in the original pencil.
@@ -263,6 +265,31 @@ def _lanczos_si(K, M, lu, sigma, k, tol, seed, draw_order):
         False,
         f"no convergence in {max_steps} steps",
     )
+
+
+def _orthogonalise(V, M, w):
+    """w made M-orthogonal to the M-orthonormal columns of V, in place, with
+    M w and the M-norm of the result.
+
+    One classical Gram-Schmidt pass, and a second one only if the first
+    cancelled, leaving at most `_DGKS_ETA` of the M-norm it started from
+    (Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30 (1976)): a pass
+    that keeps most of the norm leaves w orthogonal to working precision.
+    One pass costs two products with the basis and one sparse product with
+    M, and the M-norm before the first pass one more.  The coefficients
+    V^H M w are formed as conj(V^T conj(M w)), so a complex V is never
+    copied.
+    """
+    Mw = M @ w
+    b = math.sqrt(abs(np.vdot(w, Mw)))
+    for _ in range(2):
+        before = b
+        w -= V @ (V.T @ Mw.conj()).conj()
+        Mw = M @ w
+        b = math.sqrt(abs(np.vdot(w, Mw)))
+        if b > _DGKS_ETA * before:
+            break
+    return w, Mw, b
 
 
 def _ritz_to_pairs(V, theta, s, idx, sigma, iters, ok, msg):

@@ -16,8 +16,10 @@ assembles both geometries:
 
 Both geometries are numbered along the comb (`_chains`): the rail
 vertices, then the rung nodes tip-first, then the rail edges' interiors, an
-order that `count_below` factors with no ordering pass and barely any fill.
-ARPACK starts from one fixed standard normal draw per dof, in that order.
+order that `count_below` and the oracle's own shift-invert LU (`_arpack`)
+factor with no ordering pass and barely any fill.  ARPACK runs on that LU,
+handed to it as its inverse operator, and starts from one fixed standard
+normal draw per dof, in that order.
 
 Nothing here reuses the transfer-matrix algebra, so agreement with
 `modes.discrete_eigenvalues` / `bands.essential_bands` is a genuine
@@ -44,8 +46,10 @@ quadratic in its residual (Parlett, The Symmetric Eigenvalue Problem,
 section 11-7): each eigenvalue comes with an a-posteriori bound,
 `OracleResult.lam_error_bounds`, of order eps divided by its separation
 from the rest of its sector's spectrum (`_lam_error_bounds`).  The bound
-covers ARPACK's early stop only, not the round-off floor of the shifted
-pencil, which is 100-10,000 times larger on the benchmark pencils.
+is relative to the operator ARPACK ran on, the oracle's LU of the shifted
+pencil: it covers ARPACK's early stop only, not the round-off floor of the
+shifted pencil, which is 100-10,000 times larger on the benchmark pencils,
+so a solve through another factorisation may differ by more than the bound.
 """
 
 from __future__ import annotations
@@ -217,7 +221,8 @@ class OracleResult:
     truncated ladder's; inertia_count is that pencil's Sylvester inertia
     count of eigenvalues in the search window, and equals lams.size.
     lam_error_bounds[i] bounds the distance, in lambda, from lams[i] to the
-    even-sector eigenvalue it approximates, left by ARPACK's early stop
+    eigenvalue it approximates of the even-sector operator ARPACK ran on,
+    the oracle's own LU at the window centre, left by ARPACK's early stop
     (`_lam_error_bounds`); it does not cover the pencil's round-off floor,
     which is larger.
     """
@@ -249,8 +254,10 @@ def _lam_error_bounds(lams, sigma, half_width):
     """A-posteriori bounds on |lams[i] - lambda_i| for Ritz values that ARPACK
     accepted with shift sigma in a window of the given half-width about it.
 
-    The shift-invert operator (K - sigma*M)^-1 M is self-adjoint in the
-    M-inner product, with eigenvalues 1/(lambda - sigma).  ARPACK stops once
+    The shift-invert operator (K - sigma*M)^-1 M, applied through the
+    oracle's LU (`_arpack`), is self-adjoint in the M-inner product, with
+    eigenvalues 1/(lambda - sigma); the bound is relative to that operator,
+    not to the pencil's round-off floor.  ARPACK stops once
     the residual of each Ritz value theta_i = 1/(lams[i] - sigma) is at most
     rho_i = _ARPACK_TOL * |theta_i| (ARPACK Users' Guide, section 4.6), and
     a self-adjoint Ritz value then lies within rho_i**2 / delta_i of an
@@ -270,10 +277,55 @@ def _lam_error_bounds(lams, sigma, half_width):
     return _ARPACK_TOL**2 / delta
 
 
+def _krylov_size(count, n):
+    """ARPACK's Krylov size `ncv` for count wanted eigenvalues of an n-dof
+    pencil: larger than count, at most n.
+
+    scipy's default, max(2 count + 1, 20), spends most of each restart on
+    vectors that a window of one or two eigenvalues does not need.  ARPACK
+    time, the oracle's LU excluded, summed over a set of even-sector
+    pencils at their window centres, against ncv (median of 11 interleaved
+    runs, one OpenBLAS thread on a 2-core host):
+
+        pencils (count, dofs)                          6     8    10    12    16    20
+        L = 2, h = 4e-3, 20 cells, 6 (1-2, 10k)      123   113   114   127   122   149 ms
+        L = 2, h = 1e-3, 40 cells, 4 (1-2, 81k)      591   595   544   573   556   709 ms
+        random L, h = 8e-3, 20 cells, 5 (1-2, 5-9k)   77    71    73    81    78    89 ms
+
+    The first row is the benchmark's oracle pencils, the second gate 4's,
+    the third the error-bound property test's.
+    """
+    return min(n, max(2 * count + 1, 10))
+
+
+def _arpack(K, M, sigma, count, v0, tol):
+    """The count eigenvalues of the sector pencil (K, M) nearest sigma, by
+    ARPACK in shift-invert mode, unsorted.
+
+    The oracle factors K - sigma*M itself, with partial pivoting in the
+    pencil's own comb order (`_chains`), and hands the LU to ARPACK as its
+    inverse operator, so ARPACK runs no ordering pass and no factorisation
+    of its own.  K and M come from one triplet list (`_half_ladder`), so
+    they share one compressed pattern and the shift is formed on their data
+    arrays, on a copy of the index arrays, which SuperLU may sort in place.
+    """
+    shifted = sp.csc_matrix(
+        (K.data - sigma * M.data, K.indices.copy(), K.indptr.copy()), shape=K.shape
+    )
+    lu = spla.splu(shifted, permc_spec="NATURAL", panel_size=1)
+    inverse = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=float)
+    return spla.eigsh(
+        K, k=count, M=M, sigma=sigma, which="LM", v0=v0, tol=tol,
+        ncv=_krylov_size(count, K.shape[0]), OPinv=inverse,
+        return_eigenvectors=False,
+    )
+
+
 def _sector_eigs(K, M, v0, lam_lo, lam_hi):
     """Eigenvalues of the sector pencil inside (lam_lo, lam_hi), their error
     bounds and their inertia count; ARPACK runs only if the count is nonzero,
-    from the start vector v0."""
+    from the start vector v0, on the oracle's LU at the window centre
+    (`_arpack`)."""
     # K is an assembled P1 stiffness with positive weights, so it is positive
     # semi-definite and no eigenvalue lies below lam_lo <= 0: no factorisation
     below_lo = count_below(K, M, lam_lo) if lam_lo > 0.0 else 0
@@ -283,10 +335,7 @@ def _sector_eigs(K, M, v0, lam_lo, lam_hi):
     # the window is symmetric about sigma, so the count eigenvalues nearest
     # sigma are exactly the ones inside it
     sigma = 0.5 * (lam_lo + lam_hi)
-    vals = spla.eigsh(
-        K, k=count, M=M, sigma=sigma, which="LM", v0=v0, tol=_ARPACK_TOL,
-        return_eigenvectors=False,
-    )
+    vals = _arpack(K, M, sigma, count, v0, _ARPACK_TOL)
     found = int(np.count_nonzero((vals > lam_lo) & (vals < lam_hi)))
     if found != count:
         raise RuntimeError(
@@ -328,14 +377,15 @@ def oracle_gap_eigenvalues(
     sector holds no trapped mode (module docstring), only truncation-end
     states and P1 band states.  Sylvester inertia at the window ends counts
     the even sector's eigenvalues inside the window; when that count is
-    nonzero, one ARPACK shift-invert solve at the window centre asks for
-    exactly that many, and raises if a different number lands inside, so
-    every counted eigenvalue is returned.  ARPACK stops at a relative
-    residual of sqrt(eps): for this self-adjoint operator the Ritz-value
-    error is quadratic in the residual, and lam_error_bounds[i] bounds it
-    per eigenvalue (`_lam_error_bounds`; 4e-16 to 2e-15 on the benchmark
-    pencils, 4e-14 for a mode near a gap edge).  The bound leaves out the
-    pencil's round-off floor (Ritz value against Rayleigh quotient, 2.2e-13
+    nonzero, one ARPACK shift-invert solve at the window centre, on the
+    oracle's own LU there (`_arpack`), asks for exactly that many, and
+    raises if a different number lands inside, so every counted eigenvalue
+    is returned.  ARPACK stops at a relative residual of sqrt(eps): for
+    this self-adjoint operator the Ritz-value error is quadratic in the
+    residual, and lam_error_bounds[i] bounds it per eigenvalue
+    (`_lam_error_bounds`; 4e-16 to 2e-15 on the benchmark pencils, 4e-14 for
+    a mode near a gap edge).  The bound is relative to the operator of the
+    oracle's LU and leaves out the pencil's round-off floor (Ritz value against Rayleigh quotient, 2.2e-13
     to 1.6e-11 relative on the benchmark pencils' even sectors).  With
     check_convergence the run is repeated with a wider truncation and flagged converged if
     every eigenvalue moved by less than ORACLE_REL_TOL relatively; the wider

@@ -57,7 +57,8 @@ def discrete_eigenvalues(L, mu, sym_class, gap, *, xtol=0.0):
     """All solutions of F(omega) = mu inside the given gaps, for every given mu.
 
     mu is one weight or a sequence of them, gap one `Gap` or a sequence of
-    them; the result is one flat list ordered by mu, then gap, then omega.
+    them; the result is one flat list ordered by mu, then gap, then omega,
+    and each eigenvalue's `gap` is the very `Gap` object it was found in.
     Weights mu >= 1 yield no eigenvalues.  F = mu is phi_L = r_sign(phi_2)
     (`dispersion.defect_residual`), whose residual strictly falls across a
     gap, which holds no pole of phi_L or phi_2: a type (i) gap holds one root

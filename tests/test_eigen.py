@@ -147,14 +147,50 @@ class _CountingCSR(sp.csr_matrix):
 
 
 def test_shift_invert_sparse_products_per_step():
-    # one Lanczos step forms three products with M (two Gram-Schmidt passes
-    # and the new vector's norm); a per-basis-vector M @ w grows with the step
+    # one Lanczos step forms two products with M, the new vector's M-norm
+    # before and after its Gram-Schmidt pass, when the pass keeps the norm,
+    # as on every step here; the start vector's norm and the residuals add
+    # one each.  A per-basis-vector M @ w would grow with the step
     K, M = _string_pencil(400)
     M = _CountingCSR(M)
     res = eig_sparse_shift_invert(K, M, 230.0, 6)
     assert res.converged
     assert res.iterations > 10
-    assert M.products <= 3 * res.iterations + 4
+    assert M.products == 2 * res.iterations + 2
+
+
+def _m_orthonormal(M, X):
+    """The columns of X made M-orthonormal, through a Cholesky factor of
+    their M-Gram matrix."""
+    C = np.linalg.cholesky(X.T @ (M @ X))
+    return np.linalg.solve(C, X.T).T
+
+
+def test_second_gram_schmidt_pass_runs_only_when_the_first_cancels(monkeypatch):
+    # DGKS: a vector with no part in span(V) keeps its M-norm through one
+    # pass, two products with M in all.  One that lies in span(V) up to
+    # 1e-9 of its norm loses nearly all of it, and the first pass's
+    # round-off, some eps of the norm it started from, is then about 2e-6
+    # of what is left; the second pass brings that back to round-off
+    K, M = _string_pencil(400)
+    rng = np.random.default_rng(2)
+    V = _m_orthonormal(M, rng.standard_normal((400, 30)))
+    outside = rng.standard_normal(400)
+    inside = V @ rng.standard_normal(30) + 1e-9 * outside
+
+    def orthogonalised(w):
+        counted = _CountingCSR(M)
+        w, Mw, b = eigen._orthogonalise(V, counted, w.copy())
+        assert np.isclose(b, math.sqrt(w @ (M @ w)), rtol=1e-12, atol=0)
+        return np.abs(V.T @ Mw).max() / b, counted.products
+
+    error, products = orthogonalised(outside)
+    assert (error <= 1e-14, products) == (True, 2)
+    error, products = orthogonalised(inside)
+    assert (error <= 1e-14, products) == (True, 3)
+    monkeypatch.setattr(eigen, "_DGKS_ETA", 0.0)  # one pass only
+    error, products = orthogonalised(inside)
+    assert (error > 1e-10, products) == (True, 2)
 
 
 def _string_eigenvalues(n):
@@ -170,19 +206,31 @@ def test_string_eigenvalues_match_dense():
     assert np.allclose(eig_dense(K, M).values, exact, rtol=1e-11, atol=0)
 
 
-def test_shift_invert_long_run_stays_orthonormal():
+def test_shift_invert_long_run_stays_orthonormal(monkeypatch):
     # k = 20 at an interior shift keeps a basis of about 60 vectors; against
     # the exact sine spectrum, since a dense solve at 3000 dofs takes seconds
     K, M = _string_pencil(3000)
     exact = _string_eigenvalues(3000)
     sigma = 0.5 * (exact[999] + exact[1000])
-    res = eig_sparse_shift_invert(K, M, sigma, 20)
-    assert res.converged
-    assert res.iterations >= 40
     nearest = np.sort(exact[np.argsort(np.abs(exact - sigma))[:20]])
-    assert np.allclose(res.values, nearest, rtol=1e-9, atol=0)
-    G = res.vectors.T @ (M @ res.vectors)
-    assert np.abs(G - np.eye(20)).max() < 1e-10
+    runs = {}
+    # no Gram-Schmidt pass of this run cancels (the M-norm keeps more than
+    # 0.99999 of itself), so DGKS never repeats one; with the repeat forced
+    # on every step, as classical Gram-Schmidt done twice does, the run
+    # takes the same steps to the same values
+    for eta, per_step in ((eigen._DGKS_ETA, 2), (2.0, 3)):
+        monkeypatch.setattr(eigen, "_DGKS_ETA", eta)
+        counted = _CountingCSR(M)
+        res = eig_sparse_shift_invert(K, counted, sigma, 20)
+        assert res.converged
+        assert res.iterations >= 40
+        assert counted.products == per_step * res.iterations + 2
+        assert np.allclose(res.values, nearest, rtol=1e-9, atol=0)
+        G = res.vectors.T @ (M @ res.vectors)
+        assert np.abs(G - np.eye(20)).max() < 1e-10
+        runs[per_step] = res
+    assert runs[2].iterations == runs[3].iterations
+    assert np.allclose(runs[2].values, runs[3].values, rtol=1e-13, atol=0)
 
 
 def test_shift_invert_long_run_stays_orthonormal_complex_hermitian():

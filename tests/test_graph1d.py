@@ -334,18 +334,17 @@ def _window_count(K, M, gap):
 
 def _tol0(K, M, gap, seed=0):
     """The eigenvalues of (K, M) in the oracle's window of gap, solved by
-    ARPACK to its machine-precision default (tol=0) with the oracle's shift
-    and start vector: one standard normal draw per dof, in order, from seed
-    0 unless another seed is given."""
+    the oracle's own ARPACK call (`graph1d._arpack`: its shift, LU and
+    Krylov size) to ARPACK's machine-precision default (tol=0), from the
+    oracle's start vector: one standard normal draw per dof, in order, from
+    seed 0 unless another seed is given.  The bounds cover ARPACK's early
+    stop only, so the reference runs on the same operator."""
     lo, hi = graph1d._gap_window(gap)
     k = _window_count(K, M, gap)
     if k == 0:
         return np.zeros(0)
     v0 = np.random.default_rng(seed).standard_normal(K.shape[0])
-    return spla.eigsh(
-        K, k=k, M=M, sigma=0.5 * (lo + hi), which="LM", v0=v0, tol=0,
-        return_eigenvectors=False,
-    )
+    return graph1d._arpack(K, M, 0.5 * (lo + hi), k, v0, 0)
 
 
 def _tol0_lams(res, L, mu, cls, gap, seed=0):
@@ -450,6 +449,59 @@ def test_benchmark_oracle_calls_solve_only_the_even_sector(monkeypatch):
         )
         K_even, _ = graph1d._even_sector(L, mu, cls, n_cells, h)
         assert sizes == [K_even.shape[0]]
+
+
+@pytest.mark.parametrize("check_convergence", [False, True])
+def test_oracle_factors_each_shift_once_in_comb_order(monkeypatch, check_convergence):
+    # every factorisation of an oracle call keeps the pencil's comb order:
+    # one per inertia count at a factored window end, and the oracle's own
+    # LU at the window centre, which ARPACK takes as its inverse operator,
+    # with a Krylov size set from the count, instead of factoring again
+    specs, arpack = [], []
+    real_splu, real_eigsh = graph1d.spla.splu, graph1d.spla.eigsh
+
+    def splu(A, *args, **kwargs):
+        specs.append(kwargs.get("permc_spec"))
+        return real_splu(A, *args, **kwargs)
+
+    def eigsh(K, *args, **kwargs):
+        arpack.append((K.shape[0], kwargs))
+        return real_eigsh(K, *args, **kwargs)
+
+    monkeypatch.setattr(graph1d.spla, "splu", splu)
+    monkeypatch.setattr(graph1d.spla, "eigsh", eigsh)
+    runs = 2 if check_convergence else 1
+    # the antisymmetric window starts at lambda = 0, which is not factored
+    for cls, n_counts in ((A, 1), (S, 2)):
+        gap = first_n_gaps(2.0, cls, 1)[0]
+        specs.clear()
+        arpack.clear()
+        res = oracle_gap_eigenvalues(
+            2.0, 0.25, cls, gap, h=4e-3, n_cells=20,
+            check_convergence=check_convergence,
+        )
+        assert res.inertia_count >= 1
+        assert specs == ["NATURAL"] * (runs * (n_counts + 1))
+        assert len(arpack) == runs
+        for n, kwargs in arpack:
+            assert isinstance(kwargs["OPinv"], spla.LinearOperator)
+            assert kwargs["ncv"] == graph1d._krylov_size(kwargs["k"], n)
+
+
+@pytest.mark.parametrize("count, n", [(1, 10230), (2, 10230), (12, 81001), (3, 8), (7, 8)])
+def test_krylov_size_exceeds_the_count(count, n):
+    assert count < graph1d._krylov_size(count, n) <= n
+
+
+def test_both_ladder_pencils_share_one_pattern():
+    # the oracle forms K - sigma*M on the data arrays (`graph1d._arpack`)
+    for K, M in (
+        truncated_half_ladder(2.0, 0.25, A, 6, h=0.05)[:2],
+        graph1d._even_sector(2.0, 0.25, S, 6, 0.05),
+    ):
+        assert K.format == M.format == "csc"
+        assert np.array_equal(K.indptr, M.indptr)
+        assert np.array_equal(K.indices, M.indices)
 
 
 @pytest.mark.parametrize("L, mu, cls, gap_index, h, n_cells", _BOUND_PENCILS)

@@ -81,6 +81,15 @@ def test_eigenvalue_invariants():
                 assert abs(dsp.g_value(ev.omega, L, cls)) > 1.0
 
 
+def test_each_eigenvalue_carries_the_gap_object_it_was_found_in():
+    # the graph commands number each eigenvalue's gap by the identity of
+    # the Gap objects they passed in
+    gaps = first_n_gaps(2.0, S, 4)
+    evs = discrete_eigenvalues(2.0, [0.25, 0.5], S, gaps)
+    assert len(evs) >= 8
+    assert [[ev.gap is g for g in gaps].count(True) for ev in evs] == [1] * len(evs)
+
+
 def test_roots_respect_monotone_branch_markers():
     # independent re-derivation of the interior markers: c is the zero of
     # phi_L, d the zero of phi_L + phi_2; type (ii) roots live in (d, w_t),

@@ -3,7 +3,8 @@ benchmark's tracer wraps resolves, the command-line front end imports no
 numeric library before it runs a command, the graph commands load numpy only,
 the FEM route loads scipy.optimize only for an interior band extreme, every
 SuperLU factorisation keeps the pencil's own column order, every ARPACK call
-fixes its tolerance and start vector, the three routes import nothing of
+fixes its tolerance and start vector and runs on its caller's LU and Krylov
+size, the three routes import nothing of
 each other but the oracle's inertia count, the tests' Bloch reference
 takes nothing from `fem` but the untied P1 matrices, and a dense `fem bands`
 run solves through `fem.eig_dense`, where the benchmark's self-test hooks
@@ -115,6 +116,15 @@ def test_every_eigsh_call_fixes_tol_and_start():
     calls = _calls_in_package("eigsh")
     assert calls
     assert [(p, n) for p, n, kws in calls if not {"tol", "v0"} <= kws] == []
+
+
+def test_every_eigsh_call_runs_on_a_factorisation_of_its_caller():
+    # without OPinv, scipy factors the shift for ARPACK by COLAMD, an
+    # ordering pass the comb order makes needless, and with a default Krylov
+    # size sized for no window of the package
+    calls = _calls_in_package("eigsh")
+    assert calls
+    assert [(p, n) for p, n, kws in calls if not {"OPinv", "ncv"} <= kws] == []
 
 
 def _package_imports(path):
