@@ -2,8 +2,7 @@
 
 Two routes with one result type:
 
-* `eig_dense` — LAPACK via scipy for moderate sizes (all eigenvalues, or an
-  index range; with or without eigenvectors);
+* `eig_dense` — LAPACK via scipy for moderate sizes: every eigenpair;
 * `eig_sparse_shift_invert` — a self-contained shift-invert Lanczos with full
   reorthogonalisation in the M-inner product (DGKS), for large sparse pencils
   where only eigenvalues near a target are wanted.
@@ -70,21 +69,16 @@ class EigenResult:
     message: str = ""
 
 
-def eig_dense(K, M, *, subset=None, vectors=True):
-    """All (or a subset of) eigenpairs of the dense Hermitian pencil.
+def eig_dense(K, M):
+    """Every eigenpair of the dense Hermitian pencil.
 
-    subset=(i0, i1) keeps the inclusive index range.  M must be positive
-    definite, else ValueError.  vectors=False asks LAPACK for eigenvalues
-    only and leaves `vectors` None; over an index subset LAPACK bisects for
-    the same values whether or not it also computes vectors.  `residuals`
-    is None: a dense result carries none.
+    M must be positive definite, else ValueError.  `residuals` is None: a
+    dense result carries none.
     """
     Kd = K.toarray() if sp.issparse(K) else np.asarray(K)
     Md = M.toarray() if sp.issparse(M) else np.asarray(M)
     try:
-        out = scipy.linalg.eigh(
-            Kd, Md, subset_by_index=subset, eigvals_only=not vectors
-        )
+        values, vectors = scipy.linalg.eigh(Kd, Md)
     except scipy.linalg.LinAlgError as exc:
         if "positive definite" in str(exc):
             raise ValueError(
@@ -92,9 +86,7 @@ def eig_dense(K, M, *, subset=None, vectors=True):
                 "assembly"
             ) from exc
         raise
-    if not vectors:
-        return EigenResult(out, None, None)
-    return EigenResult(*out, None)
+    return EigenResult(values, vectors, None)
 
 
 def _shifted(K, M, sigma):
@@ -180,10 +172,6 @@ def eig_sparse_shift_invert(
     is the dof that takes the i-th draw (default: dof i), so a pencil whose
     dofs are renumbered starts from the same vector, node for node.
     """
-    if not sp.issparse(K):
-        K = sp.csr_matrix(K)
-    if not sp.issparse(M):
-        M = sp.csr_matrix(M)
     n = K.shape[0]
     if k < 1 or k > n - 1:
         raise ValueError(f"k={k} out of range for n={n}")
@@ -214,7 +202,7 @@ def _lanczos_si(K, M, lu, sigma, k, tol, seed, draw_order):
     """
     n = K.shape[0]
     dtype = np.result_type(K.dtype, M.dtype, np.float64)
-    max_steps = min(n - 1, max(6 * k, 100))
+    max_steps = min(n, max(6 * k, 100))
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n).astype(dtype)
     if dtype.kind == "c":

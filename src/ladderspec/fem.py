@@ -9,11 +9,13 @@ pencils on the periodicity cell; the discrete spectrum from Neumann-truncated
 supercells around the perturbed rung.
 
 A cell pencil depends on theta only through its few tying-interface dofs.
-Up to `DENSE_CUTOFF` dofs it is reduced once per cell, by one generalized
-`eig_dense` of its theta-independent block, to a bordered diagonal pencil
-(`_BorderedPencil`), whose eigenvalues at every theta are roots of an
-interface-sized Schur complement, counted by Sylvester inertia; larger
-cells go to the inertia-certified shift-invert Lanczos of `eigen`.
+Which solver takes a cell is decided once, where the cell is built
+(`_BlochSplit`).  Up to `DENSE_CUTOFF` dofs the pencil is reduced once per
+cell, by one generalized `eig_dense` of its theta-independent block, to a
+bordered diagonal pencil (`_BorderedPencil`), whose eigenvalues at every
+theta are roots of an interface-sized Schur complement, counted by
+Sylvester inertia.  Larger cells, and the Neumann-rectangle self-check, go
+to the inertia-certified shift-invert Lanczos of `eigen` (`_lowest_eigs`).
 """
 
 from __future__ import annotations
@@ -36,25 +38,32 @@ from .modes import build_eigenfunction
 from .params import LadderParams, SymmetryClass
 from .report import SpectralReport
 
-# Pencils with at most this many dofs go to the dense interface solver
+# Cells with at most this many dofs go to the dense interface solver
 # (`_BorderedPencil`), larger ones to the inertia-certified shift-invert
-# Lanczos.  Bloch pencils at theta = 0.7 (symmetric L = 2 or 1/2 cells,
-# h = eps/4), interface roots for one theta alone / per theta of a 17-theta
-# sweep vs Lanczos plus inertia count on the CSR pencil in comb order,
-# pencils and once-per-cell reductions formed beforehand, all measured
-# together, one OpenBLAS thread on a 2-core host, median over three runs of
-# the medians of 41 interleaved solves:
-#     80 dofs, nev  2: 0.86 / 0.32 vs 0.84 ms  nev 12: 2.1 / 1.5 vs 1.1 ms
-#    180 dofs, nev  2: 1.4  / 0.49 vs 6.6 ms   nev 12: 2.7 / 1.9 vs 6.0 ms
-#    230 dofs, nev  2: 0.99 / 0.30 vs 9.3 ms   nev 12: 2.9 / 1.9 vs  11 ms
-#    380 dofs, nev  2: 0.97 / 0.36 vs 2.9 ms   nev 12: 2.5 / 1.7 vs 7.0 ms
-#    480 dofs, nev  2: 0.95 / 0.35 vs 3.5 ms   nev 12: 2.3 / 1.6 vs 7.1 ms
-# The interface cost hardly grows with n, but the once-per-cell reduction
-# (one real generalized `eig_dense` and five thin products) does: 0.8,
-# 4.0, 6.1, 20 and 36 ms at those sizes (median of three runs of the
-# medians of 21).  Every `fem bands` pencil up to 230 dofs stays dense;
-# moving the cutoff would move band edges by round-off.
-DENSE_CUTOFF = 300
+# Lanczos; `_BlochSplit` alone reads it.  Whole 17-theta `fem_bloch_bands`
+# sweeps (symmetric unless marked, h = eps/4, 17 solves each), forced to
+# either side, in ms; one OpenBLAS thread on a 2-core host, median of 9
+# interleaved runs (a second set of 7 put the crossover at the same
+# sizes):
+#    cell                dofs  nev  Lanczos  dense
+#    L = 2,   eps 0.2     180    2       68     19
+#    L = 1/2, eps 0.1     230   12      201     53
+#    L = 2,   eps 0.1     375    2       58     35   antisymmetric
+#    L = 2,   eps 0.1     380    2       76     46
+#    L = 2,   eps 0.1     380   12      119     66
+#    L = 1/2, eps 0.05    480   12      167    110
+#    L = 2,   eps 0.08    480    2       78     71
+#    L = 2,   eps 0.07    560    2      100    100
+#    L = 1/2, eps 0.04    605   12      257    159
+#    L = 2,   eps 0.06    655    2       86    135
+#    L = 2,   eps 0.05    780    2       77    150
+#    L = 2,   eps 0.05    780   12      177    194
+# The dense side's once-per-cell reduction grows as n^3, so the sides cross
+# near 500 dofs at nev 2 and between 605 and 780 at nev 12.  On the cells
+# above up to 480 dofs, those of gates 6, 7 and 9 among them, the two sides
+# agree to 5.4e-13 of the top eigenvalue: moving the cutoff moves band
+# edges by round-off.
+DENSE_CUTOFF = 500
 
 #: theta tolerance of the bounded search that sharpens an interior band extreme
 THETA_XATOL = 1e-5
@@ -152,11 +161,6 @@ def _comb_order(mesh, nodes):
     return nodes[np.concatenate([rung, rail])]
 
 
-def _solved_dense(n):
-    """True when an n-dof pencil goes to the dense solvers, False for Lanczos."""
-    return n <= DENSE_CUTOFF
-
-
 def _bloch_phase(theta):
     """e^{-i theta}, snapped to the real 1 and -1 at theta = 0 and pi so
     that those pencils come out exactly real symmetric."""
@@ -178,13 +182,14 @@ class _BlochSplit:
     The columns come in comb order (`_comb_order`).  On the Lanczos side of
     the cutoff the pencil is that CSR sum, in those columns (`free`).
 
-    On the dense side (`dense`, from `_solved_dense`) the pencil is reduced
-    once per cell to a bordered diagonal one (`_BorderedPencil`).  A1
-    touches only a set q of dofs, the tying masters and their tied
-    neighbours; with p the other dofs, ordered p then q, every block but the
-    q-q one is real and independent of theta.  Once per cell, in real
-    arithmetic, one generalized solve of the p-p blocks (`eig_dense`),
-    K_pp V = M_pp V diag(d) with V^T M_pp V = I, and with
+    On the dense side (`dense`: at most `DENSE_CUTOFF` columns, decided here
+    and nowhere else) the pencil is reduced once per cell to a bordered
+    diagonal one (`_BorderedPencil`).  A1 touches only a set q of dofs, the
+    tying masters and their tied neighbours; with p the other dofs, ordered
+    p then q, every block but the q-q one is real and independent of theta.
+    Once per cell, in real arithmetic, one generalized solve of the p-p
+    blocks (`eig_dense`), K_pp V = M_pp V diag(d) with V^T M_pp V = I, and
+    with
 
         Wm = V^T M_pq,  Wk = V^T K_pq,  Gq = (Wk - diag(d) Wm)^T,
 
@@ -213,7 +218,7 @@ class _BlochSplit:
         shape = (n, keep.size)
         T0 = sp.csr_matrix((np.ones(keep.size), (keep, col_of[keep])), shape=shape)
         T1 = sp.csr_matrix((np.ones(masters.size), (mesh.right, masters)), shape=shape)
-        self.dense = _solved_dense(keep.size)
+        self.dense = keep.size <= DENSE_CUTOFF
         (K0, K1), (M0, M1) = (
             ((T0.T @ A @ T0 + T1.T @ A @ T1).tocsr(), (T0.T @ A @ T1).tocsr())
             for A in assemble_p1(mesh)
@@ -459,16 +464,15 @@ def _supercell_pencil(mesh):
 
 
 def _lowest_eigs(Kr, Mr, nev, *, seed=0, draw_order=None):
-    """Lowest nev eigenvalues: dense LAPACK up to DENSE_CUTOFF dofs, else a
-    shift-invert Lanczos (seed and draw_order as in `eig_sparse_shift_invert`)
-    certified by one inertia count above its top value."""
+    """Lowest nev eigenvalues of a sparse pencil with K positive
+    semi-definite, by one shift-invert Lanczos solve just below zero (seed
+    and draw_order as in `eig_sparse_shift_invert`), certified by one
+    inertia count above its top value.  Raises ValueError when nev exceeds
+    n_dofs - 2, the most that solve returns."""
     n = Kr.shape[0]
-    nev = min(nev, n)
-    if _solved_dense(n):
-        return eig_dense(Kr, Mr, subset=(0, nev - 1), vectors=False).values
-    res = eig_sparse_shift_invert(
-        Kr, Mr, -1e-2, min(nev, n - 2), seed=seed, draw_order=draw_order
-    )
+    if nev > n - 2:
+        raise ValueError(f"nev={nev} exceeds n_dofs - 2 = {n - 2} (n_dofs={n})")
+    res = eig_sparse_shift_invert(Kr, Mr, -1e-2, nev, seed=seed, draw_order=draw_order)
     if not res.converged:
         raise RuntimeError(f"lowest-eigenvalue Lanczos solve failed: {res.message}")
     # the margin sits well above the Lanczos error and the round-off of the

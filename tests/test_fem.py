@@ -102,7 +102,7 @@ def test_bloch_split_matches_direct_reduction(monkeypatch):
 def test_bloch_theta0_kernel_is_constant():
     mesh = build_cell_mesh(LadderParams(2.0, 0.2), S, 0.05)
     K, M, _ = bloch_pencil(mesh, 0.0)
-    res = eig_dense(K, M, subset=(0, 0))
+    res = eig_dense(K, M)
     assert abs(res.values[0]) < 1e-9
     vec = res.vectors[:, 0]
     assert np.abs(vec - vec.mean()).max() < 1e-6 * np.abs(vec.mean())
@@ -203,7 +203,7 @@ DENSE_CELLS = ((2.0, S, 0.2, 0.05), (2.0, A, 0.2, 0.05), (0.5, S, 0.1, 0.025))
 def _dense_lowest(mesh, theta, nev):
     """The nev lowest eigenvalues of the CSR Bloch pencil, densified."""
     K, M, _ = bloch_pencil(mesh, theta)
-    return eig_dense(K, M, subset=(0, nev - 1), vectors=False).values
+    return eig_dense(K, M).values[:nev]
 
 
 def test_interface_lowest_values_match_the_dense_csr_pencil():
@@ -288,7 +288,7 @@ def _synthetic_bordered(d, Gq, K, M, K1):
     A = np.block([[np.diag(d), Gq.T], [Gq, Kt]])
     B = np.eye(A.shape[0], dtype=complex)
     B[d.size :, d.size :] = M
-    return pencil, eig_dense(A, B, vectors=False).values
+    return pencil, eig_dense(A, B).values
 
 
 def test_interface_roots_on_a_pole_and_at_a_double_eigenvalue(monkeypatch):
@@ -403,35 +403,82 @@ def test_bloch_bands_reject_more_bands_than_the_solver_returns(monkeypatch):
         fem_bloch_bands(params, S, n - 1, 0.1)
 
 
+# (params, class, h) of dense-side cells for the forced-Lanczos comparisons:
+# the 80-dof cell, and the 380- and 375-dof cells of gates 6 and 7, which
+# any cutoff below 375 would send to the Lanczos side
+SIDE_CELLS = (
+    (LadderParams(2.0, 0.4), S, 0.1),
+    (LadderParams(2.0, 0.1), S, 0.025),
+    (LadderParams(2.0, 0.1), A, 0.025),
+)
+
+
+def _lambda_edges(rep):
+    """Band and gap edges of a `fem_bloch_bands` report, in lambda."""
+    gaps = [(g["omega_b"], g["omega_t"]) for g in rep.gaps]
+    return np.square(rep.bands), np.square(np.reshape(gaps, (-1, 2)))
+
+
 def test_sweep_form_solver_and_diagnostics_follow_one_predicate(monkeypatch):
     # the cutoff decides the pencil form, the solver and the reported solver
     # together: forced to the Lanczos side, the sweep hands CSR pencils to
-    # the certified Lanczos path and reports it
-    params = LadderParams(2.0, 0.4)
-    dense = fem_bloch_bands(params, S, 2, 0.1)
+    # the certified Lanczos path, one inertia count per solve, and reports
+    # it.  Neither it nor the rectangle self-check reaches eig_dense, which
+    # serves the dense side's once-per-cell reduction alone
+    dense = [fem_bloch_bands(params, cls, 2, h) for params, cls, h in SIDE_CELLS]
     monkeypatch.setattr(fem, "DENSE_CUTOFF", 0)
-    monkeypatch.setattr(fem, "eig_dense", None)
-    forms = []
-    real = fem._lowest_eigs
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("eig_dense reached")
+
+    monkeypatch.setattr(fem, "eig_dense", failing)
+    forms, counts = [], []
+    real, real_count = fem._lowest_eigs, fem.count_below
 
     def recording(K, M, nev, **kw):
         forms.append(sp.issparse(K) and sp.issparse(M))
         return real(K, M, nev, **kw)
 
+    def recording_count(K, M, sigma):
+        counts.append(sigma)
+        return real_count(K, M, sigma)
+
     monkeypatch.setattr(fem, "_lowest_eigs", recording)
-    sparse = fem_bloch_bands(params, S, 2, 0.1)
-    assert dense.diagnostics["solver"] == "dense"
-    assert sparse.diagnostics["solver"] == "lanczos"
-    assert len(forms) == 17 and all(forms)
-    # compared in lambda: omega = sqrt(lambda) magnifies round-off at zero
-    assert np.allclose(np.square(sparse.bands), np.square(dense.bands), rtol=1e-10, atol=1e-10)
+    monkeypatch.setattr(fem, "count_below", recording_count)
+    vals, exact = neumann_rectangle_eigs(1.0, 0.55, 10, 6, 6)
+    assert vals.size == exact.size == 6
+    assert len(forms) == len(counts) == 1
+    for (params, cls, h), ref in zip(SIDE_CELLS, dense):
+        forms.clear()
+        counts.clear()
+        sparse = fem_bloch_bands(params, cls, 2, h)
+        assert ref.diagnostics["solver"] == "dense"
+        assert sparse.diagnostics["solver"] == "lanczos"
+        assert len(forms) == len(counts) == sparse.diagnostics["n_solves"] == 17
+        assert all(forms)
+        # compared in lambda: omega = sqrt(lambda) magnifies round-off at zero
+        for got, want in zip(_lambda_edges(sparse), _lambda_edges(ref)):
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
+
+
+def test_lowest_eigs_refuses_more_values_than_lanczos_returns():
+    # a 9-node rectangle: Lanczos returns at most 7 of its eigenvalues, and
+    # asking for 8 raises instead of quietly returning 7
+    with pytest.raises(ValueError, match="nev=8 .*n_dofs=9"):
+        neumann_rectangle_eigs(1.0, 0.55, 2, 2, 8)
+    # 7 it returns, its Krylov space grown to the whole 9-dof space
+    vals, exact = neumann_rectangle_eigs(1.0, 0.55, 2, 2, 7)
+    K, M = assemble_p1(rectangle_mesh(1.0, 0.55, 2, 2))
+    assert exact.size == 7
+    assert np.allclose(vals, eig_dense(K, M).values[:7], rtol=1e-9, atol=1e-12)
 
 
 def test_sparse_lowest_eigs_match_dense_and_are_certified(monkeypatch):
-    mesh = build_cell_mesh(LadderParams(2.0, 0.1), S, 0.025)
+    mesh = build_cell_mesh(LadderParams(2.0, 0.05), S, 0.0125)
     K, M, _ = bloch_pencil(mesh, 0.7)
     assert K.shape[0] > fem.DENSE_CUTOFF
-    dense = eig_dense(K, M, subset=(0, 3)).values
+    dense = eig_dense(K, M).values[:4]
     assert np.allclose(fem._lowest_eigs(K, M, 4), dense, rtol=1e-9, atol=1e-12)
     # a Lanczos solve that skips the lowest pair leaves an eigenvalue below
     # its largest value uncounted; the inertia count must catch it

@@ -163,6 +163,15 @@ def test_routes_stay_independent():
     for module in ("dispersion", "bands", "modes"):
         imported = {m for m, _ in _package_imports(src / f"{module}.py")}
         assert imported & {"mesh", "fem", "eigen", "graph1d"} == set(), module
+    # the FEM route takes from the other two only the pseudo-mode's traces,
+    # which the fattened residual interpolates
+    graph = {"dispersion", "bands", "modes", "graph1d", "rootfind"}
+    for module in ("mesh", "eigen"):
+        imported = {m for m, _ in _package_imports(src / f"{module}.py")}
+        assert imported & graph == set(), module
+    imported = _package_imports(src / "fem.py")
+    assert {m for m, _ in imported} & (graph - {"modes"}) == set()
+    assert {n for m, n in imported if m == "modes"} == {"build_eigenfunction"}
 
 
 def test_bloch_reference_takes_only_assemble_p1_from_fem():
