@@ -148,6 +148,7 @@ def special_points(L, sym_class, omega_max):
     such a point belongs to the spectrum only if sin(omega) = 0 there (flat
     point of infinite multiplicity).
     """
+    sym_class = SymmetryClass.parse(sym_class)
     anti = sym_class is SymmetryClass.ANTISYMMETRIC
     always = _pi_multiples(1 if anti else 0, 1, 1.0, omega_max)
     always += _phi_poles(L, sym_class, omega_max)
@@ -180,6 +181,7 @@ def in_essential_spectrum(omega, L, sym_class):
     of the factored radicand (`dispersion.radicand`), (g^2 - 1) phi_L^2 /
     sin^2(omega), decides without cancelling next to a band edge.
     """
+    sym_class = SymmetryClass.parse(sym_class)
     w = np.asarray(omega, dtype=float)
     tol = MEMBERSHIP_TOL * np.maximum(1.0, np.abs(w))
     excluded = ~(w >= -tol)  # NaN is excluded too
@@ -251,6 +253,7 @@ def essential_bands(L, sym_class, omega_max, *, tol=EDGE_TOL):
     """
     if omega_max <= 0:
         raise ValueError("omega_max must be positive")
+    sym_class = SymmetryClass.parse(sym_class)
     bands = []
     lo = 0.0 if sym_class is SymmetryClass.SYMMETRIC else None
     for g in _branch_gaps(L, sym_class, omega_max, tol):
@@ -270,6 +273,7 @@ def gaps(L, sym_class, omega_max, *, tol=EDGE_TOL):
     """
     if omega_max <= 0:
         raise ValueError("omega_max must be positive")
+    sym_class = SymmetryClass.parse(sym_class)
     return [g for g in _branch_gaps(L, sym_class, omega_max, tol) if g.omega_t <= omega_max]
 
 
@@ -279,7 +283,7 @@ def first_n_gaps(L, sym_class, n, *, tol=EDGE_TOL):
     Every pi-interval holds at least one branch, so the branches starting
     below n*pi include the first n.
     """
-    return _branch_gaps(L, sym_class, n * math.pi, tol)[:n]
+    return _branch_gaps(L, SymmetryClass.parse(sym_class), n * math.pi, tol)[:n]
 
 
 def bloch_curves(L, sym_class, omega_max, theta_grid, *, tol=EDGE_TOL):
@@ -296,6 +300,7 @@ def bloch_curves(L, sym_class, omega_max, theta_grid, *, tol=EDGE_TOL):
     and the points where a pole of phi_L meets cos w = cos theta.  omega = 0
     is dropped for the antisymmetric family.
     """
+    sym_class = SymmetryClass.parse(sym_class)
     anti = sym_class is SymmetryClass.ANTISYMMETRIC
     top = omega_max + 2.0 * math.pi  # completes the branch that holds omega_max
     poles = [(x, _POLE) for x in _phi_poles(L, sym_class, top)]

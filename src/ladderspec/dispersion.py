@@ -25,6 +25,10 @@ meets sin(omega) = 0 (compactly supported flat modes) the transfer
 coefficient is genuinely indeterminate and NaN is returned -- band membership
 at those points is decided by the special-point rules in
 `bands.in_essential_spectrum`, never by the NaN.
+
+Every function that reads the symmetry class parses it
+(`SymmetryClass.parse`), so the strings 'sym' and 'antisym' mean the enum
+members; the functions that only pass the class on inherit that parse.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ def phi_L_pole_or_zero(half, sym_class, atol):
     other set.  half and atol broadcast; each caller passes its own absolute
     tolerance.
     """
+    sym_class = SymmetryClass.parse(sym_class)
     on_pi = dist_to_multiple(half, np.pi) <= atol
     on_half_pi = dist_to_multiple(half - 0.5 * np.pi, np.pi) <= atol
     if sym_class is SymmetryClass.SYMMETRIC:
@@ -77,6 +82,7 @@ def phi_L(omega, L, sym_class):
     Strictly decreasing between consecutive poles; poles return +inf
     (right-sided limit) and zeros exactly 0.
     """
+    sym_class = SymmetryClass.parse(sym_class)
     _, half, pole, zero = _half_and_masks(omega, L, sym_class)
     if sym_class is SymmetryClass.SYMMETRIC:
         p = 2.0 / np.tan(half)
@@ -113,6 +119,7 @@ def g_mu_value(omega, L, mu, sym_class):
     the zeros of phi_L when sin(omega) != 0 (right-sided limit sign), NaN when
     the zero coincides with sin(omega) = 0 (flat point).
     """
+    sym_class = SymmetryClass.parse(sym_class)
     w, half, _, zero = _half_and_masks(omega, L, sym_class)
     s = np.sin(w)
     c = np.cos(w)
@@ -151,6 +158,7 @@ def dispersion_and_slope(theta, omega, L, sym_class):
     (symmetric) or 2 sin(wL/2) (antisymmetric), so its theta-slope is
     c sin theta, from the same c.
     """
+    sym_class = SymmetryClass.parse(sym_class)
     th = np.asarray(theta, dtype=float)
     if not np.all((0.0 <= th) & (th <= np.pi)):
         raise ValueError(f"quasimomentum theta={theta} outside [0, pi]")

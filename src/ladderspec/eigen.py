@@ -24,9 +24,12 @@ in 9.5 ms against 23 ms with COLAMD, at the same fill (196k L+U entries) and
 the same 0.70 ms per solve; on the oracle's 10k-dof even sector a count
 takes 2.5 ms against 3.6 ms, and the oracle's own shift-invert LU at its
 window centre (`graph1d._arpack`, which hands it to ARPACK) 1.9 ms against
-4.2 ms with COLAMD, at the same fill (51k L+U entries).  When K and M share
-one sparse pattern, as every supercell and oracle pencil does, the shift
-K - sigma*M is formed on their data arrays.
+4.2 ms with COLAMD, at the same fill (51k L+U entries).  Every sparse
+pencil of the package is CSC, the format SuperLU takes, and is factored as
+built: `_shifted` returns CSC for any input, and no factorisation here
+converts its matrix.  When K and M share one CSC pattern, as every
+supercell and oracle pencil does, the shift K - sigma*M is formed on their
+data arrays.
 
 The Lanczos path deliberately avoids ARPACK so that its behaviour (start
 vector, reorthogonalisation, stopping rule) is fully pinned down by this file;
@@ -90,34 +93,33 @@ def eig_dense(K, M):
 
 
 def _shifted(K, M, sigma):
-    """K - sigma*M as a sparse matrix.
+    """K - sigma*M as a CSC matrix, ready for SuperLU.
 
-    When K and M share one compressed pattern, as every supercell and oracle
-    pencil does, the shift is formed on their data arrays and takes a copy of
+    When K and M are CSC on one pattern, as every supercell and oracle
+    pencil is, the shift is formed on their data arrays and takes a copy of
     K's pattern: SuperLU sorts a matrix with unsorted indices in place, which
-    on shared index arrays would scramble K.  Otherwise it is the sparse (or
-    dense) difference.
+    on shared index arrays would scramble K.  Any other pair, sparse or
+    dense, gives the difference converted once to CSC.
     """
     if (
         sp.issparse(K)
         and sp.issparse(M)
-        and K.format == M.format
-        and K.format in ("csr", "csc")
+        and K.format == M.format == "csc"
         and np.array_equal(K.indptr, M.indptr)
         and np.array_equal(K.indices, M.indices)
     ):
-        return K.__class__(
+        return sp.csc_matrix(
             (K.data - sigma * M.data, K.indices.copy(), K.indptr.copy()), shape=K.shape
         )
     return sp.csc_matrix(K - sigma * M)
 
 
 def _diagonal_lu(A):
-    """SuperLU factors of a Hermitian sparse A in its own order, one column
-    per panel, with diagonal pivots only, so the LU is an LDL^T in disguise:
-    the factorisation of an inertia count or a single solve."""
+    """SuperLU factors of a Hermitian CSC matrix A in its own order, one
+    column per panel, with diagonal pivots only, so the LU is an LDL^T in
+    disguise: the factorisation of an inertia count or a single solve."""
     return spla.splu(
-        sp.csc_matrix(A),
+        A,
         permc_spec="NATURAL",
         diag_pivot_thresh=0.0,
         panel_size=1,
@@ -126,8 +128,8 @@ def _diagonal_lu(A):
 
 
 def solve_once(A, b):
-    """x = A^-1 b for a symmetric positive definite sparse A, factored for
-    this one solve."""
+    """x = A^-1 b for a symmetric positive definite CSC matrix A, factored
+    for this one solve."""
     return _diagonal_lu(A).solve(b)
 
 
@@ -176,7 +178,7 @@ def eig_sparse_shift_invert(
     if k < 1 or k > n - 1:
         raise ValueError(f"k={k} out of range for n={n}")
     # partial pivoting, in the pencil's own order
-    lu = spla.splu(_shifted(K, M, sigma).tocsc(), permc_spec="NATURAL", panel_size=1)
+    lu = spla.splu(_shifted(K, M, sigma), permc_spec="NATURAL", panel_size=1)
     vals, vecs, iters, ok, msg = _lanczos_si(K, M, lu, sigma, k, tol, seed, draw_order)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]

@@ -86,6 +86,10 @@ def assemble_p1(mesh: Mesh, dofs=None):
     triangles in triangle order, whatever the numbering: a diagonal one by
     `bincount`, an off-diagonal one has at most two terms.  So a renumbered
     pencil holds the very entries of the mesh-numbered one.
+
+    Both matrices are CSC, the format SuperLU takes, so they are factored as
+    built.  K and M share one pattern, and being symmetric each has the
+    arrays of its CSR form, entry for entry.
     """
     pts, tris = mesh.nodes, mesh.triangles
     x = pts[tris, 0]  # (m, 3)
@@ -115,13 +119,13 @@ def assemble_p1(mesh: Mesh, dofs=None):
     diag = np.arange(n, dtype=np.intc)
     rows, cols = np.concatenate([rows[off], diag]), np.concatenate([cols[off], diag])
 
-    def csr(off_values, diag_values):
+    def csc(off_values, diag_values):
         # per triangle, the six off-diagonal and the three diagonal entries
         d = np.bincount(idx.ravel()[on], weights=diag_values.ravel()[on], minlength=n)
         vals = np.concatenate([off_values.ravel()[off], d])
         # the summed matrix may keep views of the triplet-sized arrays: the
         # copy holds the entries alone
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr().copy()
+        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc().copy()
 
     # stiffness (b_i b_j + c_i c_j) / (4 area), mass (1 + delta_ij) area / 12
     four_area = (4.0 * area)[:, None]
@@ -131,10 +135,10 @@ def assemble_p1(mesh: Mesh, dofs=None):
     k_diag = b * b
     k_diag += c * c
     k_diag /= four_area
-    K = csr(k_off, k_diag)
+    K = csc(k_off, k_diag)
     del k_off, k_diag
     area = area[:, None]
-    M = csr(
+    M = csc(
         np.repeat((1.0 / 12.0) * area, 6, axis=1), np.repeat((2.0 / 12.0) * area, 3, axis=1)
     )
     return K, M
@@ -161,6 +165,18 @@ def _comb_order(mesh, nodes):
     return nodes[np.concatenate([rung, rail])]
 
 
+def _comb_dofs(mesh, tied=None):
+    """The mesh node ids kept as dofs, in comb order (`_comb_order`): every
+    node but the `tied` ones and, for the antisymmetric class stored in the
+    mesh metadata, the axis nodes (the Dirichlet condition on y = 0)."""
+    drop = np.zeros(mesh.n_nodes, dtype=bool)
+    if tied is not None:
+        drop[tied] = True
+    if mesh.meta.get("sym_class") == SymmetryClass.ANTISYMMETRIC.value:
+        drop[mesh.axis] = True
+    return _comb_order(mesh, np.flatnonzero(~drop))
+
+
 def _bloch_phase(theta):
     """e^{-i theta}, snapped to the real 1 and -1 at theta = 0 and pi so
     that those pencils come out exactly real symmetric."""
@@ -179,8 +195,9 @@ class _BlochSplit:
     to their left-boundary masters.  For A = K and A = M the reduced matrix
     T^H A T is therefore A0 + e^{-i theta} A1 + e^{i theta} A1^T with
     A0 = T0^T A T0 + T1^T A T1 and A1 = T0^T A T1, formed once per mesh.
-    The columns come in comb order (`_comb_order`).  On the Lanczos side of
-    the cutoff the pencil is that CSR sum, in those columns (`free`).
+    The columns come in comb order (`_comb_dofs`).  On the Lanczos side of
+    the cutoff the pencil is that sum, in those columns (`free`): CSC,
+    factored as built.
 
     On the dense side (`dense`: at most `DENSE_CUTOFF` columns, decided here
     and nowhere else) the pencil is reduced once per cell to a bordered
@@ -205,35 +222,33 @@ class _BlochSplit:
         if mesh.left.size != mesh.right.size:
             raise ValueError("left/right boundary node counts differ")
         n = mesh.n_nodes
-        drop = np.zeros(n, dtype=bool)
-        drop[mesh.right] = True
-        if mesh.meta.get("sym_class") == SymmetryClass.ANTISYMMETRIC.value:
-            drop[mesh.axis] = True
-        keep = _comb_order(mesh, np.nonzero(~drop)[0])
+        keep = _comb_dofs(mesh, mesh.right)
         col_of = -np.ones(n, dtype=int)
         col_of[keep] = np.arange(keep.size)
         masters = col_of[mesh.left]
         if np.any(masters < 0):
             raise ValueError("a tying master node was eliminated")
         shape = (n, keep.size)
+        # CSR tying maps: their transposes are CSC, as A is, so the products
+        # convert only the tying maps
         T0 = sp.csr_matrix((np.ones(keep.size), (keep, col_of[keep])), shape=shape)
         T1 = sp.csr_matrix((np.ones(masters.size), (mesh.right, masters)), shape=shape)
         self.dense = keep.size <= DENSE_CUTOFF
         (K0, K1), (M0, M1) = (
-            ((T0.T @ A @ T0 + T1.T @ A @ T1).tocsr(), (T0.T @ A @ T1).tocsr())
+            ((T0.T @ A @ T0 + T1.T @ A @ T1).tocsc(), (T0.T @ A @ T1).tocsc())
             for A in assemble_p1(mesh)
         )
         if self.dense:
             keep = keep[self._reduce(K0, K1, M0, M1)]
         else:
-            self.K_parts = (K0, K1, K1.T.tocsr())
-            self.M_parts = (M0, M1, M1.T.tocsr())
+            self.K_parts = (K0, K1, K1.T.tocsc())
+            self.M_parts = (M0, M1, M1.T.tocsc())
         self.free = keep
         # the Lanczos start vector is drawn over the free nodes in id order
         self.draw_order = np.argsort(keep)
 
     def _reduce(self, K0, K1, M0, M1):
-        """The bordered pencil (`interface`) from the CSR parts; returns the
+        """The bordered pencil (`interface`) from the CSC parts; returns the
         p-then-q column order."""
         # q: the rows and columns of the entries A1 stores
         touched = np.zeros(K0.shape[0], dtype=bool)
@@ -259,7 +274,7 @@ class _BlochSplit:
         return order
 
     def pencil(self, theta):
-        """Reduced CSR pencil at Bloch phase theta, exactly Hermitian (the
+        """Reduced CSC pencil at Bloch phase theta, exactly Hermitian (the
         Lanczos side of the cutoff), as (K, M) in the columns `free`."""
         phase = _bloch_phase(theta)
         return _tied_at(phase, *self.K_parts), _tied_at(phase, *self.M_parts)
@@ -450,15 +465,11 @@ def _tied_at(phase, A0, A1, A1T):
 def _supercell_pencil(mesh):
     """Real supercell (K, M) and the mesh node ids kept as dofs, in order.
 
-    The dofs come in comb order (`_comb_order`).  The class stored in the
-    mesh metadata decides the y = 0 condition: the antisymmetric class drops
-    the axis nodes (Dirichlet) at assembly, the symmetric class keeps every
-    node.  K and M share the one pattern they are assembled with.
+    The dofs come in comb order, the axis nodes dropped for the
+    antisymmetric class (`_comb_dofs`).  K and M are CSC and share the one
+    pattern they are assembled with.
     """
-    nodes = np.arange(mesh.n_nodes)
-    if mesh.meta.get("sym_class") == SymmetryClass.ANTISYMMETRIC.value:
-        nodes = np.setdiff1d(nodes, mesh.axis)
-    keep = _comb_order(mesh, nodes)
+    keep = _comb_dofs(mesh)
     K, M = assemble_p1(mesh, keep)
     return K, M, keep
 

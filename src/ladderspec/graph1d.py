@@ -119,8 +119,9 @@ def _subdivisions(length, h):
 
 
 def _chains(L, n_rungs, sym_class, h, image):
-    """Node ids along the rail edges and the rungs of `_half_ladder`, and the
-    node count.
+    """Node ids along the rail edges and the rungs of `_half_ladder`, the
+    node count, and whether the rung tips are clamped (the antisymmetric
+    class).
 
     Row e of rails holds the ids along rail edge e from vertex e to vertex
     e + 1, row i of rungs those along rung i from vertex i to its tip (a
@@ -146,7 +147,7 @@ def _chains(L, n_rungs, sym_class, h, image):
     rails = np.empty((n_vert - 1, n_rail + 1), dtype=np.intc)
     rails[:, 0], rails[:, -1] = verts[:-1], verts[1:]
     rails[:, 1:-1] = first + np.arange((n_vert - 1) * (n_rail - 1)).reshape(n_vert - 1, -1)
-    return rails, rungs, first + (n_vert - 1) * (n_rail - 1)
+    return rails, rungs, first + (n_vert - 1) * (n_rail - 1), clamped
 
 
 def _half_ladder(L, rung_w, sym_class, h, image=False):
@@ -163,8 +164,7 @@ def _half_ladder(L, rung_w, sym_class, h, image=False):
     """
     if not 0.0 < h <= 0.1:
         raise ValueError("mesh step h must lie in (0, 0.1]")
-    clamped = sym_class is not SymmetryClass.SYMMETRIC
-    rails, rungs, n = _chains(L, len(rung_w), sym_class, h, image)
+    rails, rungs, n, clamped = _chains(L, len(rung_w), sym_class, h, image)
     parts = [
         _edges_triplets(rails, np.ones(rails.shape[0]), 1.0, False),
         _edges_triplets(rungs, rung_w, 0.5 * L, clamped),
@@ -191,7 +191,7 @@ def truncated_half_ladder(L, mu, sym_class, n_cells, h=DEFAULT_H):
     _check_cells(n_cells)
     rung_w = np.ones(2 * n_cells + 1)
     rung_w[n_cells] = mu
-    K, M = _half_ladder(L, rung_w, sym_class, h)
+    K, M = _half_ladder(L, rung_w, SymmetryClass.parse(sym_class), h)
     vertex_ids = {j: j + n_cells for j in range(-n_cells, n_cells + 1)}
     return K, M, vertex_ids
 
@@ -395,6 +395,7 @@ def oracle_gap_eigenvalues(
     20 cells) the flag read True while the count or a value disagreed with
     the closed form.
     """
+    sym_class = SymmetryClass.parse(sym_class)
     lam_lo, lam_hi = _gap_window(gap)
     lams, bounds, ndof, count = _gap_eigs_once(
         L, mu, sym_class, lam_lo, lam_hi, n_cells, h
@@ -452,7 +453,7 @@ def oracle_band_edges(L, sym_class, n_bands, *, h=0.01, n_theta=61):
     """
     thetas = np.linspace(0.0, math.pi, n_theta)
     per_theta = np.empty((n_theta, n_bands))
-    K, M = _open_cell(L, sym_class, h)
+    K, M = _open_cell(L, SymmetryClass.parse(sym_class), h)
     for i, th in enumerate(thetas):
         per_theta[i] = scipy.linalg.eigh(
             _bloch_tie(K, th),

@@ -82,6 +82,7 @@ def discrete_eigenvalues(L, mu, sym_class, gap, *, xtol=0.0):
     the bracket down: the bracket closes onto the bottom edge, which is
     returned, whether the points are Newton steps or midpoints.
     """
+    sym_class = SymmetryClass.parse(sym_class)
     mus = [mu] if np.ndim(mu) == 0 else list(mu)
     for m in mus:
         if not 0 < m:
@@ -241,6 +242,7 @@ def flat_bands(L, sym_class, omega_max):
     records whether L is rational with odd numerator, the solvability
     criterion for the symmetric family.
     """
+    sym_class = SymmetryClass.parse(sym_class)
     exact = ExactLength.parse(L)
     rat = exact.as_rational()
     if rat is None:

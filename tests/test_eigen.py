@@ -292,6 +292,23 @@ def test_count_below_matches_dense_count_on_complex_bloch_pencil():
             assert count_below(K, M, t) == int(np.count_nonzero(vals < t))
 
 
+def test_shift_is_csc_for_every_input():
+    # SuperLU takes the shift as it comes: CSC from a CSC pair on one
+    # pattern (on the data arrays, with index arrays of its own, which
+    # SuperLU may sort in place), from a CSR pair and from dense matrices
+    K, M = _string_pencil(50)
+    Kc, Mc = K.tocsc(), M.tocsc()
+    on_data = _shifted(Kc, Mc, 3.0)
+    assert np.array_equal(on_data.indptr, Kc.indptr)
+    assert np.array_equal(on_data.indices, Kc.indices)
+    assert not np.shares_memory(on_data.indptr, Kc.indptr)
+    assert not np.shares_memory(on_data.indices, Kc.indices)
+    want = K.toarray() - 3.0 * M.toarray()
+    for shift in (on_data, _shifted(K, M, 3.0), _shifted(K.toarray(), M.toarray(), 3.0)):
+        assert shift.format == "csc"
+        assert np.array_equal(shift.toarray(), want)
+
+
 def _assert_counts_match_dense(K, M, shifts):
     """At every shift t, count_below on the shared-pattern shift and on the
     sparse-difference fallback both equal the number of negative eigenvalues

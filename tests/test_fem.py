@@ -57,8 +57,27 @@ def test_p1_assembly_partition_properties():
     np.linalg.cholesky(M.toarray())
 
 
+def test_every_pencil_is_built_in_csc(monkeypatch):
+    # SuperLU takes CSC, so every pencil of the FEM route is built in it and
+    # factored as built
+    mesh = build_supercell_mesh(LadderParams(2.0, 0.4, 0.25), A, 4, 0.1)
+    K, M = assemble_p1(mesh)
+    assert K.format == M.format == "csc"
+    assert np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)
+    # symmetric, so the CSC arrays are the CSR ones, entry for entry
+    for X in (K, M):
+        R = X.tocsr()
+        assert np.array_equal(X.indptr, R.indptr) and np.array_equal(X.indices, R.indices)
+        assert X.data.tobytes() == R.data.tobytes()
+    assert [X.format for X in fem._supercell_pencil(mesh)[:2]] == ["csc", "csc"]
+    monkeypatch.setattr(fem, "DENSE_CUTOFF", 0)  # the Lanczos side's pencil
+    split = fem._BlochSplit(build_cell_mesh(LadderParams(2.0, 0.4), S, 0.1))
+    for theta in (0.0, 0.7):
+        assert [X.format for X in split.pencil(theta)] == ["csc", "csc"]
+
+
 def test_bloch_pencil_real_at_endpoints_complex_inside(monkeypatch):
-    # the CSR pencil of the Lanczos side, forced onto this small cell
+    # the CSC pencil of the Lanczos side, forced onto this small cell
     monkeypatch.setattr(fem, "DENSE_CUTOFF", 0)
     mesh = build_cell_mesh(LadderParams(2.0, 0.2), S, 0.05)
     split = fem._BlochSplit(mesh)

@@ -157,7 +157,7 @@ def _draw_order(L, n_rungs, sym_class, h, image=False):
     """The node ids of `_half_ladder` listed vertex by vertex, then rail edge
     by rail edge, then rung by rung from its vertex out: the numbering of
     `_edge_by_edge` when it lists the rail edges before the rungs."""
-    rails, rungs, _ = graph1d._chains(L, n_rungs, sym_class, h, image)
+    rails, rungs = graph1d._chains(L, n_rungs, sym_class, h, image)[:2]
     clamped = sym_class is not S
     return np.concatenate([
         np.arange(n_rungs + image),
