@@ -87,6 +87,10 @@ class Gap:
     gap_type: str
     sym_class: SymmetryClass
 
+    def __post_init__(self):
+        if not isinstance(self.sym_class, SymmetryClass):
+            object.__setattr__(self, "sym_class", SymmetryClass.parse(self.sym_class))
+
     @property
     def lambda_b(self):
         return self.omega_b**2

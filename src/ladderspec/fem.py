@@ -105,13 +105,11 @@ def assemble_p1(mesh: Mesh, dofs=None):
     del x, y, det  # b, c and area hold all the geometry the forms need
     # 32-bit dof ids, as the sparse matrices store them; -1 marks a dropped node
     if dofs is None:
-        n = mesh.n_nodes
-        idx = tris.astype(np.intc)
-    else:
-        n = len(dofs)
-        dof_of = np.full(mesh.n_nodes, -1, dtype=np.intc)
-        dof_of[dofs] = np.arange(n, dtype=np.intc)
-        idx = dof_of[tris]
+        dofs = np.arange(mesh.n_nodes)
+    n = len(dofs)
+    dof_of = np.full(mesh.n_nodes, -1, dtype=np.intc)
+    dof_of[dofs] = np.arange(n, dtype=np.intc)
+    idx = dof_of[tris]
     li, lj = np.nonzero(~np.eye(3, dtype=bool))  # the six off-diagonal pairs
     rows, cols = idx[:, li].ravel(), idx[:, lj].ravel()
     off = (rows >= 0) & (cols >= 0)

@@ -11,8 +11,9 @@ assembles both geometries:
   (`_even_sector`), folded at the defect rung's mirror line;
 * one open real cell (a vertex with its rung and the rail edge to its
   rung-less image), whose image vertex `_bloch_tie` ties to the first
-  vertex with a Bloch phase: a quasi-periodic cell, for band edges of the
-  unperturbed ladder.
+  vertex periodically and antiperiodically (Bloch phases 1 and -1): the
+  two cells whose eigenvalues are the band edges of the unperturbed
+  ladder.
 
 Both geometries are numbered along the comb (`_chains`): the rail
 vertices, then the rung nodes tip-first, then the rail edges' interiors, an
@@ -443,24 +444,30 @@ def _bloch_tie(A, theta):
     return out
 
 
-def oracle_band_edges(L, sym_class, n_bands, *, h=0.01, n_theta=61):
+def oracle_band_edges(L, sym_class, n_bands, *, h=0.01):
     """First n_bands Bloch bands of the unperturbed ladder, as (lo, hi) in omega.
 
-    Builds the open cell once, ties it at each theta in [0, pi] (the spectrum
-    is even in theta), solves the dense quasi-periodic cell pencil, and takes
-    the per-index envelope.  Flat bands come out with lo == hi up to
+    Band n is spanned by the n-th eigenvalues of the cell tied periodically
+    and antiperiodically (theta = 0 and pi), the only two pencils solved.
+    The tie changes only the row and column of vertex 0: the image folds
+    onto it, and h <= 0.1 keeps vertices 0 and 1 apart.  So take any lambda
+    that is not an eigenvalue of the cell clamped at vertex 0.  By Haynsworth
+    inertia additivity, the count of eigenvalues below lambda is the clamped
+    count, plus one when the scalar Schur complement onto vertex 0,
+    alpha(lambda) - 2 beta(lambda) cos(theta) with alpha and beta real, is
+    negative.  That count is monotone in cos(theta), so every lambda_n(theta)
+    is monotone on [0, pi] (the spectrum is even in theta) and takes its
+    extremes at the ends.  Flat bands come out with lo == hi up to
     discretisation error.
     """
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    per_theta = np.empty((n_theta, n_bands))
     K, M = _open_cell(L, SymmetryClass.parse(sym_class), h)
-    for i, th in enumerate(thetas):
-        per_theta[i] = scipy.linalg.eigh(
-            _bloch_tie(K, th),
-            _bloch_tie(M, th),
-            eigvals_only=True,
-            subset_by_index=(0, n_bands - 1),
+    ends = np.array([
+        scipy.linalg.eigh(
+            _bloch_tie(K, theta), _bloch_tie(M, theta),
+            eigvals_only=True, subset_by_index=(0, n_bands - 1),
         )
-    lo = np.sqrt(np.clip(per_theta.min(axis=0), 0.0, None))
-    hi = np.sqrt(per_theta.max(axis=0))
+        for theta in (0.0, math.pi)
+    ])
+    lo = np.sqrt(np.clip(ends.min(axis=0), 0.0, None))
+    hi = np.sqrt(ends.max(axis=0))
     return list(zip(lo, hi))

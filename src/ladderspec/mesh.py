@@ -14,7 +14,6 @@ the cell is the ladder with no side cells and unit weight on its rung.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -77,64 +76,44 @@ class Mesh:
     # -- text serialisation -------------------------------------------------
     def save(self, path, values=None):
         """Plain-text dump; values is an optional per-node array (may be complex)."""
-        buf = io.StringIO()
-        kind = 0
+        columns, kind = [self.nodes], 0
         if values is not None:
             values = np.asarray(values)
             if values.shape[0] != self.n_nodes:
                 raise ValueError("values length does not match node count")
             kind = 2 if np.iscomplexobj(values) else 1
-        buf.write("ladderspec-mesh 1\n")
-        buf.write(f"{self.n_nodes} {self.n_triangles} {kind}\n")
-        for i, (x, y) in enumerate(self.nodes):
-            line = f"{x:.17g} {y:.17g}"
-            if kind == 1:
-                line += f" {values[i]:.17g}"
-            elif kind == 2:
-                line += f" {values[i].real:.17g} {values[i].imag:.17g}"
-            buf.write(line + "\n")
-        for a, b, c in self.triangles:
-            buf.write(f"{a} {b} {c}\n")
-        for tag in ("left", "right", "axis"):
-            ids = " ".join(str(int(i)) for i in getattr(self, tag))
-            buf.write(f"{tag}: {ids}\n")
-        buf.write("meta: " + json.dumps(self.meta, sort_keys=True) + "\n")
+            columns += [values.real, values.imag] if kind == 2 else [values]
         with open(path, "w") as fh:
-            fh.write(buf.getvalue())
+            fh.write(f"ladderspec-mesh 1\n{self.n_nodes} {self.n_triangles} {kind}\n")
+            np.savetxt(fh, np.column_stack(columns), fmt="%.17g")
+            np.savetxt(fh, self.triangles, fmt="%d")
+            for tag in ("left", "right", "axis"):
+                ids = " ".join(str(int(i)) for i in getattr(self, tag))
+                fh.write(f"{tag}: {ids}\n")
+            fh.write("meta: " + json.dumps(self.meta, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path):
         """Inverse of save; returns (mesh, values-or-None)."""
         with open(path) as fh:
-            header = fh.readline().split()
-            if header[:1] != ["ladderspec-mesh"]:
-                raise ValueError(f"{path} is not a mesh file")
-            nn, nt, kind = map(int, fh.readline().split())
-            nodes = np.empty((nn, 2))
-            values = None
-            if kind == 1:
-                values = np.empty(nn)
-            elif kind == 2:
-                values = np.empty(nn, dtype=complex)
-            for i in range(nn):
-                parts = fh.readline().split()
-                nodes[i] = float(parts[0]), float(parts[1])
-                if kind == 1:
-                    values[i] = float(parts[2])
-                elif kind == 2:
-                    values[i] = float(parts[2]) + 1j * float(parts[3])
-            tris = np.empty((nt, 3), dtype=int)
-            for i in range(nt):
-                tris[i] = [int(t) for t in fh.readline().split()]
-            tags = {}
-            for _ in range(3):
-                name, _, rest = fh.readline().partition(":")
-                tags[name.strip()] = np.array(
-                    [int(t) for t in rest.split()], dtype=int
-                )
-            meta_line = fh.readline()
-            meta = json.loads(meta_line.partition(":")[2])
-        mesh = cls(nodes, tris, tags["left"], tags["right"], tags["axis"], meta)
+            lines = fh.readlines()
+        if not lines or lines[0].split()[:1] != ["ladderspec-mesh"]:
+            raise ValueError(f"{path} is not a mesh file")
+        nn, nt, kind = map(int, lines[1].split())
+        data = np.loadtxt(lines[2 : 2 + nn], ndmin=2)
+        tris = np.loadtxt(lines[2 + nn : 2 + nn + nt], dtype=int, ndmin=2)
+        values = None
+        if kind == 1:
+            values = data[:, 2].copy()
+        elif kind == 2:
+            values = np.empty(nn, dtype=complex)
+            values.real, values.imag = data[:, 2], data[:, 3]
+        tags = {}
+        for line in lines[2 + nn + nt : 5 + nn + nt]:
+            name, _, rest = line.partition(":")
+            tags[name.strip()] = np.array([int(t) for t in rest.split()], dtype=int)
+        meta = json.loads(lines[5 + nn + nt].partition(":")[2])
+        mesh = cls(data[:, :2].copy(), tris, tags["left"], tags["right"], tags["axis"], meta)
         return mesh, values
 
 

@@ -41,6 +41,10 @@ class GraphEigenvalue:
     gap: Gap
     multiplicity: int = 1
 
+    def __post_init__(self):
+        if not isinstance(self.sym_class, SymmetryClass):
+            object.__setattr__(self, "sym_class", SymmetryClass.parse(self.sym_class))
+
     @property
     def lam(self):
         return self.omega**2
@@ -231,6 +235,10 @@ class FlatBandSet:
     in_qc: bool
     witness: Fraction | None
     omegas: tuple
+
+    def __post_init__(self):
+        if not isinstance(self.sym_class, SymmetryClass):
+            object.__setattr__(self, "sym_class", SymmetryClass.parse(self.sym_class))
 
 
 def flat_bands(L, sym_class, omega_max):

@@ -48,7 +48,7 @@ SAMPLES = {
     "oracle_gap_eigenvalues": lambda cls: dict(
         L=2.0, mu=0.25, gap=_gap(cls), h=0.02, n_cells=6, check_convergence=False
     ),
-    "oracle_band_edges": lambda cls: dict(L=2.0, n_bands=2, h=0.05, n_theta=5),
+    "oracle_band_edges": lambda cls: dict(L=2.0, n_bands=2, h=0.05),
     "build_cell_mesh": lambda cls: dict(params=CELL, h=0.1),
     "build_supercell_mesh": lambda cls: dict(params=DEFECT, n_cells=4, h=0.1),
     "fem_bloch_bands": lambda cls: dict(params=CELL, nev=2, h=0.1),
@@ -134,3 +134,17 @@ def test_stored_classes_are_enum_members():
     assert ladderspec.flat_bands("2", "sym", 7.0).sym_class is S
     ev = ladderspec.discrete_eigenvalues(2.0, 0.25, "sym", gap)[0]
     assert ev.sym_class is S and ev.gap is gap
+
+
+@pytest.mark.parametrize("cls", [S, A])
+def test_dataclasses_built_with_a_string_store_the_enum(cls):
+    gap = _gap(cls)
+    ev = discrete_eigenvalues(2.0, 0.25, cls, gap)[0]
+    for obj in (gap, ev, ladderspec.flat_bands("2", cls, 7.0)):
+        by_text = dataclasses.replace(obj, sym_class=cls.value)
+        assert by_text.sym_class is cls
+        assert _same(by_text, obj)
+    # a string-built eigenvalue gives the enum-built eigenfunction, bit for bit
+    by_text = ladderspec.GraphEigenvalue(ev.omega, 0.25, cls.value, gap)
+    build = ladderspec.build_eigenfunction
+    assert _same(build(by_text, 2.0), build(ev, 2.0))

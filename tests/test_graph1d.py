@@ -236,7 +236,7 @@ def test_invalid_truncation_or_step_raises():
         with pytest.raises(ValueError, match="mesh step h"):
             _cell(2.0, S, 0.3, h)
         with pytest.raises(ValueError, match="mesh step h"):
-            oracle_band_edges(2.0, A, 2, h=h, n_theta=3)
+            oracle_band_edges(2.0, A, 2, h=h)
 
 
 def test_oracle_matches_closed_form_symmetric():
@@ -645,6 +645,42 @@ def test_antisymmetric_pi_cell_stays_away_from_zero():
     assert vals[0] > 1.0
 
 
+@settings(max_examples=20)
+@given(
+    L=st.floats(0.3, 6.0),
+    cls=st.sampled_from([S, A]),
+    h=st.sampled_from([1e-2, 2e-2, 5e-2]),
+    thetas=st.lists(
+        st.floats(0.0, math.pi, exclude_min=True, exclude_max=True), min_size=12, max_size=12
+    ),
+)
+def test_cell_bands_run_monotone_from_theta_0_to_pi(L, cls, h, thetas):
+    # why oracle_band_edges solves only the cells at theta = 0 and pi; a flat
+    # band (L = 2 antisym) agrees with its ends only to round-off
+    vals = np.array([
+        scipy.linalg.eigh(*_cell(L, cls, theta, h), eigvals_only=True, subset_by_index=(0, 3))
+        for theta in (0.0, *sorted(thetas), math.pi)
+    ])
+    tol = 1e-12 * np.abs(vals).max()
+    lo, hi = np.minimum(vals[0], vals[-1]), np.maximum(vals[0], vals[-1])
+    assert np.all(vals >= lo - tol) and np.all(vals <= hi + tol)
+    steps = np.diff(vals, axis=0) * np.sign(vals[-1] - vals[0])
+    assert steps.min() >= -tol
+
+
+def test_band_edges_solve_the_periodic_and_antiperiodic_cells_only(monkeypatch):
+    solved = []
+    eigh = scipy.linalg.eigh
+    monkeypatch.setattr(
+        scipy.linalg, "eigh", lambda K, M, **kw: solved.append((K, M)) or eigh(K, M, **kw)
+    )
+    edges = oracle_band_edges(2.0, S, 3, h=0.05)
+    assert len(solved) == 2
+    for pencil, theta in zip(solved, (0.0, math.pi)):
+        assert all(map(np.array_equal, pencil, _cell(2.0, S, theta, 0.05)))
+    assert len(edges) == 3
+
+
 def _merge_touching(bands, tol=1e-2):
     merged = [list(bands[0])]
     for lo, hi in bands[1:]:
@@ -658,7 +694,7 @@ def _merge_touching(bands, tol=1e-2):
 def test_envelope_bands_match_graph_bands():
     # per-index envelopes split graph bands where branches cross (omega = n*pi
     # for L = 2), so merge touching intervals before comparing
-    oracle = _merge_touching(oracle_band_edges(2.0, S, 5, h=5e-3, n_theta=41))
+    oracle = _merge_touching(oracle_band_edges(2.0, S, 5, h=5e-3))
     graph = essential_bands(2.0, S, 8.0)
     assert len(oracle) == len(graph) == 3
     for (lo, hi), band in zip(oracle, graph):
@@ -667,7 +703,7 @@ def test_envelope_bands_match_graph_bands():
 
 
 def test_envelope_reproduces_antisymmetric_flat_band():
-    oracle = oracle_band_edges(2.0, A, 4, h=5e-3, n_theta=41)
+    oracle = oracle_band_edges(2.0, A, 4, h=5e-3)
     graph = essential_bands(2.0, A, 7.0)
     assert len(oracle) == len(graph) == 4
     for (lo, hi), band in zip(oracle, graph):

@@ -184,3 +184,28 @@ def test_save_load_round_trip(tmp_path):
     (tmp_path / "junk.mesh").write_text("not a mesh\n")
     with pytest.raises(ValueError):
         Mesh.load(tmp_path / "junk.mesh")
+
+
+def test_save_writes_the_per_line_format_and_load_reads_every_bit(tmp_path):
+    # the reference is the per-line f-string format the file has always had
+    mesh = rectangle_mesh(1.0, 0.5, 3, 2)
+    edge = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, math.inf, -math.inf, 0.1]
+    rng = np.random.default_rng(8)
+    real = np.concatenate([edge, rng.standard_normal(mesh.n_nodes - len(edge))])
+    # set apart: 1j * inf would put a NaN in the real part
+    cplx = np.empty(real.size, dtype=complex)
+    cplx.real, cplx.imag = real, real[::-1]
+    for values, cols in ((real, lambda v: [v]), (cplx, lambda v: [v.real, v.imag])):
+        path = tmp_path / "values.mesh"
+        mesh.save(path, values=values)
+        lines = path.read_text().splitlines()
+        want = [
+            " ".join(f"{c:.17g}" for c in (*xy, *cols(v)))
+            for xy, v in zip(mesh.nodes, values)
+        ]
+        want += [" ".join(str(i) for i in tri) for tri in mesh.triangles]
+        assert lines[2 : 2 + mesh.n_nodes + mesh.n_triangles] == want
+        back, got = Mesh.load(path)
+        assert got.dtype == values.dtype
+        assert got.tobytes() == values.tobytes()
+        assert back.nodes.tobytes() == mesh.nodes.tobytes()
