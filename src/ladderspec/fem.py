@@ -28,6 +28,7 @@ from scipy.linalg import lapack
 
 from .eigen import (
     EigenResult,
+    _shifted,
     count_below,
     eig_dense,
     eig_sparse_shift_invert,
@@ -192,10 +193,13 @@ class _BlochSplit:
     that survives as a column, T1 holds only the right-boundary rows, tied
     to their left-boundary masters.  For A = K and A = M the reduced matrix
     T^H A T is therefore A0 + e^{-i theta} A1 + e^{i theta} A1^T with
-    A0 = T0^T A T0 + T1^T A T1 and A1 = T0^T A T1, formed once per mesh.
-    The columns come in comb order (`_comb_dofs`).  On the Lanczos side of
-    the cutoff the pencil is that sum, in those columns (`free`): CSC,
-    factored as built.
+    A0 = T0^T A T0 + T1^T A T1 and A1 = T0^T A T1, formed once per mesh
+    with no T: each entry of the assembled A is folded onto the columns of
+    its two nodes, a right-boundary node taking its master's, into A0 when
+    both nodes or neither are tied, into A1 when only the column's node is
+    (the row-tied rest is A1^T).  The columns come in comb order
+    (`_comb_dofs`).  On the Lanczos side of the cutoff the pencil is that
+    sum, in those columns (`free`): CSC, factored as built.
 
     On the dense side (`dense`: at most `DENSE_CUTOFF` columns, decided here
     and nowhere else) the pencil is reduced once per cell to a bordered
@@ -221,21 +225,31 @@ class _BlochSplit:
             raise ValueError("left/right boundary node counts differ")
         n = mesh.n_nodes
         keep = _comb_dofs(mesh, mesh.right)
-        col_of = -np.ones(n, dtype=int)
-        col_of[keep] = np.arange(keep.size)
+        # the column of every node: a right-boundary node takes its master's,
+        # a dropped node none (-1)
+        col_of = np.full(n, -1, dtype=np.intc)
+        col_of[keep] = np.arange(keep.size, dtype=np.intc)
         masters = col_of[mesh.left]
         if np.any(masters < 0):
             raise ValueError("a tying master node was eliminated")
-        shape = (n, keep.size)
-        # CSR tying maps: their transposes are CSC, as A is, so the products
-        # convert only the tying maps
-        T0 = sp.csr_matrix((np.ones(keep.size), (keep, col_of[keep])), shape=shape)
-        T1 = sp.csr_matrix((np.ones(masters.size), (mesh.right, masters)), shape=shape)
+        col_of[mesh.right] = masters
+        tied = np.zeros(n, dtype=bool)
+        tied[mesh.right] = True
+        shape = (keep.size, keep.size)
+
+        def fold(A):
+            # (A0, A1); entries with a dropped node are dropped with it
+            A = A.tocoo()
+            r, c = col_of[A.row], col_of[A.col]
+            live = (r >= 0) & (c >= 0)
+            t_r, t_c = tied[A.row], tied[A.col]
+            return tuple(
+                sp.csc_matrix((A.data[part], (r[part], c[part])), shape=shape)
+                for part in (live & (t_r == t_c), live & ~t_r & t_c)
+            )
+
         self.dense = keep.size <= DENSE_CUTOFF
-        (K0, K1), (M0, M1) = (
-            ((T0.T @ A @ T0 + T1.T @ A @ T1).tocsc(), (T0.T @ A @ T1).tocsc())
-            for A in assemble_p1(mesh)
-        )
+        (K0, K1), (M0, M1) = map(fold, assemble_p1(mesh))
         if self.dense:
             keep = keep[self._reduce(K0, K1, M0, M1)]
         else:
@@ -310,8 +324,12 @@ class _BorderedPencil:
     interlacing puts the i-th pencil eigenvalue (from 0) in
     [d_{i-m}, d_i].  `lowest` finds each wanted eigenvalue as the root of
     branch i - #{d_j < lam} of S, after the secular-equation solvers of
-    Bunch, Nielsen & Sorensen (Numer. Math. 31 (1978) 31-48); each S costs
-    one m x m Hermitian `eigh`, counted in `evals`.
+    Bunch, Nielsen & Sorensen (Numer. Math. 31 (1978) 31-48).  The count
+    against index i needs no more than that branch's eigenvalue: the pencil
+    has more than i eigenvalues below lam exactly when branch
+    b = i - #{d_j < lam} is below 0, or lies in 0..m-1 with eigenvalue b of
+    S(lam) negative.  Each S costs that one eigenpair (`_eigpair`), counted
+    in `evals`.
     """
 
     def __init__(self, d, Gq, K_q, M_q):
@@ -346,21 +364,24 @@ class _BorderedPencil:
         phase = np.asarray(phases, dtype=complex)[:, None, None]
         return _tied_at(phase, *self.K_q), _tied_at(phase, *self.M_q)
 
-    def _schur(self, x, K, M, branch):
+    def _schur(self, x, K, M, index):
         """S(x) = K - x M - Gq diag(w) Gq^T, w = 1/(d - x), at each point x
-        off the poles, with K and M its slices: the pencil's count below x,
-        and eigenvalue number `branch` of S (ascending) with its vector."""
+        off the poles, with K and M its slices, for the root of each `index`
+        i: whether the pencil has more than i eigenvalues below x, and
+        eigenvalue b = i - #{d_j < x} of S (ascending) with its vector, NaN
+        and zero where S has no branch b."""
         w = 1.0 / (self.d - x[:, None])
         S = K - x[:, None, None] * M
         S -= (w @ self.P).reshape(S.shape)
-        count = np.searchsorted(self.d, x)
-        f, v = np.empty(x.size), np.empty(S.shape[:2], dtype=S.dtype)
-        for r, (S_r, b) in enumerate(zip(S, branch)):
-            sig, z = _eigh(S_r)
-            count[r] += np.count_nonzero(sig < 0.0)
-            f[r], v[r] = sig[b], z[:, b]
-        self.evals += x.size
-        return count, f, v, w
+        branch = index - np.searchsorted(self.d, x)
+        above = branch < 0
+        f, v = np.full(x.size, np.nan), np.zeros(S.shape[:2], dtype=S.dtype)
+        on = np.flatnonzero(~above & (branch < S.shape[1]))
+        for r in on:
+            f[r], v[r] = _eigpair(S[r], branch[r])
+        above[on] = f[on] < 0.0
+        self.evals += on.size
+        return above, f, v, w
 
     def _admissible(self, y, lo, hi):
         """y where it lies strictly inside (lo, hi), else the bracket's
@@ -407,27 +428,25 @@ class _BorderedPencil:
         out = np.empty(lam.size)
         todo = np.arange(lam.size)
         for _ in range(_INTERFACE_MAX_STEPS):
-            x, t, i = lam[todo], at[todo], index[todo]
-            # the root sits on branch i - #{d_j < x} of S, if that exists
-            branch = i - np.searchsorted(d, x)
-            on = (branch >= 0) & (branch < m)
+            x, t = lam[todo], at[todo]
             M_t = M[t]
-            count, f, v, w = self._schur(x, K[t], M_t, np.clip(branch, 0, m - 1))
-            above = count > i
+            # the bracket moves by the sign of the root's branch of S alone
+            above, f, v, w = self._schur(x, K[t], M_t, index[todo])
             lo[todo] = np.where(above, lo[todo], x)
             hi[todo] = np.where(above, x, hi[todo])
             a, b = lo[todo], hi[todo]
             tol = np.maximum(INTERFACE_RTOL * np.abs(x), floor)
             done = b - a <= tol
             out[todo[done]] = 0.5 * (a[done] + b[done])
-            # Newton on that branch: S v = f v, -dS/dlam = M + Gq diag(w^2) Gq^T
+            # Newton on that branch, NaN off it: S v = f v,
+            # -dS/dlam = M + Gq diag(w^2) Gq^T
             w *= w
             slope = np.einsum("ni,nij,nj->n", v.conj(), M_t, v).real + np.einsum(
                 "ni,nij,nj->n", v.conj(), (w @ P).reshape(M_t.shape), v
             ).real
             step = f / slope
             y = x + step + np.copysign(0.25 * tol, step)
-            lam[todo] = self._admissible(np.where(on, y, np.nan), a, b)
+            lam[todo] = self._admissible(y, a, b)
             todo = todo[~done]
             if todo.size == 0:
                 rows = np.full((len(phases), nev), np.nan)
@@ -441,9 +460,14 @@ class _BorderedPencil:
 
 def _eigh(a, vectors=True):
     """(values ascending, vectors or None) of one dense Hermitian matrix, read
-    from its lower triangle, by scipy's LAPACK zheev.  On 10 x 10 matrices
-    its QR iteration takes about 16 us against 22 us for zheevr (one
-    OpenBLAS thread on a 2-core host).
+    from its lower triangle, by scipy's LAPACK zheev: the Rayleigh-Ritz
+    start's whitening and values.  A Schur evaluation needs one eigenpair
+    and takes it from `_eigpair`; per call on complex n x n matrices (one
+    OpenBLAS thread on a 2-core host, best of 5 x 20000 calls):
+        n     zheev, all pairs   zheevr, one pair
+        6           10 us             10 us
+        10          18 us             11 us
+        20          77 us             25 us
     numpy.linalg's batched eigh is no faster on such slices, and it would
     page in a second copy of LAPACK's eigensolver code: 1.5 MB more
     resident memory in a `fem bands` process."""
@@ -451,6 +475,16 @@ def _eigh(a, vectors=True):
     if info:
         raise np.linalg.LinAlgError(f"zheev failed with info={info}")
     return w, (z if vectors else None)
+
+
+def _eigpair(a, k):
+    """Eigenvalue number k (from 0, ascending) of one dense Hermitian
+    matrix, read from its lower triangle, and its unit vector, by scipy's
+    LAPACK zheevr restricted to that index (timings at `_eigh`)."""
+    w, z, _, _, info = lapack.zheevr(a, range="I", il=k + 1, iu=k + 1, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"zheevr failed with info={info}")
+    return w[0], z[:, 0]
 
 
 def _tied_at(phase, A0, A1, A1T):
@@ -801,7 +835,8 @@ def quasimode_detail(params: LadderParams, sym_class, graph_ev, h, *, n_cells=10
     vec = values[keep]
     lam = graph_ev.omega**2
     resid = K @ vec - lam * (M @ vec)
-    num_dual = math.sqrt(max(float(resid @ solve_once(K + M, resid)), 0.0))
+    h1 = _shifted(K, M, -1.0)  # K + M, on the pattern the two share
+    num_dual = math.sqrt(max(float(resid @ solve_once(h1, resid)), 0.0))
     num_mass = math.sqrt(max(float(resid @ solve_once(M, resid)), 0.0))
     den = math.sqrt(float(vec @ (K @ vec) + vec @ (M @ vec)))
     return {

@@ -232,11 +232,21 @@ def test_interface_lowest_values_match_the_dense_csr_pencil():
         split = fem._BlochSplit(mesh)
         assert split.dense
         grid = split.lowest(thetas, 12)  # every theta in one solve
+        floor = np.finfo(float).eps * np.abs(split.interface.d).max()
+
+        def width(lam):
+            # the bracket a root of `lowest` is certified to
+            return np.maximum(fem.INTERFACE_RTOL * np.abs(lam), floor)
+
         for row, theta in zip(grid, thetas):
             ref = _dense_lowest(mesh, theta, 12)
             assert np.abs(row - ref).max() <= 1e-12 * ref.max()
+            # the lowest two alone are the same roots of the same interface:
+            # each solve's bracket holds its root, so the two differ by at
+            # most both widths (the dense reference's own round-off moves
+            # with the BLAS thread count, to 1.2e-12 of ref[1])
             two = split.lowest([theta], 2)[0]
-            assert np.abs(two - ref[:2]).max() <= 1e-12 * ref[1]
+            assert np.all(np.abs(two - row[:2]) <= width(two) + width(row[:2]))
     # every eigenvalue of the 80-dof cell, the last ones above every pole
     mesh = build_cell_mesh(LadderParams(2.0, 0.4), S, 0.1)
     split = fem._BlochSplit(mesh)
@@ -270,33 +280,44 @@ def test_interface_solves_one_band_alone_for_the_refinement():
 
 
 @functools.cache
-def _count_cell(cls):
-    mesh = build_cell_mesh(LadderParams(2.0, 0.2), cls, 0.05)
+def _count_cell(cell):
+    L, cls, eps, h = cell
+    mesh = build_cell_mesh(LadderParams(L, eps), cls, h)
     return mesh, fem._BlochSplit(mesh)
 
 
-@settings(max_examples=40)
+@settings(max_examples=60, deadline=None)
 @given(
-    cls=st.sampled_from([S, A]),
+    cell=st.sampled_from(DENSE_CELLS),
     theta=st.floats(0.0, math.pi),
-    rank=st.floats(0.0, 30.0),
+    rank=st.floats(0.0, 1.0),
+    data=st.data(),
 )
-def test_interface_count_is_the_dense_pencil_count(cls, theta, rank):
-    # lam runs over the lowest 30 eigenvalues and between them, kept 1e-8
-    # relative away from every one
-    mesh, split = _count_cell(cls)
-    ref = _dense_lowest(mesh, theta, 32)
-    j = int(rank)
+def test_interface_count_is_the_dense_pencil_count(cell, theta, rank, data):
+    # lam runs over the whole spectrum and between its eigenvalues, kept
+    # 1e-8 relative away from every one and from every pole; the index i
+    # puts the root's branch of S below 0, on one of its m eigenvalues, or
+    # at or above m
+    mesh, split = _count_cell(cell)
+    interface = split.interface
+    d, m = interface.d, interface.Gq.shape[0]
+    ref = _dense_lowest(mesh, theta, split.free.size)
+    rank *= ref.size - 1
+    j = min(int(rank), ref.size - 2)
     lam = ref[j] + (rank - j) * (ref[j + 1] - ref[j])
-    assume(np.abs(lam - ref).min() >= 1e-8 * max(abs(lam), ref[1]))
-    assert _interface_count(split.interface, theta, lam) == np.count_nonzero(ref < lam)
+    scale = 1e-8 * max(abs(lam), ref[1])
+    assume(np.abs(lam - ref).min() >= scale and np.abs(lam - d).min() >= scale)
+    i = np.searchsorted(d, lam) + data.draw(st.integers(-3, m + 2), label="branch")
+    assume(0 <= i < ref.size)
+    assert _interface_above(interface, theta, lam, i) == (np.count_nonzero(ref < lam) > i)
 
 
-def _interface_count(interface, theta, lam):
-    """Number of eigenvalues below lam (not a pole) of the bordered pencil
-    at theta, by the inertia of its Schur complement alone."""
+def _interface_above(interface, theta, lam, i):
+    """Whether the bordered pencil at theta has more than i eigenvalues
+    below lam (not a pole), read as `lowest` reads its bracket: from the
+    sign of one eigenvalue of its Schur complement."""
     K, M = interface._blocks([fem._bloch_phase(theta)])
-    return int(interface._schur(np.array([float(lam)]), K, M, [0])[0][0])
+    return bool(interface._schur(np.array([float(lam)]), K, M, np.array([i]))[0][0])
 
 
 def _synthetic_bordered(d, Gq, K, M, K1):
@@ -378,10 +399,10 @@ def test_dense_bloch_sweep_diagonalises_once_per_cell(monkeypatch):
     # one cell on the dense side: one real generalized solve of the p-p
     # blocks per cell and none of the pencil per theta; each theta costs a
     # Rayleigh-Ritz start (an m x m whitening and a values-only solve of
-    # nev + 2m + 4 at most) and m x m Schur complements, counted in the
-    # diagnostics
-    cell, small = [], []
-    real_dense, real_small = fem.eig_dense, fem._eigh
+    # nev + 2m + 4 at most) and m x m Schur complements, each one eigenpair,
+    # counted in the diagnostics
+    cell, small, pairs = [], [], []
+    real_dense, real_small, real_pair = fem.eig_dense, fem._eigh, fem._eigpair
 
     def recording(K, M, **kw):
         cell.append((K.shape, K.dtype, M.shape, M.dtype))
@@ -391,8 +412,13 @@ def test_dense_bloch_sweep_diagonalises_once_per_cell(monkeypatch):
         small.append((a.shape[0], kw.get("vectors", True)))
         return real_small(a, **kw)
 
+    def recording_pair(a, k):
+        pairs.append(a.shape)
+        return real_pair(a, k)
+
     monkeypatch.setattr(fem, "eig_dense", recording)
     monkeypatch.setattr(fem, "_eigh", recording_small)
+    monkeypatch.setattr(fem, "_eigpair", recording_pair)
     rep = fem_bloch_bands(LadderParams(2.0, 0.2), S, 2, 0.05)
     assert rep.diagnostics["solver"] == "dense"
     assert rep.diagnostics["n_solves"] == 17
@@ -403,9 +429,9 @@ def test_dense_bloch_sweep_diagonalises_once_per_cell(monkeypatch):
     assert cell == [((n_p, n_p), np.float64, (n_p, n_p), np.float64)]
     ritz = [size for size, vectors in small if not vectors]
     assert len(ritz) == 17 and max(ritz) <= 2 + 2 * m + 4
-    schur = [size for size, vectors in small if vectors]
-    assert set(schur) == {m}
-    assert rep.diagnostics["n_schur_evals"] == len(schur) - 17 > 17 * 2
+    assert [size for size, vectors in small if vectors] == [m] * 17  # whitening
+    assert set(pairs) == {(m, m)}
+    assert rep.diagnostics["n_schur_evals"] == len(pairs) > 17 * 2
 
 
 def test_bloch_bands_reject_more_bands_than_the_solver_returns(monkeypatch):

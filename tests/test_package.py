@@ -2,7 +2,8 @@
 benchmark's tracer wraps resolves, the command-line front end imports no
 numeric library before it runs a command, the graph commands load numpy only,
 the FEM route loads scipy.optimize only for an interior band extreme, every
-SuperLU factorisation keeps the pencil's own column order, every ARPACK call
+SuperLU factorisation keeps the pencil's own column order, every small
+Hermitian eigensolve of `fem` runs in its two helpers, every ARPACK call
 fixes its tolerance and start vector and runs on its caller's LU and Krylov
 size, the three routes import nothing of
 each other but the oracle's inertia count, the tests' Bloch reference
@@ -12,6 +13,7 @@ it."""
 
 import ast
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +109,28 @@ def test_every_splu_call_names_its_ordering():
         for p, node in calls
     }
     assert {where: o for where, o in orderings.items() if o != ["NATURAL"]} == {}
+
+
+def test_every_small_eigensolve_of_fem_runs_in_its_helpers():
+    # the dense Bloch side's Rayleigh-Ritz and Schur solves go through
+    # `fem._eigh` and `fem._eigpair`, where the tests count them: no LAPACK
+    # Hermitian eigensolver may be called anywhere else in fem.py
+    tree = ast.parse(Path(fem.__file__).read_text())
+    callers = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+            if re.fullmatch(r"[sdcz](sy|he)ev\w*", name):
+                callers.append((name, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    assert sorted(callers) == [("zheev", "_eigh"), ("zheevr", "_eigpair")]
 
 
 def test_every_eigsh_call_fixes_tol_and_start():
