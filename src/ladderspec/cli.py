@@ -257,12 +257,14 @@ GRAPH_COLUMNS = ["omega", "lambda", "kind", "gap_type", "class", "mu"]
 
 
 def _fem_gap_window(v, eps, h, index):
-    """FEM gaps of the unperturbed eps-ladder and the lambda window of gap index.
+    """FEM gaps of the unperturbed eps-ladder, the lambda window of gap index
+    and the solver of the Bloch sweep of --nev and --ntheta.
 
-    The gaps come from the Bloch sweep of --nev and --ntheta and are numbered as
-    `bands.gaps` numbers the graph gaps: the antisymmetric gap 1 is (0, bottom
-    of band 1).  index is 1-based; the window is the gap shrunk by 1e-6 of its
-    lambda width at both ends, so it never grazes a band edge.
+    The gaps ascend, the antisymmetric gap 1 being (0, bottom of band 1).
+    Only gap 1 is known to be the graph's gap 1: at L = 4 sym, eps 0.05, FEM
+    gap 3 is (3.172, 3.195) and graph gap 3 (3.837, 4.263).  index is
+    1-based; the window is the gap shrunk by 1e-6 of its lambda width at both
+    ends, so it never grazes a band edge.
     """
     from .fem import fem_bloch_bands
 
@@ -280,7 +282,7 @@ def _fem_gap_window(v, eps, h, index):
         )
     lam_b, lam_t = gaps[index - 1]["omega_b"] ** 2, gaps[index - 1]["omega_t"] ** 2
     pad = 1e-6 * (lam_t - lam_b)
-    return gaps, (lam_b + pad, lam_t - pad)
+    return gaps, (lam_b + pad, lam_t - pad), bloch.diagnostics["solver"]
 
 
 # -- graph commands ---------------------------------------------------------
@@ -391,6 +393,8 @@ def cmd_fem_bands(v, config):
         LadderParams(v["L"].value, v["eps"], 1.0), v["class"], v["nev"], v["h"],
         n_theta=v["ntheta"], seed=v["seed"],
     )
+    if report.diagnostics["solver"] == "dense":
+        del config["seed"]  # only a Lanczos solve draws a start vector
     report.config = config
     _write(report, v["out"], "theta_eigenvalues")
     for i, (lo, hi) in enumerate(report.bands, 1):
@@ -404,7 +408,7 @@ def cmd_fem_localized(v, config):
 
     window, fem_gaps = v["window"], []
     if window is None:
-        fem_gaps, window = _fem_gap_window(v, v["eps"], v["h"], v["gap"])
+        fem_gaps, window, _ = _fem_gap_window(v, v["eps"], v["h"], v["gap"])
     report = localized_modes(
         LadderParams(v["L"].value, v["eps"], v["mu"]),
         v["class"],
@@ -475,11 +479,14 @@ def cmd_study_band_edges(v, config):
     """First-gap FEM edges against the graph edges over eps."""
     ref = _first_gap(v)
     gb, gt = ref.omega_b, ref.omega_t
-    rows = []
+    rows, solvers = [], set()
     for eps, h in _eps_descending(v):
-        fem_gaps, _ = _fem_gap_window(v, eps, h, 1)
+        fem_gaps, _, solver = _fem_gap_window(v, eps, h, 1)
+        solvers.add(solver)
         fb, ft = fem_gaps[0]["omega_b"], fem_gaps[0]["omega_t"]
         rows.append((eps, h, fb, ft, gb, gt, max(abs(fb - gb), abs(ft - gt))))
+    if solvers == {"dense"}:
+        del config["seed"]
     slope = _loglog_slope(rows, -1)
     lo, hi = v["slope_min"], v["slope_max"]
     columns = ["eps", "h", "omega_b_fem", "omega_t_fem", "omega_b_graph",
@@ -495,7 +502,7 @@ def cmd_study_eigenvalues(v, config):
     lam_ref = _graph_eigenvalue(v, "in the first gap").lam
     rows = []
     for eps, h in _eps_descending(v):
-        _, window = _fem_gap_window(v, eps, h, 1)
+        _, window, _ = _fem_gap_window(v, eps, h, 1)
         loc = localized_modes(
             LadderParams(v["L"].value, eps, v["mu"]), v["class"], window, v["cells"], h,
             seed=v["seed"],

@@ -340,23 +340,27 @@ class _BorderedPencil:
         self.evals = 0
 
     def _ritz_start(self, K, M, nev):
-        """Rayleigh-Ritz values on the lowest nev + m + 4 modes and the
+        """Rayleigh-Ritz values on the lowest k = nev + m + 4 modes and the
         interface, the dropped modes folded into the q-q block to first
-        order at lam = 0: g g^T / (d - lam) ~ g g^T / d + lam g g^T / d^2."""
+        order at lam = 0: g g^T / (d - lam) ~ g g^T / d + lam g g^T / d^2,
+        so K - fold and M + fold_slope; one LAPACK zhegv per phase."""
         m, k = K.shape[1], min(nev + K.shape[1] + 4, self.d.size)
         d, P = self.d[k:], self.P[k:]
         fold = ((1.0 / d) @ P).reshape(m, m)
         fold_slope = ((1.0 / d**2) @ P).reshape(m, m)
-        C = np.zeros((k + m, k + m), dtype=complex)
-        C[np.arange(k), np.arange(k)] = self.d[:k]
+        # zhegv reads the lower triangles only: the upper right blocks stay zero
+        A = np.zeros((k + m, k + m), dtype=complex)
+        A[np.arange(k), np.arange(k)] = self.d[:k]
+        A[k:, :k] = self.Gq[:, :k]
+        B = np.eye(k + m, dtype=complex)
         start = np.empty((K.shape[0], nev))
         for t, (K_t, M_t) in enumerate(zip(K, M)):
-            mu, U = _eigh(M_t + fold_slope)
-            W = U / np.sqrt(mu)  # W^H (M + fold_slope) W = I
-            # _eigh reads the lower triangle only: C's upper right stays zero
-            C[k:, :k] = W.conj().T @ self.Gq[:, :k]
-            C[k:, k:] = W.conj().T @ (K_t - fold) @ W
-            start[t] = _eigh(C, vectors=False)[0][:nev]
+            A[k:, k:] = K_t - fold
+            B[k:, k:] = M_t + fold_slope
+            w, _, info = lapack.zhegv(A, B, itype=1, jobz="N", uplo="L")
+            if info:
+                raise np.linalg.LinAlgError(f"zhegv failed with info={info}")
+            start[t] = w[:nev]
         return start
 
     def _blocks(self, phases):
@@ -458,29 +462,11 @@ class _BorderedPencil:
         )
 
 
-def _eigh(a, vectors=True):
-    """(values ascending, vectors or None) of one dense Hermitian matrix, read
-    from its lower triangle, by scipy's LAPACK zheev: the Rayleigh-Ritz
-    start's whitening and values.  A Schur evaluation needs one eigenpair
-    and takes it from `_eigpair`; per call on complex n x n matrices (one
-    OpenBLAS thread on a 2-core host, best of 5 x 20000 calls):
-        n     zheev, all pairs   zheevr, one pair
-        6           10 us             10 us
-        10          18 us             11 us
-        20          77 us             25 us
-    numpy.linalg's batched eigh is no faster on such slices, and it would
-    page in a second copy of LAPACK's eigensolver code: 1.5 MB more
-    resident memory in a `fem bands` process."""
-    w, z, info = lapack.zheev(a, compute_v=vectors, lower=1)
-    if info:
-        raise np.linalg.LinAlgError(f"zheev failed with info={info}")
-    return w, (z if vectors else None)
-
-
 def _eigpair(a, k):
     """Eigenvalue number k (from 0, ascending) of one dense Hermitian
     matrix, read from its lower triangle, and its unit vector, by scipy's
-    LAPACK zheevr restricted to that index (timings at `_eigh`)."""
+    LAPACK zheevr restricted to that index: 25 us at n = 20, zheev's every
+    pair 77 us (one OpenBLAS thread, 2-core host, best of 5 x 20000)."""
     w, z, _, _, info = lapack.zheevr(a, range="I", il=k + 1, iu=k + 1, lower=1)
     if info:
         raise np.linalg.LinAlgError(f"zheevr failed with info={info}")
@@ -492,18 +478,6 @@ def _tied_at(phase, A0, A1, A1T):
     # a stack of them: A0 is symmetric and the bracket Hermitian entry by
     # entry, so the sum is exactly Hermitian
     return A0 + (phase * A1 + np.conj(phase) * A1T)
-
-
-def _supercell_pencil(mesh):
-    """Real supercell (K, M) and the mesh node ids kept as dofs, in order.
-
-    The dofs come in comb order, the axis nodes dropped for the
-    antisymmetric class (`_comb_dofs`).  K and M are CSC and share the one
-    pattern they are assembled with.
-    """
-    keep = _comb_dofs(mesh)
-    K, M = assemble_p1(mesh, keep)
-    return K, M, keep
 
 
 def _lowest_eigs(Kr, Mr, nev, *, seed=0, draw_order=None):
@@ -543,7 +517,10 @@ def fem_bloch_bands(params: LadderParams, sym_class, nev, h, *, n_theta=17, seed
     the extreme: a band can rise from its theta = 0 value to a maximum
     inside the first grid step, and the reported edge is then the grid
     value, with the gap too wide by that rise (L = 1, eps = 0.3 symmetric,
-    h = 0.075: 5.6e-9 relative on its fifth gap).  Bands and gaps are
+    h = 0.075: 5.6e-9 relative on its fifth gap).  Symmetric band 0 is set
+    to 0 at theta = 0, where the constant spans the stiffness kernel (each
+    P1 stiffness row sums to 0); a solve gives round-off there, whose square
+    root (~1e-6) moves with the BLAS thread count.  Bands and gaps are
     reported in omega = sqrt(lambda); the per-theta eigenvalue grid is kept
     as a table.  Raises ValueError, before any solve, when nev exceeds the
     eigenvalues the cell's solver returns (n_dofs dense, n_dofs - 2
@@ -562,6 +539,8 @@ def fem_bloch_bands(params: LadderParams, sym_class, nev, h, *, n_theta=17, seed
         )
     thetas = np.linspace(0.0, math.pi, n_theta)
     grid = split.lowest(thetas, nev, seed=seed)
+    if sym_class is SymmetryClass.SYMMETRIC:
+        grid[0, 0] = 0.0
     n_solves = thetas.size
 
     def lam_at(theta, band):
@@ -696,13 +675,17 @@ def localized_modes(
     returns a different in-window count raises.
     Each in-window eigenpair gets a per-cell mass profile, a fitted geometric
     decay rate r_hat, and the share of mass in the central three cells.
+    On 10 cells the fit stops improving as eps falls once |r| >= 0.77: the
+    mode reaches the cut (0.8452^10 = 0.19; L = 2 antisymmetric, mu = 0.5,
+    gap 2: relative error 2.7e-2 at eps = 0.1, 4.9e-2 at 0.025).
     """
     sym_class = SymmetryClass.parse(sym_class)
     lam_lo, lam_hi = float(window[0]), float(window[1])
     if not lam_lo < lam_hi:
         raise ValueError("empty window")
     mesh = build_supercell_mesh(params, sym_class, n_cells, h)
-    K, M, keep = _supercell_pencil(mesh)
+    keep = _comb_dofs(mesh)
+    K, M = assemble_p1(mesh, keep)
     n = K.shape[0]
     # K is an assembled P1 stiffness, positive semi-definite: nothing lies
     # below a lower end lam_lo <= 0, so that end needs no factorisation
@@ -831,7 +814,8 @@ def quasimode_detail(params: LadderParams, sym_class, graph_ev, h, *, n_cells=10
     ef = build_eigenfunction(graph_ev, params.L)
     mesh = build_supercell_mesh(params, sym_class, n_cells, h)
     values = _interpolate_pseudo_mode(mesh, ef, params)
-    K, M, keep = _supercell_pencil(mesh)
+    keep = _comb_dofs(mesh)
+    K, M = assemble_p1(mesh, keep)
     vec = values[keep]
     lam = graph_ev.omega**2
     resid = K @ vec - lam * (M @ vec)

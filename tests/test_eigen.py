@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from ladderspec import eigen, fem, graph1d
 from ladderspec.bands import first_n_gaps
 from ladderspec.eigen import _shifted, count_below, eig_dense, eig_sparse_shift_invert
-from ladderspec.fem import DENSE_CUTOFF, _supercell_pencil
+from ladderspec.fem import DENSE_CUTOFF, _comb_dofs, assemble_p1
 from ladderspec.graph1d import EDGE_MARGIN, truncated_half_ladder
 from ladderspec.mesh import build_cell_mesh, build_supercell_mesh
 from ladderspec.params import LadderParams, SymmetryClass
@@ -330,7 +330,7 @@ def test_count_below_matches_dense_inertia_on_supercell_pencil():
     lo, hi = (GAP_EPS02[0] * (1 + 1e-3)) ** 2, (GAP_EPS02[1] * (1 - 1e-3)) ** 2
     for cls in (SymmetryClass.SYMMETRIC, SymmetryClass.ANTISYMMETRIC):
         mesh = build_supercell_mesh(LadderParams(2.0, 0.2, mu=0.25), cls, 4, 0.05)
-        K, M, _ = _supercell_pencil(mesh)
+        K, M = assemble_p1(mesh, _comb_dofs(mesh))
         A = _shifted(K, M, lo)
         assert A.format == K.format and np.array_equal(A.indices, K.indices)
         _assert_counts_match_dense(K, M, [lo, hi, 6.0])
@@ -371,7 +371,7 @@ def _comb_pencils():
     lo = (GAP_EPS02[0] * (1 + 1e-3)) ** 2
     for cls in SymmetryClass:
         mesh = build_supercell_mesh(LadderParams(2.0, 0.1, mu=0.25), cls, 10, 0.025)
-        yield (f"supercell {cls.value}", *_supercell_pencil(mesh)[:2], lo)
+        yield (f"supercell {cls.value}", *assemble_p1(mesh, _comb_dofs(mesh)), lo)
     # the gate-6 cell: its periodic rail closes into a ring, which natural
     # order sweeps with the tied column in tow (1.08 of minimum degree's fill
     # here, up to 1.17 on the L = 1/2 cells)

@@ -7,6 +7,10 @@ in the convergence studies (graph edges, decay rates, residual exponents).
 
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,7 +73,7 @@ def test_every_pencil_is_built_in_csc(monkeypatch):
         R = X.tocsr()
         assert np.array_equal(X.indptr, R.indptr) and np.array_equal(X.indices, R.indices)
         assert X.data.tobytes() == R.data.tobytes()
-    assert [X.format for X in fem._supercell_pencil(mesh)[:2]] == ["csc", "csc"]
+    assert [X.format for X in assemble_p1(mesh, fem._comb_dofs(mesh))] == ["csc", "csc"]
     monkeypatch.setattr(fem, "DENSE_CUTOFF", 0)  # the Lanczos side's pencil
     split = fem._BlochSplit(build_cell_mesh(LadderParams(2.0, 0.4), S, 0.1))
     for theta in (0.0, 0.7):
@@ -163,7 +167,9 @@ def _synthetic_bands(monkeypatch, lam):
     """Run fem_bloch_bands on the synthetic lambda(theta) -> lam(theta) array.
 
     The split's solver is replaced by lam itself, so it records which thetas
-    it is asked for; returns the report and solved thetas.
+    it is asked for; returns the report and solved thetas.  The cell is
+    antisymmetric: on a symmetric one the sweep sets band 0 at theta = 0 to
+    the 0 of the constant mode, whatever lam gives.
     """
     solved = []
 
@@ -172,7 +178,7 @@ def _synthetic_bands(monkeypatch, lam):
         return np.array([lam(t) for t in thetas], dtype=float)
 
     monkeypatch.setattr(fem._BlochSplit, "lowest", lowest)
-    rep = fem_bloch_bands(LadderParams(2.0, 0.4), S, 2, 0.1)
+    rep = fem_bloch_bands(LadderParams(2.0, 0.4), A, 2, 0.1)
     return rep, solved
 
 
@@ -398,26 +404,26 @@ def test_dense_split_rejects_indefinite_mass(monkeypatch):
 def test_dense_bloch_sweep_diagonalises_once_per_cell(monkeypatch):
     # one cell on the dense side: one real generalized solve of the p-p
     # blocks per cell and none of the pencil per theta; each theta costs a
-    # Rayleigh-Ritz start (an m x m whitening and a values-only solve of
-    # nev + 2m + 4 at most) and m x m Schur complements, each one eigenpair,
-    # counted in the diagnostics
-    cell, small, pairs = [], [], []
-    real_dense, real_small, real_pair = fem.eig_dense, fem._eigh, fem._eigpair
+    # Rayleigh-Ritz start (one values-only generalized solve of a
+    # (k + m) x (k + m) pair, k = min(nev + m + 4, n_p)) and m x m Schur
+    # complements, each one eigenpair, counted in the diagnostics
+    cell, ritz, pairs = [], [], []
+    real_dense, real_gv, real_pair = fem.eig_dense, fem.lapack.zhegv, fem._eigpair
 
     def recording(K, M, **kw):
         cell.append((K.shape, K.dtype, M.shape, M.dtype))
         return real_dense(K, M, **kw)
 
-    def recording_small(a, **kw):
-        small.append((a.shape[0], kw.get("vectors", True)))
-        return real_small(a, **kw)
+    def recording_gv(a, b, **kw):
+        ritz.append((a.shape, b.shape, kw.get("jobz")))
+        return real_gv(a, b, **kw)
 
     def recording_pair(a, k):
         pairs.append(a.shape)
         return real_pair(a, k)
 
     monkeypatch.setattr(fem, "eig_dense", recording)
-    monkeypatch.setattr(fem, "_eigh", recording_small)
+    monkeypatch.setattr(fem.lapack, "zhegv", recording_gv)
     monkeypatch.setattr(fem, "_eigpair", recording_pair)
     rep = fem_bloch_bands(LadderParams(2.0, 0.2), S, 2, 0.05)
     assert rep.diagnostics["solver"] == "dense"
@@ -427,11 +433,74 @@ def test_dense_bloch_sweep_diagonalises_once_per_cell(monkeypatch):
     m = n - n_p
     assert 0 < m <= 10
     assert cell == [((n_p, n_p), np.float64, (n_p, n_p), np.float64)]
-    ritz = [size for size, vectors in small if not vectors]
-    assert len(ritz) == 17 and max(ritz) <= 2 + 2 * m + 4
-    assert [size for size, vectors in small if vectors] == [m] * 17  # whitening
+    k = min(2 + m + 4, n_p)
+    assert ritz == [((k + m, k + m), (k + m, k + m), "N")] * 17
     assert set(pairs) == {(m, m)}
     assert rep.diagnostics["n_schur_evals"] == len(pairs) > 17 * 2
+
+
+def _whitened_ritz_start(interface, K, M, nev):
+    """The Rayleigh-Ritz start taken by hand: whiten the interface mass
+    M + fold_slope by its eigenvectors, W = U / sqrt(mu), then solve the
+    standard Hermitian eigenproblem of the whitened pencil at each phase."""
+    d, Gq = interface.d, interface.Gq
+    m, k = Gq.shape[0], min(nev + Gq.shape[0] + 4, d.size)
+    g = Gq[:, k:]
+    fold = (g / d[k:]) @ g.T
+    fold_slope = (g / d[k:] ** 2) @ g.T
+    start = np.empty((K.shape[0], nev))
+    for t, (K_t, M_t) in enumerate(zip(K, M)):
+        mu, U = np.linalg.eigh(M_t + fold_slope)
+        W = U / np.sqrt(mu)
+        C = np.zeros((k + m, k + m), dtype=complex)
+        C[np.arange(k), np.arange(k)] = d[:k]
+        C[k:, :k] = W.conj().T @ Gq[:, :k]
+        C[:k, k:] = C[k:, :k].conj().T
+        C[k:, k:] = W.conj().T @ (K_t - fold) @ W
+        start[t] = np.linalg.eigvalsh(C)[:nev]
+    return start
+
+
+def test_ritz_start_matches_the_whitened_reference():
+    thetas = (0.0, 0.7, 2.3, math.pi)
+    for cell in DENSE_CELLS:
+        interface = _count_cell(cell)[1].interface
+        K, M = interface._blocks([fem._bloch_phase(t) for t in thetas])
+        for nev in (2, 12):
+            got = interface._ritz_start(K, M, nev)
+            ref = _whitened_ritz_start(interface, K, M, nev)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+_BAND_0 = """
+import sys
+sys.path.insert(0, {src!r})
+from ladderspec import fem
+from ladderspec.params import LadderParams
+for L, eps, h, cutoff in ((0.5, 0.1, 0.025, fem.DENSE_CUTOFF), (2.0, 0.2, 0.05, 0)):
+    fem.DENSE_CUTOFF = cutoff  # 0 sends the second cell to the Lanczos side
+    rep = fem.fem_bloch_bands(LadderParams(L, eps), "sym", 3, h)
+    theta, band, lam, _ = rep.tables["theta_eigenvalues"]["rows"][0]
+    print(rep.diagnostics["solver"], rep.bands[0][0], theta, band, lam)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_symmetric_band_0_starts_at_exactly_0(threads):
+    # the constant spans the kernel of the tied symmetric stiffness at
+    # theta = 0; a solve gives it as round-off that moves with the BLAS
+    # thread count, which must be set before numpy loads
+    src = str(Path(fem.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _BAND_0.format(src=src)],
+        env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        capture_output=True, text=True, check=True,
+    )
+    rows = [line.split() for line in out.stdout.splitlines()]
+    assert [r[0] for r in rows] == ["dense", "lanczos"]
+    for _, omega, theta, band, lam in rows:
+        assert float(omega) == 0.0
+        assert (float(theta), int(band), float(lam)) == (0.0, 0, 0.0)
 
 
 def test_bloch_bands_reject_more_bands_than_the_solver_returns(monkeypatch):
@@ -558,7 +627,8 @@ def _localized_residual_bound(params, sym_class, window, n_cells, h):
     node i) and ||z||_M^2 >= min_i (sum_{T at i} |T|/12) ||z||_2^2.
     """
     mesh = build_supercell_mesh(params, sym_class, n_cells, h)
-    K, M, keep = fem._supercell_pencil(mesh)
+    keep = fem._comb_dofs(mesh)
+    K, M = assemble_p1(mesh, keep)
     sigma = 0.5 * (window[0] + window[1])
     node_area = np.bincount(
         mesh.triangles.ravel(), weights=np.repeat(mesh.areas(), 3), minlength=mesh.n_nodes
@@ -681,7 +751,8 @@ def test_antisymmetric_supercell_pencil_is_the_reduction_bit_for_bit():
     # comb order: the same entries as E^T A E with E the kept columns of the
     # identity in keep order, and one pattern shared by K and M
     mesh = build_supercell_mesh(LadderParams(2.0, 0.2, mu=0.25), A, 4, 0.05)
-    K, M, keep = fem._supercell_pencil(mesh)
+    keep = fem._comb_dofs(mesh)
+    K, M = assemble_p1(mesh, keep)
     assert np.array_equal(np.sort(keep), np.setdiff1d(np.arange(mesh.n_nodes), mesh.axis))
     E = sp.identity(mesh.n_nodes, format="csr")[:, keep]
     for got, full in zip((K, M), assemble_p1(mesh)):

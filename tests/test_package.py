@@ -113,8 +113,9 @@ def test_every_splu_call_names_its_ordering():
 
 def test_every_small_eigensolve_of_fem_runs_in_its_helpers():
     # the dense Bloch side's Rayleigh-Ritz and Schur solves go through
-    # `fem._eigh` and `fem._eigpair`, where the tests count them: no LAPACK
-    # Hermitian eigensolver may be called anywhere else in fem.py
+    # `_BorderedPencil._ritz_start` and `fem._eigpair`, where the tests count
+    # them: no LAPACK Hermitian eigensolver, standard or generalized, may be
+    # called anywhere else in fem.py
     tree = ast.parse(Path(fem.__file__).read_text())
     callers = []
 
@@ -124,13 +125,13 @@ def test_every_small_eigensolve_of_fem_runs_in_its_helpers():
         if isinstance(node, ast.Call):
             f = node.func
             name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
-            if re.fullmatch(r"[sdcz](sy|he)ev\w*", name):
+            if re.fullmatch(r"[sdcz](sy|he)(ev|gv)\w*", name):
                 callers.append((name, func))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
     visit(tree, None)
-    assert sorted(callers) == [("zheev", "_eigh"), ("zheevr", "_eigpair")]
+    assert sorted(callers) == [("zheevr", "_eigpair"), ("zhegv", "_ritz_start")]
 
 
 def test_every_eigsh_call_fixes_tol_and_start():
