@@ -64,7 +64,6 @@ _EXPORTS = {
         "assemble_p1",
         "fem_bloch_bands",
         "localized_modes",
-        "per_cell_mass",
         "quasimode_detail",
         "neumann_rectangle_eigs",
     ],

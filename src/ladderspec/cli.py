@@ -406,9 +406,9 @@ def cmd_fem_localized(v, config):
     """Trapped modes of a defective supercell in a lambda window."""
     from .fem import localized_modes
 
-    window, fem_gaps = v["window"], []
+    window, fem_gaps, sweep = v["window"], [], None
     if window is None:
-        fem_gaps, window, _ = _fem_gap_window(v, v["eps"], v["h"], v["gap"])
+        fem_gaps, window, sweep = _fem_gap_window(v, v["eps"], v["h"], v["gap"])
     report = localized_modes(
         LadderParams(v["L"].value, v["eps"], v["mu"]),
         v["class"],
@@ -418,6 +418,8 @@ def cmd_fem_localized(v, config):
         seed=v["seed"],
         dump_prefix=(v["out"] + "_mode") if v["dump_modes"] else None,
     )
+    if sweep != "lanczos" and report.diagnostics["inertia_count"] == 0:
+        del config["seed"]  # no Lanczos solve drew a start vector
     report.config = config
     report.diagnostics["fem_gaps"] = fem_gaps
     if v["window"] is None:

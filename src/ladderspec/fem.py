@@ -92,18 +92,14 @@ def assemble_p1(mesh: Mesh, dofs=None):
     built.  K and M share one pattern, and being symmetric each has the
     arrays of its CSR form, entry for entry.
     """
-    pts, tris = mesh.nodes, mesh.triangles
-    x = pts[tris, 0]  # (m, 3)
-    y = pts[tris, 1]
+    tris = mesh.triangles
+    area = mesh.areas()
+    if np.any(area <= 0):
+        raise ValueError("mesh contains non-positively oriented triangles")
+    x, y = mesh.nodes[:, 0][tris], mesh.nodes[:, 1][tris]  # (m, 3)
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    det = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (
-        y[:, 1] - y[:, 0]
-    )
-    if np.any(det <= 0):
-        raise ValueError("mesh contains non-positively oriented triangles")
-    area = 0.5 * det
-    del x, y, det  # b, c and area hold all the geometry the forms need
+    del x, y  # b, c and area hold all the geometry the forms need
     # 32-bit dof ids, as the sparse matrices store them; -1 marks a dropped node
     if dofs is None:
         dofs = np.arange(mesh.n_nodes)
@@ -608,34 +604,22 @@ def fem_bloch_bands(params: LadderParams, sym_class, nev, h, *, n_theta=17, seed
     return report
 
 
-def _tri_mass_integrals(tris, areas, values):
-    """Per-triangle integral of |u_h|^2 for nodal values (possibly complex)."""
-    v = values[tris]
-    sq = np.abs(v) ** 2
-    cross = (
-        v[:, 0] * v[:, 1].conj() + v[:, 0] * v[:, 2].conj() + v[:, 1] * v[:, 2].conj()
-    ).real
-    return areas / 12.0 * (2.0 * sq.sum(axis=1) + 2.0 * cross)
+def _cell_masses(mesh, areas, values, n_cells):
+    """L^2 mass of each real nodal field, the columns of values, per unit
+    cell j = -n_cells..n_cells: one row per field, column j + n_cells.
 
-
-def _triangle_cells(mesh, n_cells):
-    """Triangle areas, and the index j + n_cells of the unit cell j that holds
-    each triangle: what every per-cell mass profile on the mesh shares."""
-    cx = mesh.nodes[mesh.triangles, 0].mean(axis=1)
-    return mesh.areas(), np.clip(np.rint(cx).astype(int), -n_cells, n_cells) + n_cells
-
-
-def _cell_mass(mesh, areas, cell, values, n_cells):
+    A triangle belongs to the cell that holds its centroid; each bin adds
+    its triangles' integrals in triangle order."""
+    n_bins = 2 * n_cells + 1
+    cx = mesh.nodes[:, 0][mesh.triangles].mean(axis=1)
+    cell = np.clip(np.rint(cx).astype(int), -n_cells, n_cells) + n_cells
+    # the values at each triangle corner, one row per field
+    a, b, c = (values.T[:, corner] for corner in mesh.triangles.T)
+    mass = areas / 12.0 * (2.0 * (a * a + b * b + c * c) + 2.0 * (a * b + a * c + b * c))
+    bins = np.arange(values.shape[1])[:, None] * n_bins + cell
     return np.bincount(
-        cell,
-        weights=_tri_mass_integrals(mesh.triangles, areas, values),
-        minlength=2 * n_cells + 1,
-    )
-
-
-def per_cell_mass(mesh, values, n_cells):
-    """L^2 mass of a nodal field per unit cell j = -n_cells..n_cells."""
-    return _cell_mass(mesh, *_triangle_cells(mesh, n_cells), values, n_cells)
+        bins.ravel(), weights=mass.ravel(), minlength=bins.shape[0] * n_bins
+    ).reshape(-1, n_bins)
 
 
 def _fit_decay(profile, n_cells):
@@ -673,8 +657,9 @@ def localized_modes(
     solve at the window centre then asks for exactly that many pairs, which
     are the ones inside, so nothing inside can be missed.  A solve that
     returns a different in-window count raises.
-    Each in-window eigenpair gets a per-cell mass profile, a fitted geometric
-    decay rate r_hat, and the share of mass in the central three cells.
+    Each in-window eigenpair gets a per-cell mass profile of its eigenvector,
+    real as the pencil is, a fitted geometric decay rate r_hat, and the
+    share of mass in the central three cells.
     On 10 cells the fit stops improving as eps falls once |r| >= 0.77: the
     mode reaches the cut (0.8452^10 = 0.19; L = 2 antisymmetric, mu = 0.5,
     gap 2: relative error 2.7e-2 at eps = 0.1, 4.9e-2 at 0.025).
@@ -703,7 +688,7 @@ def localized_modes(
                 f"inertia counts {count} eigenvalue(s) in the window but the "
                 f"Lanczos solve found {res.values.size} (converged={res.converged})"
             )
-    areas, cell = _triangle_cells(mesh, n_cells)
+    areas = mesh.areas()
     report = SpectralReport(
         kind="localized_modes",
         config={
@@ -724,12 +709,12 @@ def localized_modes(
     )
     mode_rows = []
     profile_rows = []
-    for rank, lam in enumerate(res.values.tolist()):
-        full = np.zeros(mesh.n_nodes, dtype=res.vectors.dtype)
-        full[keep] = res.vectors[:, rank]
+    full = np.zeros((mesh.n_nodes, count))
+    full[keep] = res.vectors
+    profiles = _cell_masses(mesh, areas, full, n_cells)
+    for rank, (lam, prof) in enumerate(zip(res.values.tolist(), profiles)):
         if dump_prefix is not None:
-            mesh.save(f"{dump_prefix}{rank}.mesh", values=np.real(full))
-        prof = _cell_mass(mesh, areas, cell, full, n_cells)
+            mesh.save(f"{dump_prefix}{rank}.mesh", values=full[:, rank])
         total = prof.sum()
         r_hat, n_fit = _fit_decay(prof, n_cells)
         centre = prof[n_cells - 1 : n_cells + 2].sum() / total if total > 0 else 0.0
@@ -773,21 +758,17 @@ def _interpolate_pseudo_mode(mesh, ef, params):
     n_cells = mesh.meta["n_cells"]
     x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
     out = np.empty(mesh.n_nodes)
-    in_col = np.zeros(mesh.n_nodes, dtype=bool)
-    y_top = -0.5 * L + eps
-    t_scale = 1.0 - 2.0 * eps / L
     tol = 1e-12
     # lower-rail vertex value relative to u_j
     sign = 1.0 if ef.ev.sym_class is SymmetryClass.SYMMETRIC else -1.0
-    for j in range(-n_cells, n_cells + 1):
-        wj = mu if j == 0 else 1.0
-        col = np.abs(x - j) <= 0.5 * wj * eps + tol
-        junc = col & (y <= y_top + tol)
-        rung = col & ~junc
-        out[junc] = sign * ef.vertex_value(j)
-        out[rung] = ef.vertical_trace(j, y[rung] / t_scale)
-        in_col |= col
-    strip = ~in_col
+    # the only column that can hold a node is that of its nearest rung
+    j = np.clip(np.rint(x), -n_cells, n_cells).astype(int)
+    col = np.abs(x - j) <= 0.5 * np.where(j == 0, mu, 1.0) * eps + tol
+    junc = col & (y <= -0.5 * L + eps + tol)
+    rung = col & ~junc
+    out[junc] = sign * ef.vertex_value(j[junc])
+    out[rung] = ef.vertical_trace(j[rung], y[rung] / (1.0 - 2.0 * eps / L))
+    strip = ~col
     xs = x[strip]
     jf = np.floor(xs).astype(int)
     wl = np.where(jf == 0, mu, 1.0)

@@ -440,15 +440,23 @@ def test_each_command_takes_and_records_only_the_flags_it_reads(case, capsys):
 
 _BANDS_KEYS = {"eps", "h", "nev", "ntheta"}
 _BAND_EDGES_KEYS = {"tol", "eps", "h", "nev", "ntheta", "slope_min", "slope_max"}
+_LOCALIZED_KEYS = {"eps", "mu", "h", "cells", "dump_modes"}
+_EMPTY_WINDOW = ("fem", "localized", "--L", "2", "--eps", "0.2", "--mu", "0.25", "--cells", "6")
 #: argv -> config keys the run records besides command, L, L_value and class:
 #: a sweep records seed only when one of its cells (L = 2, h = eps/4) went to
 #: the Lanczos side, above 500 dofs (eps 0.05: 780 dofs; 0.4, 0.3, 0.2: 80 to
-#: 180 dofs)
+#: 180 dofs); `fem localized` records it when its window holds a mode (the
+#: window (2.1, 5) holds two, (2.1, 2.2) and the defect-free gap 1 none) or
+#: its --gap sweep went to the Lanczos side
 RECORDED_SEED = {
     ("fem", "bands", "--eps", "0.2"): _BANDS_KEYS,
     ("fem", "bands", "--eps", "0.05"): _BANDS_KEYS | {"seed"},
     ("study", "band-edges", "--eps", "0.4,0.3,0.2"): _BAND_EDGES_KEYS,
     ("study", "band-edges", "--eps", "0.4,0.3,0.05"): _BAND_EDGES_KEYS | {"seed"},
+    (*_EMPTY_WINDOW, "--window", "2.1,2.2"): _LOCALIZED_KEYS | {"window"},
+    (*_EMPTY_WINDOW, "--window", "2.1,5"): _LOCALIZED_KEYS | {"window", "seed"},
+    ("fem", "localized", "--eps", "0.2", "--mu", "1"):
+        _LOCALIZED_KEYS | {"gap", "nev", "ntheta"},
 }
 
 

@@ -326,10 +326,11 @@ def _assert_counts_match_dense(K, M, shifts):
 def test_count_below_matches_dense_inertia_on_supercell_pencil():
     # the supercell K and M share one pattern, so count_below shifts their
     # data; shifts at both ends of the symmetric gate-7-style window (inside
-    # the first antisymmetric band) and at 6.0, inside a band of both classes
+    # the first antisymmetric band) and at 6.0, inside a band of both classes,
+    # on the coarsest mesh the builder allows (h = eps/3, about 1k dofs)
     lo, hi = (GAP_EPS02[0] * (1 + 1e-3)) ** 2, (GAP_EPS02[1] * (1 - 1e-3)) ** 2
     for cls in (SymmetryClass.SYMMETRIC, SymmetryClass.ANTISYMMETRIC):
-        mesh = build_supercell_mesh(LadderParams(2.0, 0.2, mu=0.25), cls, 4, 0.05)
+        mesh = build_supercell_mesh(LadderParams(2.0, 0.2, mu=0.25), cls, 4, 0.2 / 3)
         K, M = assemble_p1(mesh, _comb_dofs(mesh))
         A = _shifted(K, M, lo)
         assert A.format == K.format and np.array_equal(A.indices, K.indices)
@@ -341,7 +342,9 @@ def test_count_below_matches_dense_inertia_on_oracle_pencil():
         gap = first_n_gaps(2.0, cls, 1)[0]
         pad = EDGE_MARGIN * gap.width
         ends = [(gap.omega_b + pad) ** 2, (gap.omega_t - pad) ** 2]
-        K, M, _ = truncated_half_ladder(2.0, 0.25, cls, 5, h=1e-2)
+        # h = 2e-2, about 1k dofs: the shifts count 10, 12 and 16 (sym) and
+        # 0, 1 and 2 (antisym) eigenvalues below them
+        K, M, _ = truncated_half_ladder(2.0, 0.25, cls, 5, h=2e-2)
         _assert_counts_match_dense(K, M, ends + [1.3 * ends[1]])
 
 

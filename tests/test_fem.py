@@ -5,6 +5,7 @@ solver; the independent cross-checks against the limit-graph machinery live
 in the convergence studies (graph edges, decay rates, residual exponents).
 """
 
+import dataclasses
 import functools
 import math
 import os
@@ -28,11 +29,10 @@ from ladderspec.fem import (
     fem_bloch_bands,
     localized_modes,
     neumann_rectangle_eigs,
-    per_cell_mass,
     quasimode_detail,
 )
 from ladderspec.mesh import build_cell_mesh, build_supercell_mesh, rectangle_mesh
-from ladderspec.modes import discrete_eigenvalues
+from ladderspec.modes import build_eigenfunction, discrete_eigenvalues
 from ladderspec.params import LadderParams, SymmetryClass
 
 S = SymmetryClass.SYMMETRIC
@@ -59,6 +59,14 @@ def test_p1_assembly_partition_properties():
     assert np.abs(K @ np.ones(mesh.n_nodes)).max() < 1e-12
     assert abs(M.sum() - 1.5 * 0.7) < 1e-12
     np.linalg.cholesky(M.toarray())
+
+
+def test_assembly_rejects_a_clockwise_triangle():
+    mesh = rectangle_mesh(1.5, 0.7, 6, 4)
+    tris = mesh.triangles.copy()
+    tris[5] = tris[5, ::-1]
+    with pytest.raises(ValueError, match="mesh contains non-positively oriented triangles"):
+        assemble_p1(dataclasses.replace(mesh, triangles=tris))
 
 
 def test_every_pencil_is_built_in_csc(monkeypatch):
@@ -766,17 +774,65 @@ def test_per_cell_mass_totals_match_mass_matrix():
     mesh = build_supercell_mesh(p, S, 4, 0.05)
     _, M = assemble_p1(mesh)
     rng = np.random.default_rng(12)
-    vals = rng.standard_normal(mesh.n_nodes)
-    prof = per_cell_mass(mesh, vals, 4)
-    # the triangle integrals added cell by cell in mesh order, as np.add.at does
-    areas, cell = fem._triangle_cells(mesh, 4)
-    ref = np.zeros(9)
-    np.add.at(ref, cell, fem._tri_mass_integrals(mesh.triangles, areas, vals))
-    assert prof.tobytes() == ref.tobytes()
-    assert prof.shape == (9,)
-    assert np.all(prof >= 0.0)
-    total = float(vals @ (M @ vals))
-    assert abs(prof.sum() - total) < 1e-12 * total
+    vals = rng.standard_normal((mesh.n_nodes, 3))
+    areas = mesh.areas()
+    prof = fem._cell_masses(mesh, areas, vals, 4)
+    assert prof.shape == (3, 9)
+    # per field, the triangle integrals of u^2 added cell by cell in mesh
+    # order, as np.add.at does
+    cell = np.clip(np.rint(mesh.nodes[mesh.triangles, 0].mean(axis=1)), -4, 4).astype(int) + 4
+    for u, row in zip(vals.T, prof):
+        v = u[mesh.triangles]
+        cross = v[:, 0] * v[:, 1] + v[:, 0] * v[:, 2] + v[:, 1] * v[:, 2]
+        ref = np.zeros(9)
+        np.add.at(ref, cell, areas / 12.0 * (2.0 * (v * v).sum(axis=1) + 2.0 * cross))
+        assert row.tobytes() == ref.tobytes()
+        assert np.all(row >= 0.0)
+        total = float(u @ (M @ u))
+        assert abs(row.sum() - total) < 1e-12 * total
+
+
+def _interpolate_pseudo_mode_reference(mesh, ef, params):
+    """`fem._interpolate_pseudo_mode` column by column: each rung's column
+    |x - j| <= w_j eps/2 split into its junction square and its rung, the
+    rest strip."""
+    L, eps, mu = params.L, params.eps, params.mu
+    n_cells = mesh.meta["n_cells"]
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    out = np.empty(mesh.n_nodes)
+    in_col = np.zeros(mesh.n_nodes, dtype=bool)
+    y_top = -0.5 * L + eps
+    t_scale = 1.0 - 2.0 * eps / L
+    tol = 1e-12
+    sign = 1.0 if ef.ev.sym_class is S else -1.0
+    for j in range(-n_cells, n_cells + 1):
+        wj = mu if j == 0 else 1.0
+        col = np.abs(x - j) <= 0.5 * wj * eps + tol
+        junc = col & (y <= y_top + tol)
+        rung = col & ~junc
+        out[junc] = sign * ef.vertex_value(j)
+        out[rung] = ef.vertical_trace(j, y[rung] / t_scale)
+        in_col |= col
+    strip = ~in_col
+    xs = x[strip]
+    jf = np.floor(xs).astype(int)
+    wl = np.where(jf == 0, mu, 1.0)
+    wr = np.where(jf + 1 == 0, mu, 1.0)
+    s = (xs - jf - wl * eps / 2.0) / (1.0 - (wl + wr) * eps / 2.0)
+    out[strip] = sign * ef.horizontal_trace(jf, s)
+    return out
+
+
+@pytest.mark.parametrize("cls", [S, A])
+@pytest.mark.parametrize("mu", [0.25, 0.75])
+def test_pseudo_mode_interpolation_matches_the_column_loop(cls, mu):
+    ev = discrete_eigenvalues(2.0, mu, cls, first_n_gaps(2.0, cls, 1)[0])[0]
+    ef = build_eigenfunction(ev, 2.0)
+    for eps in (0.2, 0.05):
+        p = LadderParams(2.0, eps, mu)
+        mesh = build_supercell_mesh(p, cls, 6, eps / 4)
+        got = fem._interpolate_pseudo_mode(mesh, ef, p)
+        assert got.tobytes() == _interpolate_pseudo_mode_reference(mesh, ef, p).tobytes()
 
 
 def test_quasimode_ratios_frozen_and_monotone():
