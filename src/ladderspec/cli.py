@@ -112,15 +112,16 @@ def _float_list(flag, raw):
 
 
 def _numbers(ok, what, *, at_least=None):
-    """Rule for one number, or for a comma list of at least at_least, each passing ok."""
+    """Rule for one number, or for a comma list of at least at_least distinct
+    values, each passing ok."""
 
     def rule(flag, raw, resolved):
         vals = _float_list(flag, raw)
         if at_least is None:
             _need(len(vals) == 1, flag, f"this command takes one value, got {raw!r}")
         else:
-            _need(len(vals) >= at_least, flag,
-                  f"need at least {at_least} values, got {raw!r}")
+            _need(len(set(vals)) >= at_least, flag,
+                  f"need at least {at_least} distinct values, got {raw!r}")
         for x in vals:
             _need(ok(x, resolved), flag, f"{x} {what}")
         return vals if at_least else vals[0]
@@ -180,7 +181,7 @@ _GRAPH_SEED = Flag("--seed", lambda *_: _UNUSED, type=int, help=argparse.SUPPRES
 _EPS = Flag("--eps", _numbers(_in_eps_range, "outside (0, min(1, L/2))"),
             required=True, help="rung thickness")
 _EPS_LIST = Flag("--eps", _numbers(_in_eps_range, "outside (0, min(1, L/2))", at_least=3),
-                 required=True, help="comma list of at least 3 rung thicknesses")
+                 required=True, help="comma list of at least 3 distinct rung thicknesses")
 _MU = Flag("--mu", _numbers(_is_positive_finite, "is not positive and finite"), default="1.0",
            help="defect width factor")
 _MU_LIST = Flag("--mu", _numbers(_is_positive_finite, "is not positive and finite", at_least=1),
@@ -238,9 +239,6 @@ def _resolve(args):
 def _write(report, out, table):
     """Write the table to <out>.csv, then the report to <out>.json; a graph
     command's table goes to the CSV only (see GRAPH_TABLE)."""
-    parent = os.path.dirname(out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     report.write_table_csv(table, out + ".csv")
     if table == GRAPH_TABLE:
         del report.tables[table]
@@ -608,6 +606,8 @@ def main(argv=None):
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
+        # before the run: a command may write into it (fem localized --dump-modes)
+        os.makedirs(os.path.dirname(values["out"]) or ".", exist_ok=True)
         return COMMANDS[args.group][args.action][0](values, config)
     except Exception as exc:  # numerical failure path: report and signal 3
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

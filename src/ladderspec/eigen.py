@@ -5,10 +5,12 @@ Two routes with one result type:
 * `eig_dense` — LAPACK via scipy for moderate sizes: every eigenpair;
 * `eig_sparse_shift_invert` — a self-contained shift-invert Lanczos with full
   reorthogonalisation in the M-inner product (DGKS), for large sparse pencils
-  where only eigenvalues near a target are wanted.
+  where only the k eigenvalues nearest a target are wanted.
 
 `count_below` is not a solver: it counts the eigenvalues below a shift from
-the inertia of K - sigma*M, which sizes a windowed solve exactly.
+the inertia of K - sigma*M, which sizes a windowed solve exactly.  The
+solver knows no window; a caller that sets k from two counts checks the
+values it gets back against its own window.
 
 Every sparse pencil of the package comes numbered along its comb, each
 route by its own builder (`fem._comb_order`, `graph1d._chains`): the rung
@@ -68,7 +70,9 @@ class EigenResult:
     residuals: np.ndarray | None  # ||K x - lam M x||_2 per pair; None if dense
     iterations: int = 0
     converged: bool = True
-    n_outside_window: int = 0  # converged pairs discarded by the window filter
+    # always 0: the solver filters nothing; kept because perfbench/tracing.py
+    # adds it to the pair count of a solve
+    n_outside_window: int = 0
     message: str = ""
 
 
@@ -149,25 +153,15 @@ def count_below(K, M, sigma):
     return int(np.count_nonzero(lu.U.diagonal().real < 0.0))
 
 
-def _pair_residuals(K, M, vals, vecs):
-    if vals.size == 0:
-        return np.zeros(0)
-    R = K @ vecs - (M @ vecs) * vals[np.newaxis, :]
-    return np.linalg.norm(R, axis=0)
-
-
-def eig_sparse_shift_invert(
-    K, M, sigma, k, *, window=None, tol=1e-10, seed=0, draw_order=None
-):
+def eig_sparse_shift_invert(K, M, sigma, k, *, tol=1e-10, seed=0, draw_order=None):
     """k eigenpairs of K x = lam M x nearest sigma, by Lanczos on (K-sigma*M)^-1 M.
 
     Factors K - sigma*M once with SuperLU, whose RuntimeError a singular
-    pencil raises, and runs Lanczos once.  A run that ends, at an invariant
-    subspace or after its step limit, before k Ritz pairs converge returns
-    the pairs it has with converged=False and a message.  With
-    window=(lo, hi), converged eigenvalues outside the window are dropped and
-    counted in n_outside_window.  A caller that sets k from `count_below` at
-    both window ends expects that count to be zero.
+    pencil raises, and runs Lanczos once.  The pairs come back ascending by
+    eigenvalue.  A run that ends, at an invariant subspace or after its step
+    limit, before k Ritz pairs converge returns the pairs it has with
+    converged=False and a message.  Nothing is filtered: a caller that wants
+    the eigenvalues of a window checks them itself.
 
     The start vector is one standard normal draw per dof from `seed`, real
     and imaginary parts drawn in turn for a complex pencil.  draw_order[i]
@@ -182,18 +176,13 @@ def eig_sparse_shift_invert(
     vals, vecs, iters, ok, msg = _lanczos_si(K, M, lu, sigma, k, tol, seed, draw_order)
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
-    n_out = 0
-    if window is not None:
-        lo, hi = window
-        inside = (vals >= lo) & (vals <= hi)
-        n_out = int(np.count_nonzero(~inside))
-        vals, vecs = vals[inside], vecs[:, inside]
-    res = _pair_residuals(K, M, vals, vecs)
-    return EigenResult(vals, vecs, res, iters, ok, n_out, msg)
+    res = np.linalg.norm(K @ vecs - (M @ vecs) * vals[np.newaxis, :], axis=0)
+    return EigenResult(vals, vecs, res, iters, ok, message=msg)
 
 
 def _lanczos_si(K, M, lu, sigma, k, tol, seed, draw_order):
-    """Core Lanczos loop; returns the (at most k) Ritz pairs nearest sigma.
+    """Core Lanczos loop; returns the (at most k) Ritz pairs nearest sigma,
+    with the step count and the (converged, message) of the stop.
 
     The M-orthonormal basis is the columns of one preallocated array V.  A
     step costs one LU solve and, when its Gram-Schmidt pass against V keeps
@@ -217,7 +206,6 @@ def _lanczos_si(K, M, lu, sigma, k, tol, seed, draw_order):
     V[:, 0] = v / nrm
     Mv /= nrm
     alphas, betas = [], []
-    theta = s = None
     for step in range(1, max_steps + 1):
         w = lu.solve(Mv)
         a = np.vdot(Mv, w)
@@ -232,7 +220,8 @@ def _lanczos_si(K, M, lu, sigma, k, tol, seed, draw_order):
         idx = np.argsort(-np.abs(theta))[: min(k, theta.size)]
         bounds = b * np.abs(s[-1, idx])
         if idx.size == k and np.all(bounds <= tol * np.maximum(np.abs(theta[idx]), 1e-300)):
-            return _ritz_to_pairs(V, theta, s, idx, sigma, step, True, "")
+            ok, msg = True, ""
+            break
         if b <= 1e-14 * max(1.0, abs(a)):
             # invariant subspace: its Ritz pairs are exact, but may be fewer than k
             ok = idx.size == k
@@ -240,21 +229,16 @@ def _lanczos_si(K, M, lu, sigma, k, tol, seed, draw_order):
                 "breakdown after convergence" if ok
                 else f"breakdown after {step} steps with {idx.size} of {k} pairs"
             )
-            return _ritz_to_pairs(V, theta, s, idx, sigma, step, ok, msg)
+            break
         betas.append(b)
         V[:, step] = w / b
         Mv = Mw / b
-    idx = np.argsort(-np.abs(theta))[: min(k, theta.size)]
-    return _ritz_to_pairs(
-        V,
-        theta,
-        s,
-        idx,
-        sigma,
-        max_steps,
-        False,
-        f"no convergence in {max_steps} steps",
-    )
+    else:
+        ok, msg = False, f"no convergence in {max_steps} steps"
+    vecs = V[:, :step] @ s[:, idx]
+    with np.errstate(divide="ignore"):
+        lams = sigma + 1.0 / theta[idx]
+    return lams, vecs, step, ok, msg
 
 
 def _orthogonalise(V, M, w):
@@ -280,10 +264,3 @@ def _orthogonalise(V, M, w):
         if b > _DGKS_ETA * before:
             break
     return w, Mw, b
-
-
-def _ritz_to_pairs(V, theta, s, idx, sigma, iters, ok, msg):
-    vecs = V[:, : s.shape[0]] @ s[:, idx]
-    with np.errstate(divide="ignore"):
-        lams = sigma + 1.0 / theta[idx]
-    return lams, vecs, iters, ok, msg

@@ -244,6 +244,20 @@ def test_fem_localized_window_modes_and_dump(tmp_path):
     assert rows == []
 
 
+def test_fem_localized_dumps_into_an_out_directory_it_creates(tmp_path):
+    # the --out directory exists before the solve writes its mode files
+    out = tmp_path / "new" / "loc"
+    code = main(
+        ["fem", "localized", "--L", "2", "--eps", "0.1", "--mu", "0.25",
+         "--window", "0.01,8", "--dump-modes", "--out", str(out)]
+    )
+    assert code == 0
+    for suffix in (".csv", ".json", "_mode0.mesh"):
+        assert (out.parent / f"loc{suffix}").is_file(), suffix
+    _, rows = csv_rows(out)
+    assert len(list(out.parent.glob("loc_mode*.mesh"))) == len(rows)
+
+
 def test_fem_localized_gap_stores_its_window(tmp_path):
     argv = ["fem", "localized", "--L", "2", "--eps", "0.2", "--mu", "0.25", "--cells", "6"]
     code, _ = run_cli(tmp_path, *argv)
@@ -347,6 +361,9 @@ def test_config_errors_name_the_flag(tmp_path, capsys):
         (["graph", "eigs", "--mu", "inf"], "--mu"),
         (["fem", "localized", "--eps", "0.2", "--window", "1,inf"], "--window"),
         (["fem", "localized", "--eps", "0.2", "--window=-inf,1"], "--window"),
+        # a repeated value adds no point to a study's slope fit
+        (["study", "band-edges", "--eps", "0.2,0.2,0.2", "--nev", "2"], "--eps"),
+        (["study", "quasimode", "--eps", "0.2,0.1,0.2"], "--eps"),
     ]:
         code, _ = run_cli(tmp_path, *argv)
         assert code == 2, argv

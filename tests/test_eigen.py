@@ -414,15 +414,30 @@ def test_count_below_refuses_off_diagonal_pivots():
         count_below(K, sp.identity(2, format="csr"), 0.0)
 
 
-def test_window_filter_counts_discards():
-    K, M = _string_pencil(300)
-    dense = eig_dense(K, M).values
-    sigma = 0.5 * (dense[3] + dense[4])
-    window = (dense[3] - 1e-6, dense[5] + 1e-6)
-    res = eig_sparse_shift_invert(K, M, sigma, 7, window=window)
-    assert res.values.size == 3
-    assert res.n_outside_window == 4
-    assert np.allclose(res.values, dense[3:6], rtol=1e-9, atol=1e-9)
+@pytest.mark.parametrize("outside", [False, True], ids=["inside", "outside"])
+def test_localized_modes_checks_its_window(monkeypatch, outside):
+    # the solver filters nothing: localized_modes counts the returned values
+    # inside its window itself, and one of the counted values moved out of
+    # the window must raise; a solve left as it is passes unchanged
+    params, cls = LadderParams(2.0, 0.2, mu=0.25), SymmetryClass.SYMMETRIC
+    window = ((GAP_EPS02[0] * 1.001) ** 2, (GAP_EPS02[1] * 0.999) ** 2)
+    expected = fem.localized_modes(params, cls, window, 6, 0.05)
+    real = fem.eig_sparse_shift_invert
+
+    def solve(*args, **kwargs):
+        res = real(*args, **kwargs)
+        assert res.values.size == 2 and res.n_outside_window == 0
+        if outside:
+            res.values[-1] = window[1] + 0.5
+        return res
+
+    monkeypatch.setattr(fem, "eig_sparse_shift_invert", solve)
+    if outside:
+        with pytest.raises(RuntimeError, match="inertia counts 2 .* found 1"):
+            fem.localized_modes(params, cls, window, 6, 0.05)
+    else:
+        got = fem.localized_modes(params, cls, window, 6, 0.05)
+        assert got.tables == expected.tables
 
 
 def test_shift_invert_k_out_of_range():
@@ -441,6 +456,17 @@ def test_shift_invert_breakdown_returns_the_pairs_it_has():
     assert not res.converged
     assert "breakdown" in res.message
     assert np.allclose(res.values, [1.0])
+
+
+def test_shift_invert_step_limit_returns_unconverged():
+    # sigma far below a spread-out spectrum: every Ritz value of the inverted
+    # operator is tiny and clustered, and 100 steps do not converge one pair
+    K = sp.diags(np.arange(1.0, 2001.0), format="csr")
+    res = eig_sparse_shift_invert(K, sp.identity(2000, format="csr"), -1e6, 1)
+    assert not res.converged
+    assert res.iterations == 100
+    assert res.message == "no convergence in 100 steps"
+    assert res.values.size == 1
 
 
 def test_shift_invert_singular_pencil_raises():
