@@ -112,16 +112,16 @@ def _float_list(flag, raw):
 
 
 def _numbers(ok, what, *, at_least=None):
-    """Rule for one number, or for a comma list of at least at_least distinct
-    values, each passing ok."""
+    """Rule for one number, or for a comma list of at least at_least values,
+    none repeated, each passing ok."""
 
     def rule(flag, raw, resolved):
         vals = _float_list(flag, raw)
         if at_least is None:
             _need(len(vals) == 1, flag, f"this command takes one value, got {raw!r}")
         else:
-            _need(len(set(vals)) >= at_least, flag,
-                  f"need at least {at_least} distinct values, got {raw!r}")
+            _need(len(set(vals)) == len(vals) >= at_least, flag,
+                  f"need {at_least} or more values, none repeated, got {raw!r}")
         for x in vals:
             _need(ok(x, resolved), flag, f"{x} {what}")
         return vals if at_least else vals[0]

@@ -217,7 +217,8 @@ class OracleResult:
     """Defect eigenvalues found by the truncated-graph solve.
 
     n_cells, n_dofs and inertia_count describe the run that produced the
-    eigenvalues (the wider one once the convergence check adopts it).
+    eigenvalues (the wider one once the convergence check adopts it);
+    converged is True only when that check ran and the two runs agreed.
     n_dofs is the size of the even mirror sector's pencil, about half the
     truncated ladder's; inertia_count is that pencil's Sylvester inertia
     count of eigenvalues in the search window, and equals lams.size.
@@ -402,7 +403,7 @@ def oracle_gap_eigenvalues(
         L, mu, sym_class, lam_lo, lam_hi, n_cells, h
     )
     history = [(n_cells, lams)]
-    converged = not check_convergence
+    converged = False
     if check_convergence:
         lams2, bounds2, ndof2, count2 = _gap_eigs_once(
             L, mu, sym_class, lam_lo, lam_hi, n_cells + 8, h

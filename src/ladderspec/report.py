@@ -11,7 +11,8 @@ stores each number once.
 JSON comes from json's C encoder, which writes `np.float64` by
 `float.__repr__`; its `default` hook maps an ndarray to `.tolist()`, any other
 numpy scalar (np.int64, np.bool_, ...) to `.item()` and a complex value to
-{"re": real, "im": imag}, and raises TypeError for anything else.
+{"re": real, "im": imag}, and raises TypeError for anything else.  Table
+cells are stored as given; only this hook and the CSV writer map them.
 """
 
 from __future__ import annotations
@@ -46,10 +47,7 @@ class SpectralReport:
     schema: str = SCHEMA
 
     def add_table(self, name, columns, rows):
-        self.tables[name] = {
-            "columns": list(columns),
-            "rows": [[x.item() if isinstance(x, np.generic) else x for x in r] for r in rows],
-        }
+        self.tables[name] = {"columns": list(columns), "rows": [list(r) for r in rows]}
 
     def to_json(self):
         return json.dumps(vars(self), sort_keys=True, default=_json_default)
@@ -69,11 +67,11 @@ class SpectralReport:
         return cls(**data)
 
     def write_table_csv(self, name, path):
-        # floats in full precision (17 significant digits), anything else by str
+        # floats, numpy's too, in full precision (17 significant digits), anything else by str
         tab = self.tables[name]
         lines = [",".join(tab["columns"])]
         lines += [
-            ",".join([f"{x:.16e}" if isinstance(x, float) else str(x) for x in row])
+            ",".join([f"{x:.16e}" if isinstance(x, (float, np.floating)) else str(x) for x in row])
             for row in tab["rows"]
         ]
         with open(path, "w") as fh:

@@ -1,5 +1,5 @@
-"""Root finding on certified brackets: one scalar root by bisection, or many
-falling roots at once by bracketed Newton."""
+"""Root finding on certified brackets: many falling roots at once by
+bracketed Newton, and one scalar root by bisection through the same loop."""
 
 from __future__ import annotations
 
@@ -8,36 +8,21 @@ import math
 import numpy as np
 
 
-def bisect_root(f, lo, hi, *, xtol=1e-12, flo=None, fhi=None):
+def bisect_root(f, lo, hi, *, xtol=1e-12):
     """Locate the sign change of f on [lo, hi] by bisection.
 
-    Endpoint values may be passed to avoid re-evaluation.  Infinite endpoint
-    values are legal; they only contribute their sign.  The bracket is halved
-    until it is narrower than xtol or cannot be split in floating point, so
-    the result is never an unconverged midpoint; returns the midpoint of the
-    final bracket.
+    f at the ends gives only their signs (an end where f is 0 is returned, an
+    infinite value counts by its sign); the bracket, oriented so that f falls,
+    goes to falling_roots with a NaN slope, so every point is the midpoint.
     """
-    if flo is None:
-        flo = f(lo)
-    if fhi is None:
-        fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0 or fhi == 0.0:
+        return lo if flo == 0.0 else hi
+    sign = math.copysign(1.0, flo)
+    if sign == math.copysign(1.0, fhi):
         raise ValueError(f"no sign change on [{lo}, {hi}] (f: {flo} .. {fhi})")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol or not lo < mid < hi:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if math.copysign(1.0, fm) == math.copysign(1.0, flo):
-            lo, flo = mid, fm
-        else:
-            hi = mid
+    root = falling_roots(lambda x: (sign * f(float(x[0])), math.nan), [lo], [hi], xtol=xtol)
+    return float(root[0])
 
 
 def falling_roots(f, lo, hi, *params, xtol):

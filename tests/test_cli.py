@@ -364,6 +364,10 @@ def test_config_errors_name_the_flag(tmp_path, capsys):
         # a repeated value adds no point to a study's slope fit
         (["study", "band-edges", "--eps", "0.2,0.2,0.2", "--nev", "2"], "--eps"),
         (["study", "quasimode", "--eps", "0.2,0.1,0.2"], "--eps"),
+        (["study", "quasimode", "--L", "2", "--eps", "0.2,0.2,0.1,0.05", "--mu", "0.25"],
+         "--eps"),
+        # ... and a repeated --mu would solve and write each of its eigenvalues twice
+        (["graph", "eigs", "--L", "2", "--mu", "0.25,0.25", "--omega-max", "3"], "--mu"),
     ]:
         code, _ = run_cli(tmp_path, *argv)
         assert code == 2, argv

@@ -262,6 +262,15 @@ def test_oracle_reports_the_run_that_produced_its_eigenvalues():
     assert np.array_equal(res.lams, res.history[-1][1])
 
 
+def test_oracle_without_the_check_does_not_claim_convergence():
+    # no wider truncation ran, so nothing agreed: the flag must not read True
+    gap = first_n_gaps(2.0, S, 1)[0]
+    res = oracle_gap_eigenvalues(2.0, 0.25, S, gap, h=4e-3, n_cells=25, check_convergence=False)
+    assert res.converged is False
+    assert res.n_cells == 25 and len(res.history) == 1
+    assert res.omegas.size == 2
+
+
 def test_oracle_matches_closed_form_antisymmetric_leading_gap():
     # the antisymmetric spectrum starts with a gap at omega = 0, so the
     # search window reaches the bottom of the spectrum and the inertia count

@@ -118,13 +118,26 @@ def test_load_rejects_other_schema(tmp_path):
         SpectralReport.load(path)
 
 
-def test_add_table_normalizes_rows():
+def test_add_table_normalizes_rows(tmp_path):
     rep = _sample_report()
     tab = rep.tables["values"]
     assert tab["columns"] == ["omega", "lambda", "label"]
     assert tab["rows"] == [[1.0, 1.0, "a"], [2.0, 4.0, "b"]]
-    for row in tab["rows"]:
-        assert all(not isinstance(x, np.generic) for x in row)
+    # cells are stored as given; numpy scalars are mapped where the report is
+    # written, to the bytes of their Python values
+    numpy_rows = [
+        (np.float64(1.0) / 3.0, np.float32(0.1), np.int64(-7), np.bool_(True)),
+        (np.float64(-np.inf), np.float32(1e-40), np.int64(2**40), np.bool_(False)),
+    ]
+    python_rows = [[x.item() for x in row] for row in numpy_rows]
+    assert not any(isinstance(x, np.generic) for row in python_rows for x in row)
+    written = []
+    for rows in (numpy_rows, python_rows):
+        rep = SpectralReport(kind="t")
+        rep.add_table("t", ["f64", "f32", "i64", "bool"], rows)
+        rep.write_table_csv("t", tmp_path / "t.csv")
+        written.append(((tmp_path / "t.csv").read_bytes(), rep.to_json()))
+    assert written[0] == written[1]
 
 
 def test_csv_format_and_determinism(tmp_path):

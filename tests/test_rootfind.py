@@ -5,7 +5,10 @@ The property tests solve cot x - c on (k pi, (k+1) pi), which falls from
 k pi + atan2(1, c).  A tracked copy of every bracket checks the certificate:
 each point lies strictly inside its bracket when it is evaluated, and each
 value moves one end by its sign.  The last test pins the round counts of the
-graph route's two largest calls, which bisection would double.
+graph route's two largest calls, which bisection would double.  The
+bisection `rootfind.bisect_root` runs through the same loop; its tests pin
+its end rules and, on brackets where f is nowhere exactly 0 at an evaluated
+point, its roots.
 """
 
 import math
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 
 from ladderspec import bands, modes
 from ladderspec.params import SymmetryClass
-from ladderspec.rootfind import falling_roots
+from ladderspec.rootfind import bisect_root, falling_roots
 
 XTOLS = (0.0, 1e-12, 1e-10)
 
@@ -108,3 +111,50 @@ def test_graph_route_calls_take_at_most_16_rounds(monkeypatch, cls):
     modes.discrete_eigenvalues(40, (0.25, 0.5), cls, found, xtol=1e-10)
     assert len(gap_rounds) == len(eig_rounds) == 1
     assert gap_rounds[0] <= 16 and eig_rounds[0] <= 16, (gap_rounds, eig_rounds)
+
+
+def _square_minus_2(x):
+    return x * x - 2.0
+
+
+# bisect_root's roots on [1, 2] at the default xtol and at xtol = 0: x^2 - 2
+# rises across the bracket and cos falls; neither is exactly 0 at a midpoint
+BISECT_PINS = [
+    (_square_minus_2, 1e-12, "0x1.6a09e667f3800p+0"),
+    (_square_minus_2, 0.0, "0x1.6a09e667f3bccp+0"),
+    (math.cos, 1e-12, "0x1.921fb54442800p+0"),
+    (math.cos, 0.0, "0x1.921fb54442d18p+0"),
+]
+
+
+@pytest.mark.parametrize("f,xtol,root", BISECT_PINS)
+def test_bisect_root_pinned(f, xtol, root):
+    kw = {} if xtol == 1e-12 else {"xtol": xtol}
+    assert bisect_root(f, 1.0, 2.0, **kw) == float.fromhex(root)
+
+
+@pytest.mark.parametrize("f,xtol,root", BISECT_PINS)
+def test_bisect_root_infinite_end_counts_by_its_sign(f, xtol, root):
+    # replace the end value by an infinity of the same sign: same root
+    def g(x):
+        return math.copysign(math.inf, f(x)) if x in (1.0, 2.0) else f(x)
+
+    assert bisect_root(g, 1.0, 2.0, xtol=xtol) == float.fromhex(root)
+
+
+def test_bisect_root_returns_an_end_where_f_is_0():
+    evals = []
+
+    def f(x):
+        evals.append(x)
+        return x - 1.0
+
+    assert bisect_root(f, 1.0, 3.0) == 1.0
+    assert bisect_root(lambda x: 3.0 - x, 1.0, 3.0) == 3.0
+    assert evals == [1.0, 3.0]
+
+
+@pytest.mark.parametrize("f", [lambda x: x * x + 1.0, lambda x: -math.inf, lambda x: -x * x])
+def test_bisect_root_rejects_equal_end_signs(f):
+    with pytest.raises(ValueError, match="no sign change"):
+        bisect_root(f, 0.5, 2.0)
