@@ -2,7 +2,9 @@
 
 Two routes with one result type:
 
-* `eig_dense` — LAPACK via scipy for moderate sizes: every eigenpair;
+* `eig_dense` — LAPACK via scipy for moderate sizes: every eigenpair, or,
+  on a real pencil, every eigenvalue and the eigenvectors' products with
+  given columns (`project=`), which never forms the eigenvectors;
 * `eig_sparse_shift_invert` — a self-contained shift-invert Lanczos with full
   reorthogonalisation in the M-inner product (DGKS), for large sparse pencils
   where only the k eigenvalues nearest a target are wanted.
@@ -55,6 +57,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 #: a Gram-Schmidt pass that leaves at most this fraction of the M-norm it
 #: started from has cancelled and is repeated (DGKS; ARPACK's `dsaitr`)
@@ -74,26 +77,85 @@ class EigenResult:
     # adds it to the pair count of a solve
     n_outside_window: int = 0
     message: str = ""
+    # V^T P for each P of eig_dense(project=), which leaves `vectors` None
+    projected: list | None = None
 
 
-def eig_dense(K, M):
-    """Every eigenpair of the dense Hermitian pencil.
+_NOT_SPD = "mass matrix is not positive definite; check mesh/constraint assembly"
+
+
+def eig_dense(K, M, *, project=None):
+    """Every eigenpair of the dense Hermitian pencil, or every eigenvalue
+    and the eigenvectors' products with `project`.
 
     M must be positive definite, else ValueError.  `residuals` is None: a
-    dense result carries none.
+    dense result carries none.  Without `project` the pairs come from
+    scipy's `eigh` (LAPACK `dsygvd` / `zhegvd`).  Given a sequence of real
+    arrays with n rows and a real pencil, `vectors` is None and `projected`
+    holds V^T P for each P in it, V the M-orthonormal eigenvectors, with no
+    V formed (`_projected`); the values are those of the full call, bit for
+    bit, and each row of V^T P is fixed up to the sign of its eigenvector.
     """
     Kd = K.toarray() if sp.issparse(K) else np.asarray(K)
     Md = M.toarray() if sp.issparse(M) else np.asarray(M)
+    if project is not None:
+        return _projected(Kd, Md, project)
     try:
         values, vectors = scipy.linalg.eigh(Kd, Md)
     except scipy.linalg.LinAlgError as exc:
         if "positive definite" in str(exc):
-            raise ValueError(
-                "mass matrix is not positive definite; check mesh/constraint "
-                "assembly"
-            ) from exc
+            raise ValueError(_NOT_SPD) from exc
         raise
     return EigenResult(values, vectors, None)
+
+
+def _projected(K, M, project):
+    """The eigenvalues of the real pencil (K, M) and V^T P for each P in
+    `project`, by the steps of LAPACK's `dsygvd` with the eigenvectors
+    applied to P instead of formed.
+
+    M = C C^T (`dpotrf`), C^-1 K C^-T = Q T Q^T (`dsygst`, then `dsytrd`
+    with its optimal workspace, so that it runs blocked as in `dsygvd`) and
+    T = Y diag(d) Y^T (`dstevd`, `dstedc` as in `dsygvd`), so
+    V = C^-T Q Y and V^T P = Y^T Q^T C^-1 P: one triangular solve
+    (`dtrtrs`) and the reflectors of Q (`dormqr`) on the n x p columns of
+    P, in place of the n x n back-transforms.  The reductions and `dstedc`
+    are those of `eigh`, so d is its values bit for bit.
+    """
+    if any(map(np.iscomplexobj, (K, M, *project))):
+        raise ValueError("eig_dense(project=) takes a real pencil and real arrays")
+    n = K.shape[0]
+    widths = np.cumsum([P.shape[1] for P in project])[:-1]
+    C, info = lapack.dpotrf(M, lower=1, clean=0)
+    if info > 0:
+        raise ValueError(_NOT_SPD)
+    _check("dpotrf", info)
+    A, info = lapack.dsygst(K, C, itype=1, lower=1)
+    _check("dsygst", info)
+    lwork, info = lapack.dsytrd_lwork(n, lower=1)
+    _check("dsytrd_lwork", info)
+    A, d, e, tau, info = lapack.dsytrd(A, lower=1, lwork=int(lwork), overwrite_a=1)
+    _check("dsytrd", info)
+    X, info = lapack.dtrtrs(C, np.hstack(project), lower=1, overwrite_b=1)
+    _check("dtrtrs", info)
+    if n > 1:
+        # Q = H(1) ... H(n-1), reflector i stored below the subdiagonal of
+        # column i: the QR reflectors of A[1:, :-1], acting on rows 1..n-1
+        # (`dormtr`, which scipy does not wrap, calls `dormqr` so)
+        H = A[1:, :-1]
+        _, work, info = lapack.dormqr("L", "T", H, tau, X[1:], -1)
+        _check("dormqr", info)
+        X[1:], _, info = lapack.dormqr("L", "T", H, tau, X[1:], int(work[0]))
+        _check("dormqr", info)
+    # scipy's dstevd takes max(n - 1, 1) off-diagonal entries
+    d, Y, info = lapack.dstevd(d, e if n > 1 else np.zeros(1))
+    _check("dstevd", info)
+    return EigenResult(d, None, None, projected=np.split(Y.T @ X, widths, axis=1))
+
+
+def _check(routine, info):
+    if info:
+        raise scipy.linalg.LinAlgError(f"{routine} failed with info={info}")
 
 
 def _shifted(K, M, sigma):

@@ -10,12 +10,15 @@ supercells around the perturbed rung.
 
 A cell pencil depends on theta only through its few tying-interface dofs.
 Which solver takes a cell is decided once, where the cell is built
-(`_BlochSplit`).  Up to `DENSE_CUTOFF` dofs the pencil is reduced once per
-cell, by one generalized `eig_dense` of its theta-independent block, to a
+(`_BlochSplit`).  Up to `DENSE_CUTOFF` dofs the P1 element entries
+(`_p1_elements`) are folded straight into dense blocks, and the pencil is
+reduced once per cell, by one generalized `eig_dense` of its
+theta-independent block that forms no eigenvectors (`project=`), to a
 bordered diagonal pencil (`_BorderedPencil`), whose eigenvalues at every
 theta are roots of an interface-sized Schur complement, counted by
-Sylvester inertia.  Larger cells, and the Neumann-rectangle self-check, go
-to the inertia-certified shift-invert Lanczos of `eigen` (`_lowest_eigs`).
+Sylvester inertia.  Larger cells, and the Neumann-rectangle self-check, are
+assembled in CSC (`assemble_p1`) and go to the inertia-certified
+shift-invert Lanczos of `eigen` (`_lowest_eigs`).
 """
 
 from __future__ import annotations
@@ -44,27 +47,29 @@ from .report import SpectralReport
 # Lanczos; `_BlochSplit` alone reads it.  Whole 17-theta `fem_bloch_bands`
 # sweeps (symmetric unless marked, h = eps/4, 17 solves each), forced to
 # either side, in ms; one OpenBLAS thread on a 2-core host, median of 9
-# interleaved runs (a second set of 7 put the crossover at the same
-# sizes):
+# interleaved runs:
 #    cell                dofs  nev  Lanczos  dense
-#    L = 2,   eps 0.2     180    2       68     19
-#    L = 1/2, eps 0.1     230   12      201     53
-#    L = 2,   eps 0.1     375    2       58     35   antisymmetric
-#    L = 2,   eps 0.1     380    2       76     46
-#    L = 2,   eps 0.1     380   12      119     66
-#    L = 1/2, eps 0.05    480   12      167    110
-#    L = 2,   eps 0.08    480    2       78     71
-#    L = 2,   eps 0.07    560    2      100    100
-#    L = 1/2, eps 0.04    605   12      257    159
-#    L = 2,   eps 0.06    655    2       86    135
-#    L = 2,   eps 0.05    780    2       77    150
-#    L = 2,   eps 0.05    780   12      177    194
+#    L = 2,   eps 0.2     180    2       45     11
+#    L = 1/2, eps 0.1     230   12      144     35
+#    L = 2,   eps 0.1     375    2       55     30   antisymmetric
+#    L = 2,   eps 0.1     380    2       53     26
+#    L = 2,   eps 0.1     380   12      122     49
+#    L = 1/2, eps 0.05    480   12      139     66
+#    L = 2,   eps 0.08    480    2       64     47
+#    L = 2,   eps 0.07    560    2       70     65
+#    L = 1/2, eps 0.04    605   12      163    102
+#    L = 2,   eps 0.06    655    2       84     87
+#    L = 2,   eps 0.05    780    2       76    128
+#    L = 2,   eps 0.05    780   12      172    158
 # The dense side's once-per-cell reduction grows as n^3, so the sides cross
-# near 500 dofs at nev 2 and between 605 and 780 at nev 12.  On the cells
-# above up to 480 dofs, those of gates 6, 7 and 9 among them, the two sides
-# agree to 5.4e-13 of the top eigenvalue: moving the cutoff moves band
-# edges by round-off.
-DENSE_CUTOFF = 500
+# between 560 and 655 dofs at nev 2 and above 780 at nev 12; a second set
+# (12 interleaved runs) put the nev-2 crossing at 560 (62 against 63 ms)
+# and had the dense side ahead at 705 dofs, nev 12 (130 against 153 ms).
+# No benchmark workload has a cell near the cutoff (the `bloch_cell` cells
+# have 80 to 230 dofs).  On the cells above up to 560 dofs, those of gates
+# 6, 7 and 9 among them, the two sides agree to 6.4e-13 of the top
+# eigenvalue: moving the cutoff moves band edges by round-off.
+DENSE_CUTOFF = 560
 
 #: theta tolerance of the bounded search that sharpens an interior band extreme
 THETA_XATOL = 1e-5
@@ -76,6 +81,38 @@ INTERFACE_RTOL = 1e-14
 #: iteration cap of that root-finder; bisection alone from an interlacing
 #: bracket to INTERFACE_RTOL takes about 60 steps
 _INTERFACE_MAX_STEPS = 200
+
+
+#: the six off-diagonal (row, column) pairs of a triangle's three nodes
+_LI, _LJ = np.nonzero(~np.eye(3, dtype=bool))
+
+
+def _p1_elements(mesh: Mesh):
+    """The P1 element entries of every triangle, in triangle order: for the
+    stiffness and then the mass, the six off-diagonal ones (local pairs
+    `_LI`, `_LJ`) and the three diagonal ones, as (triangles, 6) and
+    (triangles, 3) arrays.  Each consumer packs them itself."""
+    tris = mesh.triangles
+    area = mesh.areas()
+    if np.any(area <= 0):
+        raise ValueError("mesh contains non-positively oriented triangles")
+    x, y = mesh.nodes[:, 0][tris], mesh.nodes[:, 1][tris]  # (m, 3)
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    del x, y  # b, c and area hold all the geometry the forms need
+    # stiffness (b_i b_j + c_i c_j) / (4 area), mass (1 + delta_ij) area / 12
+    four_area = (4.0 * area)[:, None]
+    k_off = b[:, _LI] * b[:, _LJ]
+    k_off += c[:, _LI] * c[:, _LJ]
+    k_off /= four_area
+    k_diag = b * b
+    k_diag += c * c
+    k_diag /= four_area
+    # the mass entries are read-only views of the areas: packing copies them
+    area = area[:, None]
+    m_off = np.broadcast_to((1.0 / 12.0) * area, (area.size, 6))
+    m_diag = np.broadcast_to((2.0 / 12.0) * area, (area.size, 3))
+    return (k_off, k_diag), (m_off, m_diag)
 
 
 def assemble_p1(mesh: Mesh, dofs=None):
@@ -92,51 +129,30 @@ def assemble_p1(mesh: Mesh, dofs=None):
     built.  K and M share one pattern, and being symmetric each has the
     arrays of its CSR form, entry for entry.
     """
-    tris = mesh.triangles
-    area = mesh.areas()
-    if np.any(area <= 0):
-        raise ValueError("mesh contains non-positively oriented triangles")
-    x, y = mesh.nodes[:, 0][tris], mesh.nodes[:, 1][tris]  # (m, 3)
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    del x, y  # b, c and area hold all the geometry the forms need
+    stiffness, mass = _p1_elements(mesh)
     # 32-bit dof ids, as the sparse matrices store them; -1 marks a dropped node
     if dofs is None:
         dofs = np.arange(mesh.n_nodes)
     n = len(dofs)
     dof_of = np.full(mesh.n_nodes, -1, dtype=np.intc)
     dof_of[dofs] = np.arange(n, dtype=np.intc)
-    idx = dof_of[tris]
-    li, lj = np.nonzero(~np.eye(3, dtype=bool))  # the six off-diagonal pairs
-    rows, cols = idx[:, li].ravel(), idx[:, lj].ravel()
+    idx = dof_of[mesh.triangles]
+    rows, cols = idx[:, _LI].ravel(), idx[:, _LJ].ravel()
     off = (rows >= 0) & (cols >= 0)
     on = idx.ravel() >= 0
     diag = np.arange(n, dtype=np.intc)
     rows, cols = np.concatenate([rows[off], diag]), np.concatenate([cols[off], diag])
 
     def csc(off_values, diag_values):
-        # per triangle, the six off-diagonal and the three diagonal entries
         d = np.bincount(idx.ravel()[on], weights=diag_values.ravel()[on], minlength=n)
         vals = np.concatenate([off_values.ravel()[off], d])
         # the summed matrix may keep views of the triplet-sized arrays: the
         # copy holds the entries alone
         return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc().copy()
 
-    # stiffness (b_i b_j + c_i c_j) / (4 area), mass (1 + delta_ij) area / 12
-    four_area = (4.0 * area)[:, None]
-    k_off = b[:, li] * b[:, lj]
-    k_off += c[:, li] * c[:, lj]
-    k_off /= four_area
-    k_diag = b * b
-    k_diag += c * c
-    k_diag /= four_area
-    K = csc(k_off, k_diag)
-    del k_off, k_diag
-    area = area[:, None]
-    M = csc(
-        np.repeat((1.0 / 12.0) * area, 6, axis=1), np.repeat((2.0 / 12.0) * area, 3, axis=1)
-    )
-    return K, M
+    K = csc(*stiffness)
+    del stiffness  # K's element entries go before M is packed
+    return K, csc(*mass)
 
 
 def _comb_order(mesh, nodes):
@@ -190,25 +206,28 @@ class _BlochSplit:
     to their left-boundary masters.  For A = K and A = M the reduced matrix
     T^H A T is therefore A0 + e^{-i theta} A1 + e^{i theta} A1^T with
     A0 = T0^T A T0 + T1^T A T1 and A1 = T0^T A T1, formed once per mesh
-    with no T: each entry of the assembled A is folded onto the columns of
-    its two nodes, a right-boundary node taking its master's, into A0 when
-    both nodes or neither are tied, into A1 when only the column's node is
-    (the row-tied rest is A1^T).  The columns come in comb order
-    (`_comb_dofs`).  On the Lanczos side of the cutoff the pencil is that
-    sum, in those columns (`free`): CSC, factored as built.
+    with no T: each entry of A is folded onto the columns of its two nodes,
+    a right-boundary node taking its master's, into A0 when both nodes or
+    neither are tied, into A1 when only the column's node is (the row-tied
+    rest is A1^T).  The columns come in comb order (`_comb_dofs`).  On the
+    Lanczos side of the cutoff the pencil is that sum, in those columns
+    (`free`), folded from the assembled CSC pair: CSC, factored as built.
 
     On the dense side (`dense`: at most `DENSE_CUTOFF` columns, decided here
     and nowhere else) the pencil is reduced once per cell to a bordered
     diagonal one (`_BorderedPencil`).  A1 touches only a set q of dofs, the
     tying masters and their tied neighbours; with p the other dofs, ordered
     p then q, every block but the q-q one is real and independent of theta.
+    The element entries (`_p1_elements`) are folded straight into dense
+    arrays, A0 in the p-then-q columns and A1 into its q-q block, each by
+    one `bincount` in triangle order, so A0 comes out exactly symmetric.
     Once per cell, in real arithmetic, one generalized solve of the p-p
-    blocks (`eig_dense`), K_pp V = M_pp V diag(d) with V^T M_pp V = I, and
-    with
+    blocks (`eig_dense`), K_pp V = M_pp V diag(d) with V^T M_pp V = I,
+    gives d and, with no V formed,
 
         Wm = V^T M_pq,  Wk = V^T K_pq,  Gq = (Wk - diag(d) Wm)^T,
 
-    the pencil in the coordinates (V^T (M_pp u_p + M_pq u_q), u_q) is
+    and the pencil in the coordinates (V^T (M_pp u_p + M_pq u_q), u_q) is
 
         [[diag(d), Gq^T], [Gq, K_qq(theta) - Wk^T Wm - Wm^T Gq^T]]
             - lam [[I, 0], [0, M_qq(theta) - Wm^T Wm]],
@@ -231,46 +250,52 @@ class _BlochSplit:
         col_of[mesh.right] = masters
         tied = np.zeros(n, dtype=bool)
         tied[mesh.right] = True
-        shape = (keep.size, keep.size)
 
-        def fold(A):
-            # (A0, A1); entries with a dropped node are dropped with it
-            A = A.tocoo()
-            r, c = col_of[A.row], col_of[A.col]
+        def fold(rows, cols):
+            # the columns of the entries at node pairs (rows, cols), and
+            # which of them A0 and A1 take; an entry with a dropped node
+            # goes to neither
+            r, c = col_of[rows], col_of[cols]
             live = (r >= 0) & (c >= 0)
-            t_r, t_c = tied[A.row], tied[A.col]
-            return tuple(
-                sp.csc_matrix((A.data[part], (r[part], c[part])), shape=shape)
-                for part in (live & (t_r == t_c), live & ~t_r & t_c)
-            )
+            t_r, t_c = tied[rows], tied[cols]
+            return r, c, live & (t_r == t_c), live & ~t_r & t_c
 
         self.dense = keep.size <= DENSE_CUTOFF
-        (K0, K1), (M0, M1) = map(fold, assemble_p1(mesh))
         if self.dense:
-            keep = keep[self._reduce(K0, K1, M0, M1)]
+            # triangle by triangle, its six off-diagonal entries, then its
+            # three diagonal ones
+            tris = mesh.triangles
+            rows = np.hstack([tris[:, _LI], tris]).ravel()
+            cols = np.hstack([tris[:, _LJ], tris]).ravel()
+            values = [np.hstack(entries).ravel() for entries in _p1_elements(mesh)]
+            order, K, M = _dense_fold(keep.size, *fold(rows, cols), values)
+            self._reduce(K, M)
+            keep = keep[order]
         else:
-            self.K_parts = (K0, K1, K1.T.tocsc())
-            self.M_parts = (M0, M1, M1.T.tocsc())
+            shape = (keep.size, keep.size)
+            parts = []
+            for A in assemble_p1(mesh):
+                A = A.tocoo()
+                r, c, *masks = fold(A.row, A.col)
+                A0, A1 = (
+                    sp.csc_matrix((A.data[part], (r[part], c[part])), shape=shape)
+                    for part in masks
+                )
+                parts.append((A0, A1, A1.T.tocsc()))
+            self.K_parts, self.M_parts = parts
         self.free = keep
         # the Lanczos start vector is drawn over the free nodes in id order
         self.draw_order = np.argsort(keep)
 
-    def _reduce(self, K0, K1, M0, M1):
-        """The bordered pencil (`interface`) from the CSC parts; returns the
-        p-then-q column order."""
-        # q: the rows and columns of the entries A1 stores
-        touched = np.zeros(K0.shape[0], dtype=bool)
-        for A1 in (K1, M1):
-            touched[np.diff(A1.indptr) > 0] = True
-            touched[A1.indices] = True
-        q = np.flatnonzero(touched)
-        order = np.concatenate([np.flatnonzero(~touched), q])
-        n_p = order.size - q.size
-        K0, M0 = (A.toarray()[order][:, order] for A in (K0, M0))
-        K1, M1 = (A.toarray()[np.ix_(q, q)] for A in (K1, M1))
-        modes = eig_dense(K0[:n_p, :n_p], M0[:n_p, :n_p])
-        d, V = modes.values, modes.vectors
-        Wm, Wk = V.T @ M0[:n_p, n_p:], V.T @ K0[:n_p, n_p:]
+    def _reduce(self, K, M):
+        """The bordered pencil (`interface`) from the dense fold (A0, A1)
+        of K and of M (`_dense_fold`)."""
+        (K0, K1), (M0, M1) = K, M
+        n_p = K0.shape[0] - K1.shape[0]
+        modes = eig_dense(
+            K0[:n_p, :n_p], M0[:n_p, :n_p], project=[M0[:n_p, n_p:], K0[:n_p, n_p:]]
+        )
+        d, (Wm, Wk) = modes.values, modes.projected
         Gq = (Wk - d[:, None] * Wm).T
         self.interface = _BorderedPencil(
             d,
@@ -279,7 +304,6 @@ class _BlochSplit:
             (K0[n_p:, n_p:] - Wk.T @ Wm - Wm.T @ Gq.T, K1, K1.T),
             (M0[n_p:, n_p:] - Wm.T @ Wm, M1, M1.T),
         )
-        return order
 
     def pencil(self, theta):
         """Reduced CSC pencil at Bloch phase theta, exactly Hermitian (the
@@ -299,6 +323,32 @@ class _BlochSplit:
             _lowest_eigs(K, M, nev, seed=seed, draw_order=self.draw_order)
             for K, M in map(self.pencil, thetas)
         ])
+
+
+def _dense_fold(n, r, c, to_a0, to_a1, values):
+    """The p-then-q column order of a dense cell and, for each entry array
+    in `values`, A0 in those n columns and A1 on its trailing q-q block,
+    each summed by one `bincount` in entry order.  The entries sit at
+    columns (r, c); `to_a0` and `to_a1` pick the ones each part takes."""
+    # q: the columns of every entry A1 takes, whatever its value (P1
+    # stiffness stores exact zeros on right triangles)
+    touched = np.zeros(n, dtype=bool)
+    touched[r[to_a1]] = True
+    touched[c[to_a1]] = True
+    q = np.flatnonzero(touched)
+    order = np.concatenate([np.flatnonzero(~touched), q])
+    n_p, m = n - q.size, q.size
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    r0, c0 = pos[r[to_a0]], pos[c[to_a0]]
+    r1, c1 = pos[r[to_a1]] - n_p, pos[c[to_a1]] - n_p
+    return order, *(
+        (
+            np.bincount(r0 * n + c0, weights=v[to_a0], minlength=n * n).reshape(n, n),
+            np.bincount(r1 * m + c1, weights=v[to_a1], minlength=m * m).reshape(m, m),
+        )
+        for v in values
+    )
 
 
 class _BorderedPencil:

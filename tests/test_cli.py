@@ -465,7 +465,7 @@ _LOCALIZED_KEYS = {"eps", "mu", "h", "cells", "dump_modes"}
 _EMPTY_WINDOW = ("fem", "localized", "--L", "2", "--eps", "0.2", "--mu", "0.25", "--cells", "6")
 #: argv -> config keys the run records besides command, L, L_value and class:
 #: a sweep records seed only when one of its cells (L = 2, h = eps/4) went to
-#: the Lanczos side, above 500 dofs (eps 0.05: 780 dofs; 0.4, 0.3, 0.2: 80 to
+#: the Lanczos side, above 560 dofs (eps 0.05: 780 dofs; 0.4, 0.3, 0.2: 80 to
 #: 180 dofs); `fem localized` records it when its window holds a mode (the
 #: window (2.1, 5) holds two, (2.1, 2.2) and the defect-free gap 1 none) or
 #: its --gap sweep went to the Lanczos side

@@ -93,6 +93,55 @@ def test_dense_rejects_indefinite_mass():
         eig_dense(K, M)
 
 
+def _bloch_p_blocks():
+    """(K_pp, M_pp, [M_pq, K_pq]) of the four dense cells of the benchmark's
+    `bloch_cell` workload, as the Bloch split hands them to `eig_dense`."""
+    calls = []
+
+    def recording(K, M, *, project):
+        calls.append((K, M, project))
+        return eig_dense(K, M, project=project)
+
+    cells = ((2.0, "sym", 0.4), (2.0, "sym", 0.2), (2.0, "antisym", 0.2), (0.5, "sym", 0.1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fem, "eig_dense", recording)
+        for L, cls, eps in cells:
+            fem._BlochSplit(build_cell_mesh(LadderParams(L, eps), cls, eps / 4))
+    return calls
+
+
+def _projected_cases():
+    yield from _bloch_p_blocks()
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 50):
+        K, M = _random_pencil(n, seed=n)
+        yield K, M, [rng.standard_normal((n, 3)), rng.standard_normal((n, 1))]
+
+
+def test_projected_dense_call_matches_the_full_one():
+    # the values bit for bit; each row of V^T P up to the sign of its vector
+    for K, M, project in _projected_cases():
+        full = eig_dense(K, M)
+        got = eig_dense(K, M, project=project)
+        assert got.vectors is None and len(got.projected) == len(project)
+        assert got.values.tobytes() == full.values.tobytes()
+        for W, P in zip(got.projected, project):
+            ref = full.vectors.T @ P
+            sign = np.where(np.sum(W * ref, axis=1) < 0.0, -1.0, 1.0)
+            assert np.abs(W - sign[:, None] * ref).max() <= 1e-13 * np.abs(ref).max()
+    # the projected path runs the real LAPACK chain only
+    with pytest.raises(ValueError, match="real pencil"):
+        eig_dense(K.astype(complex), M, project=project)
+
+
+def test_projected_dense_call_rejects_indefinite_mass_as_the_full_one():
+    K, M = _random_pencil(12, seed=9)
+    M[0, 0] = -abs(M[0, 0])
+    for kw in ({}, {"project": [np.ones((12, 2))]}):
+        with pytest.raises(ValueError, match="^mass matrix is not positive definite; "):
+            eig_dense(K, M, **kw)
+
+
 def test_shift_invert_matches_dense_real():
     K, M = _string_pencil(400)
     dense = eig_dense(K, M).values
@@ -232,8 +281,8 @@ def test_shift_invert_long_run_stays_orthonormal(monkeypatch):
 
 
 def test_shift_invert_long_run_stays_orthonormal_complex_hermitian():
-    # a complex Bloch pencil of 500 dofs, the size of the dense cutoff above
-    # which `fem._lowest_eigs` sends such pencils down this path
+    # a complex Bloch pencil of 500 dofs, about the size of the dense cutoff
+    # above which `fem._lowest_eigs` sends such pencils down this path
     Kd, Md = _oracle_cell(0.7, 0.004)
     dense = eig_dense(Kd, Md).values
     sigma = 0.5 * (dense[99] + dense[100])

@@ -108,9 +108,30 @@ def test_bloch_pencil_real_at_endpoints_complex_inside(monkeypatch):
         bloch_pencil(mesh, 4.0)
 
 
+def _scipy_fold(mesh, free):
+    """(A0, A1) of K and of M in the columns `free`, dense, folded from the
+    assembled pair by scipy's COO -> CSC sum, as the Lanczos side folds."""
+    col = np.full(mesh.n_nodes, -1)
+    col[free] = np.arange(free.size)
+    col[mesh.right] = col[mesh.left]
+    tied = np.zeros(mesh.n_nodes, dtype=bool)
+    tied[mesh.right] = True
+    parts = []
+    for A in assemble_p1(mesh):
+        A = A.tocoo()
+        r, c = col[A.row], col[A.col]
+        live = (r >= 0) & (c >= 0)
+        parts.append(tuple(
+            sp.csc_matrix((A.data[k], (r[k], c[k])), shape=(free.size,) * 2).toarray()
+            for k in (live & (tied[A.row] == tied[A.col]), live & ~tied[A.row] & tied[A.col])
+        ))
+    return parts
+
+
 def test_bloch_split_matches_direct_reduction(monkeypatch):
     # the once-per-mesh split A0 + e^{-i theta} A1 + e^{i theta} A1^T must
     # equal T^H A T, with T tying the right trace to e^{-i theta} times the left
+    dense_cutoff = fem.DENSE_CUTOFF
     monkeypatch.setattr(fem, "DENSE_CUTOFF", 0)
     for cls in (S, A):
         mesh = build_cell_mesh(LadderParams(2.0, 0.2), cls, 0.05)
@@ -128,6 +149,35 @@ def test_bloch_split_matches_direct_reduction(monkeypatch):
             if theta != 0.7:
                 assert not np.iscomplexobj(K.toarray())
                 assert not np.iscomplexobj(M.toarray())
+    # the dense side folds the element entries straight into A0 and the q-q
+    # block of A1: the scipy fold to round-off, A0 exactly symmetric and
+    # K(theta) exactly Hermitian
+    monkeypatch.setattr(fem, "DENSE_CUTOFF", dense_cutoff)
+    real_reduce = fem._BlochSplit._reduce
+    folds = []
+
+    def recording(self, K, M):
+        folds.append((K, M))
+        return real_reduce(self, K, M)
+
+    monkeypatch.setattr(fem._BlochSplit, "_reduce", recording)
+    for cls in (S, A):
+        mesh = build_cell_mesh(LadderParams(2.0, 0.2), cls, 0.05)
+        split = fem._BlochSplit(mesh)
+        assert split.dense
+        n, m = split.free.size, split.free.size - split.interface.d.size
+        for (A0, A1), (ref0, ref1) in zip(folds.pop(), _scipy_fold(mesh, split.free)):
+            assert A0.shape == (n, n) and A1.shape == (m, m)
+            assert np.abs(A0 - ref0).max() <= 1e-14 * np.abs(ref0).max()
+            # A1 lives on the trailing q-q block alone
+            assert not ref1[:, : n - m].any() and not ref1[: n - m].any()
+            assert np.abs(A1 - ref1[n - m :, n - m :]).max() <= 1e-14 * np.abs(ref1).max()
+            assert np.array_equal(A0, A0.T)
+            A1_full = np.zeros_like(A0)
+            A1_full[n - m :, n - m :] = A1
+            for theta in (0.0, 0.7, math.pi):
+                At = fem._tied_at(fem._bloch_phase(theta), A0, A1_full, A1_full.T)
+                assert np.array_equal(At, At.conj().T)
 
 
 def test_bloch_theta0_kernel_is_constant():
@@ -398,13 +448,13 @@ def test_dense_split_keeps_theta_dependence_on_the_boundary():
 def test_dense_split_rejects_indefinite_mass(monkeypatch):
     # the split solves its p-p blocks with eig_dense, which refuses the mass
     mesh = build_cell_mesh(LadderParams(2.0, 0.2), S, 0.05)
-    real = fem.assemble_p1
+    real = fem._p1_elements
 
     def negated_mass(m):
-        K, M = real(m)
-        return K, -M
+        K, (m_off, m_diag) = real(m)
+        return K, (-m_off, -m_diag)
 
-    monkeypatch.setattr(fem, "assemble_p1", negated_mass)
+    monkeypatch.setattr(fem, "_p1_elements", negated_mass)
     with pytest.raises(ValueError, match="mass matrix is not positive definite"):
         fem._BlochSplit(mesh)
 
