@@ -9,16 +9,15 @@ pencils on the periodicity cell; the discrete spectrum from Neumann-truncated
 supercells around the perturbed rung.
 
 A cell pencil depends on theta only through its few tying-interface dofs.
-Which solver takes a cell is decided once, where the cell is built
-(`_BlochSplit`).  Up to `DENSE_CUTOFF` dofs the P1 element entries
-(`_p1_elements`) are folded straight into dense blocks, and the pencil is
-reduced once per cell, by one generalized `eig_dense` of its
-theta-independent block that forms no eigenvectors (`project=`), to a
-bordered diagonal pencil (`_BorderedPencil`), whose eigenvalues at every
-theta are roots of an interface-sized Schur complement, counted by
-Sylvester inertia.  Larger cells, and the Neumann-rectangle self-check, are
-assembled in CSC (`assemble_p1`) and go to the inertia-certified
-shift-invert Lanczos of `eigen` (`_lowest_eigs`).
+`_BlochSplit` folds a cell's P1 element entries (`_p1_elements`) and
+decides, once, which solver takes it.  Up to `DENSE_CUTOFF` dofs the fold
+is dense and the pencil is reduced once per cell, by one generalized
+`eig_dense` of its theta-independent block that forms no eigenvectors
+(`project=`), to a bordered diagonal pencil (`_BorderedPencil`), whose
+eigenvalues at every theta are roots of an interface-sized Schur
+complement, counted by Sylvester inertia.  Larger cells are folded in CSC
+and, like the Neumann-rectangle self-check (`assemble_p1`), go to the
+inertia-certified shift-invert Lanczos of `eigen` (`_lowest_eigs`).
 """
 
 from __future__ import annotations
@@ -209,18 +208,19 @@ class _BlochSplit:
     with no T: each entry of A is folded onto the columns of its two nodes,
     a right-boundary node taking its master's, into A0 when both nodes or
     neither are tied, into A1 when only the column's node is (the row-tied
-    rest is A1^T).  The columns come in comb order (`_comb_dofs`).  On the
-    Lanczos side of the cutoff the pencil is that sum, in those columns
-    (`free`), folded from the assembled CSC pair: CSC, factored as built.
+    rest is A1^T).  The columns come in comb order (`_comb_dofs`).  Both
+    sides of the cutoff fold the P1 element entries (`_p1_elements`); on
+    the Lanczos side the pencil is that sum, in those columns (`free`),
+    summed in CSC by scipy: factored as built.
 
     On the dense side (`dense`: at most `DENSE_CUTOFF` columns, decided here
     and nowhere else) the pencil is reduced once per cell to a bordered
     diagonal one (`_BorderedPencil`).  A1 touches only a set q of dofs, the
     tying masters and their tied neighbours; with p the other dofs, ordered
     p then q, every block but the q-q one is real and independent of theta.
-    The element entries (`_p1_elements`) are folded straight into dense
-    arrays, A0 in the p-then-q columns and A1 into its q-q block, each by
-    one `bincount` in triangle order, so A0 comes out exactly symmetric.
+    The element entries are folded straight into dense arrays, A0 in the
+    p-then-q columns and A1 into its q-q block, each by one `bincount` in
+    triangle order, so A0 comes out exactly symmetric.
     Once per cell, in real arithmetic, one generalized solve of the p-p
     blocks (`eig_dense`), K_pp V = M_pp V diag(d) with V^T M_pp V = I,
     gives d and, with no V formed,
@@ -250,39 +250,31 @@ class _BlochSplit:
         col_of[mesh.right] = masters
         tied = np.zeros(n, dtype=bool)
         tied[mesh.right] = True
-
-        def fold(rows, cols):
-            # the columns of the entries at node pairs (rows, cols), and
-            # which of them A0 and A1 take; an entry with a dropped node
-            # goes to neither
-            r, c = col_of[rows], col_of[cols]
-            live = (r >= 0) & (c >= 0)
-            t_r, t_c = tied[rows], tied[cols]
-            return r, c, live & (t_r == t_c), live & ~t_r & t_c
+        # the element entries, triangle by triangle, its six off-diagonal
+        # ones, then its three diagonal ones, at their node pairs (rows,
+        # cols); A0 and A1 take the ones `to_a0` and `to_a1` pick, and an
+        # entry with a dropped node goes to neither
+        tris = mesh.triangles
+        rows = np.hstack([tris[:, _LI], tris]).ravel()
+        cols = np.hstack([tris[:, _LJ], tris]).ravel()
+        values = [np.hstack(entries).ravel() for entries in _p1_elements(mesh)]
+        r, c = col_of[rows], col_of[cols]
+        live = (r >= 0) & (c >= 0)
+        to_a0, to_a1 = live & (tied[rows] == tied[cols]), live & ~tied[rows] & tied[cols]
 
         self.dense = keep.size <= DENSE_CUTOFF
         if self.dense:
-            # triangle by triangle, its six off-diagonal entries, then its
-            # three diagonal ones
-            tris = mesh.triangles
-            rows = np.hstack([tris[:, _LI], tris]).ravel()
-            cols = np.hstack([tris[:, _LJ], tris]).ravel()
-            values = [np.hstack(entries).ravel() for entries in _p1_elements(mesh)]
-            order, K, M = _dense_fold(keep.size, *fold(rows, cols), values)
+            order, K, M = _dense_fold(keep.size, r, c, to_a0, to_a1, values)
             self._reduce(K, M)
             keep = keep[order]
         else:
             shape = (keep.size, keep.size)
-            parts = []
-            for A in assemble_p1(mesh):
-                A = A.tocoo()
-                r, c, *masks = fold(A.row, A.col)
-                A0, A1 = (
-                    sp.csc_matrix((A.data[part], (r[part], c[part])), shape=shape)
-                    for part in masks
-                )
-                parts.append((A0, A1, A1.T.tocsc()))
-            self.K_parts, self.M_parts = parts
+            # A0 and A1 of K and of M
+            A0, A1 = (
+                [sp.csc_matrix((v[k], (r[k], c[k])), shape=shape) for v in values]
+                for k in (to_a0, to_a1)
+            )
+            self.K_parts, self.M_parts = zip(A0, A1, [A.T.tocsc() for A in A1])
         self.free = keep
         # the Lanczos start vector is drawn over the free nodes in id order
         self.draw_order = np.argsort(keep)
@@ -628,7 +620,6 @@ def fem_bloch_bands(params: LadderParams, sym_class, nev, h, *, n_theta=17, seed
         config={
             "L": params.L,
             "eps": params.eps,
-            "mu": params.mu,
             "sym_class": sym_class.value,
             "h": h,
             "nev": nev,
@@ -706,7 +697,8 @@ def localized_modes(
     the stiffness being positive semi-definite); one shift-invert Lanczos
     solve at the window centre then asks for exactly that many pairs, which
     are the ones inside, so nothing inside can be missed.  A solve that
-    returns fewer than that many values inside the window raises.
+    returns fewer than that many values inside the window raises; with a
+    count of 0 none runs, and `solver_converged` reads False.
     Each in-window eigenpair gets a per-cell mass profile of its eigenvector,
     real as the pencil is, a fitted geometric decay rate r_hat, and the
     share of mass in the central three cells.
@@ -726,7 +718,7 @@ def localized_modes(
     # below a lower end lam_lo <= 0, so that end needs no factorisation
     below_lo = count_below(K, M, lam_lo) if lam_lo > 0.0 else 0
     count = count_below(K, M, lam_hi) - below_lo
-    res = EigenResult(np.zeros(0), np.zeros((n, 0)), np.zeros(0))
+    res = EigenResult(np.zeros(0), np.zeros((n, 0)), np.zeros(0), converged=False)
     if count:
         # the window is symmetric about the shift, so the count eigenvalues
         # nearest it are the ones inside

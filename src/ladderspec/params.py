@@ -59,6 +59,12 @@ class ExactLength:
             )
         if self.coeff <= 0:
             raise ValueError("length must be positive")
+        try:
+            value = self.value
+        except OverflowError:
+            value = math.inf
+        if not 0.0 < value < math.inf:  # the float is what every route reads
+            raise ValueError(f"length must round to a positive finite float, got {value}")
 
     @property
     def value(self):
@@ -87,9 +93,10 @@ class ExactLength:
             den = int(m.group("den") or 1)
             return cls(Fraction(num, den), pi_factor=True)
         try:
-            return cls(Fraction(s))
+            coeff = Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse length {text!r}") from exc
+        return cls(coeff)
 
     def __str__(self):
         if self.pi_factor:
@@ -113,8 +120,8 @@ class LadderParams:
     mu: float = 1.0
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError(f"L must be positive, got {self.L}")
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"L must be positive and finite, got {self.L}")
         if not 0 < self.eps < min(1.0, self.L / 2):
             raise ValueError(
                 f"eps must lie in (0, min(1, L/2)) = (0, {min(1.0, self.L / 2)}), got {self.eps}"

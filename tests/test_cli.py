@@ -276,6 +276,16 @@ def test_fem_localized_gap_stores_its_window(tmp_path):
     assert "window" not in rep.diagnostics
 
 
+def test_fem_localized_empty_window_reports_no_converged_solve(tmp_path):
+    # inertia counts no eigenvalue in the window, so no Lanczos solve runs
+    code, _ = run_cli(tmp_path, "fem", "localized", "--L", "2", "--eps", "0.2",
+                      "--mu", "0.25", "--cells", "6", "--window", "2.1,2.2")
+    assert code == 0
+    rep = SpectralReport.load(tmp_path / "out.json")
+    assert rep.diagnostics["inertia_count"] == 0
+    assert rep.diagnostics["solver_converged"] is False
+
+
 @pytest.mark.parametrize(
     "argv,columns,column,errors,key,slope",
     [
@@ -335,9 +345,11 @@ def test_study_needs_three_eps(tmp_path, capsys):
 
 
 def test_config_errors_name_the_flag(tmp_path, capsys):
-    code, _ = run_cli(tmp_path, "graph", "bands", "--L", "abc")
-    assert code == 2
-    assert "--L" in capsys.readouterr().err
+    # an exact --L whose float overflows or underflows is no length either
+    for L in ("abc", "1e400", "1e-400"):
+        code, _ = run_cli(tmp_path, "graph", "bands", "--L", L)
+        assert code == 2, L
+        assert "--L" in capsys.readouterr().err
 
     code, _ = run_cli(tmp_path, "fem", "bands", "--eps", "1.5")
     assert code == 2

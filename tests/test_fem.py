@@ -110,7 +110,8 @@ def test_bloch_pencil_real_at_endpoints_complex_inside(monkeypatch):
 
 def _scipy_fold(mesh, free):
     """(A0, A1) of K and of M in the columns `free`, dense, folded from the
-    assembled pair by scipy's COO -> CSC sum, as the Lanczos side folds."""
+    assembled pair by scipy's COO -> CSC sum: a reference built apart from
+    the package's fold, which starts from the element entries."""
     col = np.full(mesh.n_nodes, -1)
     col[free] = np.arange(free.size)
     col[mesh.right] = col[mesh.left]
@@ -180,6 +181,19 @@ def test_bloch_split_matches_direct_reduction(monkeypatch):
                 assert np.array_equal(At, At.conj().T)
 
 
+def test_bloch_split_never_assembles_a_csc_pair(monkeypatch):
+    # both sides of the cutoff fold the P1 element entries themselves, in
+    # one pass: neither builds the assembled pair and folds it again
+    calls = []
+    real = fem.assemble_p1
+    monkeypatch.setattr(fem, "assemble_p1", lambda *a, **k: calls.append(a) or real(*a, **k))
+    mesh = build_cell_mesh(LadderParams(2.0, 0.2), S, 0.05)
+    assert fem._BlochSplit(mesh).dense
+    monkeypatch.setattr(fem, "DENSE_CUTOFF", 0)
+    assert not fem._BlochSplit(mesh).dense
+    assert calls == []
+
+
 def test_bloch_theta0_kernel_is_constant():
     mesh = build_cell_mesh(LadderParams(2.0, 0.2), S, 0.05)
     K, M, _ = bloch_pencil(mesh, 0.0)
@@ -219,6 +233,15 @@ def test_bloch_bands_frozen_gap_and_table_shape():
     graph_gap = first_n_gaps(2.0, S, 1)[0]
     assert abs(rep.gaps[0]["omega_b"] - graph_gap.omega_b) < 2.0 * 0.2
     assert abs(rep.gaps[0]["omega_t"] - graph_gap.omega_t) < 2.0 * 0.2
+
+
+def test_bloch_bands_config_omits_the_mu_it_never_reads():
+    # the periodicity cell has a unit rung whatever mu, so the bands are
+    # those of mu = 1 and the config does not record mu
+    rep = fem_bloch_bands(LadderParams(2.0, 0.2, 0.5), S, 2, 0.05)
+    ref = fem_bloch_bands(LadderParams(2.0, 0.2), S, 2, 0.05)
+    assert "mu" not in rep.config
+    assert rep.config == ref.config and rep.bands == ref.bands
 
 
 def _synthetic_bands(monkeypatch, lam):
@@ -764,7 +787,8 @@ def test_localized_modes_empty_without_defect():
     )
     assert rep.eigenvalues == []
     assert rep.tables["modes"]["rows"] == []
-    assert rep.diagnostics["solver_converged"]
+    # a zero count runs no Lanczos solve, so none converged
+    assert rep.diagnostics["solver_converged"] is False
     assert rep.diagnostics["inertia_count"] == 0
 
 

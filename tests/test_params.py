@@ -71,3 +71,16 @@ def test_ladder_params_validation():
         LadderParams(0.5, 0.3)  # eps >= L/2
     with pytest.raises(ValueError):
         LadderParams(2.0, 0.1, mu=-0.5)
+    for L in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="L must be positive and finite"):
+            LadderParams(L, 0.1)
+
+
+def test_exact_length_rejects_a_length_without_a_usable_float():
+    # exact, but its float overflows (1e400, 1e308 * pi) or underflows to 0
+    for text in ("1e400", "1e-400", "1" + "0" * 308 + "pi"):
+        with pytest.raises(ValueError, match="positive finite float"):
+            ExactLength.parse(text)
+    with pytest.raises(ValueError, match="positive finite float"):
+        ExactLength(Fraction(1, 10**400))
+    assert ExactLength.parse("1e308").value == 1e308
